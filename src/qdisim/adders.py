@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 
 from .cells import DelayTable, default_delay_table
-from .dualrail import RailState, decode_pair, decode_word
+from .dualrail import decode_word
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import Phase, Simulation, check_phase
+from .sim import Simulation, drive_transaction
 
 
 class AdderVariant(enum.Enum):
@@ -286,25 +286,8 @@ def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: in
     """Drive one valid wave then one spacer wave through a bare ripple
     chain; returns (decoded result or DecodeIssue, set report, rtz report).
     The result covers n+1 bits: sum plus overflow carry."""
-    pairs = rca.netlist.port_map
-    set_assign = _rail_assignments(rca, a, b, cin)
-    sim.apply_inputs(set_assign)
-    set_trace, _ = sim.run_until_quiescent()
-    set_report = check_phase(set_trace, Phase.SET, pairs=pairs)
-    word = sim.read_word(list(rca.sum_ports) + [rca.cout_port])
-    decoded = decode_word(word)
-    initial = {}
-    for r1, r0 in pairs.values():
-        initial[r1] = sim.net_value(r1)
-        initial[r0] = sim.net_value(r0)
-    sim.apply_inputs([(net, 0) for net, _ in set_assign])
-    rtz_trace, _ = sim.run_until_quiescent()
-    rtz_report = check_phase(rtz_trace, Phase.RTZ, pairs=pairs, initial_rails=initial)
-    spacer = all(
-        decode_pair(sim.pair_value(p)) is RailState.SPACER
-        for p in list(rca.sum_ports) + [rca.cout_port]
-    )
-    return decoded, set_report, rtz_report, spacer
+    waves = drive_transaction(sim, _rail_assignments(rca, a, b, cin), rca.sum_ports + (rca.cout_port,))
+    return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
 
 
 def functional_check(

@@ -135,6 +135,10 @@ def crossover_m(table: DelayTable, n: int = 32) -> int:
     return (sync - base) // a22 - 2
 
 
+class TransactionError(RuntimeError):
+    """A measured transaction broke the handshake or did not decode."""
+
+
 def measure(
     stage: StageDescriptor, spec: ChainSpec, table: DelayTable | None = None
 ) -> tuple[int, int, int]:
@@ -144,7 +148,7 @@ def measure(
     a, b, cin = gen_carry_chain_vector(spec)
     rec = run_transaction(stage, a, b, cin, table or default_delay_table())
     if not rec.ok:
-        raise RuntimeError(
+        raise TransactionError(
             f"transaction failed for m={spec.m}: set={rec.set_report.ok} "
             f"rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
         )

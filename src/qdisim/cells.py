@@ -22,6 +22,7 @@ overridable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .netlist import GATE_ARITY, GateKind
@@ -52,6 +53,8 @@ class DelayTable:
     delays: Mapping[GateKind, int]
 
     def __post_init__(self):
+        # a read-only copy: later changes to the caller's mapping cannot reach the table
+        object.__setattr__(self, "delays", MappingProxyType(dict(self.delays)))
         for kind in GateKind:
             d = self.delays.get(kind)
             if d is None:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success / values match, 1 a checked comparison failed,
-2 usage or configuration error.  All numeric output is in integer time
-units; files are UTF-8 with LF line endings.
+Exit codes: 0 success / values match, 1 a checked comparison or a
+simulation failed, 2 usage or configuration error.  All numeric output
+is in integer time units; files are UTF-8 with LF line endings.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .analysis import (
     ChainSpec,
     EXPECTED_CLASSES,
     SweepMismatch,
+    TransactionError,
     classify_both,
     measure,
     sweep,
@@ -23,7 +24,8 @@ from .analysis import (
 )
 from .cells import GateKind, default_delay_table, dump_delay_table, load_delay_table
 from .netlist import serialize_netlist
-from .stage import Architecture, PAIRED_VARIANT, build_stage
+from .sim import OscillationError, SimulationError
+from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except (OscillationError, SimulationError, DeadlockError, TransactionError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

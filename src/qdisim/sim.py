@@ -11,18 +11,35 @@ that monotone handshake stimuli never trigger.
 C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
 all-zero power-on state required of return-to-zero circuits.
+
+`drive_transaction` runs one valid wave and one spacer wave.  When the
+netlist has no INV and no cycle and the simulation rests at all-spacer,
+every net moves at most once per wave, in one direction, so a wave is a
+min/max-plus expression over gate delays evaluated in topological order
+(`_WavePlan`).  Everything else runs on the event engine, which remains
+the reference the plan is tested against.
 """
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .cells import DelayTable
-from .dualrail import DualRailValue, DualRailWord
-from .netlist import GateKind, Netlist
+from .dualrail import (
+    ILLEGAL,
+    SPACER,
+    VALID_ONE,
+    VALID_ZERO,
+    DualRailValue,
+    DualRailWord,
+    RailState,
+    decode_pair,
+)
+from .netlist import GATE_ARITY, GateKind, Netlist
 
 # dispatch codes ordered by frequency in the generated circuits
 _C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
@@ -36,6 +53,7 @@ _CODE = {
     GateKind.INV: _INV,
     GateKind.AO222: _AO222,
 }
+_ARITY = {code: GATE_ARITY[kind] for kind, code in _CODE.items()}
 
 
 class Phase(enum.Enum):
@@ -133,6 +151,7 @@ class Simulation:
         self._heap: list[tuple[int, int, int, int]] = []
         self._seq = 0
         self._trace: list[tuple[int, int, int]] = []
+        self._plan = _UNBUILT  # the wave plan, built on the first transaction
         self.now = 0
         self.replacements = 0
 
@@ -150,6 +169,8 @@ class Simulation:
 
     @property
     def trace(self) -> list[tuple[int, str, int]]:
+        """Transitions committed by the latest `run_until_quiescent` call;
+        empty after a transaction the wave plan evaluated."""
         names = self._names
         return [(t, names[n], v) for t, n, v in self._trace]
 
@@ -203,10 +224,9 @@ class Simulation:
         values = self._values
         gates = self._gates
         fanout = self._fanout
-        trace = self._trace
+        trace = self._trace = []
         append = trace.append
         cap = self.event_cap
-        start = len(trace)
         commits = 0
         seq = self._seq
         settle = self.now
@@ -262,7 +282,7 @@ class Simulation:
         self._seq = seq
         self.now = settle
         names = self._names
-        segment = [(et, names[en], ev) for et, en, ev in trace[start:]]
+        segment = [(et, names[en], ev) for et, en, ev in trace]
         return segment, settle
 
 
@@ -329,3 +349,270 @@ def write_trace_csv(trace: list[tuple[int, str, int]], fp):
     """Dump committed transitions as `time,net,value` lines in commit order."""
     for t, net, value in trace:
         fp.write(f"{t},{net},{value}\n")
+
+
+# -- two-wave transactions ------------------------------------------------
+
+
+@dataclass
+class WaveResult:
+    """One valid wave then one spacer wave, seen from the output ports."""
+
+    valid_word: DualRailWord        # output ports once the valid wave settled
+    spacer_restored: bool           # every output port back at spacer
+    forward_latency: int
+    reverse_latency: int
+    set_report: PhaseCheckReport
+    rtz_report: PhaseCheckReport
+    set_origin: int
+    rtz_origin: int
+    set_trace: list[tuple[int, str, int]] | None = None
+    rtz_trace: list[tuple[int, str, int]] | None = None
+
+
+def drive_transaction(
+    sim: Simulation,
+    assignments: list[tuple[str, int]],
+    output_ports: tuple[str, ...] | list[str],
+    keep_traces: bool = False,
+) -> WaveResult:
+    """Apply `assignments` to primary inputs at `sim.now` and settle (the
+    valid wave), then return every assigned input to 0 and settle (the
+    spacer wave).  Each latency is the time of the last transition on any
+    rail of `output_ports`, measured from its wave's start, 0 if none moved.
+
+    The wave plan evaluates both waves when the netlist admits one, no
+    traces are kept and the sim rests at all-spacer with nothing pending;
+    otherwise the event engine runs them.  Both give the same result.
+    """
+    if not keep_traces and not sim._heap and not any(sim._values):
+        plan = sim._plan
+        if plan is _UNBUILT:
+            plan = sim._plan = _WavePlan.build(sim)
+        if plan is not None:
+            return plan.run(sim, assignments, output_ports)
+    pairs = sim.netlist.port_map
+    rails = {r for p in output_ports for r in pairs[p]}
+    origin = sim.now
+    sim.apply_inputs(assignments, at_time=origin)
+    set_trace, set_settle = sim.run_until_quiescent()
+    set_report = check_phase(set_trace, Phase.SET, pairs=pairs)
+    valid_word = sim.read_word(output_ports)
+    initial = {r: sim.net_value(r) for pair in pairs.values() for r in pair}
+    sim.apply_inputs([(net, 0) for net, _ in assignments], at_time=set_settle)
+    rtz_trace, _ = sim.run_until_quiescent()
+    rtz_report = check_phase(rtz_trace, Phase.RTZ, pairs=pairs, initial_rails=initial)
+    return WaveResult(
+        valid_word=valid_word,
+        spacer_restored=all(decode_pair(sim.pair_value(p)) is RailState.SPACER for p in output_ports),
+        forward_latency=_latency(set_trace, rails, origin),
+        reverse_latency=_latency(rtz_trace, rails, set_settle),
+        set_report=set_report,
+        rtz_report=rtz_report,
+        set_origin=origin,
+        rtz_origin=set_settle,
+        set_trace=set_trace if keep_traces else None,
+        rtz_trace=rtz_trace if keep_traces else None,
+    )
+
+
+def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) -> int:
+    times = [t for t, net, _ in trace if net in rails]
+    return max(times) - origin if times else 0
+
+
+# wave times: a net that never moves in the wave, and one already low when
+# the spacer wave starts
+_NEVER = math.inf
+_BEFORE = -math.inf
+_UNBUILT = object()
+_PAIR_VALUE = {(0, 0): SPACER, (1, 0): VALID_ONE, (0, 1): VALID_ZERO, (1, 1): ILLEGAL}
+
+
+def _settle(times: list, start: int) -> int:
+    """Latest finite time in `times`; `start` when nothing moved."""
+    return max(start, max(filter(_NEVER.__gt__, times), default=start))
+
+
+class _WavePlan:
+    """A Simulation's own gates (jittered delays included) in topological
+    order, for evaluating both waves of an open-loop transaction.
+
+    From the all-zero state every gate here is monotone, so in the valid
+    wave each net rises at most once: an and-or cell at the earliest of
+    its terms, a term at its latest input (a C-element is one term), plus
+    the gate delay.  In the spacer wave an and-or cell falls once every
+    term has a low input, at the latest over terms of each term's earliest
+    falling input; a C-element that rose falls at its latest input.  The
+    event engine commits exactly these times, never replaces a pending
+    event and never breaks phase monotonicity, so only illegal pairs can
+    appear in the phase reports.
+    """
+
+    def __init__(self, order: list[tuple[int, tuple[int, ...], int, int]], pairs: list[tuple[str, int, int]]):
+        self.order = order
+        self.pairs = pairs
+
+    @classmethod
+    def build(cls, sim: Simulation) -> _WavePlan | None:
+        """None for a netlist the algebra does not cover: an INV (its
+        output rises while its input is spacer), a cycle, a wrong arity, a
+        net with two drivers or a driven primary input, or a port map that
+        shares a rail or names an unknown net.  Also None when `event_cap`
+        is below the net count: a wave commits at most once per net, so
+        only then could the event engine raise OscillationError."""
+        if sim.event_cap < len(sim._values):
+            return None
+        gates = sim._gates
+        driven: set[int] = set()
+        for code, ins, out, _ in gates:
+            if code == _INV or len(ins) != _ARITY[code] or out in driven or out in sim._pi_ids:
+                return None
+            driven.add(out)
+        pairs = []
+        rails: set[str] = set()
+        for port, (r1, r0) in sim.netlist.port_map.items():
+            if r1 == r0 or r1 in rails or r0 in rails or r1 not in sim._ids or r0 not in sim._ids:
+                return None
+            rails.update((r1, r0))
+            pairs.append((port, sim._ids[r1], sim._ids[r0]))
+        # Kahn's algorithm over the gates; whatever is left over sits on a cycle
+        waiting = [sum(1 for net in set(ins) if net in driven) for _, ins, _, _ in gates]
+        ready = [gi for gi, w in enumerate(waiting) if w == 0]
+        order = []
+        while ready:
+            gi = ready.pop()
+            order.append(gates[gi])
+            for user in sim._fanout[gates[gi][2]]:
+                waiting[user] -= 1
+                if waiting[user] == 0:
+                    ready.append(user)
+        if len(order) != len(gates):
+            return None
+        return cls(order, pairs)
+
+    def run(self, sim: Simulation, assignments, output_ports) -> WaveResult:
+        ids, pi_ids = sim._ids, sim._pi_ids
+        port_map = sim.netlist.port_map
+        out_pairs = [(ids[r1], ids[r0]) for r1, r0 in (port_map[p] for p in output_ports)]
+        out_rails = [i for pair in out_pairs for i in pair]
+        never, before = _NEVER, _BEFORE
+
+        origin = sim.now
+        rise = [never] * len(sim._values)
+        inputs = []
+        for net, value in assignments:
+            nid = ids.get(net)
+            if nid is None or nid not in pi_ids:
+                raise SimulationError(f"{net!r} is not a primary input")
+            rise[nid] = origin if value else never  # the last value wins, as in apply_inputs
+            inputs.append(nid)
+        for code, ins, out, delay in self.order:
+            if code == _C2:
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                t = a if a > b else b
+            elif code == _OR2:
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                t = a if a < b else b
+            elif code == _AO22:
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                c = rise[ins[2]]
+                d = rise[ins[3]]
+                a = a if a > b else b
+                c = c if c > d else d
+                t = a if a < c else c
+            elif code == _AO21:
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                c = rise[ins[2]]
+                a = a if a > b else b
+                t = a if a < c else c
+            elif code == _C3:
+                t = max(rise[ins[0]], rise[ins[1]], rise[ins[2]])
+            elif code == _AND2:
+                t = max(rise[ins[0]], rise[ins[1]])
+            else:
+                t = min(
+                    max(rise[ins[0]], rise[ins[1]]),
+                    max(rise[ins[2]], rise[ins[3]]),
+                    max(rise[ins[4]], rise[ins[5]]),
+                )
+            rise[out] = t + delay
+        rtz_origin = _settle(rise, origin)
+
+        fall = [before] * len(rise)
+        for nid in inputs:
+            if rise[nid] != never:
+                fall[nid] = rtz_origin
+        for code, ins, out, delay in self.order:
+            if code == _C2:
+                if rise[out] == never:
+                    continue  # never rose, so it stays low
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                t = a if a > b else b
+            elif code == _OR2:
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                t = a if a > b else b
+            elif code == _AO22:
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                c = fall[ins[2]]
+                d = fall[ins[3]]
+                a = a if a < b else b
+                c = c if c < d else d
+                t = a if a > c else c
+            elif code == _AO21:
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                c = fall[ins[2]]
+                a = a if a < b else b
+                t = a if a > c else c
+            elif code == _C3:
+                if rise[out] == never:
+                    continue
+                t = max(fall[ins[0]], fall[ins[1]], fall[ins[2]])
+            elif code == _AND2:
+                t = min(fall[ins[0]], fall[ins[1]])
+            else:
+                t = max(
+                    min(fall[ins[0]], fall[ins[1]]),
+                    min(fall[ins[2]], fall[ins[3]]),
+                    min(fall[ins[4]], fall[ins[5]]),
+                )
+            fall[out] = t + delay
+
+        # a net that rose and never fell ends high; normally none does
+        settle = max(fall)
+        if settle == never:
+            values = sim._values
+            for nid, t in enumerate(fall):
+                if t == never:
+                    values[nid] = 1
+            settle = _settle(fall, rtz_origin)
+        sim.now = max(settle, rtz_origin)
+        sim._trace = []
+
+        illegal = sorted(
+            (max(rise[i1], rise[i0]), port)
+            for port, i1, i0 in self.pairs
+            if rise[i1] != never and rise[i0] != never
+        )
+        set_times = [rise[i] for i in out_rails if rise[i] != never]
+        rtz_times = [t for t in (fall[i] for i in out_rails) if before < t < never]
+        return WaveResult(
+            valid_word=DualRailWord(
+                tuple(_PAIR_VALUE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs)
+            ),
+            spacer_restored=never not in (fall[i] for i in out_rails),
+            forward_latency=max(set_times) - origin if set_times else 0,
+            reverse_latency=max(rtz_times) - rtz_origin if rtz_times else 0,
+            set_report=PhaseCheckReport(illegal_pairs=illegal),
+            rtz_report=PhaseCheckReport(),
+            set_origin=origin,
+            rtz_origin=rtz_origin,
+        )

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from .adders import AdderVariant, RcaDescriptor, StagePorts, emit_rca
 from .cells import DelayTable, default_delay_table
-from .dualrail import DecodeIssue, RailState, decode_pair, decode_word, encode_bit
+from .dualrail import DecodeIssue, DualRailWord, RailState, decode_pair, decode_word, encode_bit
 from .netlist import Gate, GateKind, Netlist, NetlistBuilder
-from .sim import Phase, PhaseCheckReport, Simulation, check_phase
+from .sim import PhaseCheckReport, Simulation, drive_transaction
 
 
 class Architecture(enum.Enum):
@@ -133,13 +133,6 @@ class StageDescriptor:
     cd_out: str
     cd_depth: int
     sync_port: str | None = None       # GLOBAL only: alias of the cout port
-
-    @property
-    def forward_rails(self) -> set[str]:
-        rails = set()
-        for p in self.forward_ports:
-            rails.update(self.netlist.port_map[p])
-        return rails
 
 
 def build_stage(
@@ -302,42 +295,15 @@ def run_transaction(
         raise ValueError("operands do not fit the stage width")
     if sim is None:
         sim = Simulation(stage.netlist, delay_table or default_delay_table())
-    pairs = stage.netlist.port_map
-    rails = stage.forward_rails
-    origin = sim.now
-    assignments = _stage_assignments(stage, a, b, cin)
-    sim.apply_inputs([(stage.ackin, 1)] + assignments, at_time=origin)
-    set_trace, set_settle = sim.run_until_quiescent()
-    set_report = check_phase(set_trace, Phase.SET, pairs=pairs)
-    fl_times = [t for t, net, _ in set_trace if net in rails]
-    forward_latency = max(fl_times) - origin if fl_times else 0
-
-    sum_word = sim.read_word([f"sum{i}" for i in range(stage.n)])
-    sum_value = decode_word(sum_word)
-    carry_pair = sim.pair_value("cout")
-    carry_state = decode_pair(carry_pair)
+    assignments = [(stage.ackin, 1)] + _stage_assignments(stage, a, b, cin)
+    waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
+    carry_state = decode_pair(waves.valid_word.pairs[-1])
     if carry_state is RailState.ONE:
         carry_value: int | DecodeIssue = 1
     elif carry_state is RailState.ZERO:
         carry_value = 0
     else:
         carry_value = DecodeIssue(carry_state, 0)
-
-    initial = {}
-    for r1, r0 in pairs.values():
-        initial[r1] = sim.net_value(r1)
-        initial[r0] = sim.net_value(r0)
-    rtz_origin = set_settle
-    sim.apply_inputs(
-        [(stage.ackin, 0)] + [(net, 0) for net, _ in assignments], at_time=rtz_origin
-    )
-    rtz_trace, _ = sim.run_until_quiescent()
-    rtz_report = check_phase(rtz_trace, Phase.RTZ, pairs=pairs, initial_rails=initial)
-    rl_times = [t for t, net, _ in rtz_trace if net in rails]
-    reverse_latency = max(rl_times) - rtz_origin if rl_times else 0
-    spacer_restored = all(
-        decode_pair(sim.pair_value(p)) is RailState.SPACER for p in stage.forward_ports
-    )
     return TransactionRecord(
         architecture=stage.architecture,
         variant=stage.variant,
@@ -345,17 +311,17 @@ def run_transaction(
         a=a,
         b=b,
         cin=cin,
-        forward_latency=forward_latency,
-        reverse_latency=reverse_latency,
-        sum_value=sum_value,
+        forward_latency=waves.forward_latency,
+        reverse_latency=waves.reverse_latency,
+        sum_value=decode_word(DualRailWord(waves.valid_word.pairs[:-1])),
         carry_value=carry_value,
-        set_report=set_report,
-        rtz_report=rtz_report,
-        spacer_restored=spacer_restored,
-        set_trace=set_trace if keep_traces else None,
-        rtz_trace=rtz_trace if keep_traces else None,
-        set_origin=origin,
-        rtz_origin=rtz_origin,
+        set_report=waves.set_report,
+        rtz_report=waves.rtz_report,
+        spacer_restored=waves.spacer_restored,
+        set_trace=waves.set_trace,
+        rtz_trace=waves.rtz_trace,
+        set_origin=waves.set_origin,
+        rtz_origin=waves.rtz_origin,
     )
 
 

@@ -131,6 +131,15 @@ def test_table_requires_all_kinds_positive():
         default_delay_table().replace({GateKind.C2: 0})
 
 
+def test_table_keeps_its_own_copy_of_the_delays():
+    delays = dict(default_delay_table().delays)
+    table = DelayTable(delays)
+    delays[GateKind.C2] = 1
+    assert table[GateKind.C2] == 106
+    with pytest.raises(TypeError):
+        table.delays[GateKind.C2] = 1
+
+
 @given(st.sampled_from(list(GateKind)), st.data())
 def test_eval_gate_is_pure(kind, data):
     inputs = data.draw(

@@ -1,5 +1,11 @@
+import pytest
+
+import qdisim.analysis
+import qdisim.cli
 from qdisim.cli import main
 from qdisim.netlist import gate_census, parse_netlist
+from qdisim.sim import OscillationError, SimulationError
+from qdisim.stage import DeadlockError
 
 
 def run(capsys, *argv):
@@ -132,3 +138,35 @@ def test_delay_table_override_flows_through(tmp_path, capsys):
     code, out, _ = run(capsys, "--delay-table", str(path), "delays")
     assert code == 0
     assert "C2 100" in out
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("callee,argv,exc", [
+    ("sweep", ["sweep", "--m-range", "4:5"], OscillationError("no quiescence after 9 transitions")),
+    ("functional_check", ["check", "--n", "2", "--trials", "3"], SimulationError("'x' is not a primary input")),
+    ("classify_both", ["classify", "dims-strong"], DeadlockError("ring stalled at t=0")),
+])
+def test_simulation_failures_exit_one_with_one_line(monkeypatch, capsys, callee, argv, exc):
+    monkeypatch.setattr(qdisim.cli, callee, _raise(exc))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {exc}\n"
+
+
+def test_measure_failed_transaction_exits_one(monkeypatch, capsys):
+    real = qdisim.analysis.run_transaction
+
+    def spacer_lost(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        rec.spacer_restored = False
+        return rec
+
+    monkeypatch.setattr(qdisim.analysis, "run_transaction", spacer_lost)
+    code, out, err = run(capsys, "measure", "--arch", "local", "--n", "8", "--m", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: transaction failed for m=4") and err.count("\n") == 1

@@ -81,13 +81,24 @@ def test_trace_per_net_values_alternate(table):
     sim = Simulation(net, table)
     rails = [("a0.r1", 1), ("a1.r1", 1), ("b0.r1", 1), ("b1.r0", 1), ("cin.r0", 1)]
     sim.apply_inputs(rails, at_time=0)
-    sim.run_until_quiescent()
+    set_trace, _ = sim.run_until_quiescent()
     sim.apply_inputs([(n, 0) for n, _ in rails])
-    sim.run_until_quiescent()
+    rtz_trace, _ = sim.run_until_quiescent()
     last = {}
-    for _, n, v in sim.trace:
+    for _, n, v in set_trace + rtz_trace:
         assert last.get(n) != v, f"same-value transition recorded on {n}"
         last[n] = v
+
+
+def test_trace_holds_only_the_latest_call(table):
+    net = build_rca(AdderVariant.LATENCY_OPT_BIASED, 4).netlist
+    sim = Simulation(net, table)
+    rails = [("a0.r1", 1), ("b0.r0", 1), ("cin.r0", 1)]
+    sim.apply_inputs(rails, at_time=0)
+    sim.run_until_quiescent()
+    sim.apply_inputs([(n, 0) for n, _ in rails])
+    rtz_trace, _ = sim.run_until_quiescent()
+    assert sim.trace == rtz_trace and all(v == 0 for _, _, v in sim.trace)
 
 
 def test_phase_check_accepts_monotone_set(table):

@@ -166,7 +166,8 @@ def test_zero_operands_all_outputs_valid_zero(table):
     assert all(
         decode_pair(sim.pair_value(p)) is RailState.SPACER for p in st.forward_ports
     )  # after the full cycle the spacer is back
-    set_states = [v for _, net, v in rec.set_trace if net in st.forward_rails]
+    rails = {r for p in st.forward_ports for r in st.netlist.port_map[p]}
+    set_states = [v for _, net, v in rec.set_trace if net in rails]
     assert set_states and all(v == 1 for v in set_states)
 
 

@@ -1,0 +1,159 @@
+"""The wave plan against the event engine, which stays the reference.
+
+`keep_traces=True` always runs the event engine.  With traces off, a
+simulation resting at all-spacer over a netlist without INV or cycles
+runs the wave plan, which commits no events, so its `trace` stays empty;
+the event engine always leaves the spacer wave's commits there.
+"""
+import random
+from dataclasses import fields
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, strategies as st
+
+from qdisim.adders import AdderVariant, _rail_assignments, build_rca, rca_transaction
+from qdisim.cells import default_delay_table
+from qdisim.dualrail import decode_word
+from qdisim.netlist import parse_netlist
+from qdisim.sim import OscillationError, Simulation, drive_transaction
+from qdisim.stage import Architecture, build_stage, run_transaction
+
+TABLE = default_delay_table()
+WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
+JITTER = st.one_of(st.just(0), st.integers(1, 80))
+
+
+@lru_cache(maxsize=None)
+def _stage(arch, variant, n):
+    return build_stage(arch, variant, n, force=True)
+
+
+@lru_cache(maxsize=None)
+def _rca(variant, n):
+    return build_rca(variant, n)
+
+
+def _sims(netlist, jitter, seed):
+    return tuple(Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed) for _ in range(2))
+
+
+def _report(rep):
+    return rep.nonmonotonic, sorted(rep.illegal_pairs)
+
+
+def _record(rec):
+    out = {f.name: getattr(rec, f.name) for f in fields(rec) if not f.name.endswith("trace")}
+    out["set_report"] = _report(rec.set_report)
+    out["rtz_report"] = _report(rec.rtz_report)
+    return out
+
+
+def _assert_same_state(planned, reference):
+    assert planned.trace == [] and reference.trace, "expected the plan on one side only"
+    assert planned.now == reference.now
+    nets = planned.netlist.nets()
+    assert {n: planned.net_value(n) for n in nets} == {n: reference.net_value(n) for n in nets}
+
+
+def _operands(data, n):
+    word = st.integers(0, (1 << n) - 1)
+    return data.draw(st.lists(st.tuples(word, word, st.integers(0, 1)), min_size=1, max_size=3))
+
+
+def _check_stage(stage, ops, jitter, seed):
+    planned, reference = _sims(stage.netlist, jitter, seed)
+    for a, b, c in ops:
+        got = run_transaction(stage, a, b, c, sim=planned)
+        want = run_transaction(stage, a, b, c, sim=reference, keep_traces=True)
+        assert _record(got) == _record(want), (a, b, c)
+        _assert_same_state(planned, reference)
+
+
+@given(
+    arch=st.sampled_from(list(Architecture)),
+    variant=st.sampled_from(list(AdderVariant)),
+    n=WIDTHS,
+    jitter=JITTER,
+    seed=st.integers(1, 10_000),
+    data=st.data(),
+)
+def test_stage_transactions_match_event_engine(arch, variant, n, jitter, seed, data):
+    _check_stage(_stage(arch, variant, n), _operands(data, n), jitter, seed)
+
+
+@pytest.mark.parametrize("jitter", [0, 40])
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_every_pairing_matches_event_engine(arch, variant, jitter):
+    rng = random.Random(f"{arch.value}/{variant.value}/{jitter}")
+    ops = [(rng.getrandbits(5), rng.getrandbits(5), rng.getrandbits(1)) for _ in range(6)]
+    _check_stage(_stage(arch, variant, 5), ops, jitter, 3)
+
+
+@given(variant=st.sampled_from(list(AdderVariant)), n=WIDTHS, jitter=JITTER,
+       seed=st.integers(1, 10_000), data=st.data())
+def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
+    rca = _rca(variant, n)
+    planned, reference = _sims(rca.netlist, jitter, seed)
+    ports = rca.sum_ports + (rca.cout_port,)
+    for a, b, c in _operands(data, n):
+        decoded, set_rep, rtz_rep, spacer = rca_transaction(planned, rca, a, b, c)
+        want = drive_transaction(reference, _rail_assignments(rca, a, b, c), ports, keep_traces=True)
+        assert decoded == decode_word(want.valid_word)
+        assert (_report(set_rep), _report(rtz_rep), spacer) == (
+            _report(want.set_report), _report(want.rtz_report), want.spacer_restored)
+        _assert_same_state(planned, reference)
+
+
+RING = """\
+input d.r1
+input d.r0
+gate q1 C2 d.r1 ack q.r1
+gate q0 C2 d.r0 ack q.r0
+gate cd OR2 q.r1 q.r0 done
+gate inv INV done ack
+pair d d.r1 d.r0
+pair q q.r1 q.r0
+"""
+
+
+def _or_loop(length):
+    lines = ["input d.r1", "input d.r0", "pair d d.r1 d.r0", f"gate g0 OR2 d.r1 n{length - 1} n0"]
+    lines += [f"gate g{i} OR2 n{i - 1} d.r0 n{i}" for i in range(1, length)]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text,port", [
+    ("input d.r1\ninput d.r0\ngate i INV d.r0 y.r0\ngate o OR2 d.r1 d.r1 y.r1\n"
+     "pair d d.r1 d.r0\npair y y.r1 y.r0", "y"),
+    ("input d.r1\ninput d.r0\ngate z C2 d.r1 z z\npair d d.r1 d.r0", "d"),
+    (RING, "q"),
+    (_or_loop(3000), "d"),
+], ids=["inv", "c2-self-loop", "ring", "long-or-loop"])
+def test_inv_or_cycle_takes_the_event_engine(text, port):
+    netlist = parse_netlist(text)
+    sim, reference = Simulation(netlist, TABLE), Simulation(netlist, TABLE)
+    waves = drive_transaction(sim, [("d.r1", 1), ("d.r0", 0)], [port])
+    want = drive_transaction(reference, [("d.r1", 1), ("d.r0", 0)], [port], keep_traces=True)
+    assert sim.trace, "the event engine leaves the spacer wave's commits"
+    assert sim.trace == want.rtz_trace and sim.now == reference.now
+    assert (waves.valid_word, waves.spacer_restored, waves.forward_latency, waves.reverse_latency) == (
+        want.valid_word, want.spacer_restored, want.forward_latency, want.reverse_latency)
+
+
+def test_last_assignment_of_an_input_wins():
+    rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
+    assigns = _rail_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
+    planned, reference = _sims(rca.netlist, 0, 1)
+    got = drive_transaction(planned, assigns, rca.sum_ports + (rca.cout_port,))
+    want = drive_transaction(reference, assigns, rca.sum_ports + (rca.cout_port,), keep_traces=True)
+    assert decode_word(got.valid_word) == decode_word(want.valid_word) == 2
+    _assert_same_state(planned, reference)
+
+
+def test_low_event_cap_still_raises():
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 8)
+    sim = Simulation(stage.netlist, TABLE, event_cap=20)
+    with pytest.raises(OscillationError, match="quiescence"):
+        run_transaction(stage, 255, 1, 0, sim=sim)
