@@ -33,10 +33,6 @@ class AdderVariant(enum.Enum):
     LATENCY_OPT_BIASED = "latency-opt-biased"
     EARLY_OUTPUT = "early-output"
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class StagePorts:
@@ -55,7 +51,6 @@ class RcaDescriptor:
     n: int
     netlist: Netlist
     stages: tuple[StagePorts, ...]
-    input_ports: tuple[str, ...]   # a0..a(n-1), b0..b(n-1), cin
     sum_ports: tuple[str, ...]
     cout_port: str
 
@@ -209,13 +204,10 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
         nb.add_output(s0)
     nb.add_output(cout[0])
     nb.add_output(cout[1])
-    input_ports = []
     for name, store in (("a", a_rails), ("b", b_rails)):
         for i, (r1, r0) in enumerate(store):
             nb.add_pair(f"{name}{i}", r1, r0)
-            input_ports.append(f"{name}{i}")
     nb.add_pair("cin", cin[0], cin[1])
-    input_ports.append("cin")
     sum_ports = []
     for i, (s1, s0) in enumerate(sums):
         nb.add_pair(f"sum{i}", s1, s0)
@@ -226,7 +218,6 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
         n=n,
         netlist=nb.build(),
         stages=stages,
-        input_ports=tuple(input_ports),
         sum_ports=tuple(sum_ports),
         cout_port="cout",
     )

@@ -140,13 +140,22 @@ class TransactionError(RuntimeError):
 
 
 def measure(
-    stage: StageDescriptor, spec: ChainSpec, table: DelayTable | None = None
+    stage: StageDescriptor,
+    spec: ChainSpec,
+    table: DelayTable | None = None,
+    sim: Simulation | None = None,
 ) -> tuple[int, int, int]:
-    """Simulated (forward, reverse, cycle) for the canonical chain vector."""
+    """Simulated (forward, reverse, cycle) for the canonical chain vector.
+    A given `sim` of the stage's netlist is reset first, so repeated calls
+    reuse one compiled simulation."""
     if stage.n != spec.n:
         raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
     a, b, cin = gen_carry_chain_vector(spec)
-    rec = run_transaction(stage, a, b, cin, table or default_delay_table())
+    if sim is not None:
+        if sim.netlist is not stage.netlist:
+            raise ValueError("sim was built for another netlist than the stage's")
+        sim.reset()
+    rec = run_transaction(stage, a, b, cin, table or default_delay_table(), sim=sim)
     if not rec.ok:
         raise TransactionError(
             f"transaction failed for m={spec.m}: set={rec.set_report.ok} "
@@ -197,12 +206,14 @@ def sweep(
     table = table or default_delay_table()
     local = build_stage(Architecture.LOCAL, n=n)
     glob = build_stage(Architecture.GLOBAL, n=n)
+    local_sim = Simulation(local.netlist, table)
+    glob_sim = Simulation(glob.netlist, table)
     rows = []
     for m in m_values:
         spec = ChainSpec(n, m)
-        lsim = measure(local, spec, table)
+        lsim = measure(local, spec, table, local_sim)
         lth = theory_local(m, table)
-        gsim = measure(glob, spec, table)
+        gsim = measure(glob, spec, table, glob_sim)
         gth = theory_global(m, table, n)
         if lsim[2] != lth[2]:
             raise SweepMismatch(m, "local cycle", lsim[2], lth[2])
@@ -282,6 +293,7 @@ def classify_indication(
     any_transition_early = False
     all_complete_early = False
     k = len(in_ports)
+    sim = Simulation(netlist, table)
 
     for codeword in range(1 << k):
         active = []
@@ -290,7 +302,7 @@ def classify_indication(
             r1, r0 = netlist.port_map[port]
             active.append(r1 if bit else r0)
         for order in permutations(range(k)):
-            sim = Simulation(netlist, table)
+            sim.reset()
             if not is_set:
                 sim.apply_inputs([(net, 1) for net in active])
                 sim.run_until_quiescent()
@@ -382,9 +394,10 @@ def asymptotic_check(
     the data path of every variant can be profiled."""
     table = table or default_delay_table()
     stage = build_stage(architecture, variant, n, force=True)
+    sim = Simulation(stage.netlist, table)
     fls, rls = [], []
     for m in m_values:
-        fl, rl, _ = measure(stage, ChainSpec(n, m), table)
+        fl, rl, _ = measure(stage, ChainSpec(n, m), table, sim)
         fls.append(fl)
         rls.append(rl)
     return AsymptoticReport(variant, architecture, tuple(m_values), tuple(fls), tuple(rls))

@@ -33,11 +33,11 @@ CHECK_FAILED = 1
 
 def _variant(name: str) -> AdderVariant:
     for v in AdderVariant:
-        if v.cli_name == name:
+        if v.value == name:
             return v
     raise argparse.ArgumentTypeError(
         f"unknown variant {name!r}; choose from "
-        + ", ".join(v.cli_name for v in AdderVariant)
+        + ", ".join(v.value for v in AdderVariant)
     )
 
 
@@ -98,7 +98,7 @@ def cmd_measure(args) -> int:
     else:
         theory = theory_global(args.m, table, args.n)
     row = (
-        f"{args.arch.value},{variant.cli_name},{args.n},{args.m},"
+        f"{args.arch.value},{variant.value},{args.n},{args.m},"
         f"{sim_vals[0]},{sim_vals[1]},{sim_vals[2]},"
         f"{theory[0]},{theory[1]},{theory[2]}\n"
     )
@@ -130,7 +130,7 @@ def cmd_classify(args) -> int:
     expected = EXPECTED_CLASSES[args.variant]
     if cls != expected:
         sys.stderr.write(
-            f"unexpected class for {args.variant.cli_name}: expected "
+            f"unexpected class for {args.variant.value}: expected "
             f"SET {expected.set_phase.value}, RTZ {expected.rtz_phase.value}\n"
         )
         return CHECK_FAILED
@@ -154,7 +154,7 @@ def cmd_check(args) -> int:
     rca = build_rca(args.variant, args.n)
     result = functional_check(rca, trials, seed=args.seed, delay_table=table, exhaustive=exhaustive)
     if result.passed:
-        sys.stdout.write(f"pass: {result.trials} vectors, {args.variant.cli_name} n={args.n}\n")
+        sys.stdout.write(f"pass: {result.trials} vectors, {args.variant.value} n={args.n}\n")
         return 0
     a, b, c = result.counterexample
     sys.stdout.write(f"FAIL at a={a} b={b} cin={c}: {result.detail}\n")

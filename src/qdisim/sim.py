@@ -53,7 +53,6 @@ _CODE = {
     GateKind.INV: _INV,
     GateKind.AO222: _AO222,
 }
-_ARITY = {code: GATE_ARITY[kind] for kind, code in _CODE.items()}
 
 
 class Phase(enum.Enum):
@@ -125,6 +124,10 @@ class Simulation:
         self._pi_ids = set(range(len(names)))
         gates = []
         for g in netlist.gates:
+            if len(g.inputs) != GATE_ARITY[g.kind]:
+                raise SimulationError(
+                    f"gate {g.gid!r} ({g.kind.value}) takes {GATE_ARITY[g.kind]} inputs, got {len(g.inputs)}"
+                )
             delay = delay_table[g.kind]
             if rng is not None:
                 delay += rng.randint(0, jitter)
@@ -146,12 +149,19 @@ class Simulation:
             for net in set(ins):
                 fanout[net].append(gi)
         self._fanout = [tuple(f) for f in fanout]
-        self._values = [0] * len(names)
+        self._plan = _UNBUILT  # the wave plan, built on the first transaction
+        self.reset()
+
+    def reset(self):
+        """Return to the state of a fresh instance: every net 0, nothing
+        pending, time 0 (call `settle_power_on` again if the netlist needs
+        it).  The interned gates, their jittered delays and the wave plan
+        are kept, so a netlist is compiled once however often it is run."""
+        self._values = [0] * len(self._names)
         self._pending: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int, int]] = []
         self._seq = 0
         self._trace: list[tuple[int, int, int]] = []
-        self._plan = _UNBUILT  # the wave plan, built on the first transaction
         self.now = 0
         self.replacements = 0
 
@@ -456,8 +466,8 @@ class _WavePlan:
     @classmethod
     def build(cls, sim: Simulation) -> _WavePlan | None:
         """None for a netlist the algebra does not cover: an INV (its
-        output rises while its input is spacer), a cycle, a wrong arity, a
-        net with two drivers or a driven primary input, or a port map that
+        output rises while its input is spacer), a cycle, a net with two
+        drivers or a driven primary input, or a port map that
         shares a rail or names an unknown net.  Also None when `event_cap`
         is below the net count: a wave commits at most once per net, so
         only then could the event engine raise OscillationError."""
@@ -466,7 +476,7 @@ class _WavePlan:
         gates = sim._gates
         driven: set[int] = set()
         for code, ins, out, _ in gates:
-            if code == _INV or len(ins) != _ARITY[code] or out in driven or out in sim._pi_ids:
+            if code == _INV or out in driven or out in sim._pi_ids:
                 return None
             driven.add(out)
         pairs = []

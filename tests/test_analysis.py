@@ -1,10 +1,13 @@
 import pytest
 
+import qdisim.analysis
 from qdisim.adders import AdderVariant, build_full_adder
 from qdisim.analysis import (
     ChainSpec,
     EXPECTED_CLASSES,
     Indication,
+    SweepRow,
+    TimingReport,
     carry_profile,
     classify_both,
     classify_indication,
@@ -24,7 +27,7 @@ from qdisim.cells import default_delay_table
 from qdisim.dualrail import RailState, decode_pair
 from qdisim.netlist import GateKind
 from qdisim.sim import Phase, Simulation
-from qdisim.stage import Architecture
+from qdisim.stage import Architecture, build_stage
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,11 @@ def test_measure_rejects_width_mismatch(local_stage32, table):
         measure(local_stage32, ChainSpec(8, 2), table)
 
 
+def test_measure_rejects_a_sim_of_another_netlist(local_stage32, global_stage32, table):
+    with pytest.raises(ValueError, match="another netlist"):
+        measure(local_stage32, ChainSpec(32, 4), table, Simulation(global_stage32.netlist, table))
+
+
 # -- sweep -------------------------------------------------------------------
 
 
@@ -181,6 +189,37 @@ def test_sweep_csv_shape(report):
     assert lines[1] == "4,1254,1254,2028,2028,38.17"
     assert lines[-1] == "average,,,,,23.78"
     assert len(lines) == 2 + len(report.rows)
+
+
+def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
+    # oracle: measure() without a sim builds a fresh Simulation for every point
+    local = build_stage(Architecture.LOCAL, n=32)
+    glob = build_stage(Architecture.GLOBAL, n=32)
+    rows = []
+    for m in range(4, 29):
+        spec = ChainSpec(32, m)
+        rows.append(SweepRow(m, measure(local, spec, table), theory_local(m, table),
+                             measure(glob, spec, table), theory_global(m, table, 32)))
+    assert report.rows == rows
+    assert sweep_csv(report) == sweep_csv(TimingReport(32, rows))
+
+
+def test_analyses_compile_each_netlist_once(monkeypatch, table):
+    built = []
+
+    class Counting(Simulation):
+        def __init__(self, netlist, *args, **kwargs):
+            built.append(netlist)
+            super().__init__(netlist, *args, **kwargs)
+
+    monkeypatch.setattr(qdisim.analysis, "Simulation", Counting)
+    sweep(n=8, m_values=range(4, 7), table=table)
+    assert len(built) == 2
+    asymptotic_check(AdderVariant.DIMS_WEAK, n=8, m_values=(2, 4, 6), table=table)
+    assert len(built) == 3
+    fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+    assert classify_both(fa, table) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
+    assert built[3:] == [fa, fa]
 
 
 # -- indication classes -------------------------------------------------------
@@ -293,3 +332,12 @@ def test_early_output_datapath_reset_constant():
     rep = asymptotic_check(AdderVariant.EARLY_OUTPUT)
     assert rep.rl == (416, 416, 416, 416)
     assert rep.shape == "O(m)+O(2)"
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_asymptotic_check_matches_fresh_sims(variant, arch, table):
+    rep = asymptotic_check(variant, arch, table=table)
+    stage = build_stage(arch, variant, 32, force=True)
+    fresh = [measure(stage, ChainSpec(32, m), table)[:2] for m in rep.m_values]
+    assert list(zip(rep.fl, rep.rl)) == fresh

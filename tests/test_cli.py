@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qdisim
 import qdisim.analysis
 import qdisim.cli
 from qdisim.cli import main
@@ -138,6 +144,16 @@ def test_delay_table_override_flows_through(tmp_path, capsys):
     code, out, _ = run(capsys, "--delay-table", str(path), "delays")
     assert code == 0
     assert "C2 100" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qdisim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdisim", "delays"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "C2 106\n" in proc.stdout and "AO21 63\n" in proc.stdout
 
 
 def _raise(exc):

@@ -60,6 +60,13 @@ def test_driving_gate_output_rejected(table):
         sim.apply_inputs([("y", 1)])
 
 
+def test_wrong_arity_is_a_typed_error(table):
+    # parses as a one-input C2 with id z; validate() reports it, Simulation refuses it
+    netlist = parse_netlist("input a\ngate z C2 a z")
+    with pytest.raises(SimulationError, match=r"^gate 'z' \(C2\) takes 2 inputs, got 1$"):
+        Simulation(netlist, table)
+
+
 def test_causality_two_gate_chain(table):
     text = "input a\ninput b\noutput y\ngate g1 OR2 a b m\ngate g2 OR2 m b y"
     sim = Simulation(parse_netlist(text), table)

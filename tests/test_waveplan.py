@@ -16,8 +16,8 @@ from qdisim.adders import AdderVariant, _rail_assignments, build_rca, rca_transa
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import decode_word
 from qdisim.netlist import parse_netlist
-from qdisim.sim import OscillationError, Simulation, drive_transaction
-from qdisim.stage import Architecture, build_stage, run_transaction
+from qdisim.sim import OscillationError, Simulation, _WavePlan, drive_transaction
+from qdisim.stage import Architecture, _stage_assignments, build_stage, run_transaction
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -157,3 +157,52 @@ def test_low_event_cap_still_raises():
     sim = Simulation(stage.netlist, TABLE, event_cap=20)
     with pytest.raises(OscillationError, match="quiescence"):
         run_transaction(stage, 255, 1, 0, sim=sim)
+
+
+# -- reset: a used simulation returns to the state of a fresh one -----------
+
+
+def _state(sim):
+    return sim.now, sim.replacements, {n: sim.net_value(n) for n in sim.netlist.nets()}
+
+
+def _assert_reset_matches_fresh(stage, used, jitter, ops):
+    plan = used._plan
+    assert isinstance(plan, _WavePlan)
+    for keep_traces in (False, True):
+        for a, b, c in ops:
+            used.reset()
+            fresh = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
+            assert _state(used) == _state(fresh)
+            want = run_transaction(stage, a, b, c, sim=fresh, keep_traces=keep_traces)
+            got = run_transaction(stage, a, b, c, sim=used, keep_traces=keep_traces)
+            assert got == want, (a, b, c, keep_traces)
+            assert used.trace == fresh.trace
+            assert _state(used) == _state(fresh)
+    assert used._plan is plan, "reset must keep the compiled wave plan"
+
+
+@pytest.mark.parametrize("jitter", [0, 40])
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_reset_sim_matches_a_fresh_one(arch, variant, jitter):
+    stage = _stage(arch, variant, 5)
+    rng = random.Random(f"reset/{arch.value}/{variant.value}/{jitter}")
+    used = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
+    for i in range(rng.randint(1, 3)):
+        ops = (rng.getrandbits(5), rng.getrandbits(5), rng.getrandbits(1))
+        run_transaction(stage, *ops, sim=used, keep_traces=bool(i % 2))
+    ops = [(rng.getrandbits(5), rng.getrandbits(5), rng.getrandbits(1)) for _ in range(2)]
+    _assert_reset_matches_fresh(stage, used, jitter, ops)
+
+
+@pytest.mark.parametrize("jitter", [0, 40])
+def test_reset_drops_pending_events(jitter):
+    stage = _stage(Architecture.GLOBAL, AdderVariant.EARLY_OUTPUT, 5)
+    used = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
+    run_transaction(stage, 9, 22, 1, sim=used)
+    assigns = [(stage.ackin, 1)] + _stage_assignments(stage, 31, 1, 1)
+    used.apply_inputs(assigns)
+    used.apply_inputs([(net, 0) for net, v in assigns if v][:3])  # replaces pending events
+    assert used._heap and used.replacements == 3
+    _assert_reset_matches_fresh(stage, used, jitter, [(31, 1, 1), (0, 0, 0)])
