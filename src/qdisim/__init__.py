@@ -22,7 +22,6 @@ from .cells import (
     DelayTable,
     default_delay_table,
     derive_pinned_delays,
-    eval_gate,
     load_delay_table,
 )
 from .dualrail import (

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .cells import DelayTable, default_delay_table
-from .dualrail import decode_word
+from .dualrail import decode_word, rail_assignments
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .sim import Simulation, drive_transaction
 
@@ -51,8 +51,17 @@ class RcaDescriptor:
     n: int
     netlist: Netlist
     stages: tuple[StagePorts, ...]
+    operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
     sum_ports: tuple[str, ...]
     cout_port: str
+
+
+def pack_operands(n: int, a: int, b: int, cin: int) -> int:
+    """`a | b << n | cin << 2n`, the bit order of `operand_rails`; raises
+    ValueError unless a and b fit n bits and cin is a bit."""
+    if not 0 <= a < (1 << n) or not 0 <= b < (1 << n) or cin not in (0, 1):
+        raise ValueError(f"operands a={a} b={b} cin={cin} do not fit width {n}")
+    return a | b << n | cin << 2 * n
 
 
 def _emit_minterms(nb: NetlistBuilder, p: str, rails: dict[str, str]) -> dict[str, str]:
@@ -102,20 +111,19 @@ def _emit_stage(nb: NetlistBuilder, variant: AdderVariant, p: str, r: dict[str, 
     """Emit one full-adder stage.  `r` maps the rail roles a1,a0,b1,b0,c1,c0
     (inputs) and s1,s0,k1,k0 (sum/cout outputs) to net names; `p` prefixes
     every internal net."""
-    if variant is AdderVariant.DIMS_STRONG:
+    if variant in (AdderVariant.DIMS_STRONG, AdderVariant.DIMS_WEAK):
         m = _emit_minterms(nb, p, r)
-        nb.or_tree([m[k] for k in _SUM1_MINTERMS], r["s1"])
-        nb.or_tree([m[k] for k in _SUM0_MINTERMS], r["s0"])
-        nb.or_tree([m["011"], m["101"], m["110"], m["111"]], r["k1"])
-        nb.or_tree([m["000"], m["001"], m["010"], m["100"]], r["k0"])
-    elif variant is AdderVariant.DIMS_WEAK:
-        m = _emit_minterms(nb, p, r)
-        nb.or_tree([m[k] for k in _SUM1_MINTERMS], r["s1"])
-        nb.or_tree([m[k] for k in _SUM0_MINTERMS], r["s0"])
-        g = nb.add_gate(GateKind.C2, (r["a1"], r["b1"]), f"{p}g")
-        kg = nb.add_gate(GateKind.C2, (r["a0"], r["b0"]), f"{p}kg")
-        nb.or_tree([m["011"], m["101"], g], r["k1"])
-        nb.or_tree([m["010"], m["100"], kg], r["k0"])
+        for rail, keys in (("s1", _SUM1_MINTERMS), ("s0", _SUM0_MINTERMS)):
+            nb.tree(GateKind.OR2, [m[k] for k in keys], r[rail], f"{r[rail]}.t")
+        if variant is AdderVariant.DIMS_STRONG:
+            k1 = [m["011"], m["101"], m["110"], m["111"]]
+            k0 = [m["000"], m["001"], m["010"], m["100"]]
+        else:
+            # generate and kill need only a and b, so the carry need not wait for cin
+            k1 = [m["011"], m["101"], nb.add_gate(GateKind.C2, (r["a1"], r["b1"]), f"{p}g")]
+            k0 = [m["010"], m["100"], nb.add_gate(GateKind.C2, (r["a0"], r["b0"]), f"{p}kg")]
+        for rail, nets in (("k1", k1), ("k0", k0)):
+            nb.tree(GateKind.OR2, nets, r[rail], f"{r[rail]}.t")
     elif variant is AdderVariant.DISTRIBUTIVE:
         det = _emit_pair_detectors(nb, p, r)
         joins = _emit_joined_sum(nb, p, r, det)
@@ -218,6 +226,7 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
         n=n,
         netlist=nb.build(),
         stages=stages,
+        operand_rails=(*a_rails, *b_rails, cin),
         sum_ports=tuple(sum_ports),
         cout_port="cout",
     )
@@ -258,26 +267,13 @@ class FunctionalCheckResult:
     detail: str = ""
 
 
-def _rail_assignments(rca: RcaDescriptor, a: int, b: int, cin: int) -> list[tuple[str, int]]:
-    out = []
-    for i, st in enumerate(rca.stages):
-        abit = (a >> i) & 1
-        bbit = (b >> i) & 1
-        out.append((st.a[0], abit))
-        out.append((st.a[1], 1 - abit))
-        out.append((st.b[0], bbit))
-        out.append((st.b[1], 1 - bbit))
-    cin_rails = rca.stages[0].cin
-    out.append((cin_rails[0], cin))
-    out.append((cin_rails[1], 1 - cin))
-    return out
-
-
 def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: int):
     """Drive one valid wave then one spacer wave through a bare ripple
     chain; returns (decoded result or DecodeIssue, set report, rtz report).
-    The result covers n+1 bits: sum plus overflow carry."""
-    waves = drive_transaction(sim, _rail_assignments(rca, a, b, cin), rca.sum_ports + (rca.cout_port,))
+    The result covers n+1 bits: sum plus overflow carry.  Raises
+    ValueError when an operand does not fit."""
+    assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, cin))
+    waves = drive_transaction(sim, assignments, rca.sum_ports + (rca.cout_port,))
     return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
 
 

@@ -44,23 +44,6 @@ def gen_carry_chain_vector(spec: ChainSpec) -> tuple[int, int, int]:
     return a, 0, 1
 
 
-def carry_profile(a: int, b: int, cin: int, n: int) -> list[str]:
-    """Reference ripple addition labeling each stage by what it does to
-    the incoming carry: 'propagate', 'generate', or 'kill'.  Independent
-    of any netlist; used to confirm chain stimuli."""
-    labels = []
-    for i in range(n):
-        abit = (a >> i) & 1
-        bbit = (b >> i) & 1
-        if abit and bbit:
-            labels.append("generate")
-        elif abit or bbit:
-            labels.append("propagate")
-        else:
-            labels.append("kill")
-    return labels
-
-
 # -- closed-form latencies ---------------------------------------------
 
 
@@ -313,7 +296,7 @@ def classify_indication(
                     break
                 if any(net in out_rails for _, net, _ in seg):
                     any_transition_early = True
-                complete = all(_pair_complete(sim, netlist, p, is_set) for p in out_ports)
+                complete = all(_pair_complete(sim, p, is_set) for p in out_ports)
                 if complete:
                     all_complete_early = True
     if all_complete_early:
@@ -323,7 +306,7 @@ def classify_indication(
     return Indication.STRONG
 
 
-def _pair_complete(sim: Simulation, netlist: Netlist, port: str, is_set: bool) -> bool:
+def _pair_complete(sim: Simulation, port: str, is_set: bool) -> bool:
     state = decode_pair(sim.pair_value(port))
     if is_set:
         return state in (RailState.ZERO, RailState.ONE)

@@ -1,4 +1,4 @@
-"""Gate evaluation semantics and propagation-delay tables.
+"""Propagation-delay tables.
 
 Delays are positive integers in abstract time units (tu).  Four of them
 are not free parameters: the toolkit is calibrated so that the carry-chain
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .netlist import GATE_ARITY, GateKind
+from .netlist import GateKind
 
 # cycle-time laws the delay table is calibrated against: (slope per stage, constant)
 LOCAL_CYCLE_LAW = (63, 1002)
@@ -69,32 +69,6 @@ class DelayTable:
         merged = dict(self.delays)
         merged.update(overrides)
         return DelayTable(merged)
-
-
-def eval_gate(kind: GateKind, inputs, previous_output: int = 0) -> int:
-    """Evaluate one gate.  C2/C3 move only on unanimous inputs and
-    otherwise hold previous_output; all other kinds ignore it."""
-    if len(inputs) != GATE_ARITY[kind]:
-        raise ValueError(f"{kind.value} expects {GATE_ARITY[kind]} inputs, got {len(inputs)}")
-    v = tuple(inputs)
-    if kind is GateKind.INV:
-        return 1 - v[0]
-    if kind is GateKind.AND2:
-        return v[0] & v[1]
-    if kind is GateKind.OR2:
-        return v[0] | v[1]
-    if kind is GateKind.AO21:
-        return (v[0] & v[1]) | v[2]
-    if kind is GateKind.AO22:
-        return (v[0] & v[1]) | (v[2] & v[3])
-    if kind is GateKind.AO222:
-        return (v[0] & v[1]) | (v[2] & v[3]) | (v[4] & v[5])
-    # C2 / C3
-    if all(v):
-        return 1
-    if not any(v):
-        return 0
-    return previous_output
 
 
 def derive_pinned_delays() -> dict[GateKind, int]:

@@ -22,7 +22,7 @@ from .analysis import (
     theory_global,
     theory_local,
 )
-from .cells import GateKind, default_delay_table, dump_delay_table, load_delay_table
+from .cells import default_delay_table, dump_delay_table, load_delay_table
 from .netlist import serialize_netlist
 from .sim import OscillationError, SimulationError
 from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage
@@ -32,13 +32,12 @@ CHECK_FAILED = 1
 
 
 def _variant(name: str) -> AdderVariant:
-    for v in AdderVariant:
-        if v.value == name:
-            return v
-    raise argparse.ArgumentTypeError(
-        f"unknown variant {name!r}; choose from "
-        + ", ".join(v.value for v in AdderVariant)
-    )
+    try:
+        return AdderVariant(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown variant {name!r}; choose from " + ", ".join(v.value for v in AdderVariant)
+        ) from None
 
 
 def _architecture(name: str) -> Architecture:

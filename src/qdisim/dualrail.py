@@ -18,12 +18,6 @@ class RailState(enum.Enum):
     ILLEGAL = "ILLEGAL"
 
 
-class WordState(enum.Enum):
-    VALID = "VALID"
-    SPACER = "SPACER"
-    PARTIAL = "PARTIAL"
-
-
 @dataclass(frozen=True)
 class DualRailValue:
     rail1: int
@@ -65,15 +59,6 @@ class DualRailWord:
         return len(self.pairs)
 
 
-def classify_word(word: DualRailWord) -> WordState:
-    states = [decode_pair(p) for p in word.pairs]
-    if all(s in (RailState.ZERO, RailState.ONE) for s in states):
-        return WordState.VALID
-    if all(s is RailState.SPACER for s in states):
-        return WordState.SPACER
-    return WordState.PARTIAL
-
-
 def encode_word(value: int, width: int) -> DualRailWord:
     """Encode an unsigned integer onto a bus, bit i at pair i."""
     if width < 1:
@@ -81,6 +66,22 @@ def encode_word(value: int, width: int) -> DualRailWord:
     if not 0 <= value < (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
     return DualRailWord(tuple(encode_bit((value >> i) & 1) for i in range(width)))
+
+
+def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:
+    """Rail-net assignments that put bit k of `value` on `pairs[k]`, a
+    (rail1, rail0) pair of net names, or every rail at 0 (the spacer) when
+    `value` is None.  Bits beyond the last pair are ignored: callers check
+    their operands."""
+    if value is None:
+        return [(r, 0) for pair in pairs for r in pair]
+    out = []
+    for r1, r0 in pairs:
+        bit = value & 1
+        out.append((r1, bit))
+        out.append((r0, 1 - bit))
+        value >>= 1
+    return out
 
 
 @dataclass(frozen=True)

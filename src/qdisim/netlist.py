@@ -274,24 +274,25 @@ class NetlistBuilder:
     def add_pair(self, port: str, rail1: str, rail0: str):
         self._pairs[port] = (rail1, rail0)
 
-    def or_tree(self, inputs, stem: str) -> str:
-        """Reduce nets with a balanced tree of OR2 gates; returns the root.
+    def tree(self, kind: GateKind, inputs, root: str, inner: str) -> str:
+        """Reduce nets with a balanced tree of two-input `kind` gates named
+        `root` and `{inner}{round}.{j}`; returns the root net, or the input
+        itself when there is only one.
 
         Adjacent pairing keeps the depth at ceil(log2(k)) so every input
-        sits at most that many OR2 levels from the root.
+        sits at most that many levels from the root.
         """
         level = list(inputs)
-        if len(level) == 1:
-            return level[0]
         round_no = 0
         while len(level) > 1:
-            nxt = []
-            for j in range(0, len(level) - 1, 2):
-                if len(level) <= 2:
-                    out = stem
-                else:
-                    out = f"{stem}.t{round_no}.{j // 2}"
-                nxt.append(self.add_gate(GateKind.OR2, (level[j], level[j + 1]), out))
+            nxt = [
+                self.add_gate(
+                    kind,
+                    (level[j], level[j + 1]),
+                    root if len(level) == 2 else f"{inner}{round_no}.{j // 2}",
+                )
+                for j in range(0, len(level) - 1, 2)
+            ]
             if len(level) % 2:
                 nxt.append(level[-1])
             level = nxt
@@ -302,20 +303,3 @@ class NetlistBuilder:
         return Netlist(
             tuple(self._gates), tuple(self._inputs), tuple(self._outputs), dict(self._pairs)
         )
-
-
-def expand_c2_feedback(n: Netlist) -> Netlist:
-    """Demonstration-only rewrite of each C2 into an AO222 with its output
-    fed back: z = x*y + x*z + y*z.  The result is behaviorally equivalent
-    but contains combinational cycles, so it no longer passes validate();
-    the event-driven simulator still handles it.
-    """
-    gates = []
-    for g in n.gates:
-        if g.kind is GateKind.C2:
-            x, y = g.inputs
-            z = g.output
-            gates.append(Gate(g.gid, GateKind.AO222, (x, y, x, z, y, z), z))
-        else:
-            gates.append(g)
-    return Netlist(tuple(gates), n.primary_inputs, n.primary_outputs, dict(n.port_map))

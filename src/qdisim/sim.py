@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cells import DelayTable
 from .dualrail import (
@@ -58,13 +58,6 @@ _CODE = {
 class Phase(enum.Enum):
     SET = "SET"    # valid-data wave: every transition must rise
     RTZ = "RTZ"    # spacer wave: every transition must fall
-
-
-class Event(NamedTuple):
-    time: int
-    net: str
-    value: int
-    sequence: int
 
 
 class OscillationError(RuntimeError):
@@ -212,14 +205,7 @@ class Simulation:
         when a netlist contains inverters whose quiescent output is 1
         (e.g. acknowledge wiring in a closed handshake loop).
         """
-        values = self._values
-        for code, ins, out, delay in self._gates:
-            new = _eval_code(code, ins, values, values[out])
-            if new != values[out] and out not in self._pending:
-                self._seq += 1
-                self._pending[out] = (self._seq, new)
-                heappush(self._heap, (self.now + delay, self._seq, out, new))
-        self.run_until_quiescent()
+        self._run(range(len(self._gates)))
 
     # -- engine ------------------------------------------------------
 
@@ -229,6 +215,12 @@ class Simulation:
         Raises OscillationError when more than event_cap transitions
         commit in a single call.
         """
+        return self._run(())
+
+    def _run(self, users) -> tuple[list[tuple[int, str, int]], int]:
+        """Evaluate the gates indexed by `users` at `now`, then drain the
+        event queue, re-evaluating the fanout of every committed net.
+        This loop is the one definition of what each gate kind computes."""
         heap = self._heap
         pending = self._pending
         values = self._values
@@ -239,25 +231,9 @@ class Simulation:
         cap = self.event_cap
         commits = 0
         seq = self._seq
-        settle = self.now
-        while heap:
-            t, s, net, val = heappop(heap)
-            p = pending.get(net)
-            if p is None or p[0] != s:
-                continue
-            del pending[net]
-            if values[net] == val:
-                continue
-            values[net] = val
-            append((t, net, val))
-            settle = t
-            commits += 1
-            if commits > cap:
-                self._seq = seq
-                raise OscillationError(
-                    f"no quiescence after {cap} transitions (last: {self._names[net]} at {t})"
-                )
-            for gi in fanout[net]:
+        t = settle = self.now
+        while True:
+            for gi in users:
                 code, ins, out, delay = gates[gi]
                 pout = pending.get(out)
                 eff = pout[1] if pout is not None else values[out]
@@ -289,6 +265,26 @@ class Simulation:
                     seq += 1
                     pending[out] = (seq, new)
                     heappush(heap, (t + delay, seq, out, new))
+            users = ()
+            if not heap:
+                break
+            t, s, net, val = heappop(heap)
+            p = pending.get(net)
+            if p is None or p[0] != s:
+                continue
+            del pending[net]
+            if values[net] == val:
+                continue
+            values[net] = val
+            append((t, net, val))
+            settle = t
+            commits += 1
+            if commits > cap:
+                self._seq = seq
+                raise OscillationError(
+                    f"no quiescence after {cap} transitions (last: {self._names[net]} at {t})"
+                )
+            users = fanout[net]
         self._seq = seq
         self.now = settle
         names = self._names
@@ -296,40 +292,15 @@ class Simulation:
         return segment, settle
 
 
-def _eval_code(code: int, ins: tuple[int, ...], values: list[int], prev: int) -> int:
-    if code == _C2:
-        a = values[ins[0]]
-        return a if a == values[ins[1]] else prev
-    if code == _OR2:
-        return values[ins[0]] | values[ins[1]]
-    if code == _AO22:
-        return (values[ins[0]] & values[ins[1]]) | (values[ins[2]] & values[ins[3]])
-    if code == _AO21:
-        return (values[ins[0]] & values[ins[1]]) | values[ins[2]]
-    if code == _C3:
-        a = values[ins[0]]
-        return a if a == values[ins[1]] == values[ins[2]] else prev
-    if code == _AND2:
-        return values[ins[0]] & values[ins[1]]
-    if code == _INV:
-        return 1 - values[ins[0]]
-    return (
-        (values[ins[0]] & values[ins[1]])
-        | (values[ins[2]] & values[ins[3]])
-        | (values[ins[4]] & values[ins[5]])
-    )
-
-
 def check_phase(
     trace: list[tuple[int, str, int]],
     phase: Phase,
     pairs: dict[str, tuple[str, str]] | None = None,
     initial_rails: dict[str, int] | None = None,
-    watched: set[str] | None = None,
 ) -> PhaseCheckReport:
     """Verify handshake discipline over one phase trace.
 
-    SET allows only rising transitions on watched nets, RTZ only falling
+    SET allows only rising transitions, RTZ only falling
     ones, and no port pair may ever show both rails high.  `initial_rails`
     gives the pair-rail values at the start of the phase (0 if omitted).
     """
@@ -344,7 +315,7 @@ def check_phase(
             rail_values[r1] = initial_rails.get(r1, 0) if initial_rails else 0
             rail_values[r0] = initial_rails.get(r0, 0) if initial_rails else 0
     for t, net, value in trace:
-        if (watched is None or net in watched) and value != expect:
+        if value != expect:
             report.nonmonotonic.append((t, net, value))
         hit = rail_of.get(net)
         if hit is not None:
@@ -353,12 +324,6 @@ def check_phase(
             if value and rail_values[partner]:
                 report.illegal_pairs.append((t, port))
     return report
-
-
-def write_trace_csv(trace: list[tuple[int, str, int]], fp):
-    """Dump committed transitions as `time,net,value` lines in commit order."""
-    for t, net, value in trace:
-        fp.write(f"{t},{net},{value}\n")
 
 
 # -- two-wave transactions ------------------------------------------------

@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .adders import AdderVariant, RcaDescriptor, StagePorts, emit_rca
+from .adders import AdderVariant, StagePorts, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
-from .dualrail import DecodeIssue, DualRailWord, RailState, decode_pair, decode_word, encode_bit
+from .dualrail import DecodeIssue, DualRailWord, RailState, decode_pair, decode_word, rail_assignments
 from .netlist import Gate, GateKind, Netlist, NetlistBuilder
 from .sim import PhaseCheckReport, Simulation, drive_transaction
 
@@ -48,32 +48,18 @@ PAIRED_VARIANT = {
 
 
 def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]], prefix: str = "cd.") -> tuple[str, int]:
-    """OR2 per pair then a balanced C2 reduction; returns (root net, depth).
+    """OR2 per pair then a balanced C2 tree; returns (root net, depth).
 
-    Adjacent pairing per round keeps the maximum C2 depth at
-    ceil(log2(pair_count)).
+    A single pair's OR2 is the root itself; otherwise the tree is
+    ceil(log2(pair_count)) C2 levels deep.
     """
     root = f"{prefix}out"
-    if len(pairs) == 1:
-        # single pair: the OR2 itself produces the done signal
-        r1, r0 = pairs[0]
-        nb.add_gate(GateKind.OR2, (r1, r0), root)
-        return root, 0
     level = [
-        nb.add_gate(GateKind.OR2, (r1, r0), f"{prefix}or{i}")
+        nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"{prefix}or{i}")
         for i, (r1, r0) in enumerate(pairs)
     ]
-    round_no = 0
-    while len(level) > 1:
-        nxt = []
-        for j in range(0, len(level) - 1, 2):
-            out = root if len(level) == 2 else f"{prefix}l{round_no}.{j // 2}"
-            nxt.append(nb.add_gate(GateKind.C2, (level[j], level[j + 1]), out))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-        round_no += 1
-    return level[0], round_no
+    nb.tree(GateKind.C2, level, root, f"{prefix}l")
+    return root, (len(pairs) - 1).bit_length()
 
 
 @dataclass
@@ -102,23 +88,6 @@ def build_completion_detector(pair_count: int) -> CompletionDetector:
     return CompletionDetector(nb.build(), root, depth, tuple(ports))
 
 
-def completion_tree_depth(netlist: Netlist, cd_out: str) -> int:
-    """Longest C2 chain between the per-pair OR level and cd_out, computed
-    structurally from the netlist."""
-    by_output = {g.output: g for g in netlist.gates}
-    memo: dict[str, int] = {}
-
-    def depth_of(net: str) -> int:
-        g = by_output.get(net)
-        if g is None or g.kind is not GateKind.C2:
-            return 0
-        if net not in memo:
-            memo[net] = 1 + max(depth_of(x) for x in g.inputs)
-        return memo[net]
-
-    return depth_of(cd_out)
-
-
 @dataclass
 class StageDescriptor:
     architecture: Architecture
@@ -126,8 +95,8 @@ class StageDescriptor:
     n: int
     netlist: Netlist
     stages: tuple[StagePorts, ...]
-    input_ports: tuple[str, ...]       # a0.., b0.., cin (raw, pre-register)
-    register_ports: tuple[str, ...]    # reg.a0.. watched by the detector
+    operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
+    register_ports: tuple[str, ...]    # reg.a0.. covered by the detector
     forward_ports: tuple[str, ...]     # sum0.., cout: what the next stage sees
     ackin: str
     cd_out: str
@@ -157,7 +126,7 @@ def build_stage(
         )
     nb = NetlistBuilder()
     ackin = nb.add_input("ackin")
-    input_ports = []
+    operand_rails = []
     register_ports = []
     reg_pairs = []
     a_reg, b_reg = [], []
@@ -166,7 +135,7 @@ def build_stage(
         r1 = nb.add_input(f"{port}.r1")
         r0 = nb.add_input(f"{port}.r0")
         nb.add_pair(port, r1, r0)
-        input_ports.append(port)
+        operand_rails.append((r1, r0))
         q1 = nb.add_gate(GateKind.C2, (r1, ackin), f"reg.{port}.r1")
         q0 = nb.add_gate(GateKind.C2, (r0, ackin), f"reg.{port}.r0")
         nb.add_pair(f"reg.{port}", q1, q0)
@@ -211,7 +180,7 @@ def build_stage(
         n=n,
         netlist=nb.build(),
         stages=stages,
-        input_ports=tuple(input_ports),
+        operand_rails=tuple(operand_rails),
         register_ports=tuple(register_ports),
         forward_ports=tuple(forward_ports),
         ackin=ackin,
@@ -264,19 +233,6 @@ class TransactionRecord:
         )
 
 
-def _stage_assignments(stage: StageDescriptor, a: int, b: int, cin: int) -> list[tuple[str, int]]:
-    out = []
-    for i in range(stage.n):
-        for port, value in ((f"a{i}", (a >> i) & 1), (f"b{i}", (b >> i) & 1)):
-            v = encode_bit(value)
-            out.append((f"{port}.r1", v.rail1))
-            out.append((f"{port}.r0", v.rail0))
-    v = encode_bit(cin)
-    out.append(("cin.r1", v.rail1))
-    out.append(("cin.r0", v.rail0))
-    return out
-
-
 def run_transaction(
     stage: StageDescriptor,
     a: int,
@@ -290,12 +246,12 @@ def run_transaction(
     spacer wave with ackin low.  Latencies are the times of the last
     transition on any forwarded output pair, measured from each wave's
     start.  Pass a quiescent sim to chain transactions on one instance.
+    Raises ValueError when an operand does not fit the stage width.
     """
-    if not 0 <= a < (1 << stage.n) or not 0 <= b < (1 << stage.n) or cin not in (0, 1):
-        raise ValueError("operands do not fit the stage width")
+    word = pack_operands(stage.n, a, b, cin)
     if sim is None:
         sim = Simulation(stage.netlist, delay_table or default_delay_table())
-    assignments = [(stage.ackin, 1)] + _stage_assignments(stage, a, b, cin)
+    assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
     carry_state = decode_pair(waves.valid_word.pairs[-1])
     if carry_state is RailState.ONE:
@@ -368,10 +324,12 @@ def run_closed_loop(
     harness: each inter-stage ackin is the inverted completion-detector
     output of the consumer, and a zero-delay source/sink plays the
     environment at quiescence points.  Raises DeadlockError when the ring
-    stops making progress with transactions outstanding.
+    stops making progress with transactions outstanding, and ValueError
+    before anything runs when an operand does not fit n bits.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
+    words = [pack_operands(n, a, b, c) for a, b, c in operands]
     report = ThroughputReport()
     if not operands:
         return report
@@ -386,10 +344,9 @@ def run_closed_loop(
         if k > 0:
             # consume the producer's forwarded sum pairs as this stage's a operand
             prev = prefixes[k - 1]
-            for i in range(n):
-                r1, r0 = stage.netlist.port_map[f"sum{i}"]
-                rename[f"a{i}.r1"] = prev + r1
-                rename[f"a{i}.r0"] = prev + r0
+            for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
+                s1, s0 = stage.netlist.port_map[port]
+                rename[a1], rename[a0] = prev + s1, prev + s0
         if k < stage_count - 1:
             rename["ackin"] = f"ack{k}"
         nl = _prefixed(stage.netlist, pref, rename)
@@ -417,21 +374,12 @@ def run_closed_loop(
             return "valid"
         return "mixed"
 
-    def zero_assign(k: int, valid: bool) -> list[tuple[str, int]]:
-        pref = prefixes[k]
-        out = []
-        ports = [f"b{i}" for i in range(n)] + ["cin"]
-        if k == 0:
-            ports += [f"a{i}" for i in range(n)]
-        for port in ports:
-            pair = encode_bit(0) if valid else None
-            r1 = 0 if pair is None else pair.rail1
-            r0 = 0 if pair is None else pair.rail0
-            out.append((pref + port + ".r1", r1))
-            out.append((pref + port + ".r0", r0))
-        return out
-
-    pending_ops = list(operands)
+    # the environment drives every operand of stage 0, and b and cin of the
+    # others (their a is the previous stage's sum)
+    env = []
+    for k, pref in enumerate(prefixes):
+        rails = stage.operand_rails if k == 0 else stage.operand_rails[n:]
+        env.append((pref + stage.cd_out, [(pref + r1, pref + r0) for r1, r0 in rails]))
     src_valid = [False] * stage_count  # environment rails currently valid, per stage
     sink_ack = 0
     while True:
@@ -440,9 +388,8 @@ def run_closed_loop(
         state = outputs_state()
         # sink: acknowledge a fresh codeword, re-arm on spacer
         if state == "valid" and sink_ack == 1:
-            word = sim.read_word([last_pref + f"sum{i}" for i in range(n)])
-            value = decode_word(word)
-            carry = decode_pair(sim.pair_value(last_pref + "cout"))
+            value = decode_word(sim.read_word(out_ports[:-1]))
+            carry = decode_pair(sim.pair_value(out_ports[-1]))
             report.deliveries.append((t, value, 1 if carry is RailState.ONE else 0))
             if len(report.deliveries) > 1:
                 report.intervals.append(t - report.deliveries[-2][0])
@@ -454,35 +401,26 @@ def run_closed_loop(
             sink_ack = 1
             progressed = True
         # per-stage environment rails follow each stage's own ack
-        for k in range(stage_count):
-            cd = sim.net_value(prefixes[k] + stage.cd_out)
+        for k, (cd_net, rails) in enumerate(env):
+            cd = sim.net_value(cd_net)
             if cd == 0 and not src_valid[k]:
                 if k == 0:
-                    if not pending_ops:
+                    if not words:
                         continue
-                    a, b, c = pending_ops.pop(0)
-                    assigns = []
-                    for i in range(n):
-                        for port, bit in ((f"a{i}", (a >> i) & 1), (f"b{i}", (b >> i) & 1)):
-                            v = encode_bit(bit)
-                            assigns.append((prefixes[0] + port + ".r1", v.rail1))
-                            assigns.append((prefixes[0] + port + ".r0", v.rail0))
-                    v = encode_bit(c)
-                    assigns.append((prefixes[0] + "cin.r1", v.rail1))
-                    assigns.append((prefixes[0] + "cin.r0", v.rail0))
-                    sim.apply_inputs(assigns, at_time=t)
+                    word = words.pop(0)
                 else:
-                    sim.apply_inputs(zero_assign(k, valid=True), at_time=t)
+                    word = 0  # b = cin = 0: the sum passes through unchanged
+                sim.apply_inputs(rail_assignments(rails, word), at_time=t)
                 src_valid[k] = True
                 progressed = True
             elif cd == 1 and src_valid[k]:
-                sim.apply_inputs(zero_assign(k, valid=False), at_time=t)
+                sim.apply_inputs(rail_assignments(rails, None), at_time=t)
                 src_valid[k] = False
                 progressed = True
         if progressed:
             sim.run_until_quiescent()
             continue
-        if len(report.deliveries) == len(operands) and not pending_ops and state == "spacer":
+        if len(report.deliveries) == len(operands) and not words and state == "spacer":
             return report
         raise DeadlockError(
             f"ring stalled at t={sim.now} with {len(operands) - len(report.deliveries)} "

@@ -165,3 +165,12 @@ def test_functional_check_rejects_zero_trials(table):
 def test_build_rca_rejects_zero_width():
     with pytest.raises(ValueError, match="n must be"):
         build_rca(AdderVariant.EARLY_OUTPUT, 0)
+
+
+@pytest.mark.parametrize("a,b,cin", [(3, 1, 2), (16, 0, 0), (0, -1, 0)])
+def test_rca_transaction_rejects_operands_that_do_not_fit(a, b, cin, table):
+    rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 4)
+    sim = Simulation(rca.netlist, table)
+    with pytest.raises(ValueError, match="do not fit width 4"):
+        rca_transaction(sim, rca, a, b, cin)
+    assert sim.now == 0 and not sim._heap  # nothing was driven

@@ -8,7 +8,6 @@ from qdisim.analysis import (
     Indication,
     SweepRow,
     TimingReport,
-    carry_profile,
     classify_both,
     classify_indication,
     crossover_m,
@@ -33,6 +32,23 @@ from qdisim.stage import Architecture, build_stage
 @pytest.fixture(scope="module")
 def table():
     return default_delay_table()
+
+
+def carry_profile(a: int, b: int, cin: int, n: int) -> list[str]:
+    """Reference ripple addition labeling each stage by what it does to
+    the incoming carry: 'propagate', 'generate', or 'kill'.  Independent
+    of any netlist; used to confirm chain stimuli."""
+    labels = []
+    for i in range(n):
+        abit = (a >> i) & 1
+        bbit = (b >> i) & 1
+        if abit and bbit:
+            labels.append("generate")
+        elif abit or bbit:
+            labels.append("propagate")
+        else:
+            labels.append("kill")
+    return labels
 
 
 # -- canonical chain vectors ---------------------------------------------

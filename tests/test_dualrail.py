@@ -10,12 +10,15 @@ from qdisim.dualrail import (
     SPACER,
     VALID_ONE,
     VALID_ZERO,
-    WordState,
-    classify_word,
     decode_pair,
     decode_word,
     encode_bit,
     encode_word,
+    rail_assignments,
+)
+
+WIDTH_AND_VALUE = st.integers(min_value=1, max_value=16).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))
 )
 
 
@@ -54,7 +57,6 @@ def test_encode_word_example():
     assert [decode_pair(p) for p in word.pairs] == [
         RailState.ONE, RailState.ZERO, RailState.ONE, RailState.ZERO
     ]
-    assert classify_word(word) is WordState.VALID
 
 
 def test_encode_word_single_zero():
@@ -72,9 +74,7 @@ def test_round_trip_exhaustive_small_widths():
             assert decode_word(encode_word(value, width)) == value
 
 
-@given(st.integers(min_value=1, max_value=16).flatmap(
-    lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))
-))
+@given(WIDTH_AND_VALUE)
 def test_round_trip_property(case):
     width, value = case
     assert decode_word(encode_word(value, width)) == value
@@ -99,6 +99,12 @@ def test_illegal_outranks_partial():
     assert issue == DecodeIssue(RailState.ILLEGAL, 1)
 
 
-def test_word_classification():
-    assert classify_word(DualRailWord((SPACER, SPACER))) is WordState.SPACER
-    assert classify_word(DualRailWord((VALID_ONE, SPACER))) is WordState.PARTIAL
+@given(WIDTH_AND_VALUE)
+def test_rail_assignments_match_encode_word(case):
+    width, value = case
+    pairs = [(f"p{k}.r1", f"p{k}.r0") for k in range(width)]
+    got = rail_assignments(pairs, value)
+    assert len(got) == 2 * width
+    for k, pair in enumerate(encode_word(value, width).pairs):
+        assert got[2 * k:2 * k + 2] == [(pairs[k][0], pair.rail1), (pairs[k][1], pair.rail0)]
+    assert rail_assignments(pairs, None) == [(net, 0) for pair in pairs for net in pair]

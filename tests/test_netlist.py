@@ -6,8 +6,8 @@ from qdisim.netlist import (
     Gate,
     GateKind,
     Netlist,
+    NetlistBuilder,
     NetlistParseError,
-    expand_c2_feedback,
     gate_census,
     parse_netlist,
     serialize_netlist,
@@ -129,6 +129,21 @@ def test_census_totals_match_gate_records():
         assert gate_census(net).total == len(net.gates)
 
 
+def expand_c2_feedback(n: Netlist) -> Netlist:
+    """Rewrite each C2 into an AO222 with its output fed back:
+    z = x*y + x*z + y*z.  Behaviorally equivalent, but with combinational
+    cycles, so it no longer passes validate()."""
+    gates = []
+    for g in n.gates:
+        if g.kind is GateKind.C2:
+            x, y = g.inputs
+            z = g.output
+            gates.append(Gate(g.gid, GateKind.AO222, (x, y, x, z, y, z), z))
+        else:
+            gates.append(g)
+    return Netlist(tuple(gates), n.primary_inputs, n.primary_outputs, dict(n.port_map))
+
+
 def test_c2_feedback_expansion_matches_primitive():
     text = "input x\ninput y\noutput z\ngate z C2 x y z\n"
     primitive = parse_netlist(text)
@@ -145,3 +160,17 @@ def test_c2_feedback_expansion_matches_primitive():
             s.apply_inputs([("x", xv), ("y", yv)])
             s.run_until_quiescent()
         assert s1.net_value("z") == s2.net_value("z")
+
+
+def test_tree_names_inner_gates_by_round():
+    nb = NetlistBuilder()
+    assert nb.tree(GateKind.OR2, ["x"], "y", "t") == "x"  # one input: no gate
+    assert nb.tree(GateKind.C2, ["a", "b", "c", "d", "e"], "y", "t") == "y"
+    gates = {g.output: g for g in nb.build().gates}
+    assert {net: g.inputs for net, g in gates.items()} == {
+        "t0.0": ("a", "b"),
+        "t0.1": ("c", "d"),
+        "t1.0": ("t0.0", "t0.1"),
+        "y": ("t1.0", "e"),
+    }
+    assert {g.kind for g in gates.values()} == {GateKind.C2}

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from qdisim.adders import AdderVariant, build_rca
@@ -11,7 +9,6 @@ from qdisim.sim import (
     Simulation,
     SimulationError,
     check_phase,
-    write_trace_csv,
 )
 
 
@@ -147,13 +144,18 @@ def test_settle_power_on_is_noop_for_rtz_circuits(table):
     assert sim.trace == []
 
 
-def test_trace_csv_format(table):
-    sim = Simulation(parse_netlist("input a\noutput y\ngate g1 OR2 a a y"), table)
-    sim.apply_inputs([("a", 1)], at_time=0)
-    sim.run_until_quiescent()
-    buf = io.StringIO()
-    write_trace_csv(sim.trace, buf)
-    assert buf.getvalue() == "0,a,1\n60,y,1\n"
+def test_settle_power_on_pinned_trace(table):
+    # at t=0 both INVs see 0 and head for 1 (INV = 30); C2 z then sees 1, 1
+    # and rises at 30 + 106; C2 y sees (1, b=0) and holds its 0
+    text = (
+        "input a\ninput b\ngate ia INV a ia\ngate ib INV b ib\n"
+        "gate z C2 ia ib z\ngate y C2 ia b y"
+    )
+    sim = Simulation(parse_netlist(text), table)
+    sim.settle_power_on()
+    assert sim.trace == [(30, "ia", 1), (30, "ib", 1), (136, "z", 1)]
+    assert sim.now == 136 and sim.replacements == 0
+    assert [sim.net_value(n) for n in ("ia", "ib", "z", "y")] == [1, 1, 1, 0]
 
 
 def test_event_counts_stay_small_for_wide_stage(table, local_stage32):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import qdisim.stage
+
 from qdisim.adders import AdderVariant
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import RailState, decode_pair
@@ -13,7 +15,6 @@ from qdisim.stage import (
     StageConfigError,
     build_completion_detector,
     build_stage,
-    completion_tree_depth,
     run_closed_loop,
     run_transaction,
 )
@@ -24,6 +25,23 @@ from trace_utils import assert_completion_ordering, transitions_of
 @pytest.fixture(scope="module")
 def table():
     return default_delay_table()
+
+
+def completion_tree_depth(netlist, cd_out: str) -> int:
+    """Longest C2 chain between the per-pair OR level and cd_out, computed
+    structurally from the netlist."""
+    by_output = {g.output: g for g in netlist.gates}
+    memo: dict[str, int] = {}
+
+    def depth_of(net: str) -> int:
+        g = by_output.get(net)
+        if g is None or g.kind is not GateKind.C2:
+            return 0
+        if net not in memo:
+            memo[net] = 1 + max(depth_of(x) for x in g.inputs)
+        return memo[net]
+
+    return depth_of(cd_out)
 
 
 # -- completion detector ------------------------------------------------
@@ -237,3 +255,13 @@ def test_closed_loop_zero_transactions():
 def test_closed_loop_needs_two_stages():
     with pytest.raises(ValueError, match="stage_count"):
         run_closed_loop(1, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [(1, 1, 0)])
+
+
+@pytest.mark.parametrize("operands", [[(17, 1, 0)], [(1, 1, 0), (2, 3, 2)]])
+def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the ring ran before its operands were checked")
+
+    monkeypatch.setattr(qdisim.stage, "Simulation", no_simulation)
+    with pytest.raises(ValueError, match="do not fit width 4"):
+        run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)

@@ -12,12 +12,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qdisim.adders import AdderVariant, _rail_assignments, build_rca, rca_transaction
+from qdisim.adders import AdderVariant, build_rca, pack_operands, rca_transaction
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import decode_word
+from qdisim.dualrail import decode_word, rail_assignments
 from qdisim.netlist import parse_netlist
 from qdisim.sim import OscillationError, Simulation, _WavePlan, drive_transaction
-from qdisim.stage import Architecture, _stage_assignments, build_stage, run_transaction
+from qdisim.stage import Architecture, build_stage, run_transaction
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -32,6 +32,10 @@ def _stage(arch, variant, n):
 @lru_cache(maxsize=None)
 def _rca(variant, n):
     return build_rca(variant, n)
+
+
+def _operand_assignments(desc, a, b, cin):
+    return rail_assignments(desc.operand_rails, pack_operands(desc.n, a, b, cin))
 
 
 def _sims(netlist, jitter, seed):
@@ -99,7 +103,7 @@ def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
     ports = rca.sum_ports + (rca.cout_port,)
     for a, b, c in _operands(data, n):
         decoded, set_rep, rtz_rep, spacer = rca_transaction(planned, rca, a, b, c)
-        want = drive_transaction(reference, _rail_assignments(rca, a, b, c), ports, keep_traces=True)
+        want = drive_transaction(reference, _operand_assignments(rca, a, b, c), ports, keep_traces=True)
         assert decoded == decode_word(want.valid_word)
         assert (_report(set_rep), _report(rtz_rep), spacer) == (
             _report(want.set_report), _report(want.rtz_report), want.spacer_restored)
@@ -144,7 +148,7 @@ def test_inv_or_cycle_takes_the_event_engine(text, port):
 
 def test_last_assignment_of_an_input_wins():
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
-    assigns = _rail_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
+    assigns = _operand_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
     planned, reference = _sims(rca.netlist, 0, 1)
     got = drive_transaction(planned, assigns, rca.sum_ports + (rca.cout_port,))
     want = drive_transaction(reference, assigns, rca.sum_ports + (rca.cout_port,), keep_traces=True)
@@ -201,7 +205,7 @@ def test_reset_drops_pending_events(jitter):
     stage = _stage(Architecture.GLOBAL, AdderVariant.EARLY_OUTPUT, 5)
     used = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
     run_transaction(stage, 9, 22, 1, sim=used)
-    assigns = [(stage.ackin, 1)] + _stage_assignments(stage, 31, 1, 1)
+    assigns = [(stage.ackin, 1)] + _operand_assignments(stage, 31, 1, 1)
     used.apply_inputs(assigns)
     used.apply_inputs([(net, 0) for net, v in assigns if v][:3])  # replaces pending events
     assert used._heap and used.replacements == 3
