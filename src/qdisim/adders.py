@@ -34,23 +34,11 @@ class AdderVariant(enum.Enum):
     EARLY_OUTPUT = "early-output"
 
 
-@dataclass(frozen=True)
-class StagePorts:
-    """Net names of one ripple stage's external connections."""
-
-    a: tuple[str, str]
-    b: tuple[str, str]
-    cin: tuple[str, str]
-    sum: tuple[str, str]
-    cout: tuple[str, str]
-
-
 @dataclass
 class RcaDescriptor:
     variant: AdderVariant
     n: int
     netlist: Netlist
-    stages: tuple[StagePorts, ...]
     operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
     sum_ports: tuple[str, ...]
     cout_port: str
@@ -58,8 +46,13 @@ class RcaDescriptor:
 
 def pack_operands(n: int, a: int, b: int, cin: int) -> int:
     """`a | b << n | cin << 2n`, the bit order of `operand_rails`; raises
-    ValueError unless a and b fit n bits and cin is a bit."""
-    if not 0 <= a < (1 << n) or not 0 <= b < (1 << n) or cin not in (0, 1):
+    ValueError unless a and b are ints that fit n bits and cin is a bit."""
+    if (
+        not all(isinstance(x, int) for x in (a, b, cin))
+        or not 0 <= a < (1 << n)
+        or not 0 <= b < (1 << n)
+        or cin not in (0, 1)
+    ):
         raise ValueError(f"operands a={a} b={b} cin={cin} do not fit width {n}")
     return a | b << n | cin << 2 * n
 
@@ -164,18 +157,16 @@ def emit_rca(
     a_rails: list[tuple[str, str]],
     b_rails: list[tuple[str, str]],
     cin_rails: tuple[str, str],
-    prefix: str = "",
-) -> tuple[tuple[StagePorts, ...], list[tuple[str, str]], tuple[str, str]]:
+) -> tuple[list[tuple[str, str]], tuple[str, str]]:
     """Emit an n-stage ripple chain reading the given operand rail nets.
 
-    Returns (stage ports, sum rail pairs, overflow cout rail pair).  Used
-    both for standalone chains and embedded inside a pipeline stage.
+    Returns (sum rail pairs, overflow cout rail pair).  Used both for
+    standalone chains and embedded inside a pipeline stage.
     """
-    stages = []
     sums = []
     carry = cin_rails
     for i in range(n):
-        sp = f"{prefix}fa{i}."
+        sp = f"fa{i}."
         s1, s0 = f"{sp}s1", f"{sp}s0"
         k1, k0 = f"{sp}k1", f"{sp}k0"
         rails = {
@@ -185,12 +176,9 @@ def emit_rca(
             "s1": s1, "s0": s0, "k1": k1, "k0": k0,
         }
         _emit_stage(nb, variant, sp, rails)
-        stages.append(
-            StagePorts(a=a_rails[i], b=b_rails[i], cin=carry, sum=(s1, s0), cout=(k1, k0))
-        )
         sums.append((s1, s0))
         carry = (k1, k0)
-    return tuple(stages), sums, carry
+    return sums, carry
 
 
 def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
@@ -206,7 +194,7 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
             r0 = nb.add_input(f"{name}{i}.r0")
             store.append((r1, r0))
     cin = (nb.add_input("cin.r1"), nb.add_input("cin.r0"))
-    stages, sums, cout = emit_rca(nb, variant, n, a_rails, b_rails, cin)
+    sums, cout = emit_rca(nb, variant, n, a_rails, b_rails, cin)
     for s1, s0 in sums:
         nb.add_output(s1)
         nb.add_output(s0)
@@ -225,7 +213,6 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
         variant=variant,
         n=n,
         netlist=nb.build(),
-        stages=stages,
         operand_rails=(*a_rails, *b_rails, cin),
         sum_ports=tuple(sum_ports),
         cout_port="cout",

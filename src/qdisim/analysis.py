@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .adders import AdderVariant
 from .cells import DelayTable, default_delay_table
-from .dualrail import RailState, decode_pair
+from .dualrail import RailState, rail_assignments
 from .netlist import GateKind, Netlist
 from .sim import Phase, Simulation
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
@@ -276,14 +276,12 @@ def classify_indication(
     any_transition_early = False
     all_complete_early = False
     k = len(in_ports)
+    in_rails = [netlist.port_map[p] for p in in_ports]
     sim = Simulation(netlist, table)
 
     for codeword in range(1 << k):
-        active = []
-        for idx, port in enumerate(in_ports):
-            bit = (codeword >> idx) & 1
-            r1, r0 = netlist.port_map[port]
-            active.append(r1 if bit else r0)
+        # the rail each input pair raises for this codeword, in port order
+        active = [net for net, v in rail_assignments(in_rails, codeword) if v]
         for order in permutations(range(k)):
             sim.reset()
             if not is_set:
@@ -307,7 +305,7 @@ def classify_indication(
 
 
 def _pair_complete(sim: Simulation, port: str, is_set: bool) -> bool:
-    state = decode_pair(sim.pair_value(port))
+    state = sim.pair_value(port)
     if is_set:
         return state in (RailState.ZERO, RailState.ONE)
     return state is RailState.SPACER

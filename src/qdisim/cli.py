@@ -62,6 +62,19 @@ def _m_range(text: str) -> range:
     return range(start, stop + 1, stride)
 
 
+def _trials(text: str) -> int | None:
+    """A vector count >= 1, or None for 'exhaustive'."""
+    if text == "exhaustive":
+        return None
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer or 'exhaustive', got {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def _load_table(args):
     if args.delay_table:
         with open(args.delay_table, encoding="utf-8") as fp:
@@ -138,20 +151,10 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     table = _load_table(args)
-    exhaustive = args.trials == "exhaustive"
-    if not exhaustive:
-        try:
-            trials = int(args.trials)
-        except ValueError:
-            sys.stderr.write(f"trials must be an integer or 'exhaustive', got {args.trials!r}\n")
-            return USAGE_ERROR
-        if trials < 1:
-            sys.stderr.write(f"trials must be >= 1, got {trials}\n")
-            return USAGE_ERROR
-    else:
-        trials = 0
     rca = build_rca(args.variant, args.n)
-    result = functional_check(rca, trials, seed=args.seed, delay_table=table, exhaustive=exhaustive)
+    result = functional_check(
+        rca, args.trials or 0, seed=args.seed, delay_table=table, exhaustive=args.trials is None
+    )
     if result.passed:
         sys.stdout.write(f"pass: {result.trials} vectors, {args.variant.value} n={args.n}\n")
         return 0
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="functional verification against integer addition")
     p.add_argument("--variant", type=_variant, default=AdderVariant.LATENCY_OPT_BIASED)
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--trials", default="1000", help="vector count or 'exhaustive'")
+    p.add_argument("--trials", type=_trials, default=1000, help="vector count or 'exhaustive'")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("delays", help="print the active delay table")

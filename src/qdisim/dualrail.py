@@ -4,6 +4,8 @@ One bit travels on two wires: (rail1, rail0) = (1,0) carries a logical 1,
 (0,1) a logical 0, (0,0) is the spacer that separates successive codewords
 in return-to-zero handshaking, and (1,1) is a forbidden codeword.  The
 forbidden state is representable so that checks can assert its absence.
+`PAIR_STATE` is the one table from rail values to states, `decode_pair`
+reads one pair through it, and `rail_assignments` is the one encoder.
 """
 from __future__ import annotations
 
@@ -18,54 +20,19 @@ class RailState(enum.Enum):
     ILLEGAL = "ILLEGAL"
 
 
-@dataclass(frozen=True)
-class DualRailValue:
-    rail1: int
-    rail0: int
-
-    def __post_init__(self):
-        if self.rail1 not in (0, 1) or self.rail0 not in (0, 1):
-            raise ValueError(f"rails must be bits, got ({self.rail1}, {self.rail0})")
+PAIR_STATE = {
+    (0, 0): RailState.SPACER,
+    (1, 0): RailState.ONE,
+    (0, 1): RailState.ZERO,
+    (1, 1): RailState.ILLEGAL,
+}
 
 
-SPACER = DualRailValue(0, 0)
-VALID_ONE = DualRailValue(1, 0)
-VALID_ZERO = DualRailValue(0, 1)
-ILLEGAL = DualRailValue(1, 1)
-
-
-def encode_bit(b: int) -> DualRailValue:
-    """Encode one bit; never produces the spacer or the forbidden state."""
-    if b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    return VALID_ONE if b else VALID_ZERO
-
-
-def decode_pair(v: DualRailValue) -> RailState:
-    """Classify a rail pair.  Total: every pair maps to exactly one state."""
-    if v.rail1:
-        return RailState.ILLEGAL if v.rail0 else RailState.ONE
-    return RailState.ZERO if v.rail0 else RailState.SPACER
-
-
-@dataclass(frozen=True)
-class DualRailWord:
-    """A bus of rail pairs, least-significant pair at index 0."""
-
-    pairs: tuple[DualRailValue, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.pairs)
-
-
-def encode_word(value: int, width: int) -> DualRailWord:
-    """Encode an unsigned integer onto a bus, bit i at pair i."""
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return DualRailWord(tuple(encode_bit((value >> i) & 1) for i in range(width)))
+def decode_pair(rail1: int, rail0: int) -> RailState:
+    """The state of one rail pair; raises ValueError unless both rails are bits."""
+    if rail1 not in (0, 1) or rail0 not in (0, 1):
+        raise ValueError(f"rails must be bits, got ({rail1}, {rail0})")
+    return PAIR_STATE[rail1, rail0]
 
 
 def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:
@@ -96,12 +63,12 @@ class DecodeIssue:
     index: int
 
 
-def decode_word(word: DualRailWord):
-    """Return the integer value of a fully valid word, else a DecodeIssue."""
+def decode_word(states):
+    """The integer value of a word of pair states, least-significant pair
+    first, when every pair is valid, else a DecodeIssue."""
     value = 0
     first_bad = None
-    for i, pair in enumerate(word.pairs):
-        s = decode_pair(pair)
+    for i, s in enumerate(states):
         if s is RailState.ONE:
             value |= 1 << i
         elif s is RailState.ILLEGAL:
@@ -109,5 +76,5 @@ def decode_word(word: DualRailWord):
         elif s is not RailState.ZERO and first_bad is None:
             first_bad = i
     if first_bad is not None:
-        return DecodeIssue(decode_pair(word.pairs[first_bad]), first_bad)
+        return DecodeIssue(states[first_bad], first_bad)
     return value

@@ -147,17 +147,26 @@ def validate(n: Netlist) -> ValidationReport:
             continue
         for src in g.inputs:
             edges.setdefault(src, []).append(g.output)
-    color: dict[str, int] = {}
+    color: dict[str, int] = {}  # 1 on the current path, 2 finished
 
-    def walk(net: str) -> bool:
-        color[net] = 1
-        for nxt in edges.get(net, ()):
-            c = color.get(nxt, 0)
-            if c == 1:
-                return True
-            if c == 0 and walk(nxt):
-                return True
-        color[net] = 2
+    def walk(root: str) -> bool:
+        """Depth-first from `root` with an explicit stack, so a long gate
+        chain cannot exhaust the interpreter's recursion limit."""
+        color[root] = 1
+        stack = [(root, iter(edges.get(root, ())))]
+        while stack:
+            net, successors = stack[-1]
+            for nxt in successors:
+                c = color.get(nxt, 0)
+                if c == 1:
+                    return True
+                if c == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
+                    break
+            else:
+                color[net] = 2
+                stack.pop()
         return False
 
     for net in sorted(edges):

@@ -29,16 +29,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from .cells import DelayTable
-from .dualrail import (
-    ILLEGAL,
-    SPACER,
-    VALID_ONE,
-    VALID_ZERO,
-    DualRailValue,
-    DualRailWord,
-    RailState,
-    decode_pair,
-)
+from .dualrail import PAIR_STATE, RailState
 from .netlist import GATE_ARITY, GateKind, Netlist
 
 # dispatch codes ordered by frequency in the generated circuits
@@ -163,12 +154,12 @@ class Simulation:
     def net_value(self, net: str) -> int:
         return self._values[self._ids[net]]
 
-    def pair_value(self, port: str) -> DualRailValue:
+    def pair_value(self, port: str) -> RailState:
         r1, r0 = self.netlist.port_map[port]
-        return DualRailValue(self.net_value(r1), self.net_value(r0))
+        return PAIR_STATE[self.net_value(r1), self.net_value(r0)]
 
-    def read_word(self, ports: Iterable[str]) -> DualRailWord:
-        return DualRailWord(tuple(self.pair_value(p) for p in ports))
+    def read_word(self, ports: Iterable[str]) -> tuple[RailState, ...]:
+        return tuple(self.pair_value(p) for p in ports)
 
     @property
     def trace(self) -> list[tuple[int, str, int]]:
@@ -333,7 +324,7 @@ def check_phase(
 class WaveResult:
     """One valid wave then one spacer wave, seen from the output ports."""
 
-    valid_word: DualRailWord        # output ports once the valid wave settled
+    valid_word: tuple[RailState, ...]  # output ports once the valid wave settled
     spacer_restored: bool           # every output port back at spacer
     forward_latency: int
     reverse_latency: int
@@ -379,7 +370,7 @@ def drive_transaction(
     rtz_report = check_phase(rtz_trace, Phase.RTZ, pairs=pairs, initial_rails=initial)
     return WaveResult(
         valid_word=valid_word,
-        spacer_restored=all(decode_pair(sim.pair_value(p)) is RailState.SPACER for p in output_ports),
+        spacer_restored=all(sim.pair_value(p) is RailState.SPACER for p in output_ports),
         forward_latency=_latency(set_trace, rails, origin),
         reverse_latency=_latency(rtz_trace, rails, set_settle),
         set_report=set_report,
@@ -401,7 +392,6 @@ def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) ->
 _NEVER = math.inf
 _BEFORE = -math.inf
 _UNBUILT = object()
-_PAIR_VALUE = {(0, 0): SPACER, (1, 0): VALID_ONE, (0, 1): VALID_ZERO, (1, 1): ILLEGAL}
 
 
 def _settle(times: list, start: int) -> int:
@@ -580,9 +570,7 @@ class _WavePlan:
         set_times = [rise[i] for i in out_rails if rise[i] != never]
         rtz_times = [t for t in (fall[i] for i in out_rails) if before < t < never]
         return WaveResult(
-            valid_word=DualRailWord(
-                tuple(_PAIR_VALUE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs)
-            ),
+            valid_word=tuple(PAIR_STATE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs),
             spacer_restored=never not in (fall[i] for i in out_rails),
             forward_latency=max(set_times) - origin if set_times else 0,
             reverse_latency=max(rtz_times) - rtz_origin if rtz_times else 0,

@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .adders import AdderVariant, StagePorts, emit_rca, pack_operands
+from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
-from .dualrail import DecodeIssue, DualRailWord, RailState, decode_pair, decode_word, rail_assignments
+from .dualrail import DecodeIssue, RailState, decode_word, rail_assignments
 from .netlist import Gate, GateKind, Netlist, NetlistBuilder
 from .sim import PhaseCheckReport, Simulation, drive_transaction
 
@@ -47,18 +47,19 @@ PAIRED_VARIANT = {
 }
 
 
-def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]], prefix: str = "cd.") -> tuple[str, int]:
-    """OR2 per pair then a balanced C2 tree; returns (root net, depth).
+def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]]) -> tuple[str, int]:
+    """OR2 per pair then a balanced C2 tree, nets prefixed `cd.`; returns
+    (root net, depth).
 
     A single pair's OR2 is the root itself; otherwise the tree is
     ceil(log2(pair_count)) C2 levels deep.
     """
-    root = f"{prefix}out"
+    root = "cd.out"
     level = [
-        nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"{prefix}or{i}")
+        nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"cd.or{i}")
         for i, (r1, r0) in enumerate(pairs)
     ]
-    nb.tree(GateKind.C2, level, root, f"{prefix}l")
+    nb.tree(GateKind.C2, level, root, "cd.l")
     return root, (len(pairs) - 1).bit_length()
 
 
@@ -67,7 +68,6 @@ class CompletionDetector:
     netlist: Netlist
     cd_out: str
     depth: int
-    pair_ports: tuple[str, ...]
 
 
 def build_completion_detector(pair_count: int) -> CompletionDetector:
@@ -76,16 +76,14 @@ def build_completion_detector(pair_count: int) -> CompletionDetector:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
     nb = NetlistBuilder()
     rails = []
-    ports = []
     for i in range(pair_count):
         r1 = nb.add_input(f"p{i}.r1")
         r0 = nb.add_input(f"p{i}.r0")
         nb.add_pair(f"p{i}", r1, r0)
-        ports.append(f"p{i}")
         rails.append((r1, r0))
     root, depth = _emit_completion_detector(nb, rails)
     nb.add_output(root)
-    return CompletionDetector(nb.build(), root, depth, tuple(ports))
+    return CompletionDetector(nb.build(), root, depth)
 
 
 @dataclass
@@ -94,7 +92,6 @@ class StageDescriptor:
     variant: AdderVariant
     n: int
     netlist: Netlist
-    stages: tuple[StagePorts, ...]
     operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
     register_ports: tuple[str, ...]    # reg.a0.. covered by the detector
     forward_ports: tuple[str, ...]     # sum0.., cout: what the next stage sees
@@ -149,7 +146,7 @@ def build_stage(
         b_reg.append(add_registered_pair(f"b{i}"))
     cin_reg = add_registered_pair("cin")
 
-    stages, sums, cout = emit_rca(nb, variant, n, a_reg, b_reg, cin_reg)
+    sums, cout = emit_rca(nb, variant, n, a_reg, b_reg, cin_reg)
     cd_out, cd_depth = _emit_completion_detector(nb, reg_pairs)
 
     forward_ports = []
@@ -179,7 +176,6 @@ def build_stage(
         variant=variant,
         n=n,
         netlist=nb.build(),
-        stages=stages,
         operand_rails=tuple(operand_rails),
         register_ports=tuple(register_ports),
         forward_ports=tuple(forward_ports),
@@ -253,13 +249,6 @@ def run_transaction(
         sim = Simulation(stage.netlist, delay_table or default_delay_table())
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
-    carry_state = decode_pair(waves.valid_word.pairs[-1])
-    if carry_state is RailState.ONE:
-        carry_value: int | DecodeIssue = 1
-    elif carry_state is RailState.ZERO:
-        carry_value = 0
-    else:
-        carry_value = DecodeIssue(carry_state, 0)
     return TransactionRecord(
         architecture=stage.architecture,
         variant=stage.variant,
@@ -269,8 +258,8 @@ def run_transaction(
         cin=cin,
         forward_latency=waves.forward_latency,
         reverse_latency=waves.reverse_latency,
-        sum_value=decode_word(DualRailWord(waves.valid_word.pairs[:-1])),
-        carry_value=carry_value,
+        sum_value=decode_word(waves.valid_word[:-1]),
+        carry_value=decode_word(waves.valid_word[-1:]),
         set_report=waves.set_report,
         rtz_report=waves.rtz_report,
         spacer_restored=waves.spacer_restored,
@@ -314,8 +303,6 @@ def run_closed_loop(
     architecture: Architecture,
     n: int,
     operands: list[tuple[int, int, int]],
-    delay_table: DelayTable | None = None,
-    force: bool = False,
 ) -> ThroughputReport:
     """Demonstration pipeline of identical stages under full handshaking.
 
@@ -333,7 +320,7 @@ def run_closed_loop(
     report = ThroughputReport()
     if not operands:
         return report
-    stage = build_stage(architecture, variant, n, force=force)
+    stage = build_stage(architecture, variant, n)
     prefixes = [f"st{k}." for k in range(stage_count)]
 
     gates: list[Gate] = []
@@ -359,7 +346,7 @@ def run_closed_loop(
     pins = [p for p in dict.fromkeys(pins) if p not in driven]
     ring = Netlist(tuple(gates), tuple(pins), (), pmap)
 
-    sim = Simulation(ring, delay_table or default_delay_table())
+    sim = Simulation(ring, default_delay_table())
     sim.settle_power_on()
 
     last_pref = prefixes[-1]
@@ -367,7 +354,7 @@ def run_closed_loop(
     out_ports = [last_pref + p for p in stage.forward_ports]
 
     def outputs_state() -> str:
-        states = {decode_pair(sim.pair_value(p)) for p in out_ports}
+        states = {sim.pair_value(p) for p in out_ports}
         if states == {RailState.SPACER}:
             return "spacer"
         if states <= {RailState.ZERO, RailState.ONE}:
@@ -389,7 +376,7 @@ def run_closed_loop(
         # sink: acknowledge a fresh codeword, re-arm on spacer
         if state == "valid" and sink_ack == 1:
             value = decode_word(sim.read_word(out_ports[:-1]))
-            carry = decode_pair(sim.pair_value(out_ports[-1]))
+            carry = sim.pair_value(out_ports[-1])
             report.deliveries.append((t, value, 1 if carry is RailState.ONE else 0))
             if len(report.deliveries) > 1:
                 report.intervals.append(t - report.deliveries[-2][0])

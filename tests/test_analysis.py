@@ -23,7 +23,7 @@ from qdisim.analysis import (
 )
 from qdisim.analysis import asymptotic_check
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState, decode_pair
+from qdisim.dualrail import RailState
 from qdisim.netlist import GateKind
 from qdisim.sim import Phase, Simulation
 from qdisim.stage import Architecture, build_stage
@@ -283,41 +283,41 @@ def test_early_reset_propagate_scenario(table):
     # a=0, b=1 propagates cin=1; dropping one operand rail resets the carry
     # alone, and dropping cin as well resets the whole block early
     sim = _settled_fa(table, 0, 1, 1)
-    assert decode_pair(sim.pair_value("sum")) is RailState.ZERO
-    assert decode_pair(sim.pair_value("cout")) is RailState.ONE
+    assert sim.pair_value("sum") is RailState.ZERO
+    assert sim.pair_value("cout") is RailState.ONE
     sim.apply_inputs([("a.r0", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("cout")) is RailState.SPACER
-    assert decode_pair(sim.pair_value("sum")) is RailState.ZERO  # sum still held
+    assert sim.pair_value("cout") is RailState.SPACER
+    assert sim.pair_value("sum") is RailState.ZERO  # sum still held
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("sum")) is RailState.SPACER
+    assert sim.pair_value("sum") is RailState.SPACER
     assert sim.net_value("b.r1") == 1  # fully reset with one input still valid
 
 
 def test_early_reset_generate_scenario(table):
     sim = _settled_fa(table, 1, 1, 1)
-    assert decode_pair(sim.pair_value("sum")) is RailState.ONE
-    assert decode_pair(sim.pair_value("cout")) is RailState.ONE
+    assert sim.pair_value("sum") is RailState.ONE
+    assert sim.pair_value("cout") is RailState.ONE
     sim.apply_inputs([("a.r1", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("cout")) is RailState.SPACER
+    assert sim.pair_value("cout") is RailState.SPACER
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("sum")) is RailState.SPACER
+    assert sim.pair_value("sum") is RailState.SPACER
     assert sim.net_value("b.r1") == 1
 
 
 def test_early_reset_kill_scenario(table):
     sim = _settled_fa(table, 0, 0, 0)
-    assert decode_pair(sim.pair_value("sum")) is RailState.ZERO
-    assert decode_pair(sim.pair_value("cout")) is RailState.ZERO
+    assert sim.pair_value("sum") is RailState.ZERO
+    assert sim.pair_value("cout") is RailState.ZERO
     sim.apply_inputs([("a.r0", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("cout")) is RailState.SPACER
+    assert sim.pair_value("cout") is RailState.SPACER
     sim.apply_inputs([("cin.r0", 0)])
     sim.run_until_quiescent()
-    assert decode_pair(sim.pair_value("sum")) is RailState.SPACER
+    assert sim.pair_value("sum") is RailState.SPACER
     assert sim.net_value("b.r0") == 1
 
 

@@ -123,8 +123,21 @@ def test_check_seeded(capsys):
     assert "pass" in out
 
 
-def test_check_zero_trials(capsys):
-    assert run(capsys, "check", "--trials", "0", "--n", "2")[0] == 2
+@pytest.mark.parametrize("trials,message", [
+    ("0", "trials must be >= 1, got 0"),
+    ("-3", "trials must be >= 1, got -3"),
+    ("many", "trials must be an integer or 'exhaustive', got 'many'"),
+])
+def test_check_bad_trials_is_a_usage_error(trials, message, capsys):
+    code, out, err = run(capsys, "check", "--trials", trials, "--n", "2")
+    assert code == 2 and out == ""
+    assert f"argument --trials: {message}" in err
+
+
+def test_build_long_chain_validates(capsys):
+    code, out, _ = run(capsys, "build", "--variant", "latency-opt-biased", "--n", "1200")
+    assert code == 0
+    assert out.startswith("input a0.r1\n")
 
 
 def test_delays_output_is_loadable(capsys):

@@ -2,18 +2,11 @@ from hypothesis import given, strategies as st
 import pytest
 
 from qdisim.dualrail import (
+    PAIR_STATE,
     DecodeIssue,
-    DualRailValue,
-    DualRailWord,
-    ILLEGAL,
     RailState,
-    SPACER,
-    VALID_ONE,
-    VALID_ZERO,
     decode_pair,
     decode_word,
-    encode_bit,
-    encode_word,
     rail_assignments,
 )
 
@@ -21,90 +14,73 @@ WIDTH_AND_VALUE = st.integers(min_value=1, max_value=16).flatmap(
     lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=(1 << w) - 1))
 )
 
-
-def test_encode_bit_values():
-    assert encode_bit(1) == DualRailValue(rail1=1, rail0=0)
-    assert encode_bit(0) == DualRailValue(rail1=0, rail0=1)
+S, Z, O, X = RailState.SPACER, RailState.ZERO, RailState.ONE, RailState.ILLEGAL
 
 
-def test_encode_bit_rejects_non_bits():
-    with pytest.raises(ValueError):
-        encode_bit(2)
+def _encode(value, width):
+    """The pair states `rail_assignments` puts on a width-bit bus."""
+    pairs = [(f"p{k}.r1", f"p{k}.r0") for k in range(width)]
+    rails = dict(rail_assignments(pairs, value))
+    return [decode_pair(rails[r1], rails[r0]) for r1, r0 in pairs]
 
 
 def test_decode_pair_covers_all_four_states():
-    assert decode_pair(DualRailValue(0, 0)) is RailState.SPACER
-    assert decode_pair(DualRailValue(1, 1)) is RailState.ILLEGAL
-    assert decode_pair(DualRailValue(0, 1)) is RailState.ZERO
-    assert decode_pair(DualRailValue(1, 0)) is RailState.ONE
+    assert decode_pair(0, 0) is S
+    assert decode_pair(1, 1) is X
+    assert decode_pair(0, 1) is Z
+    assert decode_pair(1, 0) is O
+    assert set(PAIR_STATE.values()) == set(RailState)
 
 
-def test_classification_is_a_partition():
-    seen = set()
-    for r1 in (0, 1):
-        for r0 in (0, 1):
-            seen.add(decode_pair(DualRailValue(r1, r0)))
-    assert seen == set(RailState)
-
-
-def test_encoder_never_emits_spacer_or_illegal():
-    for b in (0, 1):
-        assert decode_pair(encode_bit(b)) in (RailState.ZERO, RailState.ONE)
+@pytest.mark.parametrize("rails", [(2, 0), (0, -1), (1, 2)])
+def test_decode_pair_rejects_non_bits(rails):
+    with pytest.raises(ValueError, match="rails must be bits"):
+        decode_pair(*rails)
 
 
 def test_encode_word_example():
-    word = encode_word(5, 4)
-    assert [decode_pair(p) for p in word.pairs] == [
-        RailState.ONE, RailState.ZERO, RailState.ONE, RailState.ZERO
-    ]
+    assert _encode(5, 4) == [O, Z, O, Z]
 
 
 def test_encode_word_single_zero():
-    assert encode_word(0, 1).pairs == (VALID_ZERO,)
-
-
-def test_encode_word_range_error():
-    with pytest.raises(ValueError):
-        encode_word(16, 4)
+    assert _encode(0, 1) == [Z]
 
 
 def test_round_trip_exhaustive_small_widths():
     for width in range(1, 9):
         for value in range(1 << width):
-            assert decode_word(encode_word(value, width)) == value
+            assert decode_word(_encode(value, width)) == value
 
 
 @given(WIDTH_AND_VALUE)
 def test_round_trip_property(case):
     width, value = case
-    assert decode_word(encode_word(value, width)) == value
+    assert decode_word(_encode(value, width)) == value
 
 
 def test_decode_word_full_valid():
-    assert decode_word(DualRailWord((VALID_ONE, VALID_ONE))) == 3
+    assert decode_word((O, O)) == 3
 
 
 def test_decode_word_partial_report():
-    issue = decode_word(DualRailWord((VALID_ONE, SPACER)))
-    assert issue == DecodeIssue(RailState.SPACER, 1)
+    assert decode_word((O, S)) == DecodeIssue(S, 1)
 
 
 def test_decode_word_illegal_report():
-    issue = decode_word(DualRailWord((ILLEGAL,)))
-    assert issue == DecodeIssue(RailState.ILLEGAL, 0)
+    assert decode_word((X,)) == DecodeIssue(X, 0)
 
 
 def test_illegal_outranks_partial():
-    issue = decode_word(DualRailWord((SPACER, ILLEGAL)))
-    assert issue == DecodeIssue(RailState.ILLEGAL, 1)
+    assert decode_word((S, X)) == DecodeIssue(X, 1)
 
 
 @given(WIDTH_AND_VALUE)
-def test_rail_assignments_match_encode_word(case):
+def test_rail_assignments_put_bit_k_on_pair_k(case):
     width, value = case
     pairs = [(f"p{k}.r1", f"p{k}.r0") for k in range(width)]
     got = rail_assignments(pairs, value)
     assert len(got) == 2 * width
-    for k, pair in enumerate(encode_word(value, width).pairs):
-        assert got[2 * k:2 * k + 2] == [(pairs[k][0], pair.rail1), (pairs[k][1], pair.rail0)]
+    for k, (r1, r0) in enumerate(pairs):
+        bit = (value >> k) & 1
+        assert got[2 * k:2 * k + 2] == [(r1, bit), (r0, 1 - bit)]
     assert rail_assignments(pairs, None) == [(net, 0) for pair in pairs for net in pair]

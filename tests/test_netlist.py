@@ -95,6 +95,24 @@ def test_validate_combinational_cycle():
     assert any(v.rule == "combinational-cycle" for v in validate(n).violations)
 
 
+def _or_chain(length, closed):
+    """OR2 gates c0 -> c1 -> ... each also reading input a; `closed` feeds
+    the last gate's output back into the first."""
+    first = f"c{length - 1}" if closed else "a"
+    gates = [Gate("c0", GateKind.OR2, ("a", first), "c0")]
+    gates += [Gate(f"c{i}", GateKind.OR2, ("a", f"c{i - 1}"), f"c{i}") for i in range(1, length)]
+    return Netlist(tuple(gates), ("a",), (f"c{length - 1}",))
+
+
+def test_validate_long_chain_without_recursion():
+    assert validate(_or_chain(5000, closed=False)).ok
+
+
+def test_validate_flags_long_loop():
+    report = validate(_or_chain(5000, closed=True))
+    assert [(v.rule, v.subject) for v in report.violations] == [("combinational-cycle", "a")]
+
+
 def test_serialize_refuses_invalid():
     n = parse_netlist("input a\ngate g1 AND2 a ghost y")
     with pytest.raises(ValueError, match="dangling"):

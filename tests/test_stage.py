@@ -6,7 +6,7 @@ import qdisim.stage
 
 from qdisim.adders import AdderVariant
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState, decode_pair
+from qdisim.dualrail import RailState
 from qdisim.netlist import GateKind, gate_census, validate
 from qdisim.sim import Simulation
 from qdisim.stage import (
@@ -182,16 +182,17 @@ def test_zero_operands_all_outputs_valid_zero(table):
     assert rec.ok and rec.sum_value == 0 and rec.carry_value == 0
     # at forward-latency time every forwarded pair held a valid zero
     assert all(
-        decode_pair(sim.pair_value(p)) is RailState.SPACER for p in st.forward_ports
+        sim.pair_value(p) is RailState.SPACER for p in st.forward_ports
     )  # after the full cycle the spacer is back
     rails = {r for p in st.forward_ports for r in st.netlist.port_map[p]}
     set_states = [v for _, net, v in rec.set_trace if net in rails]
     assert set_states and all(v == 1 for v in set_states)
 
 
-def test_operand_range_checked(local_stage32, table):
-    with pytest.raises(ValueError, match="fit"):
-        run_transaction(local_stage32, 2**32, 0, 0, table)
+@pytest.mark.parametrize("a,b,cin", [(2**32, 0, 0), (1.5, 0, 0), ("3", 0, 0), (0, 0, 1.0)])
+def test_operand_range_checked(a, b, cin, local_stage32, table):
+    with pytest.raises(ValueError, match="do not fit width 32"):
+        run_transaction(local_stage32, a, b, cin, table)
 
 
 def test_detector_ordering_random_vectors(global_stage32, table):
@@ -257,7 +258,7 @@ def test_closed_loop_needs_two_stages():
         run_closed_loop(1, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [(1, 1, 0)])
 
 
-@pytest.mark.parametrize("operands", [[(17, 1, 0)], [(1, 1, 0), (2, 3, 2)]])
+@pytest.mark.parametrize("operands", [[(17, 1, 0)], [(1, 1, 0), (2, 3, 2)], [(1.5, 0, 0)], [("3", 1, 0)]])
 def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the ring ran before its operands were checked")
