@@ -24,7 +24,7 @@ from .cells import (
     derive_pinned_delays,
     load_delay_table,
 )
-from .dualrail import PAIR_STATE, RailState, decode_pair, decode_word, rail_assignments
+from .dualrail import PAIR_STATE, RailState, decode_word, rail_assignments
 from .netlist import (
     Gate,
     GateKind,

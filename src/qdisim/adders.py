@@ -264,6 +264,9 @@ def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: in
     return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
 
 
+EXHAUSTIVE_MAX_N = 8  # 2^17 vectors
+
+
 def functional_check(
     rca: RcaDescriptor,
     trials: int,
@@ -274,8 +277,11 @@ def functional_check(
     """Compare full valid/spacer transactions against integer addition.
 
     Random operands come from a seeded generator so runs are reproducible;
-    exhaustive mode sweeps the whole operand space instead.
+    exhaustive mode sweeps the whole operand space instead, 2^(2n+1)
+    vectors, and refuses widths above EXHAUSTIVE_MAX_N.
     """
+    if exhaustive and rca.n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {rca.n}")
     if not exhaustive and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     table = delay_table or default_delay_table()

@@ -7,6 +7,7 @@ is in integer time units; files are UTF-8 with LF line endings.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from .adders import AdderVariant, build_full_adder, build_rca, functional_check
@@ -25,7 +26,7 @@ from .analysis import (
 from .cells import default_delay_table, dump_delay_table, load_delay_table
 from .netlist import serialize_netlist
 from .sim import OscillationError, SimulationError
-from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage
+from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage, run_closed_loop
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -163,6 +164,22 @@ def cmd_check(args) -> int:
     return CHECK_FAILED
 
 
+def cmd_ring(args) -> int:
+    if args.transactions < 1:
+        raise ValueError(f"transactions must be >= 1, got {args.transactions}")
+    rng = random.Random(args.seed)
+    ops = [
+        (rng.getrandbits(args.n), rng.getrandbits(args.n), rng.getrandbits(1))
+        for _ in range(args.transactions)
+    ]
+    report = run_closed_loop(args.stages, PAIRED_VARIANT[args.arch], args.arch, args.n, ops)
+    rows = "".join(
+        f"{t},{a},{b},{c},{value},{carry}\n" for (t, value, carry), (a, b, c) in zip(report.deliveries, ops)
+    )
+    _write_out(args, "t,a,b,cin,sum,carry\n" + rows)
+    return 0
+
+
 def cmd_delays(args) -> int:
     sys.stdout.write(dump_delay_table(_load_table(args)))
     return 0
@@ -204,6 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--trials", type=_trials, default=1000, help="vector count or 'exhaustive'")
     p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("ring", help="closed handshake ring of paired stages, one CSV row per delivery")
+    p.add_argument("--arch", type=_architecture, required=True)
+    p.add_argument("--stages", type=int, default=2)
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--transactions", type=int, default=10)
+    p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("delays", help="print the active delay table")
     p.set_defaults(func=cmd_delays)

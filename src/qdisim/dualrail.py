@@ -4,8 +4,8 @@ One bit travels on two wires: (rail1, rail0) = (1,0) carries a logical 1,
 (0,1) a logical 0, (0,0) is the spacer that separates successive codewords
 in return-to-zero handshaking, and (1,1) is a forbidden codeword.  The
 forbidden state is representable so that checks can assert its absence.
-`PAIR_STATE` is the one table from rail values to states, `decode_pair`
-reads one pair through it, and `rail_assignments` is the one encoder.
+`PAIR_STATE` is the one table from rail values to states, and
+`rail_assignments` is the one encoder.
 """
 from __future__ import annotations
 
@@ -26,13 +26,6 @@ PAIR_STATE = {
     (0, 1): RailState.ZERO,
     (1, 1): RailState.ILLEGAL,
 }
-
-
-def decode_pair(rail1: int, rail0: int) -> RailState:
-    """The state of one rail pair; raises ValueError unless both rails are bits."""
-    if rail1 not in (0, 1) or rail0 not in (0, 1):
-        raise ValueError(f"rails must be bits, got ({rail1}, {rail0})")
-    return PAIR_STATE[rail1, rail0]
 
 
 def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:

@@ -212,8 +212,11 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistParseError(line_no, f"unknown gate kind {kind_name!r}") from None
             if gid in gate_ids:
                 raise NetlistParseError(line_no, f"duplicate gate id {gid!r}")
+            ins = tuple(tokens[3:-1])
+            if len(ins) != GATE_ARITY[kind]:
+                raise NetlistParseError(line_no, f"{kind.value} takes {GATE_ARITY[kind]} inputs, got {len(ins)}")
             gate_ids.add(gid)
-            gates.append(Gate(gid, kind, tuple(tokens[3:-1]), tokens[-1]))
+            gates.append(Gate(gid, kind, ins, tokens[-1]))
         elif stmt == "pair":
             if len(tokens) != 4:
                 raise NetlistParseError(line_no, "pair takes portname, rail1 net, rail0 net")

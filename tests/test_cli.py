@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qdisim
+import qdisim.adders
 import qdisim.analysis
 import qdisim.cli
 from qdisim.cli import main
@@ -134,6 +135,45 @@ def test_check_bad_trials_is_a_usage_error(trials, message, capsys):
     assert f"argument --trials: {message}" in err
 
 
+def test_check_exhaustive_refuses_wide_adders_before_driving(monkeypatch, capsys):
+    def no_transaction(*args, **kwargs):
+        raise AssertionError("a vector was driven before the width was checked")
+
+    monkeypatch.setattr(qdisim.adders, "drive_transaction", no_transaction)
+    code, out, err = run(capsys, "check", "--n", "16", "--trials", "exhaustive")
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive check takes n <= 8, got 16\n"
+
+
+@pytest.mark.parametrize("arch,first", [
+    ("local", ["1323,34,145,1,180,0", "3906,205,195,0,144,0", "6612,65,30,0,95,0"]),
+    ("global", ["1320,34,145,1,180,0", "3900,205,195,0,144,0", "6624,65,30,0,95,0"]),
+])
+def test_ring_writes_one_seeded_row_per_delivery(arch, first, tmp_path, capsys):
+    argv = ["--seed", "1", "ring", "--arch", arch, "--stages", "2", "--n", "8", "--transactions", "10"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "t,a,b,cin,sum,carry"
+    assert len(rows) == 10 and rows[:3] == first
+    for row in rows:
+        _, a, b, cin, value, carry = map(int, row.split(","))
+        assert value == (a + b + cin) % 256 and carry == 0
+    path = tmp_path / "ring.csv"
+    assert run(capsys, "--out", str(path), *argv)[0] == 0
+    assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--stages", "1", "stage_count must be >= 2, got 1"),
+    ("--transactions", "0", "transactions must be >= 1, got 0"),
+])
+def test_ring_bad_size_is_a_usage_error(option, value, message, capsys):
+    code, out, err = run(capsys, "ring", "--arch", "local", option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_build_long_chain_validates(capsys):
     code, out, _ = run(capsys, "build", "--variant", "latency-opt-biased", "--n", "1200")
     assert code == 0
@@ -179,6 +219,7 @@ def _raise(exc):
     ("sweep", ["sweep", "--m-range", "4:5"], OscillationError("no quiescence after 9 transitions")),
     ("functional_check", ["check", "--n", "2", "--trials", "3"], SimulationError("'x' is not a primary input")),
     ("classify_both", ["classify", "dims-strong"], DeadlockError("ring stalled at t=0")),
+    ("run_closed_loop", ["ring", "--arch", "global", "--n", "2"], DeadlockError("ring stalled at t=0")),
 ])
 def test_simulation_failures_exit_one_with_one_line(monkeypatch, capsys, callee, argv, exc):
     monkeypatch.setattr(qdisim.cli, callee, _raise(exc))

@@ -5,7 +5,6 @@ from qdisim.dualrail import (
     PAIR_STATE,
     DecodeIssue,
     RailState,
-    decode_pair,
     decode_word,
     rail_assignments,
 )
@@ -21,21 +20,12 @@ def _encode(value, width):
     """The pair states `rail_assignments` puts on a width-bit bus."""
     pairs = [(f"p{k}.r1", f"p{k}.r0") for k in range(width)]
     rails = dict(rail_assignments(pairs, value))
-    return [decode_pair(rails[r1], rails[r0]) for r1, r0 in pairs]
+    return [PAIR_STATE[rails[r1], rails[r0]] for r1, r0 in pairs]
 
 
-def test_decode_pair_covers_all_four_states():
-    assert decode_pair(0, 0) is S
-    assert decode_pair(1, 1) is X
-    assert decode_pair(0, 1) is Z
-    assert decode_pair(1, 0) is O
+def test_pair_state_table_covers_all_four_states():
+    assert PAIR_STATE == {(0, 0): S, (1, 1): X, (0, 1): Z, (1, 0): O}
     assert set(PAIR_STATE.values()) == set(RailState)
-
-
-@pytest.mark.parametrize("rails", [(2, 0), (0, -1), (1, 2)])
-def test_decode_pair_rejects_non_bits(rails):
-    with pytest.raises(ValueError, match="rails must be bits"):
-        decode_pair(*rails)
 
 
 def test_encode_word_example():

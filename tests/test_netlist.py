@@ -72,9 +72,18 @@ def test_validate_double_driver():
 
 
 def test_validate_arity():
-    n = parse_netlist("input a\ninput b\ninput c\ngate g1 AO22 a b c y")
+    n = Netlist((Gate("g1", GateKind.AO22, ("a", "b", "c"), "y"),), ("a", "b", "c"))
     report = validate(n)
     assert any(v.rule == "arity" and v.subject == "g1" for v in report.violations)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("gate z C2 a z", "line 2: C2 takes 2 inputs, got 1"),
+    ("gate g1 AO22 a b a y", "line 2: AO22 takes 4 inputs, got 3"),
+])
+def test_parse_rejects_wrong_arity(line, message):
+    with pytest.raises(NetlistParseError, match=f"^{message}$"):
+        parse_netlist(f"input a\n{line}\ninput b")
 
 
 def test_validate_dangling_net():

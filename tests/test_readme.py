@@ -1,4 +1,6 @@
-"""Every command in the README's "Command line" block runs and exits 0."""
+"""Every command in the README's "Command line" block runs and exits 0,
+and every subcommand appears in it."""
+import argparse
 import os
 import re
 import shlex
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qdisim
+from qdisim.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = str(Path(qdisim.__file__).resolve().parents[1])
@@ -22,6 +25,13 @@ def _commands():
 
 def test_the_block_has_commands():
     assert len(_commands()) >= 8
+
+
+def test_every_subcommand_is_in_the_block():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    used = {parser.parse_args(shlex.split(command)[1:]).command for command in _commands()}
+    assert set(sub.choices) - used == set()
 
 
 @pytest.mark.parametrize("command", _commands())

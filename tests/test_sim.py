@@ -2,7 +2,7 @@ import pytest
 
 from qdisim.adders import AdderVariant, build_rca
 from qdisim.cells import default_delay_table
-from qdisim.netlist import parse_netlist
+from qdisim.netlist import Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import (
     OscillationError,
     Phase,
@@ -58,8 +58,8 @@ def test_driving_gate_output_rejected(table):
 
 
 def test_wrong_arity_is_a_typed_error(table):
-    # parses as a one-input C2 with id z; validate() reports it, Simulation refuses it
-    netlist = parse_netlist("input a\ngate z C2 a z")
+    # the parser refuses this text, so the gate is built directly
+    netlist = Netlist((Gate("z", GateKind.C2, ("a",), "z"),), ("a",))
     with pytest.raises(SimulationError, match=r"^gate 'z' \(C2\) takes 2 inputs, got 1$"):
         Simulation(netlist, table)
 

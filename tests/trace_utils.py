@@ -1,6 +1,6 @@
 """Trace replay helpers shared by the stage and acceptance tests."""
 
-from qdisim.dualrail import RailState, decode_pair
+from qdisim.dualrail import PAIR_STATE, RailState
 
 
 def pair_states_at(trace, pairs, initial, when):
@@ -16,7 +16,7 @@ def pair_states_at(trace, pairs, initial, when):
         if net in values:
             values[net] = v
     return {
-        port: decode_pair(values[r1], values[r0])
+        port: PAIR_STATE[values[r1], values[r0]]
         for port, (r1, r0) in pairs.items()
     }
 
