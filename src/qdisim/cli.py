@@ -167,6 +167,8 @@ def cmd_check(args) -> int:
 def cmd_ring(args) -> int:
     if args.transactions < 1:
         raise ValueError(f"transactions must be >= 1, got {args.transactions}")
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     rng = random.Random(args.seed)
     ops = [
         (rng.getrandbits(args.n), rng.getrandbits(args.n), rng.getrandbits(1))

@@ -2,11 +2,17 @@
 
 Every net starts at 0, the global spacer/reset state.  A committed
 transition re-evaluates the fanout gates and schedules each changed
-output at `now + delay(kind)`.  Events are processed in (time, insertion
+output at `now + delay(kind)`.  Events commit in (time, insertion
 sequence) order, so repeated runs of the same stimulus produce identical
-traces.  At most one event is pending per net; scheduling a different
-value replaces the pending one and is counted as a diagnostic, a case
-that monotone handshake stimuli never trigger.
+traces.  The queue is time-bucketed: a heap holds each distinct pending
+time once, and a per-time list holds that time's events in insertion
+order.  Every delay is at least 1 and the sequence only grows, so a
+time's list never grows while it is drained and stays in insertion
+order; one heap operation serves all the events of one time.  At most
+one event is pending per net; scheduling a different value replaces the
+pending one (the old entry stays queued and is skipped as stale) and is
+counted as a diagnostic, a case that monotone handshake stimuli never
+trigger.
 
 C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
@@ -141,11 +147,14 @@ class Simulation:
         pending, time 0 (call `settle_power_on` again if the netlist needs
         it).  The interned gates, their jittered delays and the wave plan
         are kept, so a netlist is compiled once however often it is run."""
-        self._values = [0] * len(self._names)
-        self._pending: dict[int, tuple[int, int]] = {}
-        self._heap: list[tuple[int, int, int, int]] = []
+        nets = len(self._names)
+        self._values = [0] * nets
+        self._pseq = [0] * nets  # sequence number of the net's pending event, 0 if none
+        self._eff = [0] * nets   # pending value if an event is pending, else the settled value
+        self._heap: list[int] = []  # the distinct times that have queued events
+        self._buckets: dict[int, list[tuple[int, int, int]]] = {}  # time -> [(seq, net, value)]
         self._seq = 0
-        self._trace: list[tuple[int, int, int]] = []
+        self._trace: list[tuple[int, str, int]] = []
         self.now = 0
         self.replacements = 0
 
@@ -165,8 +174,7 @@ class Simulation:
     def trace(self) -> list[tuple[int, str, int]]:
         """Transitions committed by the latest `run_until_quiescent` call;
         empty after a transaction the wave plan evaluated."""
-        names = self._names
-        return [(t, names[n], v) for t, n, v in self._trace]
+        return list(self._trace)
 
     # -- stimulus ----------------------------------------------------
 
@@ -175,19 +183,23 @@ class Simulation:
         t = self.now if at_time is None else at_time
         if t < self.now:
             raise SimulationError(f"cannot apply inputs at {t}, already settled at {self.now}")
+        pseq, eff = self._pseq, self._eff
+        bucket = self._buckets.get(t)
         for net, value in assignments:
             nid = self._ids.get(net)
             if nid is None or nid not in self._pi_ids:
                 raise SimulationError(f"{net!r} is not a primary input")
-            p = self._pending.get(nid)
-            effective = p[1] if p is not None else self._values[nid]
-            if value == effective:
+            if value == eff[nid]:
                 continue
-            if p is not None:
+            if pseq[nid]:
                 self.replacements += 1
             self._seq += 1
-            self._pending[nid] = (self._seq, value)
-            heappush(self._heap, (t, self._seq, nid, value))
+            pseq[nid] = self._seq
+            eff[nid] = value
+            if bucket is None:
+                bucket = self._buckets[t] = []
+                heappush(self._heap, t)
+            bucket.append((self._seq, nid, value))
 
     def settle_power_on(self):
         """Evaluate every gate once from the all-zero state and settle.
@@ -213,24 +225,28 @@ class Simulation:
         event queue, re-evaluating the fanout of every committed net.
         This loop is the one definition of what each gate kind computes."""
         heap = self._heap
-        pending = self._pending
+        buckets = self._buckets
+        bucket_at = buckets.get
+        pseq = self._pseq
+        eff = self._eff
         values = self._values
         gates = self._gates
         fanout = self._fanout
+        names = self._names
         trace = self._trace = []
         append = trace.append
         cap = self.event_cap
         commits = 0
         seq = self._seq
         t = settle = self.now
+        events = iter(())  # the rest of time t's bucket
         while True:
             for gi in users:
                 code, ins, out, delay = gates[gi]
-                pout = pending.get(out)
-                eff = pout[1] if pout is not None else values[out]
+                held = eff[out]
                 if code == _C2:
                     a = values[ins[0]]
-                    new = a if a == values[ins[1]] else eff
+                    new = a if a == values[ins[1]] else held
                 elif code == _OR2:
                     new = values[ins[0]] | values[ins[1]]
                 elif code == _AO22:
@@ -239,7 +255,7 @@ class Simulation:
                     new = (values[ins[0]] & values[ins[1]]) | values[ins[2]]
                 elif code == _C3:
                     a = values[ins[0]]
-                    new = a if a == values[ins[1]] == values[ins[2]] else eff
+                    new = a if a == values[ins[1]] == values[ins[2]] else held
                 elif code == _AND2:
                     new = values[ins[0]] & values[ins[1]]
                 elif code == _INV:
@@ -250,37 +266,50 @@ class Simulation:
                         | (values[ins[2]] & values[ins[3]])
                         | (values[ins[4]] & values[ins[5]])
                     )
-                if new != eff:
-                    if pout is not None:
+                if new != held:
+                    if pseq[out]:
                         self.replacements += 1
                     seq += 1
-                    pending[out] = (seq, new)
-                    heappush(heap, (t + delay, seq, out, new))
+                    pseq[out] = seq
+                    eff[out] = new
+                    when = t + delay
+                    bucket = bucket_at(when)
+                    if bucket is None:
+                        buckets[when] = [(seq, out, new)]
+                        heappush(heap, when)
+                    else:
+                        bucket.append((seq, out, new))
             users = ()
-            if not heap:
+            for s, net, val in events:
+                if pseq[net] != s:
+                    continue  # replaced by a later event
+                pseq[net] = 0
+                if values[net] == val:
+                    continue
+                values[net] = val
+                append((t, names[net], val))
+                settle = t
+                commits += 1
+                if commits > cap:
+                    self._seq = seq
+                    # requeue the undrained rest of time t, so a later call resumes here
+                    rest = list(events)
+                    if rest:
+                        buckets[t] = rest
+                        heappush(heap, t)
+                    raise OscillationError(
+                        f"no quiescence after {cap} transitions (last: {names[net]} at {t})"
+                    )
+                users = fanout[net]
                 break
-            t, s, net, val = heappop(heap)
-            p = pending.get(net)
-            if p is None or p[0] != s:
-                continue
-            del pending[net]
-            if values[net] == val:
-                continue
-            values[net] = val
-            append((t, net, val))
-            settle = t
-            commits += 1
-            if commits > cap:
-                self._seq = seq
-                raise OscillationError(
-                    f"no quiescence after {cap} transitions (last: {self._names[net]} at {t})"
-                )
-            users = fanout[net]
+            else:
+                if not heap:
+                    break
+                t = heappop(heap)
+                events = iter(buckets.pop(t))
         self._seq = seq
         self.now = settle
-        names = self._names
-        segment = [(et, names[en], ev) for et, en, ev in trace]
-        return segment, settle
+        return trace, settle
 
 
 def check_phase(
@@ -496,15 +525,27 @@ class _WavePlan:
                 a = a if a > b else b
                 t = a if a < c else c
             elif code == _C3:
-                t = max(rise[ins[0]], rise[ins[1]], rise[ins[2]])
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                c = rise[ins[2]]
+                a = a if a > b else b
+                t = a if a > c else c
             elif code == _AND2:
-                t = max(rise[ins[0]], rise[ins[1]])
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                t = a if a > b else b
             else:
-                t = min(
-                    max(rise[ins[0]], rise[ins[1]]),
-                    max(rise[ins[2]], rise[ins[3]]),
-                    max(rise[ins[4]], rise[ins[5]]),
-                )
+                a = rise[ins[0]]
+                b = rise[ins[1]]
+                c = rise[ins[2]]
+                d = rise[ins[3]]
+                e = rise[ins[4]]
+                f = rise[ins[5]]
+                a = a if a > b else b
+                c = c if c > d else d
+                e = e if e > f else f
+                a = a if a < c else c
+                t = a if a < e else e
             rise[out] = t + delay
         rtz_origin = _settle(rise, origin)
 
@@ -540,24 +581,37 @@ class _WavePlan:
             elif code == _C3:
                 if rise[out] == never:
                     continue
-                t = max(fall[ins[0]], fall[ins[1]], fall[ins[2]])
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                c = fall[ins[2]]
+                a = a if a > b else b
+                t = a if a > c else c
             elif code == _AND2:
-                t = min(fall[ins[0]], fall[ins[1]])
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                t = a if a < b else b
             else:
-                t = max(
-                    min(fall[ins[0]], fall[ins[1]]),
-                    min(fall[ins[2]], fall[ins[3]]),
-                    min(fall[ins[4]], fall[ins[5]]),
-                )
+                a = fall[ins[0]]
+                b = fall[ins[1]]
+                c = fall[ins[2]]
+                d = fall[ins[3]]
+                e = fall[ins[4]]
+                f = fall[ins[5]]
+                a = a if a < b else b
+                c = c if c < d else d
+                e = e if e < f else f
+                a = a if a > c else c
+                t = a if a > e else e
             fall[out] = t + delay
 
         # a net that rose and never fell ends high; normally none does
         settle = max(fall)
         if settle == never:
             values = sim._values
+            eff = sim._eff
             for nid, t in enumerate(fall):
                 if t == never:
-                    values[nid] = 1
+                    values[nid] = eff[nid] = 1
             settle = _settle(fall, rtz_origin)
         sim.now = max(settle, rtz_origin)
         sim._trace = []

@@ -167,6 +167,8 @@ def test_ring_writes_one_seeded_row_per_delivery(arch, first, tmp_path, capsys):
 @pytest.mark.parametrize("option,value,message", [
     ("--stages", "1", "stage_count must be >= 2, got 1"),
     ("--transactions", "0", "transactions must be >= 1, got 0"),
+    ("--n", "-1", "n must be >= 1, got -1"),
+    ("--n", "0", "n must be >= 1, got 0"),
 ])
 def test_ring_bad_size_is_a_usage_error(option, value, message, capsys):
     code, out, err = run(capsys, "ring", "--arch", "local", option, value)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qdisim.adders import AdderVariant, build_rca
@@ -10,6 +12,7 @@ from qdisim.sim import (
     SimulationError,
     check_phase,
 )
+from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +194,105 @@ def test_delay_jitter_preserves_function(table):
         sim = Simulation(rca.netlist, table, jitter=25, jitter_seed=seed)
         decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, 45, 18, 1)
         assert decoded == 64 and set_rep.ok and rtz_rep.ok and spacer
+
+
+# -- engine ordering and bookkeeping --------------------------------------
+
+
+def test_same_time_ties_commit_in_scheduling_order(table):
+    # y and x have equal delay and one driver, a; c is queued at 60 before
+    # anything else, and b joins that time's queue before the run starts
+    text = (
+        "input a\ninput b\ninput c\n"
+        "gate gy OR2 a c y\ngate gx OR2 a c x\ngate gz AND2 b c z"
+    )
+    sim = Simulation(parse_netlist(text), table)
+    sim.apply_inputs([("c", 1)], at_time=60)
+    sim.apply_inputs([("a", 1)], at_time=0)
+    sim.apply_inputs([("b", 1)], at_time=60)
+    trace, settle = sim.run_until_quiescent()
+    assert trace == [(0, "a", 1), (60, "c", 1), (60, "b", 1), (60, "y", 1), (60, "x", 1), (120, "z", 1)]
+    assert settle == 120 and sim.replacements == 0
+
+
+def test_replacements_are_counted_exactly(table):
+    # a pulse shorter than the AND2 delay: y is scheduled to rise at 90,
+    # then re-evaluated to its settled 0 at 60, which replaces that event
+    text = "input a\ninput d\ngate i INV a b\ngate g AND2 a b y"
+    sim = Simulation(parse_netlist(text), table)
+    sim.settle_power_on()
+    assert sim.trace == [(30, "b", 1)] and sim.replacements == 0
+    sim.apply_inputs([("a", 1)], at_time=30)
+    trace, settle = sim.run_until_quiescent()
+    assert trace == [(30, "a", 1), (60, "b", 0)] and settle == 60
+    assert sim.replacements == 1 and sim.net_value("y") == 0
+    # each re-drive of a pending input to another value is one more
+    sim.apply_inputs([("d", 1), ("d", 0), ("d", 1)], at_time=70)
+    trace, _ = sim.run_until_quiescent()
+    assert trace == [(70, "d", 1)] and sim.replacements == 3
+
+
+def test_event_cap_leaves_the_rest_of_a_time_queued(table):
+    text = "input a\n" + "".join(f"gate g{i} OR2 a a y{i}\n" for i in range(5))
+    sim = Simulation(parse_netlist(text), table, event_cap=3)
+    sim.apply_inputs([("a", 1)], at_time=0)
+    with pytest.raises(OscillationError, match=r"last: y2 at 60"):
+        sim.run_until_quiescent()
+    assert sim._heap
+    trace, settle = sim.run_until_quiescent()
+    assert trace == [(60, "y3", 1), (60, "y4", 1)] and settle == 60
+
+
+def test_reset_after_oscillation_matches_a_fresh_sim(table):
+    # x = AND2(en, y), y = INV(x): stable while en = 0, a ring oscillator once it rises
+    net = parse_netlist("input en\ngate gx AND2 en y x\ngate gy INV x y")
+
+    def state(sim):
+        return sim.now, sim.replacements, sim.trace, {n: sim.net_value(n) for n in ("en", "x", "y")}
+
+    used = Simulation(net, table, event_cap=50)
+    used.settle_power_on()
+    used.apply_inputs([("en", 1)])
+    with pytest.raises(OscillationError):
+        used.run_until_quiescent()
+    used.apply_inputs([("en", 0)])  # left pending for reset to drop
+    assert used._heap
+    used.reset()
+    fresh = Simulation(net, table, event_cap=50)
+    assert not used._heap and state(used) == state(fresh)
+    for sim in (used, fresh):
+        sim.settle_power_on()
+    assert state(used) == state(fresh) and used.trace == [(30, "y", 1)]
+    errors = []
+    for sim in (used, fresh):
+        sim.apply_inputs([("en", 1)])
+        with pytest.raises(OscillationError) as info:
+            sim.run_until_quiescent()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and state(used) == state(fresh)
+
+
+# pinned values: any change to the engine's commit order or timing moves them
+@pytest.mark.parametrize("arch,digest", [
+    ("local", "d63348e8d7baaaebbade90dea501fdd160169bdf1739aa7c62fd8024f6982b3b"),
+    ("global", "0e261e8a857c6dd8c31f9c84e59e71774a51e63fc2e638349d4826894d144e93"),
+])
+def test_jittered_traces_match_golden(arch, digest, table):
+    stage = build_stage(Architecture(arch), n=32)
+    sim = Simulation(stage.netlist, table, jitter=40, jitter_seed=3)
+    rec = run_transaction(stage, 0x9E3779B9, 0x7F4A7C15, 1, sim=sim, keep_traces=True)
+    assert hashlib.sha256(repr(rec.set_trace + rec.rtz_trace).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("arch,ops,deliveries", [
+    ("local",
+     [(87, 168, 1), (69, 149, 1), (158, 218, 0), (101, 205, 1), (65, 222, 1), (146, 92, 1)],
+     [(2073, 0, 0), (5475, 219, 0), (9063, 120, 0), (12528, 51, 0), (16179, 32, 0), (19830, 239, 0)]),
+    ("global",
+     [(19, 61, 0), (141, 80, 0), (206, 168, 0), (57, 85, 1), (215, 173, 0), (218, 184, 0)],
+     [(1808, 80, 0), (4804, 221, 0), (7872, 118, 0), (10868, 143, 0), (13864, 132, 0), (16716, 146, 0)]),
+])
+def test_three_stage_ring_deliveries_match_golden(arch, ops, deliveries):
+    arch = Architecture(arch)
+    report = run_closed_loop(3, PAIRED_VARIANT[arch], arch, 8, ops)
+    assert report.deliveries == deliveries
