@@ -20,10 +20,11 @@ all-zero power-on state required of return-to-zero circuits.
 
 `drive_transaction` runs one valid wave and one spacer wave.  When the
 netlist has no INV and no cycle and the simulation rests at all-spacer,
-every net moves at most once per wave, in one direction, so a wave is a
-min/max-plus expression over gate delays evaluated in topological order
-(`_WavePlan`).  Everything else runs on the event engine, which remains
-the reference the plan is tested against.
+every net moves at most once per wave, in one direction, so both waves
+are one min/max-plus pass over the gates lowered to two-input AND, OR and
+C-element nodes in topological order (`_WavePlan`).  Everything else runs
+on the event engine, which remains the reference the plan is tested
+against.
 """
 from __future__ import annotations
 
@@ -154,6 +155,7 @@ class Simulation:
         self._heap: list[int] = []  # the distinct times that have queued events
         self._buckets: dict[int, list[tuple[int, int, int]]] = {}  # time -> [(seq, net, value)]
         self._seq = 0
+        self._resume: tuple[int, ...] = ()  # fanout of the commit an OscillationError cut off
         self._trace: list[tuple[int, str, int]] = []
         self.now = 0
         self.replacements = 0
@@ -216,9 +218,10 @@ class Simulation:
         """Drain the event queue; returns (new trace entries, settle time).
 
         Raises OscillationError when more than event_cap transitions
-        commit in a single call.
+        commit in a single call; `now` is then the last commit's time,
+        and the next call resumes with that commit's fanout.
         """
-        return self._run(())
+        return self._run(self._resume)
 
     def _run(self, users) -> tuple[list[tuple[int, str, int]], int]:
         """Evaluate the gates indexed by `users` at `now`, then drain the
@@ -234,6 +237,7 @@ class Simulation:
         fanout = self._fanout
         names = self._names
         trace = self._trace = []
+        self._resume = ()
         append = trace.append
         cap = self.event_cap
         commits = 0
@@ -292,6 +296,8 @@ class Simulation:
                 commits += 1
                 if commits > cap:
                     self._seq = seq
+                    self.now = t
+                    self._resume = fanout[net]
                     # requeue the undrained rest of time t, so a later call resumes here
                     rest = list(events)
                     if rest:
@@ -359,8 +365,6 @@ class WaveResult:
     reverse_latency: int
     set_report: PhaseCheckReport
     rtz_report: PhaseCheckReport
-    set_origin: int
-    rtz_origin: int
     set_trace: list[tuple[int, str, int]] | None = None
     rtz_trace: list[tuple[int, str, int]] | None = None
 
@@ -404,8 +408,6 @@ def drive_transaction(
         reverse_latency=_latency(rtz_trace, rails, set_settle),
         set_report=set_report,
         rtz_report=rtz_report,
-        set_origin=origin,
-        rtz_origin=set_settle,
         set_trace=set_trace if keep_traces else None,
         rtz_trace=rtz_trace if keep_traces else None,
     )
@@ -416,35 +418,77 @@ def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) ->
     return max(times) - origin if times else 0
 
 
-# wave times: a net that never moves in the wave, and one already low when
-# the spacer wave starts
+# wave times: a net that never rises in the valid wave, and one that stays
+# low through the spacer wave
 _NEVER = math.inf
 _BEFORE = -math.inf
 _UNBUILT = object()
 
+# two-input node ops of the wave plan
+_AND, _OR, _C = range(3)
 
-def _settle(times: list, start: int) -> int:
-    """Latest finite time in `times`; `start` when nothing moved."""
-    return max(start, max(filter(_NEVER.__gt__, times), default=start))
+# each kind the plan covers: the op that combines a term's inputs, and its
+# terms as input positions; the terms of a gate are combined by _OR
+_TERMS = {
+    GateKind.C2: (_C, ((0, 1),)),
+    GateKind.C3: (_C, ((0, 1, 2),)),
+    GateKind.AND2: (_AND, ((0, 1),)),
+    GateKind.OR2: (_AND, ((0,), (1,))),
+    GateKind.AO21: (_AND, ((0, 1), (2,))),
+    GateKind.AO22: (_AND, ((0, 1), (2, 3))),
+    GateKind.AO222: (_AND, ((0, 1), (2, 3), (4, 5))),
+}
+
+
+def _lower(product: int, terms: tuple[tuple[int, ...], ...]):
+    """One kind's chain of two-input nodes, each (op, operand, operand):
+    operand k below the arity is input k, and operand arity + j is the
+    chain's j-th node.  Returns the intermediate nodes and the last node,
+    which drives the gate's output."""
+    arity = sum(map(len, terms))
+    nodes: list[tuple[int, int, int]] = []
+
+    def fold(op, operands):
+        acc = operands[0]
+        for b in operands[1:]:
+            nodes.append((op, acc, b))
+            acc = arity + len(nodes) - 1
+        return acc
+
+    fold(_OR, [fold(product, term) for term in terms])
+    return tuple(nodes[:-1]), nodes[-1]
+
+
+# _TERMS lowered, by the codes of the compiled gates
+_CHAINS = {_CODE[kind]: _lower(*entry) for kind, entry in _TERMS.items()}
 
 
 class _WavePlan:
-    """A Simulation's own gates (jittered delays included) in topological
-    order, for evaluating both waves of an open-loop transaction.
+    """A Simulation's own gates (jittered delays included) lowered, in
+    topological order, to two-input nodes for evaluating both waves of an
+    open-loop transaction.
 
     From the all-zero state every gate here is monotone, so in the valid
-    wave each net rises at most once: an and-or cell at the earliest of
-    its terms, a term at its latest input (a C-element is one term), plus
-    the gate delay.  In the spacer wave an and-or cell falls once every
-    term has a low input, at the latest over terms of each term's earliest
-    falling input; a C-element that rose falls at its latest input.  The
-    event engine commits exactly these times, never replaces a pending
-    event and never breaks phase monotonicity, so only illegal pairs can
-    appear in the phase reports.
+    wave each net rises at most once and in the spacer wave it falls at
+    most once.  A gate becomes a chain of nodes: AND nodes combine a term's
+    inputs (a node rises at its later input and falls at its earlier one),
+    OR nodes combine the terms (rises at the earlier, falls at the later)
+    and C nodes a C-element's inputs (rises and falls at the later, and
+    falls only if it rose).  Intermediate nodes have delay 0 and are not
+    nets; the gate's last node drives its output with the gate's delay.
+
+    Every input that rose falls as the spacer wave starts, so fall times
+    are offsets from that start that depend only on which nets rose, and
+    one pass computes both waves.  By induction over the topological order
+    every net that rose falls again, so the spacer wave always ends at
+    rest.  The event engine commits exactly these times, never replaces a
+    pending event and never breaks phase monotonicity, so only illegal
+    pairs can appear in the phase reports.
     """
 
-    def __init__(self, order: list[tuple[int, tuple[int, ...], int, int]], pairs: list[tuple[str, int, int]]):
-        self.order = order
+    def __init__(self, nodes: list[tuple[int, int, int, int, int]], slots: int, pairs: list[tuple[str, int, int]]):
+        self.nodes = nodes  # (op, input, input, output slot, delay)
+        self.slots = slots  # the sim's nets, then the intermediate nodes
         self.pairs = pairs
 
     @classmethod
@@ -459,8 +503,8 @@ class _WavePlan:
             return None
         gates = sim._gates
         driven: set[int] = set()
-        for code, ins, out, _ in gates:
-            if code == _INV or out in driven or out in sim._pi_ids:
+        for code, _, out, _ in gates:
+            if code not in _CHAINS or out in driven or out in sim._pi_ids:
                 return None
             driven.add(out)
         pairs = []
@@ -476,144 +520,63 @@ class _WavePlan:
         order = []
         while ready:
             gi = ready.pop()
-            order.append(gates[gi])
+            order.append(gi)
             for user in sim._fanout[gates[gi][2]]:
                 waiting[user] -= 1
                 if waiting[user] == 0:
                     ready.append(user)
         if len(order) != len(gates):
             return None
-        return cls(order, pairs)
+        nodes = []
+        slot = len(sim._values)
+        for gi in order:
+            code, ins, out, delay = gates[gi]
+            inner, last = _CHAINS[code]
+            operands = list(ins)
+            for op, a, b in inner:
+                nodes.append((op, operands[a], operands[b], slot, 0))
+                operands.append(slot)
+                slot += 1
+            op, a, b = last  # drives the gate's output, with the gate's delay
+            nodes.append((op, operands[a], operands[b], out, delay))
+        return cls(nodes, slot, pairs)
 
     def run(self, sim: Simulation, assignments, output_ports) -> WaveResult:
         ids, pi_ids = sim._ids, sim._pi_ids
         port_map = sim.netlist.port_map
         out_pairs = [(ids[r1], ids[r0]) for r1, r0 in (port_map[p] for p in output_ports)]
         out_rails = [i for pair in out_pairs for i in pair]
-        never, before = _NEVER, _BEFORE
+        never, before, and_, or_ = _NEVER, _BEFORE, _AND, _OR
 
         origin = sim.now
-        rise = [never] * len(sim._values)
-        inputs = []
+        rise = [never] * self.slots
+        fall = [before] * self.slots  # offsets from the spacer wave's start
         for net, value in assignments:
             nid = ids.get(net)
             if nid is None or nid not in pi_ids:
                 raise SimulationError(f"{net!r} is not a primary input")
-            rise[nid] = origin if value else never  # the last value wins, as in apply_inputs
-            inputs.append(nid)
-        for code, ins, out, delay in self.order:
-            if code == _C2:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                t = a if a > b else b
-            elif code == _OR2:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                t = a if a < b else b
-            elif code == _AO22:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                c = rise[ins[2]]
-                d = rise[ins[3]]
-                a = a if a > b else b
-                c = c if c > d else d
-                t = a if a < c else c
-            elif code == _AO21:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                c = rise[ins[2]]
-                a = a if a > b else b
-                t = a if a < c else c
-            elif code == _C3:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                c = rise[ins[2]]
-                a = a if a > b else b
-                t = a if a > c else c
-            elif code == _AND2:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                t = a if a > b else b
+            # the last value wins, as in apply_inputs; an input that rose falls as the spacer wave starts
+            rise[nid], fall[nid] = (origin, 0) if value else (never, before)
+        for op, a, b, out, delay in self.nodes:
+            ra = rise[a]
+            rb = rise[b]
+            fa = fall[a]
+            fb = fall[b]
+            if op == and_:
+                rise[out] = (ra if ra > rb else rb) + delay
+                fall[out] = (fa if fa < fb else fb) + delay
+            elif op == or_:
+                rise[out] = (ra if ra < rb else rb) + delay
+                fall[out] = (fa if fa > fb else fb) + delay
             else:
-                a = rise[ins[0]]
-                b = rise[ins[1]]
-                c = rise[ins[2]]
-                d = rise[ins[3]]
-                e = rise[ins[4]]
-                f = rise[ins[5]]
-                a = a if a > b else b
-                c = c if c > d else d
-                e = e if e > f else f
-                a = a if a < c else c
-                t = a if a < e else e
-            rise[out] = t + delay
-        rtz_origin = _settle(rise, origin)
+                t = ra if ra > rb else rb
+                rise[out] = t + delay
+                fall[out] = (fa if fa > fb else fb) + delay if t != never else before
 
-        fall = [before] * len(rise)
-        for nid in inputs:
-            if rise[nid] != never:
-                fall[nid] = rtz_origin
-        for code, ins, out, delay in self.order:
-            if code == _C2:
-                if rise[out] == never:
-                    continue  # never rose, so it stays low
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                t = a if a > b else b
-            elif code == _OR2:
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                t = a if a > b else b
-            elif code == _AO22:
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                c = fall[ins[2]]
-                d = fall[ins[3]]
-                a = a if a < b else b
-                c = c if c < d else d
-                t = a if a > c else c
-            elif code == _AO21:
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                c = fall[ins[2]]
-                a = a if a < b else b
-                t = a if a > c else c
-            elif code == _C3:
-                if rise[out] == never:
-                    continue
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                c = fall[ins[2]]
-                a = a if a > b else b
-                t = a if a > c else c
-            elif code == _AND2:
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                t = a if a < b else b
-            else:
-                a = fall[ins[0]]
-                b = fall[ins[1]]
-                c = fall[ins[2]]
-                d = fall[ins[3]]
-                e = fall[ins[4]]
-                f = fall[ins[5]]
-                a = a if a < b else b
-                c = c if c < d else d
-                e = e if e < f else f
-                a = a if a > c else c
-                t = a if a > e else e
-            fall[out] = t + delay
-
-        # a net that rose and never fell ends high; normally none does
-        settle = max(fall)
-        if settle == never:
-            values = sim._values
-            eff = sim._eff
-            for nid, t in enumerate(fall):
-                if t == never:
-                    values[nid] = eff[nid] = 1
-            settle = _settle(fall, rtz_origin)
-        sim.now = max(settle, rtz_origin)
+        # each wave settles at its last net; intermediate nodes are not nets
+        nets = len(sim._values)
+        rtz_origin = max(filter(never.__gt__, rise[:nets]), default=origin)
+        sim.now = rtz_origin + max(0, max(fall[:nets], default=0))
         sim._trace = []
 
         illegal = sorted(
@@ -621,15 +584,11 @@ class _WavePlan:
             for port, i1, i0 in self.pairs
             if rise[i1] != never and rise[i0] != never
         )
-        set_times = [rise[i] for i in out_rails if rise[i] != never]
-        rtz_times = [t for t in (fall[i] for i in out_rails) if before < t < never]
         return WaveResult(
             valid_word=tuple(PAIR_STATE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs),
-            spacer_restored=never not in (fall[i] for i in out_rails),
-            forward_latency=max(set_times) - origin if set_times else 0,
-            reverse_latency=max(rtz_times) - rtz_origin if rtz_times else 0,
+            spacer_restored=True,
+            forward_latency=max((rise[i] for i in out_rails if rise[i] != never), default=origin) - origin,
+            reverse_latency=max((fall[i] for i in out_rails if fall[i] != before), default=0),
             set_report=PhaseCheckReport(illegal_pairs=illegal),
             rtz_report=PhaseCheckReport(),
-            set_origin=origin,
-            rtz_origin=rtz_origin,
         )

@@ -204,8 +204,6 @@ class TransactionRecord:
     # populated only when run_transaction(..., keep_traces=True)
     set_trace: list[tuple[int, str, int]] | None = None
     rtz_trace: list[tuple[int, str, int]] | None = None
-    set_origin: int = 0
-    rtz_origin: int = 0
 
     @property
     def cycle_time(self) -> int:
@@ -265,8 +263,6 @@ def run_transaction(
         spacer_restored=waves.spacer_restored,
         set_trace=waves.set_trace,
         rtz_trace=waves.rtz_trace,
-        set_origin=waves.set_origin,
-        rtz_origin=waves.rtz_origin,
     )
 
 

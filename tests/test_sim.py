@@ -243,6 +243,29 @@ def test_event_cap_leaves_the_rest_of_a_time_queued(table):
     assert trace == [(60, "y3", 1), (60, "y4", 1)] and settle == 60
 
 
+def test_run_resumes_after_oscillation_with_the_cut_off_fanout(table):
+    sim = Simulation(parse_netlist("input a\ninput b\ngate g1 OR2 a b m\ngate g2 OR2 m b y"), table, event_cap=1)
+    sim.apply_inputs([("a", 1)], at_time=0)
+    with pytest.raises(OscillationError, match=r"last: m at 60"):
+        sim.run_until_quiescent()
+    assert sim.now == 60
+    trace, settle = sim.run_until_quiescent()
+    assert trace == [(120, "y", 1)] and settle == 120
+    assert sim.net_value("y") == 1 and sim.now == 120
+
+
+def test_reset_drops_the_cut_off_fanout(table):
+    # y = INV(m) is not settled at power-on, so evaluating it after reset would show
+    net = parse_netlist("input a\ngate g1 OR2 a a m\ngate g2 INV m y")
+    sim = Simulation(net, table, event_cap=1)
+    sim.apply_inputs([("a", 1)], at_time=0)
+    with pytest.raises(OscillationError, match=r"last: m at 60"):
+        sim.run_until_quiescent()
+    sim.reset()
+    assert sim.run_until_quiescent() == Simulation(net, table, event_cap=1).run_until_quiescent() == ([], 0)
+    assert sim.net_value("y") == 0
+
+
 def test_reset_after_oscillation_matches_a_fresh_sim(table):
     # x = AND2(en, y), y = INV(x): stable while en = 0, a ring oscillator once it rises
     net = parse_netlist("input en\ngate gx AND2 en y x\ngate gy INV x y")

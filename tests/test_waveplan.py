@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from qdisim.adders import AdderVariant, build_rca, pack_operands, rca_transaction
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import decode_word, rail_assignments
-from qdisim.netlist import parse_netlist
+from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import OscillationError, Simulation, _WavePlan, drive_transaction
 from qdisim.stage import Architecture, build_stage, run_transaction
 
@@ -108,6 +108,48 @@ def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
         assert (_report(set_rep), _report(rtz_rep), spacer) == (
             _report(want.set_report), _report(want.rtz_report), want.spacer_restored)
         _assert_same_state(planned, reference)
+
+
+@st.composite
+def _acyclic_netlists(draw):
+    """Gates of every non-INV kind over earlier nets, inputs repeated at
+    will, and disjoint ports over random nets, so both rails of a port can
+    rise (an illegal pair)."""
+    inputs = tuple(f"i{k}" for k in range(draw(st.integers(1, 5))))
+    nets = list(inputs)
+    gates = []
+    for g in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from([k for k in GateKind if k is not GateKind.INV]))
+        arity = GATE_ARITY[kind]
+        ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        gates.append(Gate(f"g{g}", kind, tuple(ins), f"n{g}"))
+        nets.append(f"n{g}")
+    rails = draw(st.permutations(nets))
+    ports = {f"p{j}": (rails[2 * j], rails[2 * j + 1]) for j in range(draw(st.integers(0, len(nets) // 2)))}
+    return Netlist(gates=tuple(gates), primary_inputs=inputs, port_map=ports)
+
+
+def _waves(w):
+    return (w.valid_word, w.forward_latency, w.reverse_latency,
+            _report(w.set_report), _report(w.rtz_report), w.spacer_restored)
+
+
+@given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
+def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data):
+    planned, reference = _sims(netlist, jitter, seed)
+    ports = list(netlist.port_map)
+    nets = netlist.nets()
+    assigns = st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=8)
+    for _ in range(2):
+        inputs = data.draw(assigns)
+        got = drive_transaction(planned, inputs, ports)
+        want = drive_transaction(reference, inputs, ports, keep_traces=True)
+        assert isinstance(planned._plan, _WavePlan) and planned.trace == []
+        assert _waves(got) == _waves(want)
+        assert planned.now == reference.now
+        # every net that rose falls again: the engine ends the spacer wave at rest
+        assert {n: reference.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+        assert {n: planned.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
 
 
 RING = """\
