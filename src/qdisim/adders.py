@@ -187,34 +187,20 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     nb = NetlistBuilder()
-    a_rails, b_rails = [], []
-    for name, store in (("a", a_rails), ("b", b_rails)):
-        for i in range(n):
-            r1 = nb.add_input(f"{name}{i}.r1")
-            r0 = nb.add_input(f"{name}{i}.r0")
-            store.append((r1, r0))
-    cin = (nb.add_input("cin.r1"), nb.add_input("cin.r0"))
+    a_rails = [nb.add_input_pair(f"a{i}") for i in range(n)]
+    b_rails = [nb.add_input_pair(f"b{i}") for i in range(n)]
+    cin = nb.add_input_pair("cin")
     sums, cout = emit_rca(nb, variant, n, a_rails, b_rails, cin)
-    for s1, s0 in sums:
-        nb.add_output(s1)
-        nb.add_output(s0)
-    nb.add_output(cout[0])
-    nb.add_output(cout[1])
-    for name, store in (("a", a_rails), ("b", b_rails)):
-        for i, (r1, r0) in enumerate(store):
-            nb.add_pair(f"{name}{i}", r1, r0)
-    nb.add_pair("cin", cin[0], cin[1])
-    sum_ports = []
-    for i, (s1, s0) in enumerate(sums):
-        nb.add_pair(f"sum{i}", s1, s0)
-        sum_ports.append(f"sum{i}")
-    nb.add_pair("cout", cout[0], cout[1])
+    sum_ports = tuple(f"sum{i}" for i in range(n))
+    for port, (s1, s0) in zip(sum_ports, sums):
+        nb.add_output_pair(port, s1, s0)
+    nb.add_output_pair("cout", *cout)
     return RcaDescriptor(
         variant=variant,
         n=n,
         netlist=nb.build(),
         operand_rails=(*a_rails, *b_rails, cin),
-        sum_ports=tuple(sum_ports),
+        sum_ports=sum_ports,
         cout_port="cout",
     )
 
@@ -222,24 +208,14 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
 def build_full_adder(variant: AdderVariant) -> Netlist:
     """Single full adder with ports a, b, cin, sum, cout."""
     nb = NetlistBuilder()
-    rails = {}
-    for port in ("a", "b", "cin"):
-        r1 = nb.add_input(f"{port}.r1")
-        r0 = nb.add_input(f"{port}.r0")
-        rails[port] = (r1, r0)
+    (a1, a0), (b1, b0), (c1, c0) = (nb.add_input_pair(port) for port in ("a", "b", "cin"))
     r = {
-        "a1": rails["a"][0], "a0": rails["a"][1],
-        "b1": rails["b"][0], "b0": rails["b"][1],
-        "c1": rails["cin"][0], "c0": rails["cin"][1],
+        "a1": a1, "a0": a0, "b1": b1, "b0": b0, "c1": c1, "c0": c0,
         "s1": "sum.r1", "s0": "sum.r0", "k1": "cout.r1", "k0": "cout.r0",
     }
     _emit_stage(nb, variant, "", r)
-    for net in ("sum.r1", "sum.r0", "cout.r1", "cout.r0"):
-        nb.add_output(net)
-    for port in ("a", "b", "cin"):
-        nb.add_pair(port, *rails[port])
-    nb.add_pair("sum", "sum.r1", "sum.r0")
-    nb.add_pair("cout", "cout.r1", "cout.r0")
+    nb.add_output_pair("sum", "sum.r1", "sum.r0")
+    nb.add_output_pair("cout", "cout.r1", "cout.r0")
     return nb.build()
 
 

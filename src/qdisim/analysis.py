@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .adders import AdderVariant
-from .cells import DelayTable, default_delay_table
+from .cells import (
+    DelayTable, default_delay_table, global_datapath, global_datapath_cycle,
+    local_cycle, local_path, path_delay, sync_path,
+)
 from .dualrail import RailState, rail_assignments
 from .netlist import GateKind, Netlist
 from .sim import Phase, Simulation
@@ -47,36 +50,21 @@ def gen_carry_chain_vector(spec: ChainSpec) -> tuple[int, int, int]:
 # -- closed-form latencies ---------------------------------------------
 
 
-def _delays(table: DelayTable) -> tuple[int, int, int, int]:
-    return (
-        table[GateKind.C2],
-        table[GateKind.OR2],
-        table[GateKind.AO21],
-        table[GateKind.AO22],
-    )
-
-
 def local_cycle_formula(m: int, table: DelayTable) -> int:
-    """Register + chain + sum terms summed over both waves:
-    6*C2 + 4*OR2 + (m+2)*AO21."""
-    c, o, a21, _ = _delays(table)
-    return 6 * c + 4 * o + (m + 2) * a21
+    """Both waves of the LOCAL path: 6*C2 + 4*OR2 + (m+2)*AO21."""
+    return path_delay(local_cycle(m), table)
 
 
 def global_datapath_cycle_formula(m: int, table: DelayTable) -> int:
     """Datapath-forward plus synchronizing-reverse cycle:
     11*C2 + 2*OR2 + (m+2)*AO22."""
-    c, o, _, a22 = _delays(table)
-    return 11 * c + 2 * o + (m + 2) * a22
+    return path_delay(global_datapath_cycle(m), table)
 
 
 def synchronizing_delay(table: DelayTable, n: int = 32) -> int:
-    """Register, detector OR level, detector C2 tree over 2n+1 pairs,
-    synchronizer.  At n=32 the tree is 7 C2 levels deep, so this is
-    9*C2 + OR2."""
-    c, o, _, _ = _delays(table)
-    depth = (2 * n + 1 - 1).bit_length()  # ceil(log2(2n+1))
-    return c + o + depth * c + c
+    """Delay of `cells.sync_path(n)`; at n=32 the detector tree is 7 C2
+    levels deep, so this is 9*C2 + OR2."""
+    return path_delay(sync_path(n), table)
 
 
 def theory_local(m: int, table: DelayTable) -> tuple[int, int, int]:
@@ -87,9 +75,8 @@ def theory_local(m: int, table: DelayTable) -> tuple[int, int, int]:
     m >= 3."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    c, o, a21, _ = _delays(table)
-    fl = 3 * c + 2 * o + (m + 1) * a21
-    rl = 3 * c + 2 * o + a21
+    fl = path_delay(local_path(m), table)
+    rl = path_delay(local_path(0), table)
     return fl, rl, fl + rl
 
 
@@ -98,24 +85,17 @@ def theory_global(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int
     bounded by the slower of the datapath and the synchronizing path."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    c, o, _, a22 = _delays(table)
-    fl_data = 2 * c + o + (m + 2) * a22
-    rl_data = 2 * c + o + 2 * a22
     sync = synchronizing_delay(table, n)
-    fl = max(fl_data, sync)
-    rl = max(rl_data, sync)
+    fl = max(path_delay(global_datapath(m), table), sync)
+    rl = max(path_delay(global_datapath(0), table), sync)
     return fl, rl, fl + rl
 
 
 def crossover_m(table: DelayTable, n: int = 32) -> int:
     """Largest m whose valid-wave datapath delay stays within the
     synchronizing delay; -1 when even m=0 exceeds it."""
-    c, o, _, a22 = _delays(table)
-    sync = synchronizing_delay(table, n)
-    base = 2 * c + o
-    if base + 2 * a22 > sync:
-        return -1
-    return (sync - base) // a22 - 2
+    slack = synchronizing_delay(table, n) - path_delay(global_datapath(0), table)
+    return slack // table[GateKind.AO22] if slack >= 0 else -1
 
 
 class TransactionError(RuntimeError):

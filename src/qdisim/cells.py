@@ -1,4 +1,4 @@
-"""Propagation-delay tables.
+"""Propagation-delay tables and the gate counts of the calibrated paths.
 
 Delays are positive integers in abstract time units (tu).  Four of them
 are not free parameters: the toolkit is calibrated so that the carry-chain
@@ -7,20 +7,17 @@ cycle-time laws of the two reference architectures come out exactly as
     local cycle(m)           = 63*m + 1002
     global datapath cycle(m) = 72*m + 1430
 
-where m is the carry-propagation length.  Expanding the two laws over the
-gates on those paths gives four linear identities,
-
-    AO21 coefficient of m       -> T_AO21 = 63
-    AO22 coefficient of m       -> T_AO22 = 72
-    6*T_CE2 + 4*T_OR2 + 2*T_AO21 = 1002
-    11*T_CE2 + 2*T_OR2 + 2*T_AO22 = 1430
-
-whose unique integer solution pins T_CE2, T_OR2, T_AO21, T_AO22.  The
-remaining kinds never sit on a calibrated path and default to documented,
-overridable values.
+where m is the carry-propagation length.  The gates on each calibrated
+path are counted per kind once, in `local_path`, `global_datapath` and
+`sync_path`, and `path_delay` prices a count with a table.  Each law's
+slope is its carry cell's delay (AO21, AO22), and its constant is a
+linear identity in C2 and OR2, solved by C2 = 106, OR2 = 60.  The closed
+forms in `analysis` evaluate the same counts.  The remaining kinds never
+sit on a calibrated path and default to documented, overridable values.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -30,11 +27,6 @@ from .netlist import GateKind
 # cycle-time laws the delay table is calibrated against: (slope per stage, constant)
 LOCAL_CYCLE_LAW = (63, 1002)
 GLOBAL_CYCLE_LAW = (72, 1430)
-
-# structural coefficients of the two laws: local = 6*C2 + 4*OR2 + (m+2)*AO21,
-# global datapath = 11*C2 + 2*OR2 + (m+2)*AO22
-_LOCAL_C2_COEFF, _LOCAL_OR2_COEFF = 6, 4
-_GLOBAL_C2_COEFF, _GLOBAL_OR2_COEFF = 11, 2
 
 DEFAULT_UNPINNED = {
     GateKind.INV: 30,
@@ -71,29 +63,60 @@ class DelayTable:
         return DelayTable(merged)
 
 
+# -- critical-path gate counts ------------------------------------------
+# m is the carry-propagation length; each datapath's spacer wave takes
+# its valid-wave path at m = 0.
+
+
+def local_path(m: int) -> Counter[GateKind]:
+    """LOCAL wave: register C2, pair detector C2 and OR2, m+1 AO21 carry
+    cells, then the sum's C2 join and OR2."""
+    return Counter({GateKind.C2: 3, GateKind.OR2: 2, GateKind.AO21: m + 1})
+
+
+def global_datapath(m: int) -> Counter[GateKind]:
+    """GLOBAL datapath wave: register C2, the propagate AO22, m+1 AO22
+    carry cells, then the sum's C2 join and OR2."""
+    return Counter({GateKind.C2: 2, GateKind.OR2: 1, GateKind.AO22: m + 2})
+
+
+def sync_path(n: int) -> Counter[GateKind]:
+    """GLOBAL synchronizing path: register C2, detector OR2, the detector's
+    C2 tree over 2n+1 pairs, ceil(log2(2n+1)) levels deep, synchronizer C2."""
+    return Counter({GateKind.C2: (2 * n).bit_length() + 2, GateKind.OR2: 1})
+
+
+def local_cycle(m: int) -> Counter[GateKind]:
+    return local_path(m) + local_path(0)
+
+
+def global_datapath_cycle(m: int) -> Counter[GateKind]:
+    """Datapath valid wave plus the n = 32 synchronizing spacer wave."""
+    return global_datapath(m) + sync_path(32)
+
+
+def path_delay(counts: Mapping[GateKind, int], table: DelayTable) -> int:
+    return sum(count * table[kind] for kind, count in counts.items())
+
+
 def derive_pinned_delays() -> dict[GateKind, int]:
-    """Solve the four calibration identities for C2, OR2, AO21, AO22."""
-    local_slope, local_const = LOCAL_CYCLE_LAW
-    global_slope, global_const = GLOBAL_CYCLE_LAW
-    t_ao21 = local_slope
-    t_ao22 = global_slope
-    k_local = local_const - 2 * t_ao21    # 6*C2 + 4*OR2
-    k_global = global_const - 2 * t_ao22  # 11*C2 + 2*OR2
-    num = 2 * k_global - k_local          # (2*11 - 6) * C2
-    denom = 2 * _GLOBAL_C2_COEFF - _LOCAL_C2_COEFF
-    if num % denom:
-        raise DelayTableError("calibration identities have no integer C2 solution")
-    t_ce2 = num // denom
-    rem = k_local - _LOCAL_C2_COEFF * t_ce2
-    if rem % _LOCAL_OR2_COEFF or rem <= 0:
-        raise DelayTableError("calibration identities have no integer OR2 solution")
-    t_or2 = rem // _LOCAL_OR2_COEFF
-    return {
-        GateKind.C2: t_ce2,
-        GateKind.OR2: t_or2,
-        GateKind.AO21: t_ao21,
-        GateKind.AO22: t_ao22,
-    }
+    """Solve both cycle laws for C2, OR2, AO21, AO22: each law's slope is
+    its carry cell's delay, and each constant, less the carry cells,
+    is a linear identity in C2 and OR2."""
+    carry_cells, solved, rows = {}, {}, []
+    laws = ((LOCAL_CYCLE_LAW, local_cycle), (GLOBAL_CYCLE_LAW, global_datapath_cycle))
+    for (slope, const), cycle in laws:
+        (carry,) = cycle(1) - cycle(0)  # the one kind that grows with m
+        carry_cells[carry] = slope
+        base = cycle(0)
+        rows.append((base[GateKind.C2], base[GateKind.OR2], const - base[carry] * slope))
+    (c1, o1, k1), (c2, o2, k2) = rows
+    det = c1 * o2 - c2 * o1
+    for kind, num in ((GateKind.C2, k1 * o2 - k2 * o1), (GateKind.OR2, c1 * k2 - c2 * k1)):
+        if num % det or num // det < 1:
+            raise DelayTableError(f"calibration identities have no positive integer {kind.value}")
+        solved[kind] = num // det
+    return solved | carry_cells
 
 
 def default_delay_table() -> DelayTable:
@@ -118,6 +141,8 @@ def load_delay_table(text: str) -> DelayTable:
         except ValueError:
             raise DelayTableError(f"line {line_no}: unknown gate kind {tokens[0]!r}") from None
         try:
+            if not (tokens[1].isascii() and tokens[1].removeprefix("-").isdigit()):
+                raise ValueError  # int() would also take "+5", "1_0" and "٣"
             delay = int(tokens[1])
         except ValueError:
             raise DelayTableError(f"line {line_no}: delay must be an integer") from None

@@ -286,6 +286,18 @@ class NetlistBuilder:
     def add_pair(self, port: str, rail1: str, rail0: str):
         self._pairs[port] = (rail1, rail0)
 
+    def add_input_pair(self, port: str) -> tuple[str, str]:
+        """Declare dual-rail input port `port` on inputs `{port}.r1` and
+        `{port}.r0`; returns (rail1, rail0)."""
+        rails = self.add_input(f"{port}.r1"), self.add_input(f"{port}.r0")
+        self._pairs[port] = rails
+        return rails
+
+    def add_output_pair(self, port: str, rail1: str, rail0: str):
+        """Declare dual-rail output port `port` on two existing nets."""
+        self._outputs.extend((rail1, rail0))
+        self._pairs[port] = (rail1, rail0)
+
     def tree(self, kind: GateKind, inputs, root: str, inner: str) -> str:
         """Reduce nets with a balanced tree of two-input `kind` gates named
         `root` and `{inner}{round}.{j}`; returns the root net, or the input

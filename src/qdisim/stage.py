@@ -75,12 +75,7 @@ def build_completion_detector(pair_count: int) -> CompletionDetector:
     if pair_count < 1:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
     nb = NetlistBuilder()
-    rails = []
-    for i in range(pair_count):
-        r1 = nb.add_input(f"p{i}.r1")
-        r0 = nb.add_input(f"p{i}.r0")
-        nb.add_pair(f"p{i}", r1, r0)
-        rails.append((r1, r0))
+    rails = [nb.add_input_pair(f"p{i}") for i in range(pair_count)]
     root, depth = _emit_completion_detector(nb, rails)
     nb.add_output(root)
     return CompletionDetector(nb.build(), root, depth)
@@ -123,52 +118,31 @@ def build_stage(
         )
     nb = NetlistBuilder()
     ackin = nb.add_input("ackin")
-    operand_rails = []
-    register_ports = []
-    reg_pairs = []
-    a_reg, b_reg = [], []
-
-    def add_registered_pair(port: str) -> tuple[str, str]:
-        r1 = nb.add_input(f"{port}.r1")
-        r0 = nb.add_input(f"{port}.r0")
-        nb.add_pair(port, r1, r0)
-        operand_rails.append((r1, r0))
+    operand_ports = [*(f"a{i}" for i in range(n)), *(f"b{i}" for i in range(n)), "cin"]
+    operand_rails, reg_pairs = [], []
+    for port in operand_ports:
+        r1, r0 = nb.add_input_pair(port)
         q1 = nb.add_gate(GateKind.C2, (r1, ackin), f"reg.{port}.r1")
         q0 = nb.add_gate(GateKind.C2, (r0, ackin), f"reg.{port}.r0")
         nb.add_pair(f"reg.{port}", q1, q0)
-        register_ports.append(f"reg.{port}")
+        operand_rails.append((r1, r0))
         reg_pairs.append((q1, q0))
-        return q1, q0
 
-    for i in range(n):
-        a_reg.append(add_registered_pair(f"a{i}"))
-    for i in range(n):
-        b_reg.append(add_registered_pair(f"b{i}"))
-    cin_reg = add_registered_pair("cin")
-
-    sums, cout = emit_rca(nb, variant, n, a_reg, b_reg, cin_reg)
+    sums, cout = emit_rca(nb, variant, n, reg_pairs[:n], reg_pairs[n:-1], reg_pairs[-1])
     cd_out, cd_depth = _emit_completion_detector(nb, reg_pairs)
 
-    forward_ports = []
-    for i, (s1, s0) in enumerate(sums):
-        nb.add_pair(f"sum{i}", s1, s0)
-        forward_ports.append(f"sum{i}")
-        nb.add_output(s1)
-        nb.add_output(s0)
+    forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
+    for port, (s1, s0) in zip(forward_ports[:n], sums):
+        nb.add_output_pair(port, s1, s0)
     sync_port = None
     if architecture is Architecture.GLOBAL:
-        y1 = nb.add_gate(GateKind.C2, (cout[0], cd_out), "sync.r1")
-        y0 = nb.add_gate(GateKind.C2, (cout[1], cd_out), "sync.r0")
-        nb.add_pair("cout.rca", cout[0], cout[1])
-        nb.add_pair("cout", y1, y0)
-        nb.add_output(y1)
-        nb.add_output(y0)
+        nb.add_pair("cout.rca", *cout)
+        cout = (
+            nb.add_gate(GateKind.C2, (cout[0], cd_out), "sync.r1"),
+            nb.add_gate(GateKind.C2, (cout[1], cd_out), "sync.r0"),
+        )
         sync_port = "cout"
-    else:
-        nb.add_pair("cout", cout[0], cout[1])
-        nb.add_output(cout[0])
-        nb.add_output(cout[1])
-    forward_ports.append("cout")
+    nb.add_output_pair("cout", *cout)
     nb.add_output(cd_out)
 
     return StageDescriptor(
@@ -177,8 +151,8 @@ def build_stage(
         n=n,
         netlist=nb.build(),
         operand_rails=tuple(operand_rails),
-        register_ports=tuple(register_ports),
-        forward_ports=tuple(forward_ports),
+        register_ports=tuple(f"reg.{port}" for port in operand_ports),
+        forward_ports=forward_ports,
         ackin=ackin,
         cd_out=cd_out,
         cd_depth=cd_depth,

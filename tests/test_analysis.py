@@ -123,6 +123,21 @@ def test_crossover_never_dominates_sentinel(table):
 # -- measurement -----------------------------------------------------------
 
 
+def test_closed_forms_hold_at_every_width(table):
+    """Every width from 2 to 40 meets the closed forms: GLOBAL at every m,
+    so the synchronizing path's tree depth is checked against every
+    detector shape, and LOCAL from m = 3, where its reverse form is exact."""
+    for n in range(2, 41):
+        for arch, theory, m_values in (
+            (Architecture.GLOBAL, lambda m: theory_global(m, table, n), range(n - 1)),
+            (Architecture.LOCAL, lambda m: theory_local(m, table), range(3, n - 1)),
+        ):
+            stage = build_stage(arch, n=n)
+            sim = Simulation(stage.netlist, table)
+            for m in m_values:
+                assert measure(stage, ChainSpec(n, m), table, sim) == theory(m), (arch, n, m)
+
+
 def test_measure_local_m10(local_stage32, table):
     assert measure(local_stage32, ChainSpec(32, 10), table)[2] == 1632
 

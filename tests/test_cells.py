@@ -1,7 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+import qdisim.cells
 from qdisim.cells import (
     DEFAULT_UNPINNED,
     DelayTable,
@@ -117,6 +119,12 @@ def test_back_substitution_reproduces_cycle_laws():
         assert 11 * c + 2 * o + (m + 2) * a22 == GLOBAL_CYCLE_LAW[0] * m + GLOBAL_CYCLE_LAW[1]
 
 
+def test_calibration_without_an_integer_solution_is_refused(monkeypatch):
+    monkeypatch.setattr(qdisim.cells, "LOCAL_CYCLE_LAW", (63, 1003))
+    with pytest.raises(DelayTableError, match="calibration identities have no"):
+        derive_pinned_delays()
+
+
 def test_default_table_entries():
     table = default_delay_table()
     assert table[GateKind.OR2] == 60
@@ -141,6 +149,13 @@ def test_load_rejects_zero_delay():
         load_delay_table("C2 0")
 
 
+@pytest.mark.parametrize("text", ["C2 \u0663", "C2 1_0", "C2 +5", "C2 " + "9" * 5000],
+                         ids=["arabic-indic-digit", "underscore", "plus-sign", "5000-digits"])
+def test_load_rejects_non_decimal_delay(text):
+    with pytest.raises(DelayTableError, match="delay must be an integer"):
+        load_delay_table(text)
+
+
 def test_load_rejects_unknown_kind():
     with pytest.raises(DelayTableError, match="unknown gate kind"):
         load_delay_table("FOO 5")
@@ -150,6 +165,28 @@ def test_dump_round_trips_through_load():
     table = default_delay_table().replace({GateKind.INV: 17})
     again = load_delay_table(dump_delay_table(table))
     assert all(again[k] == table[k] for k in GateKind)
+
+
+@given(st.fixed_dictionaries({kind: st.integers(1, 10**9) for kind in GateKind}))
+def test_dump_round_trips_any_positive_table(delays):
+    table = DelayTable(delays)
+    assert load_delay_table(dump_delay_table(table)) == table
+
+
+_DELAY_TOKENS = st.one_of(
+    st.sampled_from([k.value for k in GateKind] + ["#", "-", "-0", "0", "+5", "1_0", "\u0663", "c2"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=4),
+)
+
+
+@given(st.lists(st.lists(_DELAY_TOKENS, max_size=4).map(" ".join), max_size=5).map("\n".join))
+def test_load_raises_only_delay_table_errors(text):
+    try:
+        table = load_delay_table(text)
+    except DelayTableError:
+        return
+    assert all(table[kind] >= 1 for kind in GateKind)
 
 
 def test_table_requires_all_kinds_positive():

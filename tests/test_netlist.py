@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.cells import default_delay_table
 from qdisim.netlist import (
     Gate,
+    GATE_ARITY,
     GateKind,
     Netlist,
     NetlistBuilder,
@@ -59,6 +61,53 @@ def test_round_trip_over_adder_corpus(variant):
 def test_round_trip_wide_early_output_rca():
     text = serialize_netlist(build_rca(AdderVariant.EARLY_OUTPUT, 32).netlist)
     assert serialize_netlist(parse_netlist(text)) == text
+
+
+_NAMES = st.text("abcxyz019._[]-", min_size=1, max_size=5)
+
+
+@st.composite
+def _valid_netlists(draw):
+    """Two or more inputs, gates of every kind over earlier nets (so no
+    cycles), any outputs and ports, all under random names."""
+    kinds = draw(st.lists(st.sampled_from(list(GateKind)), max_size=12))
+    names = draw(st.lists(_NAMES, min_size=2 + len(kinds), max_size=5 + len(kinds), unique=True))
+    inputs, outputs = names[:len(names) - len(kinds)], names[len(names) - len(kinds):]
+    gids = draw(st.lists(_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
+    nets = list(inputs)
+    gates = []
+    for gid, kind, out in zip(gids, kinds, outputs):
+        ins = draw(st.lists(st.sampled_from(nets), min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind]))
+        gates.append(Gate(gid, kind, tuple(ins), out))
+        nets.append(out)
+    rails = st.lists(st.sampled_from(nets), min_size=2, max_size=2, unique=True).map(tuple)
+    ports = draw(st.dictionaries(_NAMES, rails, max_size=4))
+    return Netlist(tuple(gates), tuple(inputs), tuple(draw(st.lists(st.sampled_from(nets), max_size=4))), ports)
+
+
+@given(_valid_netlists())
+def test_random_netlists_round_trip(netlist):
+    text = serialize_netlist(netlist)
+    again = parse_netlist(text)
+    assert serialize_netlist(again) == text
+    assert set(again.gates) == set(netlist.gates)
+    assert (again.primary_inputs, again.primary_outputs, again.port_map) == (
+        netlist.primary_inputs, netlist.primary_outputs, netlist.port_map)
+
+
+_NETLIST_TOKENS = st.one_of(
+    st.sampled_from(["input", "output", "gate", "pair", "#"] + [k.value for k in GateKind]),
+    _NAMES,
+    st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=4),
+)
+
+
+@given(st.lists(st.lists(_NETLIST_TOKENS, max_size=9).map(" ".join), max_size=6).map("\n".join))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse_netlist(text)
+    except NetlistParseError:
+        pass
 
 
 def test_validate_well_formed_adder():
