@@ -18,11 +18,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .cells import DelayTable, default_delay_table
 from .dualrail import decode_word, rail_assignments
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import Simulation, drive_transaction
+from .sim import Simulation, _WavePlan, drive_transaction
 
 
 class AdderVariant(enum.Enum):
@@ -241,6 +242,34 @@ def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: in
 
 
 EXHAUSTIVE_MAX_N = 8  # 2^17 vectors
+CHECK_BLOCK = 4096  # vectors per boolean pass of the wave plan
+
+
+def _bit_columns(words, width: int) -> list[int]:
+    """Column k is an int whose bit v is bit k of `words[v]`."""
+    rows = (format(w, f"0{width}b") for w in reversed(words))
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
+
+
+def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block) -> int:
+    """Bit v set when vector v of `block` fails: an output pair is not its
+    expected rail, or some port pair has both rails high."""
+    n = rca.n
+    full = (1 << len(block)) - 1
+    masks = {}
+    ops = _bit_columns([pack_operands(n, a, b, c) for a, b, c in block], 2 * n + 1)
+    for (r1, r0), mask in zip(rca.operand_rails, ops):
+        masks[r1], masks[r0] = mask, full ^ mask
+    rise = plan.rises(sim, masks)
+    expected = _bit_columns([a + b + c for a, b, c in block], n + 1)
+    rails = {port: (i1, i0) for port, i1, i0 in plan.pairs}
+    fails = 0
+    for port, want in zip(rca.sum_ports + (rca.cout_port,), expected):
+        i1, i0 = rails[port]
+        fails |= (rise[i1] ^ want) | (rise[i0] ^ full ^ want)
+    for _, i1, i0 in plan.pairs:
+        fails |= rise[i1] & rise[i0]
+    return fails
 
 
 def functional_check(
@@ -255,6 +284,13 @@ def functional_check(
     Random operands come from a seeded generator so runs are reproducible;
     exhaustive mode sweeps the whole operand space instead, 2^(2n+1)
     vectors, and refuses widths above EXHAUSTIVE_MAX_N.
+
+    When the netlist admits a wave plan, vectors are read CHECK_BLOCK at a
+    time and each block is one boolean pass of the plan (`rises`): which
+    rails rise decides the valid word and the illegal pairs, and the plan
+    always restores the spacer with monotone waves.  From the lowest
+    failing vector on, and without a plan, every vector runs a full
+    transaction (`rca_transaction`), which explains the failure.
     """
     if exhaustive and rca.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {rca.n}")
@@ -276,6 +312,16 @@ def functional_check(
         cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
         total = trials
     ran = 0
+    plan = _WavePlan.build(sim)
+    if plan is not None:
+        while block := list(islice(cases, CHECK_BLOCK)):
+            fails = _block_failures(plan, sim, rca, block)
+            if fails:
+                first = (fails & -fails).bit_length() - 1
+                ran += first
+                cases = chain(block[first:], cases)
+                break
+            ran += len(block)
     for a, b, c in cases:
         decoded, set_report, rtz_report, spacer = rca_transaction(sim, rca, a, b, c)
         ran += 1

@@ -22,7 +22,9 @@ all-zero power-on state required of return-to-zero circuits.
 netlist has no INV and no cycle and the simulation rests at all-spacer,
 every net moves at most once per wave, in one direction, so both waves
 are one min/max-plus pass over the gates lowered to two-input AND, OR and
-C-element nodes in topological order (`_WavePlan`).  Everything else runs
+C-element nodes in topological order (`_WavePlan`).  The same nodes
+evaluated on bit masks (`_WavePlan.rises`) give which nets rise in the
+valid waves of a whole block of vectors at once.  Everything else runs
 on the event engine, which remains the reference the plan is tested
 against.
 """
@@ -592,3 +594,21 @@ class _WavePlan:
             set_report=PhaseCheckReport(illegal_pairs=illegal),
             rtz_report=PhaseCheckReport(),
         )
+
+    def rises(self, sim: Simulation, masks: dict[str, int]) -> list[int]:
+        """Which slots rise in the valid waves of a block of vectors, with
+        no times: `masks` maps primary inputs to an int whose bit v is set
+        when that input rises in vector v, and bit v of the returned slot
+        i is set when slot i rises in vector v.  A node rises when both
+        inputs rise (AND, C) or either does (OR), as in `run`."""
+        ids, pi_ids = sim._ids, sim._pi_ids
+        rise = [0] * self.slots
+        for net, mask in masks.items():
+            nid = ids.get(net)
+            if nid is None or nid not in pi_ids:
+                raise SimulationError(f"{net!r} is not a primary input")
+            rise[nid] = mask
+        or_ = _OR
+        for op, a, b, out, _ in self.nodes:
+            rise[out] = rise[a] | rise[b] if op == or_ else rise[a] & rise[b]
+        return rise

@@ -1,8 +1,14 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdisim import adders
 from qdisim.adders import (
     AdderVariant,
+    FunctionalCheckResult,
     build_full_adder,
     build_rca,
     functional_check,
@@ -10,8 +16,8 @@ from qdisim.adders import (
 )
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import RailState
-from qdisim.netlist import GateKind, gate_census, validate
-from qdisim.sim import Simulation
+from qdisim.netlist import Gate, GateKind, gate_census, validate
+from qdisim.sim import Simulation, _WavePlan
 
 ALL_VARIANTS = list(AdderVariant)
 
@@ -174,3 +180,133 @@ def test_rca_transaction_rejects_operands_that_do_not_fit(a, b, cin, table):
     with pytest.raises(ValueError, match="do not fit width 4"):
         rca_transaction(sim, rca, a, b, cin)
     assert sim.now == 0 and not sim._heap  # nothing was driven
+
+
+# -- the block-wise check against one full transaction per vector -------------
+
+
+def _cases(n, trials, seed, exhaustive):
+    if exhaustive:
+        return itertools.product(range(1 << n), range(1 << n), (0, 1))
+    rng = random.Random(seed)
+    return [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials)]
+
+
+def _per_vector(rca, cases, table):
+    """The reference: one full transaction per vector, up to the first failure."""
+    sim = Simulation(rca.netlist, table)
+    ran = 0
+    for a, b, c in cases:
+        decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, a, b, c)
+        ran += 1
+        if decoded != a + b + c:
+            return FunctionalCheckResult(False, ran, (a, b, c), f"decoded {decoded!r}, expected {a + b + c}")
+        if not set_rep.ok or not rtz_rep.ok:
+            return FunctionalCheckResult(False, ran, (a, b, c), "phase-check violation")
+        if not spacer:
+            return FunctionalCheckResult(False, ran, (a, b, c), "outputs did not return to spacer")
+    return FunctionalCheckResult(True, ran)
+
+
+def _with_netlist(rca, gates=None, port_map=None):
+    netlist = dataclasses.replace(
+        rca.netlist,
+        gates=rca.netlist.gates if gates is None else tuple(gates),
+        port_map=rca.netlist.port_map if port_map is None else port_map,
+    )
+    return dataclasses.replace(rca, netlist=netlist)
+
+
+def _swap_sum_rails(variant, n):
+    """sum1 reads its rails the wrong way round: every vector decodes wrong."""
+    rca = build_rca(variant, n)
+    r1, r0 = rca.netlist.port_map["sum1"]
+    return _with_netlist(rca, port_map={**rca.netlist.port_map, "sum1": (r0, r1)})
+
+
+def _retyped(variant, n, gid, kind):
+    rca = build_rca(variant, n)
+    gates = [dataclasses.replace(g, kind=kind) if g.gid == gid else g for g in rca.netlist.gates]
+    assert gates != list(rca.netlist.gates)
+    return _with_netlist(rca, gates=gates)
+
+
+def _top_sum_both_rails(variant, n):
+    """The top sum's 0-rail also rises when a's top bit and b's bit 0 are 1,
+    so both of its rails rise once that sum bit is 1 too: exhaustively,
+    first at a = 2^(n-1), b = 1, cin = 0."""
+    rca = build_rca(variant, n)
+    top = f"fa{n - 1}.s0"
+    gates = [dataclasses.replace(g, output=f"{top}.x") if g.output == top else g for g in rca.netlist.gates]
+    gates.append(Gate("trigger", GateKind.C2, (f"a{n - 1}.r1", "b0.r1"), "trigger"))
+    gates.append(Gate("fault", GateKind.OR2, (f"{top}.x", "trigger"), top))
+    return _with_netlist(rca, gates=gates)
+
+
+def _illegal_probe(n):
+    """A port over stage 0's generate and its `e = OR2(kg, g)`: both rise
+    whenever a0 = b0 = 1, an illegal pair that leaves the sum correct."""
+    rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, n)
+    return _with_netlist(rca, port_map={**rca.netlist.port_map, "probe": ("fa0.g", "fa0.e")})
+
+
+MUTANTS = {
+    "swapped-sum": lambda n: _swap_sum_rails(AdderVariant.EARLY_OUTPUT, n),
+    "illegal-probe": _illegal_probe,
+    # stage 0's carry join d*cin1 is an OR2, so its 1-carry rises early
+    "carry-c2-as-or2": lambda n: _retyped(AdderVariant.DISTRIBUTIVE, n, "fa0.s0b", GateKind.OR2),
+    # sum1's 0-rail joins its two exclusive terms with an AND2, so it never rises
+    "sum-or2-as-and2": lambda n: _retyped(AdderVariant.LATENCY_OPT_BIASED, n, "fa1.s0", GateKind.AND2),
+    "both-rails": lambda n: _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, n),
+}
+
+
+@pytest.mark.parametrize("block", [adders.CHECK_BLOCK, 3])
+@pytest.mark.parametrize("exhaustive,trials,seed", [(True, 0, 1), (False, 200, 5)], ids=["exhaustive", "random"])
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, exhaustive, trials, seed, block, table, monkeypatch):
+    rca = MUTANTS[mutant](4)
+    want = _per_vector(rca, _cases(4, trials, seed, exhaustive), table)
+    assert not want.passed
+    monkeypatch.setattr(adders, "CHECK_BLOCK", block)
+    assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
+
+
+def test_first_failure_past_the_first_block(table):
+    rca = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 6)
+    got = functional_check(rca, 0, delay_table=table, exhaustive=True)
+    assert got.trials == adders.CHECK_BLOCK + 3 and got.counterexample == (32, 1, 0)
+    assert got == _per_vector(rca, _cases(6, 0, 1, True), table)
+    assert "ILLEGAL" in got.detail
+
+
+@pytest.mark.parametrize("exhaustive,trials,seed", [(True, 0, 1), (False, 200, 5)], ids=["exhaustive", "random"])
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_without_a_wave_plan_every_vector_runs_a_transaction(mutant, exhaustive, trials, seed, table, monkeypatch):
+    rca = MUTANTS[mutant](4) if mutant else build_rca(AdderVariant.DIMS_WEAK, 4)
+    want = _per_vector(rca, _cases(4, trials, seed, exhaustive), table)
+    monkeypatch.setattr(_WavePlan, "build", classmethod(lambda cls, sim: None))
+    assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
+    assert want.passed == (mutant is None)
+
+
+def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
+    """The block reader draws random.Random(seed) in the per-vector order."""
+    drawn = []
+
+    def spy(n, a, b, cin):
+        drawn.append((a, b, cin))
+        return pack(n, a, b, cin)
+
+    pack = adders.pack_operands
+    monkeypatch.setattr(adders, "pack_operands", spy)
+    rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
+    assert functional_check(rca, 1000, seed=7, delay_table=table) == FunctionalCheckResult(True, 1000)
+    assert drawn == _cases(32, 1000, 7, False)
+
+    drawn.clear()
+    mutant = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 32)
+    got = functional_check(mutant, 1000, seed=7, delay_table=table)
+    want = _per_vector(mutant, _cases(32, 1000, 7, False), table)
+    assert got == want and not got.passed
+    assert got.counterexample == _cases(32, 1000, 7, False)[got.trials - 1]

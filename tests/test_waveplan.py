@@ -6,7 +6,7 @@ runs the wave plan, which commits no events, so its `trace` stays empty;
 the event engine always leaves the spacer wave's commits there.
 """
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from qdisim.adders import AdderVariant, build_rca, pack_operands, rca_transaction
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import decode_word, rail_assignments
+from qdisim.dualrail import PAIR_STATE, decode_word, rail_assignments
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import OscillationError, Simulation, _WavePlan, drive_transaction
 from qdisim.stage import Architecture, build_stage, run_transaction
@@ -150,6 +150,43 @@ def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data)
         # every net that rose falls again: the engine ends the spacer wave at rest
         assert {n: reference.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
         assert {n: planned.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+
+
+_RAILS = {state: rails for rails, state in PAIR_STATE.items()}
+
+
+@given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
+def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
+    """Bit v of `rises` says whether each net rises in vector v: as the
+    plan's timed pass sees it, and as the event engine settles."""
+    # every net on a port rail, so the valid word shows every net; a spare input evens the count
+    nets = sorted(netlist.nets())
+    inputs = netlist.primary_inputs
+    if len(nets) % 2:
+        inputs += ("spare",)
+        nets.append("spare")
+    netlist = replace(netlist, primary_inputs=inputs,
+                      port_map={f"q{j}": (nets[2 * j], nets[2 * j + 1]) for j in range(len(nets) // 2)})
+    vectors = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs)),
+                                 min_size=1, max_size=6))
+    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    plan = _WavePlan.build(planned)
+    assert plan is not None
+    masks = {net: sum(vec[k] << v for v, vec in enumerate(vectors)) for k, net in enumerate(inputs)}
+    rise = plan.rises(planned, masks)
+    ports = list(netlist.port_map)
+    for v, vec in enumerate(vectors):
+        want = {net: rise[planned._ids[net]] >> v & 1 for net in nets}
+        assigns = list(zip(inputs, vec))
+        word = plan.run(planned, assigns, ports).valid_word
+        timed = {}
+        for port, state in zip(ports, word):
+            timed.update(zip(netlist.port_map[port], _RAILS[state]))
+        assert timed == want, v
+        reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+        reference.apply_inputs(assigns, at_time=0)
+        reference.run_until_quiescent()
+        assert {net: reference.net_value(net) for net in nets} == want, v
 
 
 RING = """\
