@@ -23,7 +23,7 @@ from itertools import chain, islice
 from .cells import DelayTable, default_delay_table
 from .dualrail import decode_word, rail_assignments
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import Simulation, _WavePlan, drive_transaction
+from .sim import Simulation, _WavePlan, _wave_plan, drive_transaction
 
 
 class AdderVariant(enum.Enum):
@@ -55,6 +55,11 @@ def pack_operands(n: int, a: int, b: int, cin: int) -> int:
         or cin not in (0, 1)
     ):
         raise ValueError(f"operands a={a} b={b} cin={cin} do not fit width {n}")
+    return _pack(n, a, b, cin)
+
+
+def _pack(n: int, a: int, b: int, cin: int) -> int:
+    """`pack_operands` for operands known to fit."""
     return a | b << n | cin << 2 * n
 
 
@@ -257,7 +262,8 @@ def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block)
     n = rca.n
     full = (1 << len(block)) - 1
     masks = {}
-    ops = _bit_columns([pack_operands(n, a, b, c) for a, b, c in block], 2 * n + 1)
+    # functional_check generates these operands itself, so they fit
+    ops = _bit_columns([_pack(n, a, b, c) for a, b, c in block], 2 * n + 1)
     for (r1, r0), mask in zip(rca.operand_rails, ops):
         masks[r1], masks[r0] = mask, full ^ mask
     rise = plan.rises(sim, masks)
@@ -312,7 +318,7 @@ def functional_check(
         cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
         total = trials
     ran = 0
-    plan = _WavePlan.build(sim)
+    plan = _wave_plan(sim)
     if plan is not None:
         while block := list(islice(cases, CHECK_BLOCK)):
             fails = _block_failures(plan, sim, rca, block)

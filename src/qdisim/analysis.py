@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
 
-from .adders import AdderVariant
+from .adders import AdderVariant, _bit_columns, pack_operands
 from .cells import (
     DelayTable, default_delay_table, global_datapath, global_datapath_cycle,
-    local_cycle, local_path, path_delay, sync_path,
+    local_chain_reset, local_cycle, local_kill_resets, local_path, path_delay, sync_path,
 )
-from .dualrail import RailState, rail_assignments
 from .netlist import GateKind, Netlist
-from .sim import Phase, Simulation
+from .sim import Phase, Simulation, _wave_plan
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 
@@ -67,16 +65,19 @@ def synchronizing_delay(table: DelayTable, n: int = 32) -> int:
     return path_delay(sync_path(n), table)
 
 
-def theory_local(m: int, table: DelayTable) -> tuple[int, int, int]:
-    """(forward, reverse, cycle) for the LOCAL architecture.  The reverse
-    latency is the steady-state constant: the and-or carry rail resets
-    without waiting for the incoming carry.  Chains shorter than three
-    stages reset faster than this bound; the closed form is exact for
-    m >= 3."""
+def theory_local(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int]:
+    """(forward, reverse, cycle) for the LOCAL architecture.  The spacer
+    wave ends at the kill stage m+1 or after it.  The carry into the kill
+    stage falls with the earlier of the chain from cin (`local_chain_reset`)
+    and the last propagate stage's detector (the steady-state constant
+    `local_path(0)`: the and-or carry rail resets without waiting for the
+    incoming carry); `local_kill_resets` wait for no carry.  From m = 3 on
+    the steady state sets the reverse latency with the default table."""
     if m < 0:
         raise ValueError("m must be >= 0")
     fl = path_delay(local_path(m), table)
-    rl = path_delay(local_path(0), table)
+    carry = min(path_delay(local_path(0), table), path_delay(local_chain_reset(m), table))
+    rl = max(carry, *(path_delay(path, table) for path in local_kill_resets(m + 2 < n)))
     return fl, rl, fl + rl
 
 
@@ -127,6 +128,75 @@ def measure(
     return rec.forward_latency, rec.reverse_latency, rec.cycle_time
 
 
+def measure_chains(
+    stage: StageDescriptor,
+    specs: list[ChainSpec],
+    table: DelayTable | None = None,
+    sim: Simulation | None = None,
+) -> list[tuple[int, int, int]]:
+    """`measure` for every spec, in one timed pass of the wave plan
+    (`_WavePlan.times`) over all the chain vectors at once.
+
+    A vector fails as `measure` fails it: some port pair has both rails
+    high, or a forward pair does not have exactly one.  From the first
+    failing spec on, and when the netlist admits no plan, every spec runs
+    `measure`, which raises the TransactionError that names it."""
+    if sim is None:
+        sim = Simulation(stage.netlist, table or default_delay_table())
+    elif sim.netlist is not stage.netlist:
+        raise ValueError("sim was built for another netlist than the stage's")
+    for spec in specs:
+        if stage.n != spec.n:
+            raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
+    plan = _wave_plan(sim)
+    done: list[tuple[int, int, int]] = []
+    if plan is not None and specs:
+        words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
+        full = (1 << len(specs)) - 1
+        masks = {stage.ackin: full}
+        for (r1, r0), mask in zip(stage.operand_rails, _bit_columns(words, 2 * stage.n + 1)):
+            masks[r1], masks[r0] = mask, full ^ mask
+        rise, high = plan.times(sim, masks)
+        rails = {port: (i1, i0) for port, i1, i0 in plan.pairs}
+        fails = 0
+        for _, i1, i0 in plan.pairs:
+            fails |= _last(rise[i1]) & _last(rise[i0])
+        out = [rails[port] for port in stage.forward_ports]
+        for i1, i0 in out:
+            fails |= full ^ (_last(rise[i1]) ^ _last(rise[i0]))
+        outs = [i for pair in out for i in pair]
+        fl = _latest([(0, rise[i]) for i in outs], len(specs))
+        rl = _latest([(_last(rise[i]), high[i]) for i in outs], len(specs))
+        good = len(specs) if not fails else (fails & -fails).bit_length() - 1
+        done = [(f, r, f + r) for f, r in zip(fl[:good], rl[:good])]
+    return done + [measure(stage, spec, table, sim) for spec in specs[len(done):]]
+
+
+def _last(steps: list) -> int:
+    return steps[-1][1] if steps else 0
+
+
+def _latest(functions: list[tuple[int, list]], count: int) -> list[int]:
+    """Per vector v < count, the time of the last step that changes bit v
+    of any of the step functions, each given as (value before its first
+    step, steps); 0 if none does."""
+    changed: dict[int, int] = {}
+    for before, steps in functions:
+        for t, now in steps:
+            changed[t] = changed.get(t, 0) | (before ^ now)
+            before = now
+    latest = [0] * count
+    left = (1 << count) - 1
+    for t in sorted(changed, reverse=True):
+        hit = changed[t] & left
+        left ^= hit
+        while hit:
+            low = hit & -hit
+            latest[low.bit_length() - 1] = t
+            hit ^= low
+    return latest
+
+
 # -- sweep --------------------------------------------------------------
 
 
@@ -169,22 +239,21 @@ def sweep(
     table = table or default_delay_table()
     local = build_stage(Architecture.LOCAL, n=n)
     glob = build_stage(Architecture.GLOBAL, n=n)
-    local_sim = Simulation(local.netlist, table)
-    glob_sim = Simulation(glob.netlist, table)
+    specs = [ChainSpec(n, m) for m in m_values]
+    if not specs:
+        raise ValueError("sweep needs at least one m value")
+    local_sims = measure_chains(local, specs, table, Simulation(local.netlist, table))
+    glob_sims = measure_chains(glob, specs, table, Simulation(glob.netlist, table))
     rows = []
-    for m in m_values:
-        spec = ChainSpec(n, m)
-        lsim = measure(local, spec, table, local_sim)
-        lth = theory_local(m, table)
-        gsim = measure(glob, spec, table, glob_sim)
+    for spec, lsim, gsim in zip(specs, local_sims, glob_sims):
+        m = spec.m
+        lth = theory_local(m, table, n)
         gth = theory_global(m, table, n)
         if lsim[2] != lth[2]:
             raise SweepMismatch(m, "local cycle", lsim[2], lth[2])
         if gsim[2] != gth[2]:
             raise SweepMismatch(m, "global cycle", gsim[2], gth[2])
         rows.append(SweepRow(m, lsim, lth, gsim, gth))
-    if not rows:
-        raise ValueError("sweep needs at least one m value")
     return TimingReport(n, rows)
 
 
@@ -217,24 +286,16 @@ class IndicationClass:
     rtz_phase: Indication
 
 
-def _io_pairs(netlist: Netlist) -> tuple[list[str], list[str]]:
-    pis = set(netlist.primary_inputs)
-    pos = set(netlist.primary_outputs)
-    ins, outs = [], []
-    for port, (r1, r0) in netlist.port_map.items():
-        if r1 in pis and r0 in pis:
-            ins.append(port)
-        elif r1 in pos and r0 in pos:
-            outs.append(port)
-    return ins, outs
+# widest block classified: an n = 4 ripple-carry adder, 2^9 codewords
+# times 2^9 - 2 subsets of its input pairs
+CLASSIFY_MAX_PAIRS = 9
 
 
 def classify_indication(
     netlist: Netlist, phase, table: DelayTable | None = None
 ) -> Indication:
-    """Classify a small block by exhaustive codeword and arrival-order
-    enumeration, one input-rail event at a time with full settling between
-    events:
+    """Classify a block over every input codeword and every order of its
+    input pairs' events, with full settling between events:
 
     STRONG  no output rail moves before the final input event, ever;
     EARLY   some codeword/order completes every output pair early;
@@ -242,60 +303,63 @@ def classify_indication(
 
     For the valid wave, 'complete' means the pair is valid; for the
     return-to-zero wave it means the pair is back to spacer, starting from
-    each reachable valid state.
+    each codeword's valid state.  A monotone wave settles to a state that
+    depends only on which inputs have moved, so the early steps of all
+    orders are the proper non-empty subsets of the input pairs: one bit
+    per codeword and subset in boolean passes of the wave plan.  Raises
+    ValueError for more than CLASSIFY_MAX_PAIRS input pairs, a primary
+    input on no input pair, or a netlist the plan does not cover.
     """
-    table = table or default_delay_table()
-    in_ports, out_ports = _io_pairs(netlist)
-    if len(in_ports) > 4:
-        raise ValueError(f"block too wide to enumerate: {len(in_ports)} input pairs")
-    out_rails = set()
-    for p in out_ports:
-        out_rails.update(netlist.port_map[p])
-
-    is_set = phase is Phase.SET
-    any_transition_early = False
-    all_complete_early = False
-    k = len(in_ports)
-    in_rails = [netlist.port_map[p] for p in in_ports]
-    sim = Simulation(netlist, table)
-
-    for codeword in range(1 << k):
-        # the rail each input pair raises for this codeword, in port order
-        active = [net for net, v in rail_assignments(in_rails, codeword) if v]
-        for order in permutations(range(k)):
-            sim.reset()
-            if not is_set:
-                sim.apply_inputs([(net, 1) for net in active])
-                sim.run_until_quiescent()
-            for step, idx in enumerate(order):
-                sim.apply_inputs([(active[idx], 1 if is_set else 0)])
-                seg, _ = sim.run_until_quiescent()
-                if step == k - 1:
-                    break
-                if any(net in out_rails for _, net, _ in seg):
-                    any_transition_early = True
-                complete = all(_pair_complete(sim, p, is_set) for p in out_ports)
-                if complete:
-                    all_complete_early = True
-    if all_complete_early:
-        return Indication.EARLY
-    if any_transition_early:
-        return Indication.WEAK
-    return Indication.STRONG
-
-
-def _pair_complete(sim: Simulation, port: str, is_set: bool) -> bool:
-    state = sim.pair_value(port)
-    if is_set:
-        return state in (RailState.ZERO, RailState.ONE)
-    return state is RailState.SPACER
+    (indication,) = _classify(netlist, table, (phase,))
+    return indication
 
 
 def classify_both(netlist: Netlist, table: DelayTable | None = None) -> IndicationClass:
-    return IndicationClass(
-        set_phase=classify_indication(netlist, Phase.SET, table),
-        rtz_phase=classify_indication(netlist, Phase.RTZ, table),
-    )
+    return IndicationClass(*_classify(netlist, table, (Phase.SET, Phase.RTZ)))
+
+
+def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indication]:
+    """Bit c*w + s-1 of every mask, w = 2^k - 2, stands for codeword c
+    with the k input pairs in subset s (1 <= s <= w) moved; an input
+    rail's mask is its pair's subset pattern times its codeword comb."""
+    pis, pos = set(netlist.primary_inputs), set(netlist.primary_outputs)
+    in_rails = [pair for pair in netlist.port_map.values() if pis.issuperset(pair)]
+    out_rails = [pair for pair in netlist.port_map.values() if pos.issuperset(pair) and pair not in in_rails]
+    k = len(in_rails)
+    if k > CLASSIFY_MAX_PAIRS:
+        raise ValueError(f"block too wide to classify: {k} input pairs, at most {CLASSIFY_MAX_PAIRS}")
+    loose = pis.difference(*in_rails)
+    if loose:
+        raise ValueError(f"primary input {min(loose)!r} is on no input pair")
+    sim = Simulation(netlist, table or default_delay_table())
+    plan = _wave_plan(sim)
+    if plan is None:
+        raise ValueError("the wave plan does not cover this block: an INV, a cycle or a bad port map")
+    codewords, width = 1 << k, max((1 << k) - 2, 0)
+    arrived, valid = {}, {}
+    patterns = zip(_bit_columns(range(1, width + 1), k), _bit_columns(range(codewords), k))
+    for (r1, r0), (subset, ones) in zip(in_rails, patterns):
+        for rail, comb in ((r1, _spread(ones, codewords, width)), (r0, _spread(~ones, codewords, width))):
+            arrived[rail], valid[rail] = subset * comb, ((1 << width) - 1) * comb
+    outs = [(sim._ids[r1], sim._ids[r0]) for r1, r0 in out_rails]
+    found = []
+    for phase in phases:
+        if phase is Phase.SET:
+            start, now = [0] * plan.slots, plan.rises(sim, arrived)
+        else:
+            start = plan.rises(sim, valid)
+            now = plan.falls(sim, start, arrived)
+        moved, complete = 0, (1 << codewords * width) - 1
+        for i1, i0 in outs:
+            moved |= (start[i1] ^ now[i1]) | (start[i0] ^ now[i0])
+            complete &= now[i1] ^ now[i0] if phase is Phase.SET else ~(now[i1] | now[i0])
+        found.append(Indication.EARLY if complete else Indication.WEAK if moved else Indication.STRONG)
+    return found
+
+
+def _spread(column: int, count: int, width: int) -> int:
+    """Bit c of `column` moved to bit c * width, for c < count."""
+    return int(("0" * (width - 1)).join(format(column & (1 << count) - 1, f"0{count}b")), 2)
 
 
 # expected classes per variant, confirmed by the enumerator in the tests
@@ -356,9 +420,7 @@ def asymptotic_check(
     table = table or default_delay_table()
     stage = build_stage(architecture, variant, n, force=True)
     sim = Simulation(stage.netlist, table)
-    fls, rls = [], []
-    for m in m_values:
-        fl, rl, _ = measure(stage, ChainSpec(n, m), table, sim)
-        fls.append(fl)
-        rls.append(rl)
-    return AsymptoticReport(variant, architecture, tuple(m_values), tuple(fls), tuple(rls))
+    measured = measure_chains(stage, [ChainSpec(n, m) for m in m_values], table, sim)
+    fls = tuple(fl for fl, _, _ in measured)
+    rls = tuple(rl for _, rl, _ in measured)
+    return AsymptoticReport(variant, architecture, tuple(m_values), fls, rls)

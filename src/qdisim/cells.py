@@ -74,6 +74,22 @@ def local_path(m: int) -> Counter[GateKind]:
     return Counter({GateKind.C2: 3, GateKind.OR2: 2, GateKind.AO21: m + 1})
 
 
+def local_chain_reset(m: int) -> Counter[GateKind]:
+    """LOCAL spacer wave along the carry chain from cin: its register C2,
+    the m+1 AO21 carry cells (an AO21 falls with its earlier input, here
+    the carry), then the kill stage's sum C2 join and OR2."""
+    return Counter({GateKind.C2: 2, GateKind.OR2: 1, GateKind.AO21: m + 1})
+
+
+def local_kill_resets(tail: bool) -> list[Counter[GateKind]]:
+    """LOCAL spacer waves that wait for no carry chain, from the kill
+    stage's register and kill-detector C2s: its own sum through its OR2
+    and the sum's C2 join and OR2, and, when a stage follows it (`tail`),
+    that stage's sum through the kill stage's AO21 carry cell."""
+    own = Counter({GateKind.C2: 3, GateKind.OR2: 2})
+    return [own, Counter({GateKind.C2: 3, GateKind.OR2: 1, GateKind.AO21: 1})] if tail else [own]
+
+
 def global_datapath(m: int) -> Counter[GateKind]:
     """GLOBAL datapath wave: register C2, the propagate AO22, m+1 AO22
     carry cells, then the sum's C2 join and OR2."""

@@ -107,7 +107,7 @@ def cmd_measure(args) -> int:
     stage = build_stage(args.arch, variant, args.n)
     sim_vals = measure(stage, spec, table)
     if args.arch is Architecture.LOCAL:
-        theory = theory_local(args.m, table)
+        theory = theory_local(args.m, table, args.n)
     else:
         theory = theory_global(args.m, table, args.n)
     row = (
@@ -134,11 +134,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    net = build_full_adder(args.variant)
+    net = build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
     table = _load_table(args)
     cls = classify_both(net, table)
     sys.stdout.write(f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
-    if args.no_expect:
+    if args.no_expect or args.n != 1:
         return 0
     expected = EXPECTED_CLASSES[args.variant]
     if cls != expected:
@@ -213,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", type=_m_range, default=range(4, 29))
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("classify", help="report a full adder's indication classes")
+    p = sub.add_parser("classify", help="report the indication classes of a full adder or ripple-carry block")
     p.add_argument("variant", type=_variant)
+    p.add_argument("--n", type=int, default=1, help="ripple-carry width, at most 4 (default 1, one full adder)")
     p.add_argument("--no-expect", action="store_true", help="print only, skip the expected-class check")
     p.set_defaults(func=cmd_classify)
 

@@ -23,10 +23,11 @@ netlist has no INV and no cycle and the simulation rests at all-spacer,
 every net moves at most once per wave, in one direction, so both waves
 are one min/max-plus pass over the gates lowered to two-input AND, OR and
 C-element nodes in topological order (`_WavePlan`).  The same nodes
-evaluated on bit masks (`_WavePlan.rises`) give which nets rise in the
-valid waves of a whole block of vectors at once.  Everything else runs
-on the event engine, which remains the reference the plan is tested
-against.
+evaluated on bit masks give, for a whole block of vectors at once, which
+nets rise in the valid waves (`_WavePlan.rises`), which stay high once
+some inputs fall again (`falls`), and, on step functions of masks, when
+each net rises and falls (`times`).  Everything else runs on the event
+engine, which remains the reference the plan is tested against.
 """
 from __future__ import annotations
 
@@ -387,9 +388,7 @@ def drive_transaction(
     otherwise the event engine runs them.  Both give the same result.
     """
     if not keep_traces and not sim._heap and not any(sim._values):
-        plan = sim._plan
-        if plan is _UNBUILT:
-            plan = sim._plan = _WavePlan.build(sim)
+        plan = _wave_plan(sim)
         if plan is not None:
             return plan.run(sim, assignments, output_ports)
     pairs = sim.netlist.port_map
@@ -413,6 +412,14 @@ def drive_transaction(
         set_trace=set_trace if keep_traces else None,
         rtz_trace=rtz_trace if keep_traces else None,
     )
+
+
+def _wave_plan(sim: Simulation) -> _WavePlan | None:
+    """The sim's wave plan, built on first use and kept across `reset`;
+    None when the netlist admits none (see `_WavePlan.build`)."""
+    if sim._plan is _UNBUILT:
+        sim._plan = _WavePlan.build(sim)
+    return sim._plan
 
 
 def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) -> int:
@@ -601,14 +608,96 @@ class _WavePlan:
         when that input rises in vector v, and bit v of the returned slot
         i is set when slot i rises in vector v.  A node rises when both
         inputs rise (AND, C) or either does (OR), as in `run`."""
-        ids, pi_ids = sim._ids, sim._pi_ids
         rise = [0] * self.slots
-        for net, mask in masks.items():
-            nid = ids.get(net)
-            if nid is None or nid not in pi_ids:
-                raise SimulationError(f"{net!r} is not a primary input")
+        for nid, mask in _input_slots(sim, masks):
             rise[nid] = mask
         or_ = _OR
         for op, a, b, out, _ in self.nodes:
             rise[out] = rise[a] | rise[b] if op == or_ else rise[a] & rise[b]
         return rise
+
+    def falls(self, sim: Simulation, rise: list[int], masks: dict[str, int]) -> list[int]:
+        """Which slots are still high once some inputs of settled valid
+        waves fall, with no times: `rise` is a `rises` result, and bit v
+        of `masks[net]` is set when primary input `net` falls in vector v.
+        An AND node falls on either input and an OR or C node on both, a
+        C node only where it rose; the rest of `rise` stays high."""
+        high = list(rise)
+        for nid, mask in _input_slots(sim, masks):
+            high[nid] &= ~mask
+        and_, or_ = _AND, _OR
+        for op, a, b, out, _ in self.nodes:
+            if op == and_:
+                high[out] = high[a] & high[b]
+            elif op == or_:
+                high[out] = high[a] | high[b]
+            else:
+                high[out] = (high[a] | high[b]) & rise[out]
+        return high
+
+    def times(self, sim: Simulation, masks: dict[str, int]) -> tuple[list[list], list[list]]:
+        """`run`'s times for a block of vectors at once.  `masks` is as
+        for `rises`; an input rises at 0 in its vectors and falls at 0, the
+        spacer wave's start.  Returns (rise, high), a step function per
+        slot: a list of (t, mask) with t increasing.  Bit v of rise[i]'s
+        mask is set when slot i has risen by t in vector v, from 0 before
+        its first step.  high[i] is the dual over offsets from the spacer
+        wave's start: bit v is set while slot i is still high in vector
+        v, from rise[i]'s last mask before its first step, so a slot that
+        never rose is never high and needs no case of its own.
+
+        Each node combines its inputs over the union of their steps,
+        shifted by its delay: AND and C nodes rise on `&` and OR nodes on
+        `|`; an AND node stays high on `&` (falls at its earlier input),
+        OR and C nodes on `|`, a C node only where it rose."""
+        rise: list[list] = [[] for _ in range(self.slots)]
+        high: list[list] = [[] for _ in range(self.slots)]
+        rose = [0] * self.slots
+        for nid, mask in _input_slots(sim, masks):
+            rose[nid] = mask
+            rise[nid], high[nid] = ([(0, mask)], [(0, 0)]) if mask else ([], [])
+        and_, or_ = _AND, _OR
+        for op, a, b, out, delay in self.nodes:
+            rise[out] = r = _steps(rise[a], 0, rise[b], 0, op != or_, delay)
+            rose[out] = last = r[-1][1] if r else 0
+            if op == and_:
+                high[out] = _steps(high[a], rose[a], high[b], rose[b], True, delay)
+            else:  # an OR node is high only where it rose anyway
+                high[out] = _steps(high[a], rose[a], high[b], rose[b], False, delay, last)
+        return rise, high
+
+
+def _input_slots(sim: Simulation, masks: dict[str, int]):
+    """(slot, mask) for each primary input of a block pass's `masks`."""
+    for net, mask in masks.items():
+        nid = sim._ids.get(net)
+        if nid is None or nid not in sim._pi_ids:
+            raise SimulationError(f"{net!r} is not a primary input")
+        yield nid, mask
+
+
+def _steps(a: list, a0: int, b: list, b0: int, meet: bool, delay: int, keep: int = -1) -> list:
+    """Step functions `a` and `b`, valued `a0` and `b0` before their first
+    steps, combined by `&` (meet) or `|`, masked by `keep` and shifted by
+    `delay`: the steps where the combined value changes."""
+    out = []
+    va, vb = a0, b0
+    last = (va & vb if meet else va | vb) & keep
+    i = j = 0
+    na, nb = len(a), len(b)
+    never = _NEVER
+    while i < na or j < nb:
+        ta = a[i][0] if i < na else never
+        tb = b[j][0] if j < nb else never
+        t = ta if ta < tb else tb
+        if ta == t:
+            va = a[i][1]
+            i += 1
+        if tb == t:
+            vb = b[j][1]
+            j += 1
+        v = (va & vb if meet else va | vb) & keep
+        if v != last:
+            out.append((t + delay, v))
+            last = v
+    return out

@@ -290,21 +290,27 @@ def test_without_a_wave_plan_every_vector_runs_a_transaction(mutant, exhaustive,
     assert want.passed == (mutant is None)
 
 
+def _raise_if_called(*args):
+    raise AssertionError("validated an operand that the check generated itself")
+
+
 def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
-    """The block reader draws random.Random(seed) in the per-vector order."""
+    """The block reader draws random.Random(seed) in the per-vector order,
+    and packs its own operands without validating them again."""
     drawn = []
 
     def spy(n, a, b, cin):
         drawn.append((a, b, cin))
         return pack(n, a, b, cin)
 
-    pack = adders.pack_operands
-    monkeypatch.setattr(adders, "pack_operands", spy)
+    pack = adders._pack
+    monkeypatch.setattr(adders, "_pack", spy)
+    monkeypatch.setattr(adders, "pack_operands", _raise_if_called)
     rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
     assert functional_check(rca, 1000, seed=7, delay_table=table) == FunctionalCheckResult(True, 1000)
     assert drawn == _cases(32, 1000, 7, False)
+    monkeypatch.undo()  # the per-vector transactions after a failure validate through pack_operands
 
-    drawn.clear()
     mutant = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 32)
     got = functional_check(mutant, 1000, seed=7, delay_table=table)
     want = _per_vector(mutant, _cases(32, 1000, 7, False), table)

@@ -1,8 +1,13 @@
+import random
+from itertools import permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 import qdisim.analysis
-from qdisim.adders import AdderVariant, build_full_adder
+from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.analysis import (
+    CLASSIFY_MAX_PAIRS,
     ChainSpec,
     EXPECTED_CLASSES,
     Indication,
@@ -15,6 +20,7 @@ from qdisim.analysis import (
     global_datapath_cycle_formula,
     local_cycle_formula,
     measure,
+    measure_chains,
     sweep,
     sweep_csv,
     synchronizing_delay,
@@ -23,8 +29,8 @@ from qdisim.analysis import (
 )
 from qdisim.analysis import asymptotic_check
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState
-from qdisim.netlist import GateKind
+from qdisim.dualrail import RailState, rail_assignments
+from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import Phase, Simulation
 from qdisim.stage import Architecture, build_stage
 
@@ -85,9 +91,15 @@ def test_carry_profile_oracle():
 
 def test_theory_local_values(table):
     assert theory_local(4, table) == (753, 501, 1254)
-    assert theory_local(0, table)[2] == 1002
-    for m in range(0, 29):
+    # short chains reset faster than the steady state: a stage after the
+    # kill stage waits for no carry (m = 0, 1), cin's carry chain beats the
+    # last propagate stage's detector (m = 2)
+    assert [theory_local(m, table)[1] for m in range(3)] == [441, 441, 461]
+    assert theory_local(0, table)[2] == 942 != local_cycle_formula(0, table)
+    for m in range(3, 29):
         assert theory_local(m, table)[1] == 501
+    # with no stage after the kill stage, the kill stage's own sum ends the wave
+    assert theory_local(0, table, n=2)[1] == theory_local(1, table, n=3)[1] == 438
 
 
 def test_theory_global_values(table):
@@ -124,18 +136,28 @@ def test_crossover_never_dominates_sentinel(table):
 
 
 def test_closed_forms_hold_at_every_width(table):
-    """Every width from 2 to 40 meets the closed forms: GLOBAL at every m,
-    so the synchronizing path's tree depth is checked against every
-    detector shape, and LOCAL from m = 3, where its reverse form is exact."""
+    """Every width from 2 to 40 meets the closed forms at every m: the
+    synchronizing path's tree depth is checked against every detector
+    shape, and the local reset against every short chain."""
     for n in range(2, 41):
-        for arch, theory, m_values in (
-            (Architecture.GLOBAL, lambda m: theory_global(m, table, n), range(n - 1)),
-            (Architecture.LOCAL, lambda m: theory_local(m, table), range(3, n - 1)),
+        for arch, theory in (
+            (Architecture.GLOBAL, lambda m: theory_global(m, table, n)),
+            (Architecture.LOCAL, lambda m: theory_local(m, table, n)),
         ):
             stage = build_stage(arch, n=n)
             sim = Simulation(stage.netlist, table)
-            for m in m_values:
+            for m in range(n - 1):
                 assert measure(stage, ChainSpec(n, m), table, sim) == theory(m), (arch, n, m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_closed_form_holds_for_other_tables(seed, table):
+    rng = random.Random(seed)
+    other = table.replace({kind: rng.randint(1, 200) for kind in (GateKind.C2, GateKind.OR2, GateKind.AO21)})
+    for n in (2, 3, 4, 9):
+        stage = build_stage(Architecture.LOCAL, n=n)
+        specs = [ChainSpec(n, m) for m in range(n - 1)]
+        assert measure_chains(stage, specs, other) == [theory_local(s.m, other, n) for s in specs], n
 
 
 def test_measure_local_m10(local_stage32, table):
@@ -250,7 +272,7 @@ def test_analyses_compile_each_netlist_once(monkeypatch, table):
     assert len(built) == 3
     fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
     assert classify_both(fa, table) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
-    assert built[3:] == [fa, fa]
+    assert built[3:] == [fa]  # one Simulation, and one wave plan, for both phases
 
 
 # -- indication classes -------------------------------------------------------
@@ -274,11 +296,148 @@ def test_early_output_resets_early(table):
 
 
 def test_classifier_rejects_wide_blocks(table):
-    from qdisim.stage import build_stage
-
-    wide = build_stage(Architecture.LOCAL, n=3).netlist
+    assert CLASSIFY_MAX_PAIRS == 9
+    classify_both(build_rca(AdderVariant.EARLY_OUTPUT, 4).netlist, table)  # 9 input pairs
+    wide = build_rca(AdderVariant.EARLY_OUTPUT, 5).netlist  # 11 input pairs
     with pytest.raises(ValueError, match="too wide"):
         classify_indication(wide, Phase.SET, table)
+
+
+def test_classifier_rejects_an_unpaired_input(table):
+    stage = build_stage(Architecture.LOCAL, n=1).netlist  # ackin is on no input pair
+    with pytest.raises(ValueError, match="'ackin' is on no input pair"):
+        classify_both(stage, table)
+
+
+def test_classifier_rejects_a_block_the_wave_plan_does_not_cover(table):
+    inv = parse_netlist("input d.r1\ninput d.r0\ngate i INV d.r0 y.r0\ngate o OR2 d.r1 d.r1 y.r1\n"
+                        "output y.r1\noutput y.r0\npair d d.r1 d.r0\npair y y.r1 y.r0")
+    with pytest.raises(ValueError, match="wave plan"):
+        classify_indication(inv, Phase.RTZ, table)
+
+
+# -- the subset lattice against the event engine ---------------------------
+
+
+def _order_enumerator(netlist, phase, table):
+    """The classes by their definition: every codeword and every arrival
+    order, one input-rail event at a time with full settling between
+    events, on the event engine."""
+    in_rails, out_ports = _io_ports(netlist)
+    out_rails = {r for p in out_ports for r in netlist.port_map[p]}
+    is_set = phase is Phase.SET
+    any_transition_early = all_complete_early = False
+    k = len(in_rails)
+    sim = Simulation(netlist, table)
+    for codeword in range(1 << k):
+        active = [net for net, v in rail_assignments(in_rails, codeword) if v]
+        for order in permutations(range(k)):
+            sim.reset()
+            if not is_set:
+                sim.apply_inputs([(net, 1) for net in active])
+                sim.run_until_quiescent()
+            for step, idx in enumerate(order):
+                sim.apply_inputs([(active[idx], 1 if is_set else 0)])
+                seg, _ = sim.run_until_quiescent()
+                if step == k - 1:
+                    break
+                if any(net in out_rails for _, net, _ in seg):
+                    any_transition_early = True
+                if all(_pair_complete(sim.pair_value(p), is_set) for p in out_ports):
+                    all_complete_early = True
+    return _indication(all_complete_early, any_transition_early)
+
+
+def _subset_oracle(netlist, phase, table):
+    """Every codeword and every proper non-empty subset of its input pairs
+    arrived (SET) or returned to spacer (RTZ) at once, on the event engine."""
+    in_rails, out_ports = _io_ports(netlist)
+    is_set = phase is Phase.SET
+    moved = complete = False
+    k = len(in_rails)
+    sim = Simulation(netlist, table)
+    for codeword in range(1 << k):
+        active = [net for net, v in rail_assignments(in_rails, codeword) if v]
+        for subset in range(1, (1 << k) - 1):
+            sim.reset()
+            if not is_set:
+                sim.apply_inputs([(net, 1) for net in active])
+                sim.run_until_quiescent()
+            before = sim.read_word(out_ports)
+            sim.apply_inputs([(net, int(is_set)) for i, net in enumerate(active) if subset >> i & 1])
+            sim.run_until_quiescent()
+            after = sim.read_word(out_ports)
+            moved |= after != before
+            complete |= all(_pair_complete(state, is_set) for state in after)
+    return _indication(complete, moved)
+
+
+def _io_ports(netlist):
+    """The rails of the input pairs, and the output ports."""
+    pis, pos = set(netlist.primary_inputs), set(netlist.primary_outputs)
+    in_rails = [pair for pair in netlist.port_map.values() if pis.issuperset(pair)]
+    return in_rails, [p for p, pair in netlist.port_map.items() if pos.issuperset(pair)]
+
+
+def _pair_complete(state, is_set):
+    return state in (RailState.ZERO, RailState.ONE) if is_set else state is RailState.SPACER
+
+
+def _indication(complete, moved):
+    return Indication.EARLY if complete else Indication.WEAK if moved else Indication.STRONG
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_lattice_equals_the_order_enumerator(variant, phase, table):
+    fa = build_full_adder(variant)
+    assert classify_indication(fa, phase, table) is _order_enumerator(fa, phase, table)
+    assert _subset_oracle(fa, phase, table) is _order_enumerator(fa, phase, table)
+
+
+@st.composite
+def _paired_blocks(draw):
+    """Random acyclic blocks of every non-INV kind over 1-3 input pairs,
+    with output pairs over random gate outputs: outputs may move early,
+    complete early, never move, or raise both rails."""
+    k = draw(st.integers(1, 3))
+    inputs = tuple(f"x{j}.r{r}" for j in range(k) for r in (1, 0))
+    nets, gates = list(inputs), []
+    for g in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from([kind for kind in GateKind if kind is not GateKind.INV]))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind]))
+        gates.append(Gate(f"g{g}", kind, tuple(ins), f"n{g}"))
+        nets.append(f"n{g}")
+    outs = draw(st.permutations([g.output for g in gates]))[: 2 * draw(st.integers(1, len(gates) // 2))]
+    ports = {f"x{j}": (f"x{j}.r1", f"x{j}.r0") for j in range(k)}
+    ports.update({f"y{j}": (outs[2 * j], outs[2 * j + 1]) for j in range(len(outs) // 2)})
+    return Netlist(tuple(gates), inputs, tuple(outs), ports)
+
+
+@given(block=_paired_blocks(), phase=st.sampled_from(list(Phase)))
+def test_lattice_equals_the_order_enumerator_on_random_blocks(block, phase):
+    table = default_delay_table()
+    assert classify_indication(block, phase, table) is _order_enumerator(block, phase, table)
+
+
+def test_an_early_zero_rail_alone_makes_a_block_weak(table):
+    # y0's 0-rail follows x0 alone; y0's 1-rail and both of y1's wait for
+    # x0 and x1, so only a 0-rail ever moves early and nothing completes
+    block = parse_netlist(
+        "input x0.r1\ninput x0.r0\ninput x1.r1\ninput x1.r0\n"
+        "gate a C2 x0.r1 x1.r1 y0.r1\ngate b OR2 x0.r0 x0.r0 y0.r0\n"
+        "gate c C2 x0.r1 x1.r0 y1.r1\ngate d C2 x0.r0 x1.r1 y1.r0\n"
+        "output y0.r1\noutput y0.r0\noutput y1.r1\noutput y1.r0\n"
+        "pair x0 x0.r1 x0.r0\npair x1 x1.r1 x1.r0\npair y0 y0.r1 y0.r0\npair y1 y1.r1 y1.r0")
+    assert classify_indication(block, Phase.SET, table) is Indication.WEAK
+    assert _order_enumerator(block, Phase.SET, table) is Indication.WEAK
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_lattice_equals_the_subset_oracle_on_two_bit_adders(variant, phase, table):
+    rca = build_rca(variant, 2).netlist
+    assert classify_indication(rca, phase, table) is _subset_oracle(rca, phase, table)
 
 
 # -- the three early-reset scenarios, replayed at trace level ----------------

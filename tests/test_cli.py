@@ -61,6 +61,15 @@ def test_measure_global_m8(capsys):
     assert out.strip().split(",")[6] == "2028"
 
 
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("arch", ["local", "global"])
+def test_measure_short_chains_match_the_closed_form(arch, m, capsys):
+    code, out, err = run(capsys, "measure", "--arch", arch, "--m", str(m))
+    assert (code, err) == (0, "")
+    fields = out.strip().split(",")
+    assert fields[4:7] == fields[7:10]
+
+
 def test_measure_m_out_of_range(capsys):
     code, _, err = run(capsys, "measure", "--arch", "local", "--m", "31")
     assert code == 2
@@ -108,6 +117,23 @@ def test_classify_distributive(capsys):
     code, out, _ = run(capsys, "classify", "distributive")
     assert code == 0
     assert out.startswith("SET: WEAK")
+
+
+@pytest.mark.parametrize("n,expected", [("2", "SET: WEAK, RTZ: EARLY"), ("4", "SET: WEAK, RTZ: EARLY")])
+def test_classify_ripple_carry_blocks(n, expected, capsys):
+    assert run(capsys, "classify", "early-output", "--n", n) == (0, expected + "\n", "")
+
+
+def test_classify_blocks_print_without_the_expected_class_check(capsys):
+    # a ripple-carry dims-strong adder indicates weakly: its low sum bit
+    # completes before the high operands arrive
+    assert run(capsys, "classify", "dims-strong", "--n", "2") == (0, "SET: WEAK, RTZ: WEAK\n", "")
+
+
+@pytest.mark.parametrize("n,message", [("5", "too wide"), ("0", "n must be >= 1")])
+def test_classify_rejects_widths_outside_the_bound(n, message, capsys):
+    code, out, err = run(capsys, "classify", "early-output", "--n", n)
+    assert (code, out) == (2, "") and message in err and err.count("\n") == 1
 
 
 def test_check_exhaustive_n4(capsys):

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdisim.adders import AdderVariant, build_rca, pack_operands, rca_transaction
+from qdisim.analysis import ChainSpec, TransactionError, measure, measure_chains
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import PAIR_STATE, decode_word, rail_assignments
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
-from qdisim.sim import OscillationError, Simulation, _WavePlan, drive_transaction
+from qdisim.sim import OscillationError, Simulation, SimulationError, _WavePlan, drive_transaction
 from qdisim.stage import Architecture, build_stage, run_transaction
 
 TABLE = default_delay_table()
@@ -155,6 +156,15 @@ def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data)
 _RAILS = {state: rails for rails, state in PAIR_STATE.items()}
 
 
+def _vectors(data, inputs):
+    return data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs)),
+                              min_size=1, max_size=6))
+
+
+def _masks(inputs, vectors):
+    return {net: sum(vec[k] << v for v, vec in enumerate(vectors)) for k, net in enumerate(inputs)}
+
+
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
 def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
     """Bit v of `rises` says whether each net rises in vector v: as the
@@ -167,13 +177,11 @@ def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
         nets.append("spare")
     netlist = replace(netlist, primary_inputs=inputs,
                       port_map={f"q{j}": (nets[2 * j], nets[2 * j + 1]) for j in range(len(nets) // 2)})
-    vectors = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs)),
-                                 min_size=1, max_size=6))
+    vectors = _vectors(data, inputs)
     planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
     plan = _WavePlan.build(planned)
     assert plan is not None
-    masks = {net: sum(vec[k] << v for v, vec in enumerate(vectors)) for k, net in enumerate(inputs)}
-    rise = plan.rises(planned, masks)
+    rise = plan.rises(planned, _masks(inputs, vectors))
     ports = list(netlist.port_map)
     for v, vec in enumerate(vectors):
         want = {net: rise[planned._ids[net]] >> v & 1 for net in nets}
@@ -187,6 +195,159 @@ def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
         reference.apply_inputs(assigns, at_time=0)
         reference.run_until_quiescent()
         assert {net: reference.net_value(net) for net in nets} == want, v
+
+
+def _first_change(steps, v, before=0):
+    """The time of the first step that flips bit v of a step function
+    valued `before` ahead of its first step; None if none does."""
+    return next((t for t, mask in steps if (mask ^ before) >> v & 1), None)
+
+
+@given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
+def test_times_match_event_engine_commits(netlist, jitter, seed, data):
+    """Bit v of `times` gives each net's rise time in the valid wave of
+    vector v and its fall time after the spacer wave's start, as the event
+    engine commits them."""
+    inputs = netlist.primary_inputs
+    vectors = _vectors(data, inputs)
+    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    rise, high = _WavePlan.build(planned).times(planned, _masks(inputs, vectors))
+    for v, vec in enumerate(vectors):
+        reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+        waves = drive_transaction(reference, list(zip(inputs, vec)), [], keep_traces=True)
+        spacer = max((t for t, _, _ in waves.set_trace), default=0)
+        rises = {net: t for t, net, _ in waves.set_trace}
+        falls = {net: t - spacer for t, net, _ in waves.rtz_trace}
+        assert len(rises) == len(waves.set_trace) and len(falls) == len(waves.rtz_trace)
+        for net in netlist.nets():
+            i = planned._ids[net]
+            rose = rise[i][-1][1] if rise[i] else 0
+            assert _first_change(rise[i], v) == rises.get(net), (v, net)
+            assert _first_change(high[i], v, rose) == falls.get(net), (v, net)
+
+
+@given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
+def test_falls_match_settled_removals(netlist, jitter, seed, data):
+    """Bit v of `falls` says which nets are still high when a subset of the
+    inputs returns to 0 after vector v's valid wave settled, as the event
+    engine settles; C-elements hold until every input has fallen."""
+    inputs = netlist.primary_inputs
+    vectors = _vectors(data, inputs)
+    removals = [data.draw(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs))) for _ in vectors]
+    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    plan = _WavePlan.build(planned)
+    high = plan.falls(planned, plan.rises(planned, _masks(inputs, vectors)), _masks(inputs, removals))
+    for v, (vec, removed) in enumerate(zip(vectors, removals)):
+        reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+        reference.apply_inputs(list(zip(inputs, vec)))
+        reference.run_until_quiescent()
+        reference.apply_inputs([(net, 0) for net, gone in zip(inputs, removed) if gone])
+        reference.run_until_quiescent()
+        assert {n: reference.net_value(n) for n in netlist.nets()} == {
+            n: high[planned._ids[n]] >> v & 1 for n in netlist.nets()}, v
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_measure_chains_equals_per_vector_measure(arch, variant):
+    stage = _stage(arch, variant, 32)
+    specs = [ChainSpec(32, m) for m in range(31)]
+    sim = Simulation(stage.netlist, TABLE)
+    assert measure_chains(stage, specs, TABLE, sim) == [measure(stage, spec, TABLE, sim) for spec in specs]
+
+
+def _sum10_both_rails(netlist):
+    """Stage 10's sum0 rail also follows its sum1 join: both rails rise
+    when stage 10 kills the carry (m = 9), neither when it propagates."""
+    gates = tuple(replace(g, inputs=(g.inputs[0], "fa10.s1a")) if g.output == "fa10.s0" else g
+                  for g in netlist.gates)
+    return replace(netlist, gates=gates)
+
+
+def _illegal_probe_pair(netlist):
+    """An internal port over stage 10's kill detector and sum1 join, which
+    both rise only when stage 10 kills the carry (m = 9); the forwarded
+    word stays right."""
+    return replace(netlist, port_map={**netlist.port_map, "probe": ("fa10.s1a", "fa10.kg")})
+
+
+@pytest.mark.parametrize("planned", [True, False], ids=["plan", "no-plan"])
+@pytest.mark.parametrize("mutate,later_fails", [(_sum10_both_rails, True), (_illegal_probe_pair, False)])
+def test_measure_chains_names_the_first_failing_m(mutate, later_fails, planned, monkeypatch):
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
+    stage = replace(stage, netlist=mutate(stage.netlist))
+    if not planned:
+        monkeypatch.setattr(_WavePlan, "build", classmethod(lambda cls, sim: None))
+    specs = [ChainSpec(32, m) for m in range(31)]
+    sim = Simulation(stage.netlist, TABLE)
+    assert measure_chains(stage, specs[:9], TABLE, sim) == [measure(stage, s, TABLE) for s in specs[:9]]
+    with pytest.raises(TransactionError, match="transaction failed for m=9:"):
+        measure(stage, specs[9], TABLE)
+    with pytest.raises(TransactionError, match="transaction failed for m=9:"):
+        measure_chains(stage, specs, TABLE, sim)
+    if later_fails:
+        with pytest.raises(TransactionError, match="transaction failed for m=10:"):
+            measure_chains(stage, specs[10:], TABLE, sim)
+    else:
+        assert measure_chains(stage, specs[10:], TABLE, sim) == [measure(stage, s, TABLE) for s in specs[10:]]
+
+
+@st.composite
+def _netlists_with_loops(draw):
+    """Gates of every kind, INV included, over any nets, earlier or later,
+    so inverting rings, latches and self-loops form."""
+    inputs = tuple(f"i{k}" for k in range(draw(st.integers(1, 4))))
+    count = draw(st.integers(1, 10))
+    nets = list(inputs) + [f"n{g}" for g in range(count)]
+    gates = []
+    for g in range(count):
+        kind = draw(st.sampled_from(list(GateKind)))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind]))
+        gates.append(Gate(f"g{g}", kind, tuple(ins), f"n{g}"))
+    return Netlist(gates=tuple(gates), primary_inputs=inputs)
+
+
+def _outcome(sim, step):
+    """'quiet' with nothing left pending, or 'oscillation'; any other
+    exception fails the test."""
+    try:
+        step()
+    except OscillationError:
+        return "oscillation", sim.now, sim.trace
+    assert not sim._heap
+    return "quiet", sim.now, sim.trace
+
+
+@given(netlist=_netlists_with_loops(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
+def test_inv_and_loops_go_quiet_or_raise_oscillation(netlist, jitter, seed, data):
+    """Power-on and a few transactions on one reused sim each go quiet or
+    raise OscillationError, resuming after it; the reset sim replays the
+    same outcomes as a fresh one."""
+    stimuli = data.draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=5),
+        min_size=1, max_size=3))
+
+    def replay(sim):
+        steps = [sim.settle_power_on] + [lambda s=s: drive_transaction(sim, s, [], keep_traces=True) for s in stimuli]
+        return [_outcome(sim, step) for step in steps]
+
+    def new_sim():
+        return Simulation(netlist, TABLE, event_cap=200, jitter=jitter, jitter_seed=seed)
+
+    reused = new_sim()
+    first = replay(reused)
+    reused.reset()
+    assert replay(reused) == first == replay(new_sim())
+
+
+@pytest.mark.parametrize("block_pass", ["rises", "falls", "times"])
+def test_block_passes_reject_a_net_that_is_not_a_primary_input(block_pass):
+    rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
+    sim = Simulation(rca.netlist, TABLE)
+    plan = _WavePlan.build(sim)
+    rise = (plan.rises(sim, {}),) if block_pass == "falls" else ()
+    with pytest.raises(SimulationError, match="'fa0.s1' is not a primary input"):
+        getattr(plan, block_pass)(sim, *rise, {"fa0.s1": 1})
 
 
 RING = """\
