@@ -102,46 +102,39 @@ class Simulation:
         self.netlist = netlist
         self.event_cap = event_cap
         rng = random.Random(jitter_seed) if jitter else None
-        names: list[str] = []
+        # interning order: primary inputs, each gate's inputs then output, primary outputs
         ids: dict[str, int] = {}
-
-        def intern(net: str) -> int:
-            i = ids.get(net)
-            if i is None:
-                i = len(names)
-                ids[net] = i
-                names.append(net)
-            return i
-
+        intern = ids.setdefault
         for net in netlist.primary_inputs:
-            intern(net)
-        self._pi_ids = set(range(len(names)))
+            intern(net, len(ids))
+        self._pi_ids = set(range(len(ids)))
+        kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
         gates = []
         for g in netlist.gates:
-            if len(g.inputs) != GATE_ARITY[g.kind]:
-                raise SimulationError(
-                    f"gate {g.gid!r} ({g.kind.value}) takes {GATE_ARITY[g.kind]} inputs, got {len(g.inputs)}"
-                )
-            delay = delay_table[g.kind]
+            compiled = kinds.get(g.kind)
+            if compiled is None:
+                raise SimulationError(f"gate {g.gid!r} has unknown kind {g.kind!r}")
+            code, arity, delay = compiled
+            if len(g.inputs) != arity:
+                raise SimulationError(f"gate {g.gid!r} ({g.kind.value}) takes {arity} inputs, got {len(g.inputs)}")
             if rng is not None:
                 delay += rng.randint(0, jitter)
-            gates.append(
-                (
-                    _CODE[g.kind],
-                    tuple(intern(x) for x in g.inputs),
-                    intern(g.output),
-                    delay,
-                )
-            )
+            ins = []
+            for net in g.inputs:
+                ins.append(intern(net, len(ids)))
+            gates.append((code, tuple(ins), intern(g.output, len(ids)), delay))
         for net in netlist.primary_outputs:
-            intern(net)
-        self._names = names
+            intern(net, len(ids))
+        self._names = list(ids)
         self._ids = ids
         self._gates = gates
-        fanout: list[list[int]] = [[] for _ in names]
-        for gi, (_, ins, _out, _d) in enumerate(gates):
-            for net in set(ins):
-                fanout[net].append(gi)
+        # each net's users in gate order, once per gate: the event engine's tie order
+        fanout: list[list[int]] = [[] for _ in ids]
+        for gi, (_, ins, _, _) in enumerate(gates):
+            for net in ins:
+                users = fanout[net]
+                if not users or users[-1] != gi:
+                    users.append(gi)
         self._fanout = [tuple(f) for f in fanout]
         self._plan = _UNBUILT  # the wave plan, built on the first transaction
         self.reset()
@@ -510,12 +503,15 @@ class _WavePlan:
         only then could the event engine raise OscillationError."""
         if sim.event_cap < len(sim._values):
             return None
-        gates = sim._gates
+        gates, fanout = sim._gates, sim._fanout
         driven: set[int] = set()
+        waiting = [0] * len(gates)  # each gate's driven inputs not yet ordered
         for code, _, out, _ in gates:
             if code not in _CHAINS or out in driven or out in sim._pi_ids:
                 return None
             driven.add(out)
+            for user in fanout[out]:
+                waiting[user] += 1
         pairs = []
         rails: set[str] = set()
         for port, (r1, r0) in sim.netlist.port_map.items():
@@ -524,13 +520,12 @@ class _WavePlan:
             rails.update((r1, r0))
             pairs.append((port, sim._ids[r1], sim._ids[r0]))
         # Kahn's algorithm over the gates; whatever is left over sits on a cycle
-        waiting = [sum(1 for net in set(ins) if net in driven) for _, ins, _, _ in gates]
         ready = [gi for gi, w in enumerate(waiting) if w == 0]
         order = []
         while ready:
             gi = ready.pop()
             order.append(gi)
-            for user in sim._fanout[gates[gi][2]]:
+            for user in fanout[gates[gi][2]]:
                 waiting[user] -= 1
                 if waiting[user] == 0:
                     ready.append(user)

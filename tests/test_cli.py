@@ -227,6 +227,44 @@ def test_delay_table_override_flows_through(tmp_path, capsys):
     assert "C2 100" in out
 
 
+def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "delays.txt"
+    path.write_text("C2 107\n")
+    measure = ("measure", "--arch", "local", "--m", "4")
+    assert run(capsys, "--delay-table", str(path), *measure) == (
+        0, "local,latency-opt-biased,32,4,756,504,1260,756,504,1260\n", "")
+    assert run(capsys, *measure) == (0, "local,latency-opt-biased,32,4,753,501,1254,753,501,1254\n", "")
+
+    assert run(capsys, "check", "--trials", "0")[0] == 2
+    expected = (0, "pass: 3 vectors, latency-opt-biased n=2\n", "")
+    assert run(capsys, "check", "--n", "2", "--trials", "3") == expected
+
+    real, seeds = qdisim.cli.functional_check, []
+
+    def record_seed(*args, seed, **kwargs):
+        seeds.append(seed)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(qdisim.cli, "functional_check", record_seed)
+    assert run(capsys, "--seed", "9", "check", "--n", "2", "--trials", "3") == expected
+    assert run(capsys, "check", "--n", "2", "--trials", "3") == expected
+    assert seeds == [9, 1]
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):
+    real, built = qdisim.cli.build_parser, []
+
+    def spy():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(qdisim.cli, "build_parser", spy)
+    for argv in (["delays"], ["check", "--trials", "0"], ["build", "--variant", "early-output", "--n", "1"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) <= 1
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qdisim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

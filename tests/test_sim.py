@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from qdisim.adders import AdderVariant, build_rca
+from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.cells import default_delay_table
 from qdisim.netlist import Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import (
@@ -10,6 +10,7 @@ from qdisim.sim import (
     Phase,
     Simulation,
     SimulationError,
+    _wave_plan,
     check_phase,
 )
 from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
@@ -64,6 +65,12 @@ def test_wrong_arity_is_a_typed_error(table):
     # the parser refuses this text, so the gate is built directly
     netlist = Netlist((Gate("z", GateKind.C2, ("a",), "z"),), ("a",))
     with pytest.raises(SimulationError, match=r"^gate 'z' \(C2\) takes 2 inputs, got 1$"):
+        Simulation(netlist, table)
+
+
+def test_foreign_gate_kind_is_a_typed_error(table):
+    netlist = Netlist((Gate("g", "C2", ("a", "b"), "y"),), ("a", "b"), ("y",), {})
+    with pytest.raises(SimulationError, match=r"^gate 'g' has unknown kind 'C2'$"):
         Simulation(netlist, table)
 
 
@@ -305,6 +312,70 @@ def test_jittered_traces_match_golden(arch, digest, table):
     sim = Simulation(stage.netlist, table, jitter=40, jitter_seed=3)
     rec = run_transaction(stage, 0x9E3779B9, 0x7F4A7C15, 1, sim=sim, keep_traces=True)
     assert hashlib.sha256(repr(rec.set_trace + rec.rtz_trace).encode()).hexdigest() == digest
+
+
+# sha256 of each compiled form: interned net names, gates (code, inputs,
+# output, jittered delay), per-net fanout (the event engine's tie order)
+# and the wave plan's nodes and pairs; jitter 40 draws with seed 3
+_COMPILED_DIGESTS = {
+    ("fa dims-strong", 0): "79741c46544320b887550e724497e73a1d7fd5743e4462771da7a4d52f6fc7d2",
+    ("fa dims-strong", 40): "1e87ba71ed74fe2f9dace44569e04544e1491bc340f9ed6e2c8e57725cac341e",
+    ("rca4 dims-strong", 0): "95f949436285e8d3893115532a09e937f6665dfbd8290c0cb3f62e0fbbf9bb0d",
+    ("rca4 dims-strong", 40): "d86913a925d75ee81ad5f4cdcfe0454d9a7f8c7c9ac630c17de737ad61cec86e",
+    ("rca32 dims-strong", 0): "50a8ab312f6959f86e5c93e1053cb53bfc6655adc22f31de1c6737acf2a56224",
+    ("rca32 dims-strong", 40): "e4f21d8ec197b217d84c5bd62e2314fee6cea356b65a2e83b099e17084c221b1",
+    ("fa dims-weak", 0): "a783c99d7f203282771ca51d9dcfdee8f45b0c4c859019115f189a8f973e4de1",
+    ("fa dims-weak", 40): "f7336e5d64d2973852c8b568b65328a9f4004a17ea2a668a9047362f1087ef4d",
+    ("rca4 dims-weak", 0): "8ab7332e6789584efe571ded9499940d511f6a568af8194b73ebdb57113771fb",
+    ("rca4 dims-weak", 40): "76b0f7bfd36d58302c525a9bda5516d11d0d6846e809b1dbc3a255bf2535d608",
+    ("rca32 dims-weak", 0): "1b181fbb751e62eca99dd8d1affc350df64f219601b735b7065f20cca28ad03a",
+    ("rca32 dims-weak", 40): "c387d577fe400199fcbcde6a21981ed1432237bc2fa189171f07c9b80ca5bfef",
+    ("fa distributive", 0): "e00343488ac7d15eb432a018f8e81787cef668ca24dc477de8c28bb902f52df2",
+    ("fa distributive", 40): "9bbf227e11c9d4c27cf8f45a3478c14fb45ab076ad393597716dfa12819b25b4",
+    ("rca4 distributive", 0): "bf161adbd50cc5a8f60ba3ac775b59f29c619fe0401f4adb51a33433a3841ce8",
+    ("rca4 distributive", 40): "c5f743fbd506571aaeb36fdc2bd573f1e5feaedccf3e8e8ab4682b85da296e8d",
+    ("rca32 distributive", 0): "28c259487569cc014e0fb21b0dfeaffaaffbdba6af30af177d8b7589f56864c5",
+    ("rca32 distributive", 40): "8c5752ac1670fcab8cbca1cbd804d2f8f2bdc26dad821da0acec8fa104b02699",
+    ("fa biased-ao222", 0): "8c688412b3f4b16104053450c605c2c2614c4ad6746403db2c0ca993d274cad0",
+    ("fa biased-ao222", 40): "7ae8845d4cf0c0156d2fe5312d602b192b22ea3f5a7dfbdf6b9521d1deccc1a5",
+    ("rca4 biased-ao222", 0): "b302848c55b9a6a30aaf34291a730884740b4eb65614411a49bfe247b8b2f5af",
+    ("rca4 biased-ao222", 40): "826ffe9776004c3d25b9ee550e5eab0c7ef2c5e5afd3b5bcdc83b9d6890df410",
+    ("rca32 biased-ao222", 0): "1c51e9ae9fc9a4a2cd3ba26825a7e56531c610635c999d610ed1bbc5d8e56462",
+    ("rca32 biased-ao222", 40): "6474e73ab8c0183e3293abfecb0002a1731f5f705657c169c5a89472b37e92ae",
+    ("fa latency-opt-biased", 0): "73a4cf35131e60af8c938990421800765bd46a31d96212490d23519a0a9085ee",
+    ("fa latency-opt-biased", 40): "09e565376bac69b146eced18e257abc2be59a7b1064fe13600212061a0248ff8",
+    ("rca4 latency-opt-biased", 0): "80d88aedf9467e60b6c7b422fe1e925061bb1e2ac13c97ad2667de09e261950a",
+    ("rca4 latency-opt-biased", 40): "656d9ab611f68e635ed656b45a03a7c8be72ebf73ef369166fcb041af7086e0c",
+    ("rca32 latency-opt-biased", 0): "f3c1a6127b0cf92bc1588e571e4acd23354ad16ebaa5ca3b7d8f742fa2e6124d",
+    ("rca32 latency-opt-biased", 40): "5560bef2ca7a30bcb667052ba165f43a32749261c7e3e82dd6359817061ba810",
+    ("fa early-output", 0): "dba2e6199e34f56ec1b5a1c520468e7805f0cd7f6f859fd3f11438a2510c4e5c",
+    ("fa early-output", 40): "8d05a5168569deb81c38b53776701cab925333b89372e79c1fe107ec43e2a1d7",
+    ("rca4 early-output", 0): "123dfa17a36a42974cfc6f2e2d41d38acae65ddeb6516aa0e82328d3d602fc21",
+    ("rca4 early-output", 40): "db119795142003a4079e44ee43ab98394b05cfb73ea3f5ba4b4d0e2f2949818e",
+    ("rca32 early-output", 0): "7074101dcb92ce8e93770dd7a5f971b721fd49711ad65e9debe27c0453995747",
+    ("rca32 early-output", 40): "afc6ad9c4c9d380662f7bd2e25ffc8421bf46b2202654564f661c93f0d57536c",
+    ("stage local", 0): "dcc6888ede4cbbbd227852303893206d2aa51ff2b85f127660a9924fc4ebff2c",
+    ("stage local", 40): "dc0e9557b20f2b0165fb0c1cd2630d527287084f2f5f4016160e07a13da7a2ab",
+    ("stage global", 0): "1528b3d55ee8795b7461806131abac658988c72af4aa3b5a0b24a90292eb7b67",
+    ("stage global", 40): "f830d7750ae392cfe7e78d0a950d20bb330bfd0a23665282ff1f01dccf4dd100",
+}
+
+
+def _golden_netlist(case):
+    shape, name = case.split()
+    if shape == "stage":
+        arch = Architecture(name)
+        return build_stage(arch, PAIRED_VARIANT[arch], 32).netlist
+    variant = AdderVariant(name)
+    return build_full_adder(variant) if shape == "fa" else build_rca(variant, int(shape[3:])).netlist
+
+
+@pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))
+def test_compiled_form_matches_golden(case, jitter, table):
+    sim = Simulation(_golden_netlist(case), table, jitter=jitter, jitter_seed=3)
+    plan = _wave_plan(sim)
+    compiled = repr((sim._names, sim._gates, sim._fanout, plan.nodes, plan.pairs))
+    assert hashlib.sha256(compiled.encode()).hexdigest() == _COMPILED_DIGESTS[case, jitter]
 
 
 @pytest.mark.parametrize("arch,ops,deliveries", [
