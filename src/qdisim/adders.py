@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .cells import DelayTable, default_delay_table
-from .dualrail import decode_word, rail_assignments
+from .dualrail import decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .sim import Simulation, _WavePlan, _wave_plan, drive_transaction
 
@@ -250,31 +250,15 @@ EXHAUSTIVE_MAX_N = 8  # 2^17 vectors
 CHECK_BLOCK = 4096  # vectors per boolean pass of the wave plan
 
 
-def _bit_columns(words, width: int) -> list[int]:
-    """Column k is an int whose bit v is bit k of `words[v]`."""
-    rows = (format(w, f"0{width}b") for w in reversed(words))
-    return [int("".join(col), 2) for col in zip(*rows)][::-1]
-
-
 def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block) -> int:
     """Bit v set when vector v of `block` fails: an output pair is not its
     expected rail, or some port pair has both rails high."""
-    n = rca.n
-    full = (1 << len(block)) - 1
-    masks = {}
     # functional_check generates these operands itself, so they fit
-    ops = _bit_columns([_pack(n, a, b, c) for a, b, c in block], 2 * n + 1)
-    for (r1, r0), mask in zip(rca.operand_rails, ops):
-        masks[r1], masks[r0] = mask, full ^ mask
-    rise = plan.rises(sim, masks)
-    expected = _bit_columns([a + b + c for a, b, c in block], n + 1)
-    rails = {port: (i1, i0) for port, i1, i0 in plan.pairs}
-    fails = 0
-    for port, want in zip(rca.sum_ports + (rca.cout_port,), expected):
-        i1, i0 = rails[port]
-        fails |= (rise[i1] ^ want) | (rise[i0] ^ full ^ want)
-    for _, i1, i0 in plan.pairs:
-        fails |= rise[i1] & rise[i0]
+    rise = plan.rises(sim, rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block]))
+    outputs = [plan.rails[port] for port in rca.sum_ports + (rca.cout_port,)]
+    fails = plan.illegal(rise)
+    for slot, want in rail_masks(outputs, [a + b + c for a, b, c in block]).items():
+        fails |= rise[slot] ^ want
     return fails
 
 

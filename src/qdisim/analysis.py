@@ -13,11 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .adders import AdderVariant, _bit_columns, pack_operands
+from .adders import AdderVariant, pack_operands
 from .cells import (
     DelayTable, default_delay_table, global_datapath, global_datapath_cycle,
     local_chain_reset, local_cycle, local_kill_resets, local_path, path_delay, sync_path,
 )
+from .dualrail import bit_columns, rail_masks
 from .netlist import GateKind, Netlist
 from .sim import Phase, Simulation, _wave_plan
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
@@ -152,28 +153,19 @@ def measure_chains(
     done: list[tuple[int, int, int]] = []
     if plan is not None and specs:
         words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
-        full = (1 << len(specs)) - 1
-        masks = {stage.ackin: full}
-        for (r1, r0), mask in zip(stage.operand_rails, _bit_columns(words, 2 * stage.n + 1)):
-            masks[r1], masks[r0] = mask, full ^ mask
-        rise, high = plan.times(sim, masks)
-        rails = {port: (i1, i0) for port, i1, i0 in plan.pairs}
-        fails = 0
-        for _, i1, i0 in plan.pairs:
-            fails |= _last(rise[i1]) & _last(rise[i0])
-        out = [rails[port] for port in stage.forward_ports]
+        masks = rail_masks(stage.operand_rails, words)
+        masks[stage.ackin] = full = (1 << len(specs)) - 1
+        rose, rise, high = plan.times(sim, masks)
+        out = [plan.rails[port] for port in stage.forward_ports]
+        fails = plan.illegal(rose)
         for i1, i0 in out:
-            fails |= full ^ (_last(rise[i1]) ^ _last(rise[i0]))
+            fails |= full & ~(rose[i1] ^ rose[i0])
         outs = [i for pair in out for i in pair]
         fl = _latest([(0, rise[i]) for i in outs], len(specs))
-        rl = _latest([(_last(rise[i]), high[i]) for i in outs], len(specs))
+        rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
         good = len(specs) if not fails else (fails & -fails).bit_length() - 1
         done = [(f, r, f + r) for f, r in zip(fl[:good], rl[:good])]
     return done + [measure(stage, spec, table, sim) for spec in specs[len(done):]]
-
-
-def _last(steps: list) -> int:
-    return steps[-1][1] if steps else 0
 
 
 def _latest(functions: list[tuple[int, list]], count: int) -> list[int]:
@@ -242,8 +234,8 @@ def sweep(
     specs = [ChainSpec(n, m) for m in m_values]
     if not specs:
         raise ValueError("sweep needs at least one m value")
-    local_sims = measure_chains(local, specs, table, Simulation(local.netlist, table))
-    glob_sims = measure_chains(glob, specs, table, Simulation(glob.netlist, table))
+    local_sims = measure_chains(local, specs, table)
+    glob_sims = measure_chains(glob, specs, table)
     rows = []
     for spec, lsim, gsim in zip(specs, local_sims, glob_sims):
         m = spec.m
@@ -324,7 +316,7 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
     rail's mask is its pair's subset pattern times its codeword comb."""
     pis, pos = set(netlist.primary_inputs), set(netlist.primary_outputs)
     in_rails = [pair for pair in netlist.port_map.values() if pis.issuperset(pair)]
-    out_rails = [pair for pair in netlist.port_map.values() if pos.issuperset(pair) and pair not in in_rails]
+    out_ports = [port for port, pair in netlist.port_map.items() if pos.issuperset(pair) and pair not in in_rails]
     k = len(in_rails)
     if k > CLASSIFY_MAX_PAIRS:
         raise ValueError(f"block too wide to classify: {k} input pairs, at most {CLASSIFY_MAX_PAIRS}")
@@ -337,11 +329,12 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
         raise ValueError("the wave plan does not cover this block: an INV, a cycle or a bad port map")
     codewords, width = 1 << k, max((1 << k) - 2, 0)
     arrived, valid = {}, {}
-    patterns = zip(_bit_columns(range(1, width + 1), k), _bit_columns(range(codewords), k))
-    for (r1, r0), (subset, ones) in zip(in_rails, patterns):
-        for rail, comb in ((r1, _spread(ones, codewords, width)), (r0, _spread(~ones, codewords, width))):
+    raised = rail_masks(in_rails, range(codewords))
+    for pair, subset in zip(in_rails, bit_columns(range(1, width + 1), k)):
+        for rail in pair:
+            comb = _spread(raised[rail], codewords, width)
             arrived[rail], valid[rail] = subset * comb, ((1 << width) - 1) * comb
-    outs = [(sim._ids[r1], sim._ids[r0]) for r1, r0 in out_rails]
+    outs = [plan.rails[port] for port in out_ports]
     found = []
     for phase in phases:
         if phase is Phase.SET:
@@ -358,8 +351,8 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
 
 
 def _spread(column: int, count: int, width: int) -> int:
-    """Bit c of `column` moved to bit c * width, for c < count."""
-    return int(("0" * (width - 1)).join(format(column & (1 << count) - 1, f"0{count}b")), 2)
+    """Bit c of `column` moved to bit c * width; `column` fits `count` bits."""
+    return int(("0" * (width - 1)).join(format(column, f"0{count}b")), 2)
 
 
 # expected classes per variant, confirmed by the enumerator in the tests
@@ -419,8 +412,7 @@ def asymptotic_check(
     the data path of every variant can be profiled."""
     table = table or default_delay_table()
     stage = build_stage(architecture, variant, n, force=True)
-    sim = Simulation(stage.netlist, table)
-    measured = measure_chains(stage, [ChainSpec(n, m) for m in m_values], table, sim)
+    measured = measure_chains(stage, [ChainSpec(n, m) for m in m_values], table)
     fls = tuple(fl for fl, _, _ in measured)
     rls = tuple(rl for _, rl, _ in measured)
     return AsymptoticReport(variant, architecture, tuple(m_values), fls, rls)

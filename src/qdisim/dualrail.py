@@ -4,8 +4,9 @@ One bit travels on two wires: (rail1, rail0) = (1,0) carries a logical 1,
 (0,1) a logical 0, (0,0) is the spacer that separates successive codewords
 in return-to-zero handshaking, and (1,1) is a forbidden codeword.  The
 forbidden state is representable so that checks can assert its absence.
-`PAIR_STATE` is the one table from rail values to states, and
-`rail_assignments` is the one encoder.
+`PAIR_STATE` is the one table from rail values to states.  There is one
+encoder, in two forms: `rail_assignments` puts one word on the rails, and
+`rail_masks` puts a block of words on them at once, one bit per word.
 """
 from __future__ import annotations
 
@@ -42,6 +43,24 @@ def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:
         out.append((r0, 1 - bit))
         value >>= 1
     return out
+
+
+def bit_columns(words, width: int) -> list[int]:
+    """Column k is an int whose bit v is bit k of `words[v]`."""
+    rows = (format(w, f"0{width}b") for w in reversed(words))
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
+
+
+def rail_masks(pairs, words) -> dict:
+    """The block form of `rail_assignments`: bit v of the mask of
+    `pairs[k]`'s rail1 is bit k of `words[v]`, and its rail0 carries the
+    complement within the block.  The rails may be net names or any other
+    keys, such as wave-plan slots.  Every word must fit `len(pairs)` bits."""
+    full = (1 << len(words)) - 1
+    masks = {}
+    for (r1, r0), column in zip(pairs, bit_columns(words, len(pairs))):
+        masks[r1], masks[r0] = column, full ^ column
+    return masks
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,19 @@ class GateKind(enum.Enum):
     C3 = "C3"
 
 
-GATE_ARITY = {
-    GateKind.INV: 1,
-    GateKind.AND2: 2,
-    GateKind.OR2: 2,
-    GateKind.C2: 2,
-    GateKind.AO21: 3,
-    GateKind.C3: 3,
-    GateKind.AO22: 4,
-    GateKind.AO222: 6,
+# each kind's terms as input positions, INV aside: the output is the OR of
+# the terms, each the AND of its inputs, except that a C-element's one term
+# changes the output only when all its inputs agree
+GATE_TERMS = {
+    GateKind.C2: ((0, 1),),
+    GateKind.C3: ((0, 1, 2),),
+    GateKind.AND2: ((0, 1),),
+    GateKind.OR2: ((0,), (1,)),
+    GateKind.AO21: ((0, 1), (2,)),
+    GateKind.AO22: ((0, 1), (2, 3)),
+    GateKind.AO222: ((0, 1), (2, 3), (4, 5)),
 }
+GATE_ARITY = {GateKind.INV: 1, **{kind: sum(map(len, t)) for kind, t in GATE_TERMS.items()}}
 
 # and-or cells and C-elements; INV/AND2/OR2 count as simple gates
 COMPLEX_KINDS = frozenset(
@@ -71,13 +74,6 @@ class Netlist:
             s.add(g.output)
         return s
 
-    def drivers(self) -> dict[str, list]:
-        """Map net -> list of driving gates (primary inputs excluded)."""
-        d: dict[str, list] = {}
-        for g in self.gates:
-            d.setdefault(g.output, []).append(g)
-        return d
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -105,21 +101,22 @@ def validate(n: Netlist) -> ValidationReport:
     acyclicity of the combinational (non C-element) subgraph."""
     report = ValidationReport()
     seen_ids: set[str] = set()
+    drivers: dict[str, int] = {}  # net -> the number of gates driving it
     for g in n.gates:
         if g.gid in seen_ids:
             report.violations.append(Violation("duplicate-gate-id", g.gid))
         seen_ids.add(g.gid)
+        drivers[g.output] = drivers.get(g.output, 0) + 1
         want = GATE_ARITY[g.kind]
         if len(g.inputs) != want:
             report.violations.append(
                 Violation("arity", g.gid, f"{g.kind.value} needs {want} inputs, has {len(g.inputs)}")
             )
 
-    drivers = n.drivers()
     pi = set(n.primary_inputs)
-    for net, gs in drivers.items():
-        if len(gs) > 1:
-            report.violations.append(Violation("single-driver", net, f"driven by {len(gs)} gates"))
+    for net, count in drivers.items():
+        if count > 1:
+            report.violations.append(Violation("single-driver", net, f"driven by {count} gates"))
         if net in pi:
             report.violations.append(Violation("single-driver", net, "gate drives a primary input"))
 

@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .cells import DelayTable
 from .dualrail import PAIR_STATE, RailState
-from .netlist import GATE_ARITY, GateKind, Netlist
+from .netlist import GATE_ARITY, GATE_TERMS, STATEFUL_KINDS, GateKind, Netlist
 
 # dispatch codes ordered by frequency in the generated circuits
 _C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
@@ -429,24 +429,13 @@ _UNBUILT = object()
 # two-input node ops of the wave plan
 _AND, _OR, _C = range(3)
 
-# each kind the plan covers: the op that combines a term's inputs, and its
-# terms as input positions; the terms of a gate are combined by _OR
-_TERMS = {
-    GateKind.C2: (_C, ((0, 1),)),
-    GateKind.C3: (_C, ((0, 1, 2),)),
-    GateKind.AND2: (_AND, ((0, 1),)),
-    GateKind.OR2: (_AND, ((0,), (1,))),
-    GateKind.AO21: (_AND, ((0, 1), (2,))),
-    GateKind.AO22: (_AND, ((0, 1), (2, 3))),
-    GateKind.AO222: (_AND, ((0, 1), (2, 3), (4, 5))),
-}
-
 
 def _lower(product: int, terms: tuple[tuple[int, ...], ...]):
     """One kind's chain of two-input nodes, each (op, operand, operand):
-    operand k below the arity is input k, and operand arity + j is the
-    chain's j-th node.  Returns the intermediate nodes and the last node,
-    which drives the gate's output."""
+    `product` combines each term's inputs, and _OR the terms.  Operand k
+    below the arity is input k, and operand arity + j is the chain's j-th
+    node.  Returns the intermediate nodes and the last node, which drives
+    the gate's output."""
     arity = sum(map(len, terms))
     nodes: list[tuple[int, int, int]] = []
 
@@ -461,8 +450,10 @@ def _lower(product: int, terms: tuple[tuple[int, ...], ...]):
     return tuple(nodes[:-1]), nodes[-1]
 
 
-# _TERMS lowered, by the codes of the compiled gates
-_CHAINS = {_CODE[kind]: _lower(*entry) for kind, entry in _TERMS.items()}
+# GATE_TERMS lowered, by the codes of the compiled gates
+_CHAINS = {
+    _CODE[kind]: _lower(_C if kind in STATEFUL_KINDS else _AND, terms) for kind, terms in GATE_TERMS.items()
+}
 
 
 class _WavePlan:
@@ -491,7 +482,8 @@ class _WavePlan:
     def __init__(self, nodes: list[tuple[int, int, int, int, int]], slots: int, pairs: list[tuple[str, int, int]]):
         self.nodes = nodes  # (op, input, input, output slot, delay)
         self.slots = slots  # the sim's nets, then the intermediate nodes
-        self.pairs = pairs
+        self.pairs = pairs  # (port, rail1 slot, rail0 slot)
+        self.rails = {port: (i1, i0) for port, i1, i0 in pairs}
 
     @classmethod
     def build(cls, sim: Simulation) -> _WavePlan | None:
@@ -547,8 +539,7 @@ class _WavePlan:
 
     def run(self, sim: Simulation, assignments, output_ports) -> WaveResult:
         ids, pi_ids = sim._ids, sim._pi_ids
-        port_map = sim.netlist.port_map
-        out_pairs = [(ids[r1], ids[r0]) for r1, r0 in (port_map[p] for p in output_ports)]
+        out_pairs = [self.rails[p] for p in output_ports]
         out_rails = [i for pair in out_pairs for i in pair]
         never, before, and_, or_ = _NEVER, _BEFORE, _AND, _OR
 
@@ -611,6 +602,15 @@ class _WavePlan:
             rise[out] = rise[a] | rise[b] if op == or_ else rise[a] & rise[b]
         return rise
 
+    def illegal(self, rose: list[int]) -> int:
+        """Bit v set when some port pair has both rails risen in vector v,
+        given which slots rose: a `rises` result or the first list of
+        `times`."""
+        bad = 0
+        for i1, i0 in self.rails.values():
+            bad |= rose[i1] & rose[i0]
+        return bad
+
     def falls(self, sim: Simulation, rise: list[int], masks: dict[str, int]) -> list[int]:
         """Which slots are still high once some inputs of settled valid
         waves fall, with no times: `rise` is a `rises` result, and bit v
@@ -630,16 +630,18 @@ class _WavePlan:
                 high[out] = (high[a] | high[b]) & rise[out]
         return high
 
-    def times(self, sim: Simulation, masks: dict[str, int]) -> tuple[list[list], list[list]]:
+    def times(self, sim: Simulation, masks: dict[str, int]) -> tuple[list[int], list[list], list[list]]:
         """`run`'s times for a block of vectors at once.  `masks` is as
         for `rises`; an input rises at 0 in its vectors and falls at 0, the
-        spacer wave's start.  Returns (rise, high), a step function per
-        slot: a list of (t, mask) with t increasing.  Bit v of rise[i]'s
-        mask is set when slot i has risen by t in vector v, from 0 before
-        its first step.  high[i] is the dual over offsets from the spacer
-        wave's start: bit v is set while slot i is still high in vector
-        v, from rise[i]'s last mask before its first step, so a slot that
-        never rose is never high and needs no case of its own.
+        spacer wave's start.  Returns (rose, rise, high): rose[i] is the
+        mask of the vectors in which slot i rises, as `rises` gives it,
+        and rise and high hold a step function per slot, a list of
+        (t, mask) with t increasing.  Bit v of rise[i]'s mask is set when
+        slot i has risen by t in vector v, from 0 before its first step.
+        high[i] is the dual over offsets from the spacer wave's start: bit
+        v is set while slot i is still high in vector v, from rose[i]
+        before its first step, so a slot that never rose is never high and
+        needs no case of its own.
 
         Each node combines its inputs over the union of their steps,
         shifted by its delay: AND and C nodes rise on `&` and OR nodes on
@@ -659,7 +661,7 @@ class _WavePlan:
                 high[out] = _steps(high[a], rose[a], high[b], rose[b], True, delay)
             else:  # an OR node is high only where it rose anyway
                 high[out] = _steps(high[a], rose[a], high[b], rose[b], False, delay, last)
-        return rise, high
+        return rose, rise, high
 
 
 def _input_slots(sim: Simulation, masks: dict[str, int]):

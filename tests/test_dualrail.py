@@ -7,6 +7,7 @@ from qdisim.dualrail import (
     RailState,
     decode_word,
     rail_assignments,
+    rail_masks,
 )
 
 WIDTH_AND_VALUE = st.integers(min_value=1, max_value=16).flatmap(
@@ -74,3 +75,15 @@ def test_rail_assignments_put_bit_k_on_pair_k(case):
         bit = (value >> k) & 1
         assert got[2 * k:2 * k + 2] == [(r1, bit), (r0, 1 - bit)]
     assert rail_assignments(pairs, None) == [(net, 0) for pair in pairs for net in pair]
+
+
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=64))))
+def test_rail_masks_are_rail_assignments_bit_by_bit(case):
+    width, words = case
+    pairs = [(f"p{k}.r1", f"p{k}.r0") for k in range(width)]
+    masks = rail_masks(pairs, words)
+    assert set(masks) == {net for pair in pairs for net in pair}
+    assert all(0 <= mask < 1 << len(words) for mask in masks.values())
+    for v, word in enumerate(words):
+        assert {net: mask >> v & 1 for net, mask in masks.items()} == dict(rail_assignments(pairs, word)), v

@@ -6,6 +6,8 @@ from qdisim.cells import default_delay_table
 from qdisim.netlist import (
     Gate,
     GATE_ARITY,
+    GATE_TERMS,
+    STATEFUL_KINDS,
     GateKind,
     Netlist,
     NetlistBuilder,
@@ -124,6 +126,15 @@ def test_validate_arity():
     n = Netlist((Gate("g1", GateKind.AO22, ("a", "b", "c"), "y"),), ("a", "b", "c"))
     report = validate(n)
     assert any(v.rule == "arity" and v.subject == "g1" for v in report.violations)
+
+
+def test_gate_table_pins_arity_and_terms():
+    assert GATE_ARITY == {
+        GateKind.INV: 1, GateKind.AND2: 2, GateKind.OR2: 2, GateKind.C2: 2,
+        GateKind.AO21: 3, GateKind.C3: 3, GateKind.AO22: 4, GateKind.AO222: 6,
+    }
+    assert set(GATE_TERMS) == set(GateKind) - {GateKind.INV}
+    assert all(len(GATE_TERMS[kind]) == 1 for kind in STATEFUL_KINDS)
 
 
 @pytest.mark.parametrize("line,message", [

@@ -211,8 +211,15 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
     planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
-    rise, high = _WavePlan.build(planned).times(planned, _masks(inputs, vectors))
+    plan, masks = _WavePlan.build(planned), _masks(inputs, vectors)
+    rose_masks, rise, high = plan.times(planned, masks)
+    assert rose_masks == plan.rises(planned, masks)
+    ids = planned._ids
+    assert plan.rails == {port: (ids[r1], ids[r0]) for port, (r1, r0) in netlist.port_map.items()}
+    illegal = plan.illegal(rose_masks)
     for v, vec in enumerate(vectors):
+        reported = plan.run(planned, list(zip(inputs, vec)), []).set_report.illegal_pairs
+        assert illegal >> v & 1 == bool(reported), v
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         waves = drive_transaction(reference, list(zip(inputs, vec)), [], keep_traces=True)
         spacer = max((t for t, _, _ in waves.set_trace), default=0)
