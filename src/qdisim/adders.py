@@ -41,8 +41,7 @@ class RcaDescriptor:
     n: int
     netlist: Netlist
     operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
-    sum_ports: tuple[str, ...]
-    cout_port: str
+    forward_ports: tuple[str, ...]  # sum0.., cout: the output word
 
 
 def pack_operands(n: int, a: int, b: int, cin: int) -> int:
@@ -197,17 +196,15 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
     b_rails = [nb.add_input_pair(f"b{i}") for i in range(n)]
     cin = nb.add_input_pair("cin")
     sums, cout = emit_rca(nb, variant, n, a_rails, b_rails, cin)
-    sum_ports = tuple(f"sum{i}" for i in range(n))
-    for port, (s1, s0) in zip(sum_ports, sums):
-        nb.add_output_pair(port, s1, s0)
-    nb.add_output_pair("cout", *cout)
+    forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
+    for port, rails in zip(forward_ports, [*sums, cout]):
+        nb.add_output_pair(port, *rails)
     return RcaDescriptor(
         variant=variant,
         n=n,
         netlist=nb.build(),
         operand_rails=(*a_rails, *b_rails, cin),
-        sum_ports=sum_ports,
-        cout_port="cout",
+        forward_ports=forward_ports,
     )
 
 
@@ -242,7 +239,7 @@ def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: in
     The result covers n+1 bits: sum plus overflow carry.  Raises
     ValueError when an operand does not fit."""
     assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, cin))
-    waves = drive_transaction(sim, assignments, rca.sum_ports + (rca.cout_port,))
+    waves = drive_transaction(sim, assignments, rca.forward_ports)
     return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
 
 
@@ -255,7 +252,7 @@ def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block)
     expected rail, or some port pair has both rails high."""
     # functional_check generates these operands itself, so they fit
     rise = plan.rises(sim, rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block]))
-    outputs = [plan.rails[port] for port in rca.sum_ports + (rca.cout_port,)]
+    outputs = [plan.rails[port] for port in rca.forward_ports]
     fails = plan.illegal(rise)
     for slot, want in rail_masks(outputs, [a + b + c for a, b, c in block]).items():
         fails |= rise[slot] ^ want

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from .adders import AdderVariant, pack_operands
 from .cells import (
-    DelayTable, default_delay_table, global_datapath, global_datapath_cycle,
-    local_chain_reset, local_cycle, local_kill_resets, local_path, path_delay, sync_path,
+    DelayTable, default_delay_table, global_datapath,
+    local_chain_reset, local_kill_resets, local_path, path_delay, sync_path,
 )
-from .dualrail import bit_columns, rail_masks
+from .dualrail import DecodeIssue, bit_columns, rail_masks
 from .netlist import GateKind, Netlist
 from .sim import Phase, Simulation, _wave_plan
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
@@ -49,23 +49,6 @@ def gen_carry_chain_vector(spec: ChainSpec) -> tuple[int, int, int]:
 # -- closed-form latencies ---------------------------------------------
 
 
-def local_cycle_formula(m: int, table: DelayTable) -> int:
-    """Both waves of the LOCAL path: 6*C2 + 4*OR2 + (m+2)*AO21."""
-    return path_delay(local_cycle(m), table)
-
-
-def global_datapath_cycle_formula(m: int, table: DelayTable) -> int:
-    """Datapath-forward plus synchronizing-reverse cycle:
-    11*C2 + 2*OR2 + (m+2)*AO22."""
-    return path_delay(global_datapath_cycle(m), table)
-
-
-def synchronizing_delay(table: DelayTable, n: int = 32) -> int:
-    """Delay of `cells.sync_path(n)`; at n=32 the detector tree is 7 C2
-    levels deep, so this is 9*C2 + OR2."""
-    return path_delay(sync_path(n), table)
-
-
 def theory_local(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int]:
     """(forward, reverse, cycle) for the LOCAL architecture.  The spacer
     wave ends at the kill stage m+1 or after it.  The carry into the kill
@@ -87,7 +70,7 @@ def theory_global(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int
     bounded by the slower of the datapath and the synchronizing path."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    sync = synchronizing_delay(table, n)
+    sync = path_delay(sync_path(n), table)
     fl = max(path_delay(global_datapath(m), table), sync)
     rl = max(path_delay(global_datapath(0), table), sync)
     return fl, rl, fl + rl
@@ -96,7 +79,7 @@ def theory_global(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int
 def crossover_m(table: DelayTable, n: int = 32) -> int:
     """Largest m whose valid-wave datapath delay stays within the
     synchronizing delay; -1 when even m=0 exceeds it."""
-    slack = synchronizing_delay(table, n) - path_delay(global_datapath(0), table)
+    slack = path_delay(sync_path(n), table) - path_delay(global_datapath(0), table)
     return slack // table[GateKind.AO22] if slack >= 0 else -1
 
 
@@ -122,10 +105,12 @@ def measure(
         sim.reset()
     rec = run_transaction(stage, a, b, cin, table or default_delay_table(), sim=sim)
     if not rec.ok:
-        raise TransactionError(
-            f"transaction failed for m={spec.m}: set={rec.set_report.ok} "
-            f"rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
-        )
+        detail = f"set={rec.set_report.ok} rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
+        for word, value in (("sum", rec.sum_value), ("carry", rec.carry_value)):
+            if isinstance(value, DecodeIssue):  # the first pair that did not decode
+                detail += f", {word} pair {value.index} is {value.state.value}"
+                break
+        raise TransactionError(f"transaction failed for m={spec.m}: {detail}")
     return rec.forward_latency, rec.reverse_latency, rec.cycle_time
 
 
@@ -133,7 +118,6 @@ def measure_chains(
     stage: StageDescriptor,
     specs: list[ChainSpec],
     table: DelayTable | None = None,
-    sim: Simulation | None = None,
 ) -> list[tuple[int, int, int]]:
     """`measure` for every spec, in one timed pass of the wave plan
     (`_WavePlan.times`) over all the chain vectors at once.
@@ -142,10 +126,7 @@ def measure_chains(
     high, or a forward pair does not have exactly one.  From the first
     failing spec on, and when the netlist admits no plan, every spec runs
     `measure`, which raises the TransactionError that names it."""
-    if sim is None:
-        sim = Simulation(stage.netlist, table or default_delay_table())
-    elif sim.netlist is not stage.netlist:
-        raise ValueError("sim was built for another netlist than the stage's")
+    sim = Simulation(stage.netlist, table or default_delay_table())
     for spec in specs:
         if stage.n != spec.n:
             raise ValueError(f"stage width {stage.n} != spec width {spec.n}")

@@ -156,6 +156,8 @@ def load_delay_table(text: str) -> DelayTable:
             kind = GateKind(tokens[0])
         except ValueError:
             raise DelayTableError(f"line {line_no}: unknown gate kind {tokens[0]!r}") from None
+        if kind in overrides:
+            raise DelayTableError(f"line {line_no}: duplicate delay for {kind.value}")
         try:
             if not (tokens[1].isascii() and tokens[1].removeprefix("-").isdigit()):
                 raise ValueError  # int() would also take "+5", "1_0" and "٣"

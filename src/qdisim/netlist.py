@@ -217,6 +217,8 @@ def parse_netlist(text: str) -> Netlist:
         elif stmt == "pair":
             if len(tokens) != 4:
                 raise NetlistParseError(line_no, "pair takes portname, rail1 net, rail0 net")
+            if tokens[1] in pairs:
+                raise NetlistParseError(line_no, f"duplicate pair {tokens[1]!r}")
             pairs[tokens[1]] = (tokens[2], tokens[3])
         else:
             raise NetlistParseError(line_no, f"unknown statement {stmt!r}")

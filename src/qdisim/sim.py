@@ -364,6 +364,15 @@ class WaveResult:
     set_trace: list[tuple[int, str, int]] | None = None
     rtz_trace: list[tuple[int, str, int]] | None = None
 
+    @property
+    def cycle_time(self) -> int:
+        return self.forward_latency + self.reverse_latency
+
+    @property
+    def ok(self) -> bool:
+        """Both phase checks passed and the outputs are back at spacer."""
+        return self.set_report.ok and self.rtz_report.ok and self.spacer_restored
+
 
 def drive_transaction(
     sim: Simulation,

@@ -22,7 +22,7 @@ from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
 from .dualrail import DecodeIssue, RailState, decode_word, rail_assignments
 from .netlist import Gate, GateKind, Netlist, NetlistBuilder
-from .sim import PhaseCheckReport, Simulation, drive_transaction
+from .sim import Simulation, WaveResult, drive_transaction
 
 
 class Architecture(enum.Enum):
@@ -92,8 +92,6 @@ class StageDescriptor:
     forward_ports: tuple[str, ...]     # sum0.., cout: what the next stage sees
     ackin: str
     cd_out: str
-    cd_depth: int
-    sync_port: str | None = None       # GLOBAL only: alias of the cout port
 
 
 def build_stage(
@@ -129,19 +127,17 @@ def build_stage(
         reg_pairs.append((q1, q0))
 
     sums, cout = emit_rca(nb, variant, n, reg_pairs[:n], reg_pairs[n:-1], reg_pairs[-1])
-    cd_out, cd_depth = _emit_completion_detector(nb, reg_pairs)
+    cd_out, _ = _emit_completion_detector(nb, reg_pairs)
 
     forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
     for port, (s1, s0) in zip(forward_ports[:n], sums):
         nb.add_output_pair(port, s1, s0)
-    sync_port = None
     if architecture is Architecture.GLOBAL:
         nb.add_pair("cout.rca", *cout)
         cout = (
             nb.add_gate(GateKind.C2, (cout[0], cd_out), "sync.r1"),
             nb.add_gate(GateKind.C2, (cout[1], cd_out), "sync.r0"),
         )
-        sync_port = "cout"
     nb.add_output_pair("cout", *cout)
     nb.add_output(cd_out)
 
@@ -155,40 +151,27 @@ def build_stage(
         forward_ports=forward_ports,
         ackin=ackin,
         cd_out=cd_out,
-        cd_depth=cd_depth,
-        sync_port=sync_port,
     )
 
 
-@dataclass
-class TransactionRecord:
+@dataclass(kw_only=True)
+class TransactionRecord(WaveResult):
+    """One stage transaction: its two waves, the stage and operands that
+    drove them, and the forwarded word decoded as sum and carry."""
+
     architecture: Architecture
     variant: AdderVariant
     n: int
     a: int
     b: int
     cin: int
-    forward_latency: int
-    reverse_latency: int
     sum_value: int | DecodeIssue
     carry_value: int | DecodeIssue
-    set_report: PhaseCheckReport
-    rtz_report: PhaseCheckReport
-    spacer_restored: bool
-    # populated only when run_transaction(..., keep_traces=True)
-    set_trace: list[tuple[int, str, int]] | None = None
-    rtz_trace: list[tuple[int, str, int]] | None = None
-
-    @property
-    def cycle_time(self) -> int:
-        return self.forward_latency + self.reverse_latency
 
     @property
     def ok(self) -> bool:
         return (
-            self.set_report.ok
-            and self.rtz_report.ok
-            and self.spacer_restored
+            super().ok
             and not isinstance(self.sum_value, DecodeIssue)
             and not isinstance(self.carry_value, DecodeIssue)
         )
@@ -222,21 +205,15 @@ def run_transaction(
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
     return TransactionRecord(
+        **vars(waves),
         architecture=stage.architecture,
         variant=stage.variant,
         n=stage.n,
         a=a,
         b=b,
         cin=cin,
-        forward_latency=waves.forward_latency,
-        reverse_latency=waves.reverse_latency,
         sum_value=decode_word(waves.valid_word[:-1]),
         carry_value=decode_word(waves.valid_word[-1:]),
-        set_report=waves.set_report,
-        rtz_report=waves.rtz_report,
-        spacer_restored=waves.spacer_restored,
-        set_trace=waves.set_trace,
-        rtz_trace=waves.rtz_trace,
     )
 
 

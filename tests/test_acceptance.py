@@ -15,13 +15,11 @@ from qdisim.analysis import (
     asymptotic_check,
     classify_both,
     crossover_m,
-    global_datapath_cycle_formula,
-    local_cycle_formula,
     measure,
     sweep,
     sweep_csv,
 )
-from qdisim.cells import default_delay_table, derive_pinned_delays
+from qdisim.cells import default_delay_table, derive_pinned_delays, global_datapath_cycle, local_cycle, path_delay
 from qdisim.dualrail import RailState
 from qdisim.netlist import GateKind, gate_census
 from qdisim.sim import Simulation
@@ -50,8 +48,8 @@ def test_criterion_1_delay_derivation(table):
         GateKind.AO22: 72,
     }
     for m in range(31):
-        assert local_cycle_formula(m, table) == 63 * m + 1002
-        assert global_datapath_cycle_formula(m, table) == 72 * m + 1430
+        assert path_delay(local_cycle(m), table) == 63 * m + 1002
+        assert path_delay(global_datapath_cycle(m), table) == 72 * m + 1430
     elapsed = time.time() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: pinned delays 106/60/63/72, laws reproduced for m=0..30 ({elapsed:.3f}s)")

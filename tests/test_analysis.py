@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -13,26 +14,24 @@ from qdisim.analysis import (
     Indication,
     SweepRow,
     TimingReport,
+    TransactionError,
     classify_both,
     classify_indication,
     crossover_m,
     gen_carry_chain_vector,
-    global_datapath_cycle_formula,
-    local_cycle_formula,
     measure,
     measure_chains,
     sweep,
     sweep_csv,
-    synchronizing_delay,
     theory_global,
     theory_local,
 )
 from qdisim.analysis import asymptotic_check
-from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState, rail_assignments
+from qdisim.cells import default_delay_table, global_datapath_cycle, local_cycle, path_delay, sync_path
+from qdisim.dualrail import DecodeIssue, RailState, rail_assignments
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import Phase, Simulation
-from qdisim.stage import Architecture, build_stage
+from qdisim.stage import Architecture, build_stage, run_transaction
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +94,7 @@ def test_theory_local_values(table):
     # kill stage waits for no carry (m = 0, 1), cin's carry chain beats the
     # last propagate stage's detector (m = 2)
     assert [theory_local(m, table)[1] for m in range(3)] == [441, 441, 461]
-    assert theory_local(0, table)[2] == 942 != local_cycle_formula(0, table)
+    assert theory_local(0, table)[2] == 942 != path_delay(local_cycle(0), table)
     for m in range(3, 29):
         assert theory_local(m, table)[1] == 501
     # with no stage after the kill stage, the kill stage's own sum ends the wave
@@ -106,13 +105,13 @@ def test_theory_global_values(table):
     assert theory_global(8, table)[2] == 2028
     assert theory_global(12, table)[2] == 2294
     fl9 = theory_global(9, table)[0]
-    assert fl9 == 1064 and fl9 > synchronizing_delay(table)
+    assert fl9 == 1064 and fl9 > path_delay(sync_path(32), table)
 
 
 def test_cycle_formula_back_substitution(table):
     for m in range(31):
-        assert local_cycle_formula(m, table) == 63 * m + 1002
-        assert global_datapath_cycle_formula(m, table) == 72 * m + 1430
+        assert path_delay(local_cycle(m), table) == 63 * m + 1002
+        assert path_delay(global_datapath_cycle(m), table) == 72 * m + 1430
 
 
 def test_crossover_with_derived_delays(table):
@@ -123,8 +122,8 @@ def test_crossover_with_doubled_ao22(table):
     doubled = table.replace({GateKind.AO22: 144})
     assert crossover_m(doubled) == 3
     # cross-check against the max-based cycle model
-    assert theory_global(3, doubled)[0] == synchronizing_delay(doubled)
-    assert theory_global(4, doubled)[0] > synchronizing_delay(doubled)
+    assert theory_global(3, doubled)[0] == path_delay(sync_path(32), doubled)
+    assert theory_global(4, doubled)[0] > path_delay(sync_path(32), doubled)
 
 
 def test_crossover_never_dominates_sentinel(table):
@@ -180,6 +179,26 @@ def test_measure_rejects_width_mismatch(local_stage32, table):
 def test_measure_rejects_a_sim_of_another_netlist(local_stage32, global_stage32, table):
     with pytest.raises(ValueError, match="another netlist"):
         measure(local_stage32, ChainSpec(32, 4), table, Simulation(global_stage32.netlist, table))
+
+
+def test_undecoded_transaction_names_its_first_bad_pair(table):
+    """A stage whose real ackin never rises forwards only spacer: both
+    latencies read 0, and the record and the error flag the undecoded
+    word.  A forwarded carry that stays spacer is named the same way."""
+    stage = build_stage(Architecture.LOCAL, n=4)
+    spec = ChainSpec(4, 1)
+    unlatched = replace(stage, ackin="a0.r1")
+    rec = run_transaction(unlatched, *gen_carry_chain_vector(spec), table)
+    assert (rec.forward_latency, rec.reverse_latency, rec.ok) == (0, 0, False)
+    assert rec.sum_value == DecodeIssue(RailState.SPACER, 0)
+    ports = {**stage.netlist.port_map, "cout": ("fa3.k1", "fa2.k1")}  # two carry rails that stay low
+    carryless = replace(stage, netlist=replace(stage.netlist, port_map=ports))
+    for bad, detail in ((unlatched, "sum pair 0 is SPACER"), (carryless, "carry pair 0 is SPACER")):
+        message = f"^transaction failed for m=1: set=True rtz=True spacer=True, {detail}$"
+        with pytest.raises(TransactionError, match=message):
+            measure(bad, spec, table)
+        with pytest.raises(TransactionError, match=message):
+            measure_chains(bad, [spec], table)
 
 
 # -- sweep -------------------------------------------------------------------

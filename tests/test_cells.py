@@ -161,6 +161,11 @@ def test_load_rejects_unknown_kind():
         load_delay_table("FOO 5")
 
 
+def test_load_rejects_duplicate_kind():
+    with pytest.raises(DelayTableError, match="^line 3: duplicate delay for C2$"):
+        load_delay_table("C2 100\n# again\nC2 7")
+
+
 def test_dump_round_trips_through_load():
     table = default_delay_table().replace({GateKind.INV: 17})
     again = load_delay_table(dump_delay_table(table))

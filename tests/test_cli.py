@@ -227,6 +227,12 @@ def test_delay_table_override_flows_through(tmp_path, capsys):
     assert "C2 100" in out
 
 
+def test_duplicate_delay_line_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "delays.txt"
+    path.write_text("C2 100\nC2 7\n")
+    assert run(capsys, "--delay-table", str(path), "delays") == (2, "", "error: line 2: duplicate delay for C2\n")
+
+
 def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
     path = tmp_path / "delays.txt"
     path.write_text("C2 107\n")

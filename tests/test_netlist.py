@@ -39,6 +39,11 @@ def test_parse_duplicate_gate_id():
         parse_netlist(text)
 
 
+def test_parse_duplicate_pair():
+    with pytest.raises(NetlistParseError, match="^line 2: duplicate pair 'p'$"):
+        parse_netlist("pair p a b\npair p a c")
+
+
 def test_parse_comments_and_pairs():
     n = parse_netlist("# a comment\ninput x1\ninput x0\npair x x1 x0\n")
     assert n.port_map == {"x": ("x1", "x0")}

@@ -1,14 +1,15 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 import qdisim.stage
 
-from qdisim.adders import AdderVariant
+from qdisim.adders import AdderVariant, pack_operands
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState
+from qdisim.dualrail import RailState, rail_assignments
 from qdisim.netlist import GateKind, gate_census, validate
-from qdisim.sim import Simulation
+from qdisim.sim import Simulation, WaveResult, drive_transaction
 from qdisim.stage import (
     Architecture,
     DeadlockError,
@@ -115,7 +116,7 @@ def test_stage_netlists_validate(local_stage32, global_stage32):
 def test_local_width_one_detector_covers_three_pairs():
     st = build_stage(Architecture.LOCAL, n=1)
     assert len(st.register_ports) == 3
-    assert st.cd_depth == 2
+    assert completion_tree_depth(st.netlist, st.cd_out) == 2
 
 
 def test_global_stage_synchronizer_is_two_c2(local_stage32, global_stage32):
@@ -124,9 +125,8 @@ def test_global_stage_synchronizer_is_two_c2(local_stage32, global_stage32):
     l = gate_census(forced_local.netlist)
     assert g.total - l.total == 2
     assert g.counts[GateKind.C2] - l.counts[GateKind.C2] == 2
-    assert global_stage32.sync_port == "cout"
     assert global_stage32.netlist.port_map["cout"] == ("sync.r1", "sync.r0")
-    assert local_stage32.sync_port is None
+    assert local_stage32.netlist.port_map["cout"] == ("fa31.k1", "fa31.k0")
 
 
 def test_stage_register_count(local_stage32):
@@ -163,6 +163,18 @@ def test_global_reverse_latency_constant(global_stage32, table):
 def test_cycle_is_sum_of_latencies(local_stage32, table):
     rec = run_transaction(local_stage32, 12345, 67890, 1, table)
     assert rec.cycle_time == rec.forward_latency + rec.reverse_latency
+
+
+@pytest.mark.parametrize("keep_traces", [False, True], ids=["plan", "traces"])
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_record_carries_every_wave_field(arch, keep_traces, table):
+    stage = build_stage(arch, n=8)
+    a, b, cin = 0xF5, 0x3C, 1
+    rec = run_transaction(stage, a, b, cin, table, keep_traces=keep_traces)
+    assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, pack_operands(8, a, b, cin))
+    waves = drive_transaction(Simulation(stage.netlist, table), assignments, stage.forward_ports, keep_traces)
+    for f in fields(WaveResult):
+        assert getattr(rec, f.name) == getattr(waves, f.name), f.name
 
 
 def test_transaction_csv_row(table):

@@ -101,7 +101,7 @@ def test_every_pairing_matches_event_engine(arch, variant, jitter):
 def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
     rca = _rca(variant, n)
     planned, reference = _sims(rca.netlist, jitter, seed)
-    ports = rca.sum_ports + (rca.cout_port,)
+    ports = rca.forward_ports
     for a, b, c in _operands(data, n):
         decoded, set_rep, rtz_rep, spacer = rca_transaction(planned, rca, a, b, c)
         want = drive_transaction(reference, _operand_assignments(rca, a, b, c), ports, keep_traces=True)
@@ -260,7 +260,7 @@ def test_measure_chains_equals_per_vector_measure(arch, variant):
     stage = _stage(arch, variant, 32)
     specs = [ChainSpec(32, m) for m in range(31)]
     sim = Simulation(stage.netlist, TABLE)
-    assert measure_chains(stage, specs, TABLE, sim) == [measure(stage, spec, TABLE, sim) for spec in specs]
+    assert measure_chains(stage, specs, TABLE) == [measure(stage, spec, TABLE, sim) for spec in specs]
 
 
 def _sum10_both_rails(netlist):
@@ -286,17 +286,16 @@ def test_measure_chains_names_the_first_failing_m(mutate, later_fails, planned, 
     if not planned:
         monkeypatch.setattr(_WavePlan, "build", classmethod(lambda cls, sim: None))
     specs = [ChainSpec(32, m) for m in range(31)]
-    sim = Simulation(stage.netlist, TABLE)
-    assert measure_chains(stage, specs[:9], TABLE, sim) == [measure(stage, s, TABLE) for s in specs[:9]]
+    assert measure_chains(stage, specs[:9], TABLE) == [measure(stage, s, TABLE) for s in specs[:9]]
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
         measure(stage, specs[9], TABLE)
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
-        measure_chains(stage, specs, TABLE, sim)
+        measure_chains(stage, specs, TABLE)
     if later_fails:
         with pytest.raises(TransactionError, match="transaction failed for m=10:"):
-            measure_chains(stage, specs[10:], TABLE, sim)
+            measure_chains(stage, specs[10:], TABLE)
     else:
-        assert measure_chains(stage, specs[10:], TABLE, sim) == [measure(stage, s, TABLE) for s in specs[10:]]
+        assert measure_chains(stage, specs[10:], TABLE) == [measure(stage, s, TABLE) for s in specs[10:]]
 
 
 @st.composite
@@ -397,8 +396,8 @@ def test_last_assignment_of_an_input_wins():
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
     assigns = _operand_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
     planned, reference = _sims(rca.netlist, 0, 1)
-    got = drive_transaction(planned, assigns, rca.sum_ports + (rca.cout_port,))
-    want = drive_transaction(reference, assigns, rca.sum_ports + (rca.cout_port,), keep_traces=True)
+    got = drive_transaction(planned, assigns, rca.forward_ports)
+    want = drive_transaction(reference, assigns, rca.forward_ports, keep_traces=True)
     assert decode_word(got.valid_word) == decode_word(want.valid_word) == 2
     _assert_same_state(planned, reference)
 
