@@ -247,15 +247,31 @@ EXHAUSTIVE_MAX_N = 8  # 2^17 vectors
 CHECK_BLOCK = 4096  # vectors per boolean pass of the wave plan
 
 
+def _sliced_sum(n: int, columns: list[int]) -> list[int]:
+    """The n + 1 bit columns of `a + b + cin` over a block of vectors, from
+    the 2n + 1 operand columns in the bit order of `operand_rails`: one
+    ripple-carry addition, bit-sliced across the block."""
+    carry, out = columns[2 * n], []
+    for a, b in zip(columns[:n], columns[n:2 * n]):
+        out.append(a ^ b ^ carry)
+        carry = a & b | carry & (a ^ b)
+    return out + [carry]
+
+
 def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block) -> int:
     """Bit v set when vector v of `block` fails: an output pair is not its
-    expected rail, or some port pair has both rails high."""
+    expected rail, or some port pair has both rails high.  The expected
+    rail1 masks come from the operand rail1 masks by `_sliced_sum`; rail0
+    carries their complement within the block."""
     # functional_check generates these operands itself, so they fit
-    rise = plan.rises(sim, rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block]))
-    outputs = [plan.rails[port] for port in rca.forward_ports]
+    masks = rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block])
+    rise = plan.rises(sim, masks)
+    full = (1 << len(block)) - 1
     fails = plan.illegal(rise)
-    for slot, want in rail_masks(outputs, [a + b + c for a, b, c in block]).items():
-        fails |= rise[slot] ^ want
+    wants = _sliced_sum(rca.n, [masks[r1] for r1, _ in rca.operand_rails])
+    for port, want in zip(rca.forward_ports, wants):
+        i1, i0 = plan.rails[port]
+        fails |= rise[i1] ^ want | rise[i0] ^ full ^ want
     return fails
 
 

@@ -6,12 +6,16 @@ in return-to-zero handshaking, and (1,1) is a forbidden codeword.  The
 forbidden state is representable so that checks can assert its absence.
 `PAIR_STATE` is the one table from rail values to states.  There is one
 encoder, in two forms: `rail_assignments` puts one word on the rails, and
-`rail_masks` puts a block of words on them at once, one bit per word.
+`rail_masks` puts a block of words on them at once, one bit per word.  The
+block form rests on the one transpose, `bit_columns`: the block's words
+become one int, and each bit column is a strided slice of its binary
+string.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
 
 class RailState(enum.Enum):
@@ -46,16 +50,28 @@ def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:
 
 
 def bit_columns(words, width: int) -> list[int]:
-    """Column k is an int whose bit v is bit k of `words[v]`."""
-    rows = (format(w, f"0{width}b") for w in reversed(words))
-    return [int("".join(col), 2) for col in zip(*rows)][::-1]
+    """Column k is an int whose bit v is bit k of `words[v]`, a sequence
+    of ints that fit `width` bits (ValueError otherwise).  One transpose:
+    the words, little-endian and `stride` bits apart, make one int whose
+    binary string holds column k at every stride-th character."""
+    if not words:
+        return [0] * width
+    low, high = min(words), max(words)
+    if low < 0 or high >> width:
+        raise ValueError(f"word {low if low < 0 else high} does not fit {width} bits")
+    size = (width + 7) // 8
+    stride = 8 * size
+    packed = int.from_bytes(b"".join(map(int.to_bytes, words, repeat(size), repeat("little"))), "little")
+    bits = format(packed, f"0{stride * len(words)}b")
+    return [int(bits[stride - 1 - k::stride], 2) for k in range(width)]
 
 
 def rail_masks(pairs, words) -> dict:
     """The block form of `rail_assignments`: bit v of the mask of
     `pairs[k]`'s rail1 is bit k of `words[v]`, and its rail0 carries the
     complement within the block.  The rails may be net names or any other
-    keys, such as wave-plan slots.  Every word must fit `len(pairs)` bits."""
+    keys, such as wave-plan slots.  A word that does not fit `len(pairs)`
+    bits raises ValueError."""
     full = (1 << len(words)) - 1
     masks = {}
     for (r1, r0), column in zip(pairs, bit_columns(words, len(pairs))):

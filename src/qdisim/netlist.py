@@ -180,8 +180,8 @@ class NetlistParseError(ValueError):
 
 
 def parse_netlist(text: str) -> Netlist:
-    inputs: list[str] = []
-    outputs: list[str] = []
+    inputs: dict[str, None] = {}  # ordered sets
+    outputs: dict[str, None] = {}
     gates: list[Gate] = []
     pairs: dict[str, tuple[str, str]] = {}
     gate_ids: set[str] = set()
@@ -194,11 +194,15 @@ def parse_netlist(text: str) -> Netlist:
         if stmt == "input":
             if len(tokens) != 2:
                 raise NetlistParseError(line_no, "input takes one net name")
-            inputs.append(tokens[1])
+            if tokens[1] in inputs:
+                raise NetlistParseError(line_no, f"duplicate input {tokens[1]!r}")
+            inputs[tokens[1]] = None
         elif stmt == "output":
             if len(tokens) != 2:
                 raise NetlistParseError(line_no, "output takes one net name")
-            outputs.append(tokens[1])
+            if tokens[1] in outputs:
+                raise NetlistParseError(line_no, f"duplicate output {tokens[1]!r}")
+            outputs[tokens[1]] = None
         elif stmt == "gate":
             if len(tokens) < 5:
                 raise NetlistParseError(line_no, "gate needs id, kind, inputs, output")

@@ -196,12 +196,15 @@ def run_transaction(
     """One open-loop transaction: valid wave with ackin held high, then
     spacer wave with ackin low.  Latencies are the times of the last
     transition on any forwarded output pair, measured from each wave's
-    start.  Pass a quiescent sim to chain transactions on one instance.
-    Raises ValueError when an operand does not fit the stage width.
+    start.  Pass a quiescent sim of the stage's netlist to chain
+    transactions on one instance.  Raises ValueError when an operand does
+    not fit the stage width or `sim` was built for another netlist.
     """
     word = pack_operands(stage.n, a, b, cin)
     if sim is None:
         sim = Simulation(stage.netlist, delay_table or default_delay_table())
+    elif sim.netlist is not stage.netlist:
+        raise ValueError("sim was built for another netlist than the stage's")
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
     return TransactionRecord(

@@ -15,7 +15,7 @@ from qdisim.adders import (
     rca_transaction,
 )
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState
+from qdisim.dualrail import RailState, bit_columns
 from qdisim.netlist import Gate, GateKind, gate_census, validate
 from qdisim.sim import Simulation, _WavePlan
 
@@ -316,3 +316,11 @@ def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
     want = _per_vector(mutant, _cases(32, 1000, 7, False), table)
     assert got == want and not got.passed
     assert got.counterexample == _cases(32, 1000, 7, False)[got.trials - 1]
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.integers(0, 1)), max_size=300))))
+def test_sliced_sum_is_the_transposed_integer_sum(case):
+    n, block = case
+    operands = bit_columns([adders._pack(n, a, b, c) for a, b, c in block], 2 * n + 1)
+    assert adders._sliced_sum(n, operands) == bit_columns([a + b + c for a, b, c in block], n + 1)

@@ -1,10 +1,13 @@
 from hypothesis import given, strategies as st
+import random
+
 import pytest
 
 from qdisim.dualrail import (
     PAIR_STATE,
     DecodeIssue,
     RailState,
+    bit_columns,
     decode_word,
     rail_assignments,
     rail_masks,
@@ -87,3 +90,39 @@ def test_rail_masks_are_rail_assignments_bit_by_bit(case):
     assert all(0 <= mask < 1 << len(words) for mask in masks.values())
     for v, word in enumerate(words):
         assert {net: mask >> v & 1 for net, mask in masks.items()} == dict(rail_assignments(pairs, word)), v
+
+
+def _columns(words, width):
+    """`bit_columns` by its definition: bit v of column k is bit k of words[v]."""
+    return [sum((w >> k & 1) << v for v, w in enumerate(words)) for k in range(width)]
+
+
+@given(st.integers(min_value=1, max_value=80).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=300))))
+def test_bit_columns_by_definition(case):
+    width, words = case
+    assert bit_columns(words, width) == _columns(words, width)
+
+
+@given(st.integers(min_value=1, max_value=80).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(0, (1 << w) - 1), st.integers(0, 300), st.integers(1, 5))))
+def test_bit_columns_of_a_range(case):
+    width, start, count, step = case
+    words = range(start, min(start + count * step, 1 << width), step)
+    assert bit_columns(words, width) == _columns(words, width)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 80])
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_bit_columns_across_byte_and_word_boundaries(width, count):
+    rng = random.Random(width * 1000 + count)
+    words = [rng.getrandbits(width) for _ in range(count)] + [(1 << width) - 1] * (count > 0)
+    assert bit_columns(words, width) == _columns(words, width)
+
+
+@pytest.mark.parametrize("words,width", [
+    ([-1], 4), ([0, 16], 4), ([3, 1 << 64, 0], 64), (range(-2, 3), 3), (range(9), 3),
+])
+def test_bit_columns_refuse_a_word_that_does_not_fit(words, width):
+    with pytest.raises(ValueError, match="does not fit"):
+        bit_columns(words, width)

@@ -44,6 +44,16 @@ def test_parse_duplicate_pair():
         parse_netlist("pair p a b\npair p a c")
 
 
+def test_parse_duplicate_input():
+    with pytest.raises(NetlistParseError, match="^line 2: duplicate input 'a'$"):
+        parse_netlist("input a\ninput a\noutput y\ngate g OR2 a a y")
+
+
+def test_parse_duplicate_output():
+    with pytest.raises(NetlistParseError, match="^line 3: duplicate output 'y'$"):
+        parse_netlist("input a\noutput y\noutput y\ngate g OR2 a a y")
+
+
 def test_parse_comments_and_pairs():
     n = parse_netlist("# a comment\ninput x1\ninput x0\npair x x1 x0\n")
     assert n.port_map == {"x": ("x1", "x0")}
@@ -76,7 +86,7 @@ _NAMES = st.text("abcxyz019._[]-", min_size=1, max_size=5)
 @st.composite
 def _valid_netlists(draw):
     """Two or more inputs, gates of every kind over earlier nets (so no
-    cycles), any outputs and ports, all under random names."""
+    cycles), distinct outputs and any ports, all under random names."""
     kinds = draw(st.lists(st.sampled_from(list(GateKind)), max_size=12))
     names = draw(st.lists(_NAMES, min_size=2 + len(kinds), max_size=5 + len(kinds), unique=True))
     inputs, outputs = names[:len(names) - len(kinds)], names[len(names) - len(kinds):]
@@ -89,7 +99,7 @@ def _valid_netlists(draw):
         nets.append(out)
     rails = st.lists(st.sampled_from(nets), min_size=2, max_size=2, unique=True).map(tuple)
     ports = draw(st.dictionaries(_NAMES, rails, max_size=4))
-    return Netlist(tuple(gates), tuple(inputs), tuple(draw(st.lists(st.sampled_from(nets), max_size=4))), ports)
+    return Netlist(tuple(gates), tuple(inputs), tuple(draw(st.lists(st.sampled_from(nets), max_size=4, unique=True))), ports)
 
 
 @given(_valid_netlists())

@@ -207,6 +207,14 @@ def test_operand_range_checked(a, b, cin, local_stage32, table):
         run_transaction(local_stage32, a, b, cin, table)
 
 
+def test_run_transaction_rejects_a_sim_of_another_netlist(table):
+    """A sim of the GLOBAL netlist would report its own timing as the LOCAL
+    stage's (forward latency 696 against 567) and pass."""
+    local, other = build_stage(Architecture.LOCAL, n=4), build_stage(Architecture.GLOBAL, n=4)
+    with pytest.raises(ValueError, match="^sim was built for another netlist than the stage's$"):
+        run_transaction(local, 3, 5, 1, table, sim=Simulation(other.netlist, table))
+
+
 def test_detector_ordering_random_vectors(global_stage32, table):
     rng = random.Random(11)
     sim = Simulation(global_stage32.netlist, table)
