@@ -18,12 +18,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 from .cells import DelayTable, default_delay_table
 from .dualrail import decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import Simulation, _WavePlan, _wave_plan, drive_transaction
+from .sim import Simulation, _WavePlan, drive_transaction
 
 
 class AdderVariant(enum.Enum):
@@ -258,14 +258,14 @@ def _sliced_sum(n: int, columns: list[int]) -> list[int]:
     return out + [carry]
 
 
-def _block_failures(plan: _WavePlan, sim: Simulation, rca: RcaDescriptor, block) -> int:
+def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> int:
     """Bit v set when vector v of `block` fails: an output pair is not its
     expected rail, or some port pair has both rails high.  The expected
     rail1 masks come from the operand rail1 masks by `_sliced_sum`; rail0
     carries their complement within the block."""
     # functional_check generates these operands itself, so they fit
     masks = rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block])
-    rise = plan.rises(sim, masks)
+    rise = plan.rises(masks)
     full = (1 << len(block)) - 1
     fails = plan.illegal(rise)
     wants = _sliced_sum(rca.n, [masks[r1] for r1, _ in rca.operand_rails])
@@ -291,40 +291,38 @@ def functional_check(
     When the netlist admits a wave plan, vectors are read CHECK_BLOCK at a
     time and each block is one boolean pass of the plan (`rises`): which
     rails rise decides the valid word and the illegal pairs, and the plan
-    always restores the spacer with monotone waves.  From the lowest
-    failing vector on, and without a plan, every vector runs a full
-    transaction (`rca_transaction`), which explains the failure.
+    always restores the spacer with monotone waves; no Simulation is
+    built.  From the lowest failing vector on, and without a plan, every
+    vector runs a full transaction (`rca_transaction`) on a Simulation,
+    which explains the failure.
     """
     if exhaustive and rca.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {rca.n}")
     if not exhaustive and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     table = delay_table or default_delay_table()
-    sim = Simulation(rca.netlist, table)
     n = rca.n
     if exhaustive:
-        cases = (
-            (a, b, c)
-            for a in range(1 << n)
-            for b in range(1 << n)
-            for c in (0, 1)
-        )
+        cases = product(range(1 << n), range(1 << n), (0, 1))
         total = (1 << n) * (1 << n) * 2
     else:
         rng = random.Random(seed)
         cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
         total = trials
     ran = 0
-    plan = _wave_plan(sim)
+    plan = _WavePlan.build(rca.netlist, table)
     if plan is not None:
         while block := list(islice(cases, CHECK_BLOCK)):
-            fails = _block_failures(plan, sim, rca, block)
+            fails = _block_failures(plan, rca, block)
             if fails:
                 first = (fails & -fails).bit_length() - 1
                 ran += first
                 cases = chain(block[first:], cases)
                 break
             ran += len(block)
+        else:
+            return FunctionalCheckResult(True, total)
+    sim = Simulation(rca.netlist, table)
     for a, b, c in cases:
         decoded, set_report, rtz_report, spacer = rca_transaction(sim, rca, a, b, c)
         ran += 1

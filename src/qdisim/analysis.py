@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .adders import AdderVariant, pack_operands
 from .cells import (
-    DelayTable, default_delay_table, global_datapath,
+    DelayTable, default_delay_table, global_datapath, global_datapath_reset,
     local_chain_reset, local_kill_resets, local_path, path_delay, sync_path,
 )
 from .dualrail import DecodeIssue, bit_columns, rail_masks
 from .netlist import GateKind, Netlist
-from .sim import Phase, Simulation, _wave_plan
+from .sim import Phase, Simulation, _WavePlan
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 
@@ -72,7 +72,7 @@ def theory_global(m: int, table: DelayTable, n: int = 32) -> tuple[int, int, int
         raise ValueError("m must be >= 0")
     sync = path_delay(sync_path(n), table)
     fl = max(path_delay(global_datapath(m), table), sync)
-    rl = max(path_delay(global_datapath(0), table), sync)
+    rl = max(path_delay(global_datapath_reset(m), table), sync)
     return fl, rl, fl + rl
 
 
@@ -123,18 +123,19 @@ def measure_chains(
     A vector fails as `measure` fails it: some port pair has both rails
     high, or a forward pair does not have exactly one.  From the first
     failing spec on, and when the netlist admits no plan, every spec runs
-    `measure`, which raises the TransactionError that names it."""
-    sim = Simulation(stage.netlist, table or default_delay_table())
+    `measure` on one Simulation, which raises the TransactionError that
+    names it; otherwise no Simulation is built."""
+    table = table or default_delay_table()
     for spec in specs:
         if stage.n != spec.n:
             raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
-    plan = _wave_plan(sim)
+    plan = _WavePlan.build(stage.netlist, table)
     done: list[tuple[int, int, int]] = []
     if plan is not None and specs:
         words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
         masks = rail_masks(stage.operand_rails, words)
         masks[stage.ackin] = full = (1 << len(specs)) - 1
-        rose, rise, high = plan.times(sim, masks)
+        rose, rise, high = plan.times(masks)
         out = [plan.rails[port] for port in stage.forward_ports]
         fails = plan.illegal(rose)
         for i1, i0 in out:
@@ -144,6 +145,7 @@ def measure_chains(
         rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
         good = len(specs) if not fails else (fails & -fails).bit_length() - 1
         done = [(f, r, f + r) for f, r in zip(fl[:good], rl[:good])]
+    sim = Simulation(stage.netlist, table) if len(done) < len(specs) else None
     return done + [measure(stage, spec, table, sim) for spec in specs[len(done):]]
 
 
@@ -302,8 +304,7 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
     loose = pis.difference(*in_rails)
     if loose:
         raise ValueError(f"primary input {min(loose)!r} is on no input pair")
-    sim = Simulation(netlist, table or default_delay_table())
-    plan = _wave_plan(sim)
+    plan = _WavePlan.build(netlist, table or default_delay_table())
     if plan is None:
         raise ValueError("the wave plan does not cover this block: an INV, a cycle or a bad port map")
     codewords, width = 1 << k, max((1 << k) - 2, 0)
@@ -317,10 +318,10 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
     found = []
     for phase in phases:
         if phase is Phase.SET:
-            start, now = [0] * plan.slots, plan.rises(sim, arrived)
+            start, now = [0] * plan.slots, plan.rises(arrived)
         else:
-            start = plan.rises(sim, valid)
-            now = plan.falls(sim, start, arrived)
+            start = plan.rises(valid)
+            now = plan.falls(start, arrived)
         moved, complete = 0, (1 << codewords * width) - 1
         for i1, i0 in outs:
             moved |= (start[i1] ^ now[i1]) | (start[i0] ^ now[i0])

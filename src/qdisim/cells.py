@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -64,8 +65,7 @@ class DelayTable:
 
 
 # -- critical-path gate counts ------------------------------------------
-# m is the carry-propagation length; each datapath's spacer wave takes
-# its valid-wave path at m = 0.
+# m is the carry-propagation length.
 
 
 def local_path(m: int) -> Counter[GateKind]:
@@ -94,6 +94,13 @@ def global_datapath(m: int) -> Counter[GateKind]:
     """GLOBAL datapath wave: register C2, the propagate AO22, m+1 AO22
     carry cells, then the sum's C2 join and OR2."""
     return Counter({GateKind.C2: 2, GateKind.OR2: 1, GateKind.AO22: m + 2})
+
+
+def global_datapath_reset(m: int) -> Counter[GateKind]:
+    """GLOBAL datapath spacer wave: register C2, the last propagate stage's
+    propagate AO22 and carry cell (at m = 0 the carry falls with the
+    registered cin, its earlier input), the kill stage's sum C2 join and OR2."""
+    return Counter({GateKind.C2: 2, GateKind.OR2: 1, GateKind.AO22: 2 if m else 1})
 
 
 def sync_path(n: int) -> Counter[GateKind]:
@@ -135,7 +142,9 @@ def derive_pinned_delays() -> dict[GateKind, int]:
     return solved | carry_cells
 
 
+@cache
 def default_delay_table() -> DelayTable:
+    """Derived once per process: a frozen, read-only table callers share."""
     delays = dict(DEFAULT_UNPINNED)
     delays.update(derive_pinned_delays())
     return DelayTable(delays)

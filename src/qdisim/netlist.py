@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GateKind(enum.Enum):
@@ -29,6 +30,7 @@ class GateKind(enum.Enum):
     AO222 = "AO222"
     C2 = "C2"
     C3 = "C3"
+    __hash__ = object.__hash__  # members compare by identity; Enum's own hash runs Python code
 
 
 # each kind's terms as input positions, INV aside: the output is the OR of
@@ -52,8 +54,7 @@ COMPLEX_KINDS = frozenset(
 STATEFUL_KINDS = frozenset({GateKind.C2, GateKind.C3})
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     gid: str
     kind: GateKind
     inputs: tuple[str, ...]

@@ -22,12 +22,13 @@ all-zero power-on state required of return-to-zero circuits.
 netlist has no INV and no cycle and the simulation rests at all-spacer,
 every net moves at most once per wave, in one direction, so both waves
 are one min/max-plus pass over the gates lowered to two-input AND, OR and
-C-element nodes in topological order (`_WavePlan`).  The same nodes
-evaluated on bit masks give, for a whole block of vectors at once, which
-nets rise in the valid waves (`_WavePlan.rises`), which stay high once
-some inputs fall again (`falls`), and, on step functions of masks, when
-each net rises and falls (`times`).  Everything else runs on the event
-engine, which remains the reference the plan is tested against.
+C-element nodes in topological order (`_WavePlan`).  On bit masks the
+same nodes give, for a block of vectors at once, which nets rise
+(`rises`), which stay high once some inputs fall (`falls`) and, on step
+functions of masks, when each net rises and falls (`times`).  The plan is
+compiled straight from a netlist (`_WavePlan.build`); the event engine is
+built only where it runs, and it stays the reference the plan is tested
+against.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -44,16 +46,7 @@ from .netlist import GATE_ARITY, GATE_TERMS, STATEFUL_KINDS, GateKind, Netlist
 
 # dispatch codes ordered by frequency in the generated circuits
 _C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
-_CODE = {
-    GateKind.C2: _C2,
-    GateKind.OR2: _OR2,
-    GateKind.AO22: _AO22,
-    GateKind.AO21: _AO21,
-    GateKind.C3: _C3,
-    GateKind.AND2: _AND2,
-    GateKind.INV: _INV,
-    GateKind.AO222: _AO222,
-}
+_CODE = {GateKind[name]: code for code, name in enumerate("C2 OR2 AO22 AO21 C3 AND2 INV AO222".split())}
 
 
 class Phase(enum.Enum):
@@ -79,6 +72,51 @@ class PhaseCheckReport:
         return not self.nonmonotonic and not self.illegal_pairs
 
 
+class _Inputs(dict):
+    """Each primary input's slot; looking up any other net raises."""
+
+    def __missing__(self, net):
+        raise SimulationError(f"{net!r} is not a primary input")
+
+
+def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_seed: int = 1):
+    """(ids, inputs, gates, fanout) for the event engine and the wave plan:
+    each net's slot (primary inputs first, then each gate's inputs and
+    output, then primary outputs), each primary input's slot, each gate as
+    (code, input slots, output slot, delay plus jitter drawn in gate order),
+    and each net's users in gate order, once per gate: the engine's tie order."""
+    rng = random.Random(jitter_seed) if jitter else None
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    for net in netlist.primary_inputs:
+        intern(net, len(ids))
+    inputs = _Inputs(ids)
+    kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
+    gates = []
+    for g in netlist.gates:
+        compiled = kinds.get(g.kind)
+        if compiled is None:
+            raise SimulationError(f"gate {g.gid!r} has unknown kind {g.kind!r}")
+        code, arity, delay = compiled
+        if len(g.inputs) != arity:
+            raise SimulationError(f"gate {g.gid!r} ({g.kind.value}) takes {arity} inputs, got {len(g.inputs)}")
+        if rng is not None:
+            delay += rng.randint(0, jitter)
+        ins = []
+        for net in g.inputs:
+            ins.append(intern(net, len(ids)))
+        gates.append((code, tuple(ins), intern(g.output, len(ids)), delay))
+    for net in netlist.primary_outputs:
+        intern(net, len(ids))
+    fanout: list[list[int]] = [[] for _ in ids]
+    for gi, (_, ins, _, _) in enumerate(gates):
+        for net in ins:
+            users = fanout[net]
+            if not users or users[-1] != gi:
+                users.append(gi)
+    return ids, inputs, gates, fanout
+
+
 class Simulation:
     """One confined simulation instance over a compiled netlist.
 
@@ -101,43 +139,16 @@ class Simulation:
     ):
         self.netlist = netlist
         self.event_cap = event_cap
-        rng = random.Random(jitter_seed) if jitter else None
-        # interning order: primary inputs, each gate's inputs then output, primary outputs
-        ids: dict[str, int] = {}
-        intern = ids.setdefault
-        for net in netlist.primary_inputs:
-            intern(net, len(ids))
-        self._pi_ids = set(range(len(ids)))
-        kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
-        gates = []
-        for g in netlist.gates:
-            compiled = kinds.get(g.kind)
-            if compiled is None:
-                raise SimulationError(f"gate {g.gid!r} has unknown kind {g.kind!r}")
-            code, arity, delay = compiled
-            if len(g.inputs) != arity:
-                raise SimulationError(f"gate {g.gid!r} ({g.kind.value}) takes {arity} inputs, got {len(g.inputs)}")
-            if rng is not None:
-                delay += rng.randint(0, jitter)
-            ins = []
-            for net in g.inputs:
-                ins.append(intern(net, len(ids)))
-            gates.append((code, tuple(ins), intern(g.output, len(ids)), delay))
-        for net in netlist.primary_outputs:
-            intern(net, len(ids))
-        self._names = list(ids)
-        self._ids = ids
-        self._gates = gates
-        # each net's users in gate order, once per gate: the event engine's tie order
-        fanout: list[list[int]] = [[] for _ in ids]
-        for gi, (_, ins, _, _) in enumerate(gates):
-            for net in ins:
-                users = fanout[net]
-                if not users or users[-1] != gi:
-                    users.append(gi)
+        self._ids, self._inputs, self._gates, fanout = _compile(netlist, delay_table, jitter, jitter_seed)
+        self._names = list(self._ids)
         self._fanout = [tuple(f) for f in fanout]
-        self._plan = _UNBUILT  # the wave plan, built on the first transaction
         self.reset()
+
+    @cached_property
+    def plan(self) -> _WavePlan | None:
+        """The wave plan of this sim's own compiled gates, lowered on first
+        use and kept across `reset`; None when the netlist admits none."""
+        return _WavePlan.lower(self._ids, self._inputs, self._gates, self._fanout, self.netlist.port_map)
 
     def reset(self):
         """Return to the state of a fresh instance: every net 0, nothing
@@ -184,9 +195,7 @@ class Simulation:
         pseq, eff = self._pseq, self._eff
         bucket = self._buckets.get(t)
         for net, value in assignments:
-            nid = self._ids.get(net)
-            if nid is None or nid not in self._pi_ids:
-                raise SimulationError(f"{net!r} is not a primary input")
+            nid = self._inputs[net]
             if value == eff[nid]:
                 continue
             if pseq[nid]:
@@ -386,13 +395,16 @@ def drive_transaction(
     rail of `output_ports`, measured from its wave's start, 0 if none moved.
 
     The wave plan evaluates both waves when the netlist admits one, no
-    traces are kept and the sim rests at all-spacer with nothing pending;
-    otherwise the event engine runs them.  Both give the same result.
+    traces are kept, the sim rests at all-spacer with nothing pending and
+    `event_cap` is at least the net count (a wave commits once per net at
+    most); otherwise the event engine runs them, with the same result.
     """
-    if not keep_traces and not sim._heap and not any(sim._values):
-        plan = _wave_plan(sim)
+    if not keep_traces and sim.event_cap >= len(sim._names) and not sim._heap and not any(sim._values):
+        plan = sim.plan
         if plan is not None:
-            return plan.run(sim, assignments, output_ports)
+            waves, sim.now = plan.run(assignments, output_ports, sim.now)
+            sim._trace = []
+            return waves
     pairs = sim.netlist.port_map
     rails = {r for p in output_ports for r in pairs[p]}
     origin = sim.now
@@ -416,14 +428,6 @@ def drive_transaction(
     )
 
 
-def _wave_plan(sim: Simulation) -> _WavePlan | None:
-    """The sim's wave plan, built on first use and kept across `reset`;
-    None when the netlist admits none (see `_WavePlan.build`)."""
-    if sim._plan is _UNBUILT:
-        sim._plan = _WavePlan.build(sim)
-    return sim._plan
-
-
 def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) -> int:
     times = [t for t, net, _ in trace if net in rails]
     return max(times) - origin if times else 0
@@ -433,7 +437,6 @@ def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) ->
 # low through the spacer wave
 _NEVER = math.inf
 _BEFORE = -math.inf
-_UNBUILT = object()
 
 # two-input node ops of the wave plan
 _AND, _OR, _C = range(3)
@@ -466,9 +469,9 @@ _CHAINS = {
 
 
 class _WavePlan:
-    """A Simulation's own gates (jittered delays included) lowered, in
+    """A netlist's gates (jittered delays included) lowered, in
     topological order, to two-input nodes for evaluating both waves of an
-    open-loop transaction.
+    open-loop transaction, with the nets' slots and the port map.
 
     From the all-zero state every gate here is monotone, so in the valid
     wave each net rises at most once and in the spacer wave it falls at
@@ -488,54 +491,48 @@ class _WavePlan:
     pairs can appear in the phase reports.
     """
 
-    def __init__(self, nodes: list[tuple[int, int, int, int, int]], slots: int, pairs: list[tuple[str, int, int]]):
+    def __init__(self, nodes, slots: int, pairs: list[tuple[str, int, int]], ids: dict[str, int], inputs: _Inputs):
         self.nodes = nodes  # (op, input, input, output slot, delay)
-        self.slots = slots  # the sim's nets, then the intermediate nodes
+        self.slots = slots  # the nets, then the intermediate nodes
         self.pairs = pairs  # (port, rail1 slot, rail0 slot)
         self.rails = {port: (i1, i0) for port, i1, i0 in pairs}
+        self.ids = ids  # each net's slot
+        self.inputs = inputs  # each primary input's slot
 
     @classmethod
-    def build(cls, sim: Simulation) -> _WavePlan | None:
-        """None for a netlist the algebra does not cover: an INV (its
-        output rises while its input is spacer), a cycle, a net with two
-        drivers or a driven primary input, or a port map that
-        shares a rail or names an unknown net.  Also None when `event_cap`
-        is below the net count: a wave commits at most once per net, so
-        only then could the event engine raise OscillationError."""
-        if sim.event_cap < len(sim._values):
-            return None
-        gates, fanout = sim._gates, sim._fanout
+    def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan | None:
+        """`netlist` compiled as a Simulation compiles it, then lowered."""
+        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
+
+    @classmethod
+    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, fanout, port_map) -> _WavePlan | None:
+        """Lower compiled gates (see `_compile`).  None for a netlist the
+        algebra does not cover: an INV (its output rises while its input is
+        spacer), a cycle, a net with two drivers or a driven primary input,
+        or a port map that shares a rail or names an unknown net."""
         driven: set[int] = set()
         waiting = [0] * len(gates)  # each gate's driven inputs not yet ordered
         for code, _, out, _ in gates:
-            if code not in _CHAINS or out in driven or out in sim._pi_ids:
+            if code not in _CHAINS or out in driven or out < len(inputs):
                 return None
             driven.add(out)
             for user in fanout[out]:
                 waiting[user] += 1
-        pairs = []
-        rails: set[str] = set()
-        for port, (r1, r0) in sim.netlist.port_map.items():
-            if r1 == r0 or r1 in rails or r0 in rails or r1 not in sim._ids or r0 not in sim._ids:
-                return None
-            rails.update((r1, r0))
-            pairs.append((port, sim._ids[r1], sim._ids[r0]))
-        # Kahn's algorithm over the gates; whatever is left over sits on a cycle
+        pairs = [(port, ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()]
+        rails = [i for _, i1, i0 in pairs for i in (i1, i0)]
+        if None in rails or len(set(rails)) < len(rails):  # an unknown net, or a shared rail
+            return None
+        # Kahn's algorithm over the gates, lowering each as it is ordered;
+        # a gate still waiting at the end sits on or behind a cycle
         ready = [gi for gi, w in enumerate(waiting) if w == 0]
-        order = []
+        nodes = []
+        slot = len(ids)
         while ready:
-            gi = ready.pop()
-            order.append(gi)
-            for user in fanout[gates[gi][2]]:
+            code, ins, out, delay = gates[ready.pop()]
+            for user in fanout[out]:
                 waiting[user] -= 1
                 if waiting[user] == 0:
                     ready.append(user)
-        if len(order) != len(gates):
-            return None
-        nodes = []
-        slot = len(sim._values)
-        for gi in order:
-            code, ins, out, delay = gates[gi]
             inner, last = _CHAINS[code]
             operands = list(ins)
             for op, a, b in inner:
@@ -544,22 +541,21 @@ class _WavePlan:
                 slot += 1
             op, a, b = last  # drives the gate's output, with the gate's delay
             nodes.append((op, operands[a], operands[b], out, delay))
-        return cls(nodes, slot, pairs)
+        return None if any(waiting) else cls(nodes, slot, pairs, ids, inputs)
 
-    def run(self, sim: Simulation, assignments, output_ports) -> WaveResult:
-        ids, pi_ids = sim._ids, sim._pi_ids
+    def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
+        """Both waves of one vector, the valid wave starting at `origin`;
+        returns the WaveResult and the time the spacer wave settles."""
+        inputs = self.inputs
         out_pairs = [self.rails[p] for p in output_ports]
         out_rails = [i for pair in out_pairs for i in pair]
         never, before, and_, or_ = _NEVER, _BEFORE, _AND, _OR
 
-        origin = sim.now
         rise = [never] * self.slots
         fall = [before] * self.slots  # offsets from the spacer wave's start
         for net, value in assignments:
-            nid = ids.get(net)
-            if nid is None or nid not in pi_ids:
-                raise SimulationError(f"{net!r} is not a primary input")
             # the last value wins, as in apply_inputs; an input that rose falls as the spacer wave starts
+            nid = inputs[net]
             rise[nid], fall[nid] = (origin, 0) if value else (never, before)
         for op, a, b, out, delay in self.nodes:
             ra = rise[a]
@@ -578,17 +574,14 @@ class _WavePlan:
                 fall[out] = (fa if fa > fb else fb) + delay if t != never else before
 
         # each wave settles at its last net; intermediate nodes are not nets
-        nets = len(sim._values)
+        nets = len(self.ids)
         rtz_origin = max(filter(never.__gt__, rise[:nets]), default=origin)
-        sim.now = rtz_origin + max(0, max(fall[:nets], default=0))
-        sim._trace = []
-
         illegal = sorted(
             (max(rise[i1], rise[i0]), port)
             for port, i1, i0 in self.pairs
             if rise[i1] != never and rise[i0] != never
         )
-        return WaveResult(
+        waves = WaveResult(
             valid_word=tuple(PAIR_STATE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs),
             spacer_restored=True,
             forward_latency=max((rise[i] for i in out_rails if rise[i] != never), default=origin) - origin,
@@ -596,16 +589,17 @@ class _WavePlan:
             set_report=PhaseCheckReport(illegal_pairs=illegal),
             rtz_report=PhaseCheckReport(),
         )
+        return waves, rtz_origin + max(0, max(fall[:nets], default=0))
 
-    def rises(self, sim: Simulation, masks: dict[str, int]) -> list[int]:
+    def rises(self, masks: dict[str, int]) -> list[int]:
         """Which slots rise in the valid waves of a block of vectors, with
         no times: `masks` maps primary inputs to an int whose bit v is set
         when that input rises in vector v, and bit v of the returned slot
         i is set when slot i rises in vector v.  A node rises when both
         inputs rise (AND, C) or either does (OR), as in `run`."""
         rise = [0] * self.slots
-        for nid, mask in _input_slots(sim, masks):
-            rise[nid] = mask
+        for net, mask in masks.items():
+            rise[self.inputs[net]] = mask
         or_ = _OR
         for op, a, b, out, _ in self.nodes:
             rise[out] = rise[a] | rise[b] if op == or_ else rise[a] & rise[b]
@@ -620,15 +614,15 @@ class _WavePlan:
             bad |= rose[i1] & rose[i0]
         return bad
 
-    def falls(self, sim: Simulation, rise: list[int], masks: dict[str, int]) -> list[int]:
+    def falls(self, rise: list[int], masks: dict[str, int]) -> list[int]:
         """Which slots are still high once some inputs of settled valid
         waves fall, with no times: `rise` is a `rises` result, and bit v
         of `masks[net]` is set when primary input `net` falls in vector v.
         An AND node falls on either input and an OR or C node on both, a
         C node only where it rose; the rest of `rise` stays high."""
         high = list(rise)
-        for nid, mask in _input_slots(sim, masks):
-            high[nid] &= ~mask
+        for net, mask in masks.items():
+            high[self.inputs[net]] &= ~mask
         and_, or_ = _AND, _OR
         for op, a, b, out, _ in self.nodes:
             if op == and_:
@@ -639,7 +633,7 @@ class _WavePlan:
                 high[out] = (high[a] | high[b]) & rise[out]
         return high
 
-    def times(self, sim: Simulation, masks: dict[str, int]) -> tuple[list[int], list[list], list[list]]:
+    def times(self, masks: dict[str, int]) -> tuple[list[int], list[list], list[list]]:
         """`run`'s times for a block of vectors at once.  `masks` is as
         for `rises`; an input rises at 0 in its vectors and falls at 0, the
         spacer wave's start.  Returns (rose, rise, high): rose[i] is the
@@ -659,7 +653,8 @@ class _WavePlan:
         rise: list[list] = [[] for _ in range(self.slots)]
         high: list[list] = [[] for _ in range(self.slots)]
         rose = [0] * self.slots
-        for nid, mask in _input_slots(sim, masks):
+        for net, mask in masks.items():
+            nid = self.inputs[net]
             rose[nid] = mask
             rise[nid], high[nid] = ([(0, mask)], [(0, 0)]) if mask else ([], [])
         and_, or_ = _AND, _OR
@@ -671,15 +666,6 @@ class _WavePlan:
             else:  # an OR node is high only where it rose anyway
                 high[out] = _steps(high[a], rose[a], high[b], rose[b], False, delay, last)
         return rose, rise, high
-
-
-def _input_slots(sim: Simulation, masks: dict[str, int]):
-    """(slot, mask) for each primary input of a block pass's `masks`."""
-    for net, mask in masks.items():
-        nid = sim._ids.get(net)
-        if nid is None or nid not in sim._pi_ids:
-            raise SimulationError(f"{net!r} is not a primary input")
-        yield nid, mask
 
 
 def _steps(a: list, a0: int, b: list, b0: int, meet: bool, delay: int, keep: int = -1) -> list:

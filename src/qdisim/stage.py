@@ -22,7 +22,7 @@ from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
 from .dualrail import DecodeIssue, RailState, decode_word, rail_assignments
 from .netlist import Gate, GateKind, Netlist, NetlistBuilder
-from .sim import Simulation, WaveResult, drive_transaction
+from .sim import Simulation, WaveResult, _WavePlan, drive_transaction
 
 
 class Architecture(enum.Enum):
@@ -196,17 +196,22 @@ def run_transaction(
     """One open-loop transaction: valid wave with ackin held high, then
     spacer wave with ackin low.  Latencies are the times of the last
     transition on any forwarded output pair, measured from each wave's
-    start.  Pass a quiescent sim of the stage's netlist to chain
+    start.  Without a `sim`, the wave plan compiled from the netlist runs
+    it where it can; pass a quiescent sim of the stage's netlist to chain
     transactions on one instance.  Raises ValueError when an operand does
     not fit the stage width or `sim` was built for another netlist.
     """
     word = pack_operands(stage.n, a, b, cin)
-    if sim is None:
-        sim = Simulation(stage.netlist, delay_table or default_delay_table())
-    elif sim.netlist is not stage.netlist:
+    if sim is not None and sim.netlist is not stage.netlist:
         raise ValueError("sim was built for another netlist than the stage's")
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
-    waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
+    table = delay_table or default_delay_table()
+    plan = None if sim or keep_traces else _WavePlan.build(stage.netlist, table)
+    if plan is not None:
+        waves, _ = plan.run(assignments, stage.forward_ports)
+    else:
+        sim = sim or Simulation(stage.netlist, table)
+        waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
     return TransactionRecord(
         **vars(waves),
         architecture=stage.architecture,

@@ -226,7 +226,7 @@ def _swap_sum_rails(variant, n):
 
 def _retyped(variant, n, gid, kind):
     rca = build_rca(variant, n)
-    gates = [dataclasses.replace(g, kind=kind) if g.gid == gid else g for g in rca.netlist.gates]
+    gates = [g._replace(kind=kind) if g.gid == gid else g for g in rca.netlist.gates]
     assert gates != list(rca.netlist.gates)
     return _with_netlist(rca, gates=gates)
 
@@ -237,7 +237,7 @@ def _top_sum_both_rails(variant, n):
     first at a = 2^(n-1), b = 1, cin = 0."""
     rca = build_rca(variant, n)
     top = f"fa{n - 1}.s0"
-    gates = [dataclasses.replace(g, output=f"{top}.x") if g.output == top else g for g in rca.netlist.gates]
+    gates = [g._replace(output=f"{top}.x") if g.output == top else g for g in rca.netlist.gates]
     gates.append(Gate("trigger", GateKind.C2, (f"a{n - 1}.r1", "b0.r1"), "trigger"))
     gates.append(Gate("fault", GateKind.OR2, (f"{top}.x", "trigger"), top))
     return _with_netlist(rca, gates=gates)
@@ -272,6 +272,19 @@ def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, exhaustive, 
     assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
 
 
+@pytest.mark.parametrize("mutant,result", [
+    ("swapped-sum", ((0, 0, 0), 1, "decoded 2, expected 0")),
+    ("illegal-probe", ((1, 1, 0), 35, "phase-check violation")),
+    ("both-rails", ((8, 1, 0), 259,
+                    "decoded DecodeIssue(state=<RailState.ILLEGAL: 'ILLEGAL'>, index=3), expected 9")),
+])
+def test_a_faulty_adder_falls_back_to_one_simulation(mutant, result, table, simulations_built):
+    rca = MUTANTS[mutant](4)
+    got = functional_check(rca, 0, delay_table=table, exhaustive=True)
+    assert (got.counterexample, got.trials, got.detail) == result and not got.passed
+    assert simulations_built == [rca.netlist]
+
+
 def test_first_failure_past_the_first_block(table):
     rca = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 6)
     got = functional_check(rca, 0, delay_table=table, exhaustive=True)
@@ -285,7 +298,7 @@ def test_first_failure_past_the_first_block(table):
 def test_without_a_wave_plan_every_vector_runs_a_transaction(mutant, exhaustive, trials, seed, table, monkeypatch):
     rca = MUTANTS[mutant](4) if mutant else build_rca(AdderVariant.DIMS_WEAK, 4)
     want = _per_vector(rca, _cases(4, trials, seed, exhaustive), table)
-    monkeypatch.setattr(_WavePlan, "build", classmethod(lambda cls, sim: None))
+    monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *compiled: None))
     assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
     assert want.passed == (mutant is None)
 

@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import qdisim.analysis
+import qdisim.sim
 from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.analysis import (
     CLASSIFY_MAX_PAIRS,
@@ -253,6 +255,36 @@ def test_sweep_local_always_faster(report):
         assert row.global_sim[2] > row.local_sim[2]
 
 
+@lru_cache(maxsize=None)
+def _paired_stage(arch, n):
+    return build_stage(arch, n=n)
+
+
+_PATH_KINDS = (GateKind.C2, GateKind.OR2, GateKind.AO21, GateKind.AO22)
+
+
+@given(delays=st.tuples(*(st.integers(1, 400) for _ in _PATH_KINDS)), n=st.integers(2, 8))
+def test_closed_forms_hold_for_every_positive_table(delays, n):
+    """Both closed forms equal the simulated paired stages at every m, for
+    any positive delays of the kinds on their paths."""
+    other = default_delay_table().replace(dict(zip(_PATH_KINDS, delays)))
+    specs = [ChainSpec(n, m) for m in range(n - 1)]
+    for arch, theory in ((Architecture.LOCAL, theory_local), (Architecture.GLOBAL, theory_global)):
+        got = measure_chains(_paired_stage(arch, n), specs, other)
+        assert got == [theory(s.m, other, n) for s in specs], arch
+
+
+def test_global_reset_at_m0_takes_one_carry_cell(table):
+    """At m = 0 the carry into the kill stage falls with the registered
+    cin, so a datapath that outruns the synchronizing path resets one AO22
+    earlier than at m >= 1."""
+    fast_sync = table.replace({GateKind.C2: 27, GateKind.OR2: 272, GateKind.AO22: 239})
+    glob = _paired_stage(Architecture.GLOBAL, 32)
+    specs = [ChainSpec(32, m) for m in range(3)]
+    assert measure_chains(glob, specs, fast_sync) == [(804, 565, 1369), (1043, 804, 1847), (1282, 804, 2086)]
+    assert [theory_global(s.m, fast_sync)[1] for s in specs] == [565, 804, 804]
+
+
 def test_sweep_csv_shape(report):
     lines = sweep_csv(report).splitlines()
     assert lines[0] == (
@@ -276,22 +308,23 @@ def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
     assert sweep_csv(report) == sweep_csv(TimingReport(32, rows))
 
 
-def test_analyses_compile_each_netlist_once(monkeypatch, table):
-    built = []
+def test_analyses_compile_each_netlist_once(monkeypatch, table, simulations_built):
+    """One compile per netlist, straight into its wave plan; no event engine."""
+    real, compiled = qdisim.sim._compile, []
 
-    class Counting(Simulation):
-        def __init__(self, netlist, *args, **kwargs):
-            built.append(netlist)
-            super().__init__(netlist, *args, **kwargs)
+    def counting(netlist, *args):
+        compiled.append(netlist)
+        return real(netlist, *args)
 
-    monkeypatch.setattr(qdisim.analysis, "Simulation", Counting)
+    monkeypatch.setattr(qdisim.sim, "_compile", counting)
     sweep(n=8, m_values=range(4, 7), table=table)
-    assert len(built) == 2
+    assert len(compiled) == 2
     asymptotic_check(AdderVariant.DIMS_WEAK, n=8, m_values=(2, 4, 6), table=table)
-    assert len(built) == 3
+    assert len(compiled) == 3
     fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
     assert classify_both(fa, table) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
-    assert built[3:] == [fa]  # one Simulation, and one wave plan, for both phases
+    assert compiled[3:] == [fa]  # one wave plan for both phases
+    assert simulations_built == []
 
 
 # -- indication classes -------------------------------------------------------

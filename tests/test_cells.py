@@ -135,6 +135,18 @@ def test_default_table_entries():
         assert table[kind] >= 1
 
 
+def test_default_table_is_one_shared_read_only_object():
+    table = default_delay_table()
+    assert default_delay_table() is table
+    with pytest.raises(TypeError):
+        table.delays[GateKind.C2] = 1
+
+
+def test_an_override_leaves_the_default_table_alone():
+    assert load_delay_table("C2 107\n")[GateKind.C2] == 107
+    assert default_delay_table()[GateKind.C2] == 106
+
+
 def test_load_overrides_only_listed_kinds():
     table = load_delay_table("C2 100\n# comment\n")
     assert table[GateKind.C2] == 100

@@ -8,6 +8,7 @@ import pytest
 import qdisim
 import qdisim.adders
 import qdisim.analysis
+import qdisim.cells
 import qdisim.cli
 from qdisim.cli import main
 from qdisim.netlist import gate_census, parse_netlist
@@ -255,6 +256,53 @@ def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
     assert run(capsys, "--seed", "9", "check", "--n", "2", "--trials", "3") == expected
     assert run(capsys, "check", "--n", "2", "--trials", "3") == expected
     assert seeds == [9, 1]
+
+
+def test_datapath_faster_than_the_sync_path_matches_at_m0(tmp_path, capsys):
+    """A table whose GLOBAL datapath outruns the synchronizing path: the
+    m = 0 spacer wave resets through one AO22, not two."""
+    path = tmp_path / "delays.txt"
+    path.write_text("C2 27\nOR2 272\nAO22 239\n")
+    assert run(capsys, "--delay-table", str(path), "measure", "--arch", "global", "--m", "0") == (
+        0, "global,early-output,32,0,804,565,1369,804,565,1369\n", "")
+    code, out, err = run(capsys, "--delay-table", str(path), "sweep", "--m-range", "0:3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:3] == ["0,1313,1313,1369,1369,4.09", "1,1376,1376,1847,1847,25.50"]
+
+
+def _paper_repro(tmp_path):
+    """The README reproduction commands: 17 calls."""
+    variants = [v.value for v in qdisim.adders.AdderVariant]
+    return [
+        ["--out", str(tmp_path / "sweep.csv"), "sweep"],
+        *(["check", "--variant", v, "--n", "4", "--trials", "exhaustive"] for v in variants),
+        *(["classify", v] for v in variants),
+        *(["measure", "--arch", arch, "--m", m] for arch in ("local", "global") for m in ("4", "28")),
+    ]
+
+
+def test_paper_repro_builds_no_event_engine(tmp_path, simulations_built, capsys):
+    """measure, sweep, exhaustive check and classify run on the wave plan
+    compiled from the netlist alone."""
+    argvs = _paper_repro(tmp_path)
+    assert len(argvs) == 17
+    assert [main(argv) for argv in argvs] == [0] * 17
+    capsys.readouterr()
+    assert simulations_built == []
+
+
+def test_paper_repro_derives_the_default_table_at_most_once(tmp_path, monkeypatch, capsys):
+    real, derived = qdisim.cells.derive_pinned_delays, []
+
+    def spy():
+        derived.append(1)
+        return real()
+
+    monkeypatch.setattr(qdisim.cells, "derive_pinned_delays", spy)
+    qdisim.cells.default_delay_table.cache_clear()
+    assert [main(argv) for argv in _paper_repro(tmp_path)] == [0] * 17
+    capsys.readouterr()
+    assert len(derived) == 1
 
 
 def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from qdisim.sim import (
     Phase,
     Simulation,
     SimulationError,
-    _wave_plan,
+    _WavePlan,
     check_phase,
 )
 from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
@@ -373,9 +373,20 @@ def _golden_netlist(case):
 @pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))
 def test_compiled_form_matches_golden(case, jitter, table):
     sim = Simulation(_golden_netlist(case), table, jitter=jitter, jitter_seed=3)
-    plan = _wave_plan(sim)
+    plan = _WavePlan.build(sim.netlist, table, jitter=jitter, jitter_seed=3)
     compiled = repr((sim._names, sim._gates, sim._fanout, plan.nodes, plan.pairs))
     assert hashlib.sha256(compiled.encode()).hexdigest() == _COMPILED_DIGESTS[case, jitter]
+
+
+def _plan_shape(plan):
+    return plan.nodes, plan.slots, plan.pairs
+
+
+@pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))
+def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(case, jitter, table):
+    netlist = _golden_netlist(case)
+    sim = Simulation(netlist, table, jitter=jitter, jitter_seed=3)
+    assert _plan_shape(_WavePlan.build(netlist, table, jitter, 3)) == _plan_shape(sim.plan)
 
 
 @pytest.mark.parametrize("arch,ops,deliveries", [

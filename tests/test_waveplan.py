@@ -145,7 +145,7 @@ def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data)
         inputs = data.draw(assigns)
         got = drive_transaction(planned, inputs, ports)
         want = drive_transaction(reference, inputs, ports, keep_traces=True)
-        assert isinstance(planned._plan, _WavePlan) and planned.trace == []
+        assert isinstance(planned.plan, _WavePlan) and planned.trace == []
         assert _waves(got) == _waves(want)
         assert planned.now == reference.now
         # every net that rose falls again: the engine ends the spacer wave at rest
@@ -178,15 +178,14 @@ def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
     netlist = replace(netlist, primary_inputs=inputs,
                       port_map={f"q{j}": (nets[2 * j], nets[2 * j + 1]) for j in range(len(nets) // 2)})
     vectors = _vectors(data, inputs)
-    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
-    plan = _WavePlan.build(planned)
+    plan = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed)
     assert plan is not None
-    rise = plan.rises(planned, _masks(inputs, vectors))
+    rise = plan.rises(_masks(inputs, vectors))
     ports = list(netlist.port_map)
     for v, vec in enumerate(vectors):
-        want = {net: rise[planned._ids[net]] >> v & 1 for net in nets}
+        want = {net: rise[plan.ids[net]] >> v & 1 for net in nets}
         assigns = list(zip(inputs, vec))
-        word = plan.run(planned, assigns, ports).valid_word
+        word = plan.run(assigns, ports)[0].valid_word
         timed = {}
         for port, state in zip(ports, word):
             timed.update(zip(netlist.port_map[port], _RAILS[state]))
@@ -210,15 +209,14 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     engine commits them."""
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
-    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
-    plan, masks = _WavePlan.build(planned), _masks(inputs, vectors)
-    rose_masks, rise, high = plan.times(planned, masks)
-    assert rose_masks == plan.rises(planned, masks)
-    ids = planned._ids
+    plan, masks = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed), _masks(inputs, vectors)
+    rose_masks, rise, high = plan.times(masks)
+    assert rose_masks == plan.rises(masks)
+    ids = plan.ids
     assert plan.rails == {port: (ids[r1], ids[r0]) for port, (r1, r0) in netlist.port_map.items()}
     illegal = plan.illegal(rose_masks)
     for v, vec in enumerate(vectors):
-        reported = plan.run(planned, list(zip(inputs, vec)), []).set_report.illegal_pairs
+        reported = plan.run(list(zip(inputs, vec)), [])[0].set_report.illegal_pairs
         assert illegal >> v & 1 == bool(reported), v
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         waves = drive_transaction(reference, list(zip(inputs, vec)), [], keep_traces=True)
@@ -227,7 +225,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
         falls = {net: t - spacer for t, net, _ in waves.rtz_trace}
         assert len(rises) == len(waves.set_trace) and len(falls) == len(waves.rtz_trace)
         for net in netlist.nets():
-            i = planned._ids[net]
+            i = ids[net]
             rose = rise[i][-1][1] if rise[i] else 0
             assert _first_change(rise[i], v) == rises.get(net), (v, net)
             assert _first_change(high[i], v, rose) == falls.get(net), (v, net)
@@ -241,9 +239,8 @@ def test_falls_match_settled_removals(netlist, jitter, seed, data):
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
     removals = [data.draw(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs))) for _ in vectors]
-    planned = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
-    plan = _WavePlan.build(planned)
-    high = plan.falls(planned, plan.rises(planned, _masks(inputs, vectors)), _masks(inputs, removals))
+    plan = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    high = plan.falls(plan.rises(_masks(inputs, vectors)), _masks(inputs, removals))
     for v, (vec, removed) in enumerate(zip(vectors, removals)):
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         reference.apply_inputs(list(zip(inputs, vec)))
@@ -251,7 +248,7 @@ def test_falls_match_settled_removals(netlist, jitter, seed, data):
         reference.apply_inputs([(net, 0) for net, gone in zip(inputs, removed) if gone])
         reference.run_until_quiescent()
         assert {n: reference.net_value(n) for n in netlist.nets()} == {
-            n: high[planned._ids[n]] >> v & 1 for n in netlist.nets()}, v
+            n: high[plan.ids[n]] >> v & 1 for n in netlist.nets()}, v
 
 
 @pytest.mark.parametrize("variant", list(AdderVariant))
@@ -266,7 +263,7 @@ def test_measure_chains_equals_per_vector_measure(arch, variant):
 def _sum10_both_rails(netlist):
     """Stage 10's sum0 rail also follows its sum1 join: both rails rise
     when stage 10 kills the carry (m = 9), neither when it propagates."""
-    gates = tuple(replace(g, inputs=(g.inputs[0], "fa10.s1a")) if g.output == "fa10.s0" else g
+    gates = tuple(g._replace(inputs=(g.inputs[0], "fa10.s1a")) if g.output == "fa10.s0" else g
                   for g in netlist.gates)
     return replace(netlist, gates=gates)
 
@@ -284,7 +281,7 @@ def test_measure_chains_names_the_first_failing_m(mutate, later_fails, planned, 
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
     stage = replace(stage, netlist=mutate(stage.netlist))
     if not planned:
-        monkeypatch.setattr(_WavePlan, "build", classmethod(lambda cls, sim: None))
+        monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *compiled: None))
     specs = [ChainSpec(32, m) for m in range(31)]
     assert measure_chains(stage, specs[:9], TABLE) == [measure(stage, s, TABLE) for s in specs[:9]]
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
@@ -311,6 +308,15 @@ def _netlists_with_loops(draw):
         ins = draw(st.lists(st.sampled_from(nets), min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind]))
         gates.append(Gate(f"g{g}", kind, tuple(ins), f"n{g}"))
     return Netlist(gates=tuple(gates), primary_inputs=inputs)
+
+
+@given(netlist=st.one_of(_acyclic_netlists(), _netlists_with_loops()), jitter=JITTER, seed=st.integers(1, 10_000))
+def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(netlist, jitter, seed):
+    built = _WavePlan.build(netlist, TABLE, jitter, seed)
+    lowered = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
+    assert (built is None) == (lowered is None)
+    if built is not None:
+        assert (built.nodes, built.slots, built.pairs) == (lowered.nodes, lowered.slots, lowered.pairs)
 
 
 def _outcome(sim, step):
@@ -349,11 +355,10 @@ def test_inv_and_loops_go_quiet_or_raise_oscillation(netlist, jitter, seed, data
 @pytest.mark.parametrize("block_pass", ["rises", "falls", "times"])
 def test_block_passes_reject_a_net_that_is_not_a_primary_input(block_pass):
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
-    sim = Simulation(rca.netlist, TABLE)
-    plan = _WavePlan.build(sim)
-    rise = (plan.rises(sim, {}),) if block_pass == "falls" else ()
+    plan = _WavePlan.build(rca.netlist, TABLE)
+    rise = (plan.rises({}),) if block_pass == "falls" else ()
     with pytest.raises(SimulationError, match="'fa0.s1' is not a primary input"):
-        getattr(plan, block_pass)(sim, *rise, {"fa0.s1": 1})
+        getattr(plan, block_pass)(*rise, {"fa0.s1": 1})
 
 
 RING = """\
@@ -402,6 +407,32 @@ def test_last_assignment_of_an_input_wins():
     _assert_same_state(planned, reference)
 
 
+def test_low_event_cap_sim_takes_the_engine_in_drive_transaction():
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 8)
+    sim = Simulation(stage.netlist, TABLE, event_cap=20)
+    assigns = [(stage.ackin, 1)] + _operand_assignments(stage, 255, 1, 0)
+    with pytest.raises(OscillationError, match="quiescence"):
+        drive_transaction(sim, assigns, stage.forward_ports)
+
+
+@pytest.mark.parametrize("mutate,text", [
+    (_sum10_both_rails, "transaction failed for m=9: set=False rtz=True spacer=True, sum pair 10 is ILLEGAL"),
+    (_illegal_probe_pair, "transaction failed for m=9: set=False rtz=True spacer=True"),
+])
+def test_a_failing_spec_falls_back_to_one_simulation(mutate, text, simulations_built):
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
+    stage = replace(stage, netlist=mutate(stage.netlist))
+    built = simulations_built
+    with pytest.raises(TransactionError) as failed:
+        measure_chains(stage, [ChainSpec(32, m) for m in range(31)], TABLE)
+    assert str(failed.value) == text
+    assert built == [stage.netlist]
+    with pytest.raises(TransactionError) as failed:
+        measure(stage, ChainSpec(32, 9), TABLE)
+    assert str(failed.value) == text
+    assert built == [stage.netlist], "a plan-covered measure builds no Simulation"
+
+
 def test_low_event_cap_still_raises():
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 8)
     sim = Simulation(stage.netlist, TABLE, event_cap=20)
@@ -417,7 +448,7 @@ def _state(sim):
 
 
 def _assert_reset_matches_fresh(stage, used, jitter, ops):
-    plan = used._plan
+    plan = used.plan
     assert isinstance(plan, _WavePlan)
     for keep_traces in (False, True):
         for a, b, c in ops:
@@ -429,7 +460,7 @@ def _assert_reset_matches_fresh(stage, used, jitter, ops):
             assert got == want, (a, b, c, keep_traces)
             assert used.trace == fresh.trace
             assert _state(used) == _state(fresh)
-    assert used._plan is plan, "reset must keep the compiled wave plan"
+    assert used.plan is plan, "reset must keep the compiled wave plan"
 
 
 @pytest.mark.parametrize("jitter", [0, 40])
