@@ -2,17 +2,18 @@
 
 Every net starts at 0, the global spacer/reset state.  A committed
 transition re-evaluates the fanout gates and schedules each changed
-output at `now + delay(kind)`.  Events commit in (time, insertion
-sequence) order, so repeated runs of the same stimulus produce identical
-traces.  The queue is time-bucketed: a heap holds each distinct pending
-time once, and a per-time list holds that time's events in insertion
-order.  Every delay is at least 1 and the sequence only grows, so a
-time's list never grows while it is drained and stays in insertion
-order; one heap operation serves all the events of one time.  At most
-one event is pending per net; scheduling a different value replaces the
-pending one (the old entry stays queued and is skipped as stale) and is
-counted as a diagnostic, a case that monotone handshake stimuli never
-trigger.
+output at `now + delay(kind)`.  Events commit in (time, scheduling)
+order, so repeated runs of the same stimulus produce identical traces.
+The queue is a calendar of net ids: a heap holds each distinct pending
+time once, a per-time list holds the nets pending at that time in
+scheduling order, and each net has one pending time and one pending
+value.  Every delay is at least 1, so a time's list never grows while it
+is drained; one heap operation serves all the events of one time.
+Scheduling a different value for a net that is already pending replaces
+the pending event: the net leaves its old time's list (or, when that time
+is being drained, is skipped there, its pending time no longer matching)
+and joins the new time's list at the end.  A replacement is counted as a
+diagnostic, a case that monotone handshake stimuli never trigger.
 
 C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
@@ -157,11 +158,10 @@ class Simulation:
         are kept, so a netlist is compiled once however often it is run."""
         nets = len(self._names)
         self._values = [0] * nets
-        self._pseq = [0] * nets  # sequence number of the net's pending event, 0 if none
-        self._eff = [0] * nets   # pending value if an event is pending, else the settled value
+        self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
+        self._eff = [0] * nets     # pending value if an event is pending, else the settled value
         self._heap: list[int] = []  # the distinct times that have queued events
-        self._buckets: dict[int, list[tuple[int, int, int]]] = {}  # time -> [(seq, net, value)]
-        self._seq = 0
+        self._buckets: dict[int, list[int]] = {}  # time -> the nets pending then, in scheduling order
         self._resume: tuple[int, ...] = ()  # fanout of the commit an OscillationError cut off
         self._trace: list[tuple[int, str, int]] = []
         self.now = 0
@@ -192,21 +192,21 @@ class Simulation:
         t = self.now if at_time is None else at_time
         if t < self.now:
             raise SimulationError(f"cannot apply inputs at {t}, already settled at {self.now}")
-        pseq, eff = self._pseq, self._eff
-        bucket = self._buckets.get(t)
+        ptime, eff, buckets = self._ptime, self._eff, self._buckets
+        bucket = buckets.get(t)
         for net, value in assignments:
             nid = self._inputs[net]
             if value == eff[nid]:
                 continue
-            if pseq[nid]:
+            if ptime[nid] >= 0:
                 self.replacements += 1
-            self._seq += 1
-            pseq[nid] = self._seq
+                buckets[ptime[nid]].remove(nid)
+            ptime[nid] = t
             eff[nid] = value
             if bucket is None:
-                bucket = self._buckets[t] = []
+                bucket = buckets[t] = []
                 heappush(self._heap, t)
-            bucket.append((self._seq, nid, value))
+            bucket.append(nid)
 
     def settle_power_on(self):
         """Evaluate every gate once from the all-zero state and settle.
@@ -235,7 +235,7 @@ class Simulation:
         heap = self._heap
         buckets = self._buckets
         bucket_at = buckets.get
-        pseq = self._pseq
+        ptime = self._ptime
         eff = self._eff
         values = self._values
         gates = self._gates
@@ -246,9 +246,8 @@ class Simulation:
         append = trace.append
         cap = self.event_cap
         commits = 0
-        seq = self._seq
         t = settle = self.now
-        events = iter(())  # the rest of time t's bucket
+        events = iter(())  # the rest of time t's bucket, which is no longer in `buckets`
         while True:
             for gi in users:
                 code, ins, out, delay = gates[gi]
@@ -276,23 +275,26 @@ class Simulation:
                         | (values[ins[4]] & values[ins[5]])
                     )
                 if new != held:
-                    if pseq[out]:
+                    if ptime[out] >= 0:
                         self.replacements += 1
-                    seq += 1
-                    pseq[out] = seq
-                    eff[out] = new
+                        stale = bucket_at(ptime[out])
+                        if stale is not None:  # else it is time t's, skipped when drained
+                            stale.remove(out)
                     when = t + delay
+                    ptime[out] = when
+                    eff[out] = new
                     bucket = bucket_at(when)
                     if bucket is None:
-                        buckets[when] = [(seq, out, new)]
+                        buckets[when] = [out]
                         heappush(heap, when)
                     else:
-                        bucket.append((seq, out, new))
+                        bucket.append(out)
             users = ()
-            for s, net, val in events:
-                if pseq[net] != s:
-                    continue  # replaced by a later event
-                pseq[net] = 0
+            for net in events:
+                if ptime[net] != t:
+                    continue  # rescheduled while time t was drained
+                ptime[net] = -1
+                val = eff[net]
                 if values[net] == val:
                     continue
                 values[net] = val
@@ -300,11 +302,11 @@ class Simulation:
                 settle = t
                 commits += 1
                 if commits > cap:
-                    self._seq = seq
                     self.now = t
                     self._resume = fanout[net]
-                    # requeue the undrained rest of time t, so a later call resumes here
-                    rest = list(events)
+                    # requeue the nets still pending in the undrained rest of time t,
+                    # so a later call resumes here
+                    rest = [n for n in events if ptime[n] == t]
                     if rest:
                         buckets[t] = rest
                         heappush(heap, t)
@@ -318,7 +320,6 @@ class Simulation:
                     break
                 t = heappop(heap)
                 events = iter(buckets.pop(t))
-        self._seq = seq
         self.now = settle
         return trace, settle
 

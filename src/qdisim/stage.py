@@ -238,16 +238,16 @@ class ThroughputReport:
         return self.intervals[-1] if self.intervals else None
 
 
-def _prefixed(netlist: Netlist, prefix: str, rename: dict[str, str]) -> Netlist:
-    def nm(net: str) -> str:
-        return rename.get(net, prefix + net)
-
+def _prefixed(netlist: Netlist, prefix: str, names: dict[str, str]) -> Netlist:
+    """`netlist` with `prefix` on its gate ids and ports and each net
+    renamed by `names`, which maps every net of it to one string."""
+    nm = names.__getitem__
     gates = tuple(
-        Gate(prefix + g.gid, g.kind, tuple(nm(x) for x in g.inputs), nm(g.output))
+        Gate(prefix + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output))
         for g in netlist.gates
     )
-    pins = tuple(nm(x) for x in netlist.primary_inputs)
-    pouts = tuple(nm(x) for x in netlist.primary_outputs)
+    pins = tuple(map(nm, netlist.primary_inputs))
+    pouts = tuple(map(nm, netlist.primary_outputs))
     pmap = {prefix + p: (nm(r1), nm(r0)) for p, (r1, r0) in netlist.port_map.items()}
     return Netlist(gates, pins, pouts, pmap)
 
@@ -277,26 +277,30 @@ def run_closed_loop(
         return report
     stage = build_stage(architecture, variant, n)
     prefixes = [f"st{k}." for k in range(stage_count)]
+    acks = [f"ack{k}" for k in range(stage_count - 1)]
 
     gates: list[Gate] = []
     pins: list[str] = []
     pmap: dict[str, tuple[str, str]] = {}
+    stage_nets = stage.netlist.nets()
+    names_of: list[dict[str, str]] = []  # each copy's net names, one string per net
     for k, pref in enumerate(prefixes):
-        rename: dict[str, str] = {}
+        names = {net: pref + net for net in stage_nets}
         if k > 0:
             # consume the producer's forwarded sum pairs as this stage's a operand
-            prev = prefixes[k - 1]
+            prev = names_of[-1]
             for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
                 s1, s0 = stage.netlist.port_map[port]
-                rename[a1], rename[a0] = prev + s1, prev + s0
+                names[a1], names[a0] = prev[s1], prev[s0]
         if k < stage_count - 1:
-            rename["ackin"] = f"ack{k}"
-        nl = _prefixed(stage.netlist, pref, rename)
+            names[stage.ackin] = acks[k]
+        names_of.append(names)
+        nl = _prefixed(stage.netlist, pref, names)
         gates.extend(nl.gates)
         pmap.update(nl.port_map)
         pins.extend(nl.primary_inputs)
-    for k in range(stage_count - 1):
-        gates.append(Gate(f"ackinv{k}", GateKind.INV, (prefixes[k + 1] + stage.cd_out,), f"ack{k}"))
+    for k, ack in enumerate(acks):
+        gates.append(Gate(f"ackinv{k}", GateKind.INV, (names_of[k + 1][stage.cd_out],), ack))
     driven = {g.output for g in gates}
     pins = [p for p in dict.fromkeys(pins) if p not in driven]
     ring = Netlist(tuple(gates), tuple(pins), (), pmap)
@@ -305,7 +309,7 @@ def run_closed_loop(
     sim.settle_power_on()
 
     last_pref = prefixes[-1]
-    last_ackin = last_pref + "ackin"
+    last_ackin = names_of[-1][stage.ackin]
     out_ports = [last_pref + p for p in stage.forward_ports]
 
     def outputs_state() -> str:
@@ -319,9 +323,9 @@ def run_closed_loop(
     # the environment drives every operand of stage 0, and b and cin of the
     # others (their a is the previous stage's sum)
     env = []
-    for k, pref in enumerate(prefixes):
+    for k, names in enumerate(names_of):
         rails = stage.operand_rails if k == 0 else stage.operand_rails[n:]
-        env.append((pref + stage.cd_out, [(pref + r1, pref + r0) for r1, r0 in rails]))
+        env.append((names[stage.cd_out], [(names[r1], names[r0]) for r1, r0 in rails]))
     src_valid = [False] * stage_count  # environment rails currently valid, per stage
     sink_ack = 0
     while True:

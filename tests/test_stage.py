@@ -286,3 +286,27 @@ def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
     monkeypatch.setattr(qdisim.stage, "Simulation", no_simulation)
     with pytest.raises(ValueError, match="do not fit width 4"):
         run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)
+
+
+def test_ring_copies_share_one_string_per_net(monkeypatch):
+    """Every reference to a net of the ring, across gates, stage copies,
+    ports and the acknowledge inverters, is the same string object."""
+    rings = []
+
+    def capture(netlist, *args, **kwargs):
+        rings.append(netlist)
+        return Simulation(netlist, *args, **kwargs)
+
+    monkeypatch.setattr(qdisim.stage, "Simulation", capture)
+    run_closed_loop(3, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [(1, 2, 0)])
+    (ring,) = rings
+    refs = [*ring.primary_inputs, *ring.primary_outputs]
+    for g in ring.gates:
+        refs.extend(g.inputs)
+        refs.append(g.output)
+    for r1, r0 in ring.port_map.values():
+        refs += [r1, r0]
+    objects: dict[str, set[int]] = {}
+    for net in refs:
+        objects.setdefault(net, set()).add(id(net))
+    assert {net: len(ids) for net, ids in objects.items() if len(ids) > 1} == {}
