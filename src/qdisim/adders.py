@@ -18,12 +18,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .cells import DelayTable, default_delay_table
 from .dualrail import decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import Simulation, _WavePlan, drive_transaction
+from .sim import _WavePlan, drive_transaction
 
 
 class AdderVariant(enum.Enum):
@@ -233,9 +233,10 @@ class FunctionalCheckResult:
     detail: str = ""
 
 
-def rca_transaction(sim: Simulation, rca: RcaDescriptor, a: int, b: int, cin: int):
+def rca_transaction(sim, rca: RcaDescriptor, a: int, b: int, cin: int):
     """Drive one valid wave then one spacer wave through a bare ripple
-    chain; returns (decoded result or DecodeIssue, set report, rtz report).
+    chain on `sim`, a Simulation of its netlist (see `drive_transaction`);
+    returns (decoded result or DecodeIssue, set report, rtz report).
     The result covers n+1 bits: sum plus overflow carry.  Raises
     ValueError when an operand does not fit."""
     assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, cin))
@@ -288,49 +289,34 @@ def functional_check(
     exhaustive mode sweeps the whole operand space instead, 2^(2n+1)
     vectors, and refuses widths above EXHAUSTIVE_MAX_N.
 
-    When the netlist admits a wave plan, vectors are read CHECK_BLOCK at a
-    time and each block is one boolean pass of the plan (`rises`): which
-    rails rise decides the valid word and the illegal pairs, and the plan
-    always restores the spacer with monotone waves; no Simulation is
-    built.  From the lowest failing vector on, and without a plan, every
-    vector runs a full transaction (`rca_transaction`) on a Simulation,
-    which explains the failure.
+    Vectors are read CHECK_BLOCK at a time and each block is one boolean
+    pass of the wave plan (`rises`): which rails rise decides the valid
+    word and the illegal pairs, and the plan always restores the spacer
+    with monotone waves.  The lowest failing vector is explained by both
+    its waves on the same plan (`run`), so the netlist is compiled once;
+    one the plan does not cover raises ValueError.
     """
     if exhaustive and rca.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {rca.n}")
     if not exhaustive and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = delay_table or default_delay_table()
     n = rca.n
     if exhaustive:
         cases = product(range(1 << n), range(1 << n), (0, 1))
-        total = (1 << n) * (1 << n) * 2
     else:
         rng = random.Random(seed)
         cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
-        total = trials
+    plan = _WavePlan.build(rca.netlist, delay_table or default_delay_table())
     ran = 0
-    plan = _WavePlan.build(rca.netlist, table)
-    if plan is not None:
-        while block := list(islice(cases, CHECK_BLOCK)):
-            fails = _block_failures(plan, rca, block)
-            if fails:
-                first = (fails & -fails).bit_length() - 1
-                ran += first
-                cases = chain(block[first:], cases)
-                break
-            ran += len(block)
-        else:
-            return FunctionalCheckResult(True, total)
-    sim = Simulation(rca.netlist, table)
-    for a, b, c in cases:
-        decoded, set_report, rtz_report, spacer = rca_transaction(sim, rca, a, b, c)
-        ran += 1
-        expected = a + b + c
-        if decoded != expected:
-            return FunctionalCheckResult(False, ran, (a, b, c), f"decoded {decoded!r}, expected {expected}")
-        if not set_report.ok or not rtz_report.ok:
-            return FunctionalCheckResult(False, ran, (a, b, c), "phase-check violation")
-        if not spacer:
-            return FunctionalCheckResult(False, ran, (a, b, c), "outputs did not return to spacer")
-    return FunctionalCheckResult(True, total)
+    while block := list(islice(cases, CHECK_BLOCK)):
+        fails = _block_failures(plan, rca, block)
+        if fails:
+            first = (fails & -fails).bit_length() - 1
+            a, b, c = block[first]
+            waves, _ = plan.run(rail_assignments(rca.operand_rails, _pack(n, a, b, c)), rca.forward_ports)
+            decoded, expected = decode_word(waves.valid_word), a + b + c
+            # a right sum on a flagged vector leaves an illegal pair
+            detail = f"decoded {decoded!r}, expected {expected}" if decoded != expected else "phase-check violation"
+            return FunctionalCheckResult(False, ran + first + 1, (a, b, c), detail)
+        ran += len(block)
+    return FunctionalCheckResult(True, ran)

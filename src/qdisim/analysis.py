@@ -18,9 +18,9 @@ from .cells import (
     DelayTable, default_delay_table, global_datapath, global_datapath_reset,
     local_chain_reset, local_kill_resets, local_path, path_delay, sync_path,
 )
-from .dualrail import DecodeIssue, bit_columns, rail_masks
+from .dualrail import DecodeIssue, bit_columns, decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist
-from .sim import Phase, Simulation, _WavePlan
+from .sim import Phase, WaveResult, _WavePlan
 from .stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 
@@ -91,25 +91,27 @@ def measure(
     stage: StageDescriptor,
     spec: ChainSpec,
     table: DelayTable | None = None,
-    sim: Simulation | None = None,
 ) -> tuple[int, int, int]:
-    """Simulated (forward, reverse, cycle) for the canonical chain vector.
-    A given `sim` of the stage's netlist is reset first, so repeated calls
-    reuse one compiled simulation."""
+    """Simulated (forward, reverse, cycle) for the canonical chain vector,
+    on the wave plan; raises TransactionError when the transaction fails."""
     if stage.n != spec.n:
         raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
-    a, b, cin = gen_carry_chain_vector(spec)
-    if sim is not None:
-        sim.reset()
-    rec = run_transaction(stage, a, b, cin, table or default_delay_table(), sim=sim)
+    rec = run_transaction(stage, *gen_carry_chain_vector(spec), table or default_delay_table())
     if not rec.ok:
-        detail = f"set={rec.set_report.ok} rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
-        for word, value in (("sum", rec.sum_value), ("carry", rec.carry_value)):
-            if isinstance(value, DecodeIssue):  # the first pair that did not decode
-                detail += f", {word} pair {value.index} is {value.state.value}"
-                break
-        raise TransactionError(f"transaction failed for m={spec.m}: {detail}")
+        raise _failure(spec, rec)
     return rec.forward_latency, rec.reverse_latency, rec.cycle_time
+
+
+def _failure(spec: ChainSpec, waves: WaveResult) -> TransactionError:
+    """The error for the failed transaction of `spec`, naming the first
+    forwarded pair of the sum, then of the carry, that did not decode."""
+    detail = f"set={waves.set_report.ok} rtz={waves.rtz_report.ok} spacer={waves.spacer_restored}"
+    for word, pairs in (("sum", waves.valid_word[:-1]), ("carry", waves.valid_word[-1:])):
+        value = decode_word(pairs)
+        if isinstance(value, DecodeIssue):
+            detail += f", {word} pair {value.index} is {value.state.value}"
+            break
+    return TransactionError(f"transaction failed for m={spec.m}: {detail}")
 
 
 def measure_chains(
@@ -121,32 +123,33 @@ def measure_chains(
     (`_WavePlan.times`) over all the chain vectors at once.
 
     A vector fails as `measure` fails it: some port pair has both rails
-    high, or a forward pair does not have exactly one.  From the first
-    failing spec on, and when the netlist admits no plan, every spec runs
-    `measure` on one Simulation, which raises the TransactionError that
-    names it; otherwise no Simulation is built."""
+    high, or a forward pair does not have exactly one.  The first failing
+    spec runs both its waves on the same plan (`_WavePlan.run`), which
+    gives the TransactionError `measure` raises for it.  The netlist is
+    compiled once; one the plan does not cover raises ValueError."""
     table = table or default_delay_table()
     for spec in specs:
         if stage.n != spec.n:
             raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
     plan = _WavePlan.build(stage.netlist, table)
-    done: list[tuple[int, int, int]] = []
-    if plan is not None and specs:
-        words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
-        masks = rail_masks(stage.operand_rails, words)
-        masks[stage.ackin] = full = (1 << len(specs)) - 1
-        rose, rise, high = plan.times(masks)
-        out = [plan.rails[port] for port in stage.forward_ports]
-        fails = plan.illegal(rose)
-        for i1, i0 in out:
-            fails |= full & ~(rose[i1] ^ rose[i0])
-        outs = [i for pair in out for i in pair]
-        fl = _latest([(0, rise[i]) for i in outs], len(specs))
-        rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
-        good = len(specs) if not fails else (fails & -fails).bit_length() - 1
-        done = [(f, r, f + r) for f, r in zip(fl[:good], rl[:good])]
-    sim = Simulation(stage.netlist, table) if len(done) < len(specs) else None
-    return done + [measure(stage, spec, table, sim) for spec in specs[len(done):]]
+    if not specs:
+        return []
+    words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
+    masks = rail_masks(stage.operand_rails, words)
+    masks[stage.ackin] = full = (1 << len(specs)) - 1
+    rose, rise, high = plan.times(masks)
+    out = [plan.rails[port] for port in stage.forward_ports]
+    fails = plan.illegal(rose)
+    for i1, i0 in out:
+        fails |= full & ~(rose[i1] ^ rose[i0])
+    if fails:
+        first = (fails & -fails).bit_length() - 1
+        assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, words[first])
+        raise _failure(specs[first], plan.run(assignments, stage.forward_ports)[0])
+    outs = [i for pair in out for i in pair]
+    fl = _latest([(0, rise[i]) for i in outs], len(specs))
+    rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
+    return [(f, r, f + r) for f, r in zip(fl, rl)]
 
 
 def _latest(functions: list[tuple[int, list]], count: int) -> list[int]:
@@ -305,8 +308,6 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
     if loose:
         raise ValueError(f"primary input {min(loose)!r} is on no input pair")
     plan = _WavePlan.build(netlist, table or default_delay_table())
-    if plan is None:
-        raise ValueError("the wave plan does not cover this block: an INV, a cycle or a bad port map")
     codewords, width = 1 << k, max((1 << k) - 2, 0)
     arrived, valid = {}, {}
     raised = rail_masks(in_rails, range(codewords))

@@ -27,9 +27,9 @@ C-element nodes in topological order (`_WavePlan`).  On bit masks the
 same nodes give, for a block of vectors at once, which nets rise
 (`rises`), which stay high once some inputs fall (`falls`) and, on step
 functions of masks, when each net rises and falls (`times`).  The plan is
-compiled straight from a netlist (`_WavePlan.build`); the event engine is
-built only where it runs, and it stays the reference the plan is tested
-against.
+compiled straight from a netlist (`_WavePlan.build`), which refuses a
+netlist the plan does not cover; the event engine is built only on
+request, and it stays the reference the plan is tested against.
 """
 from __future__ import annotations
 
@@ -188,14 +188,15 @@ class Simulation:
     # -- stimulus ----------------------------------------------------
 
     def apply_inputs(self, assignments: Iterable[tuple[str, int]], at_time: int | None = None):
-        """Schedule primary-input transitions; same-value entries are dropped."""
+        """Schedule primary-input transitions; same-value entries are dropped.
+        A net that is not a primary input refuses them all, queueing none."""
         t = self.now if at_time is None else at_time
         if t < self.now:
             raise SimulationError(f"cannot apply inputs at {t}, already settled at {self.now}")
+        slots = [(self._inputs[net], value) for net, value in assignments]
         ptime, eff, buckets = self._ptime, self._eff, self._buckets
         bucket = buckets.get(t)
-        for net, value in assignments:
-            nid = self._inputs[net]
+        for nid, value in slots:
             if value == eff[nid]:
                 continue
             if ptime[nid] >= 0:
@@ -399,6 +400,7 @@ def drive_transaction(
     traces are kept, the sim rests at all-spacer with nothing pending and
     `event_cap` is at least the net count (a wave commits once per net at
     most); otherwise the event engine runs them, with the same result.
+    Callers that hold no sim run `_WavePlan.build(...).run` instead.
     """
     if not keep_traces and sim.event_cap >= len(sim._names) and not sim._heap and not any(sim._values):
         plan = sim.plan
@@ -501,9 +503,13 @@ class _WavePlan:
         self.inputs = inputs  # each primary input's slot
 
     @classmethod
-    def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan | None:
-        """`netlist` compiled as a Simulation compiles it, then lowered."""
-        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
+    def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan:
+        """`netlist` compiled as a Simulation compiles it, then lowered;
+        raises ValueError where `lower` finds no plan."""
+        plan = cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
+        if plan is None:
+            raise ValueError("the wave plan does not cover this netlist: an INV, a cycle or a bad port map")
+        return plan
 
     @classmethod
     def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, fanout, port_map) -> _WavePlan | None:

@@ -196,19 +196,21 @@ def run_transaction(
     """One open-loop transaction: valid wave with ackin held high, then
     spacer wave with ackin low.  Latencies are the times of the last
     transition on any forwarded output pair, measured from each wave's
-    start.  Without a `sim`, the wave plan compiled from the netlist runs
-    it where it can; pass a quiescent sim of the stage's netlist to chain
-    transactions on one instance.  Raises ValueError when an operand does
-    not fit the stage width or `sim` was built for another netlist.
+    start.  Without a `sim` or `keep_traces`, the wave plan compiled from
+    the netlist runs it; otherwise `drive_transaction` does, on `sim` or
+    on an event engine built for the traces (a quiescent sim of the
+    stage's netlist chains transactions on one instance).  Raises
+    ValueError when an operand does not fit the stage width, `sim` was
+    built for another netlist, or the plan is needed and does not cover
+    the netlist.
     """
     word = pack_operands(stage.n, a, b, cin)
     if sim is not None and sim.netlist is not stage.netlist:
         raise ValueError("sim was built for another netlist than the stage's")
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     table = delay_table or default_delay_table()
-    plan = None if sim or keep_traces else _WavePlan.build(stage.netlist, table)
-    if plan is not None:
-        waves, _ = plan.run(assignments, stage.forward_ports)
+    if sim is None and not keep_traces:
+        waves, _ = _WavePlan.build(stage.netlist, table).run(assignments, stage.forward_ports)
     else:
         sim = sim or Simulation(stage.netlist, table)
         waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+import qdisim.sim
 from qdisim.cells import default_delay_table
 from qdisim.sim import Simulation
 from qdisim.stage import Architecture, build_stage
@@ -25,6 +26,20 @@ def simulations_built(monkeypatch):
 
     monkeypatch.setattr(Simulation, "__init__", spy)
     return built
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The netlist of every compile (`qdisim.sim._compile`) made while the
+    test runs, by an event engine or a wave plan."""
+    calls, real = [], qdisim.sim._compile
+
+    def spy(netlist, *args):
+        calls.append(netlist)
+        return real(netlist, *args)
+
+    monkeypatch.setattr(qdisim.sim, "_compile", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,13 @@ from qdisim.adders import (
     build_full_adder,
     build_rca,
     functional_check,
+    pack_operands,
     rca_transaction,
 )
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import RailState, bit_columns
+from qdisim.dualrail import RailState, bit_columns, decode_word, rail_assignments
 from qdisim.netlist import Gate, GateKind, gate_census, validate
-from qdisim.sim import Simulation, _WavePlan
+from qdisim.sim import Simulation, drive_transaction
 
 ALL_VARIANTS = list(AdderVariant)
 
@@ -193,17 +194,20 @@ def _cases(n, trials, seed, exhaustive):
 
 
 def _per_vector(rca, cases, table):
-    """The reference: one full transaction per vector, up to the first failure."""
+    """The reference: both waves of every vector on the event engine, up to
+    the first failure."""
     sim = Simulation(rca.netlist, table)
     ran = 0
     for a, b, c in cases:
-        decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, a, b, c)
+        assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, c))
+        waves = drive_transaction(sim, assignments, rca.forward_ports, keep_traces=True)
+        decoded = decode_word(waves.valid_word)
         ran += 1
         if decoded != a + b + c:
             return FunctionalCheckResult(False, ran, (a, b, c), f"decoded {decoded!r}, expected {a + b + c}")
-        if not set_rep.ok or not rtz_rep.ok:
+        if not waves.set_report.ok or not waves.rtz_report.ok:
             return FunctionalCheckResult(False, ran, (a, b, c), "phase-check violation")
-        if not spacer:
+        if not waves.spacer_restored:
             return FunctionalCheckResult(False, ran, (a, b, c), "outputs did not return to spacer")
     return FunctionalCheckResult(True, ran)
 
@@ -278,11 +282,11 @@ def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, exhaustive, 
     ("both-rails", ((8, 1, 0), 259,
                     "decoded DecodeIssue(state=<RailState.ILLEGAL: 'ILLEGAL'>, index=3), expected 9")),
 ])
-def test_a_faulty_adder_falls_back_to_one_simulation(mutant, result, table, simulations_built):
+def test_a_faulty_adder_compiles_once_and_builds_no_engine(mutant, result, table, compiled, simulations_built):
     rca = MUTANTS[mutant](4)
     got = functional_check(rca, 0, delay_table=table, exhaustive=True)
     assert (got.counterexample, got.trials, got.detail) == result and not got.passed
-    assert simulations_built == [rca.netlist]
+    assert compiled == [rca.netlist] and simulations_built == []
 
 
 def test_first_failure_past_the_first_block(table):
@@ -291,16 +295,6 @@ def test_first_failure_past_the_first_block(table):
     assert got.trials == adders.CHECK_BLOCK + 3 and got.counterexample == (32, 1, 0)
     assert got == _per_vector(rca, _cases(6, 0, 1, True), table)
     assert "ILLEGAL" in got.detail
-
-
-@pytest.mark.parametrize("exhaustive,trials,seed", [(True, 0, 1), (False, 200, 5)], ids=["exhaustive", "random"])
-@pytest.mark.parametrize("mutant", [None, *MUTANTS])
-def test_without_a_wave_plan_every_vector_runs_a_transaction(mutant, exhaustive, trials, seed, table, monkeypatch):
-    rca = MUTANTS[mutant](4) if mutant else build_rca(AdderVariant.DIMS_WEAK, 4)
-    want = _per_vector(rca, _cases(4, trials, seed, exhaustive), table)
-    monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *compiled: None))
-    assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
-    assert want.passed == (mutant is None)
 
 
 def _raise_if_called(*args):
@@ -322,7 +316,7 @@ def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
     rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
     assert functional_check(rca, 1000, seed=7, delay_table=table) == FunctionalCheckResult(True, 1000)
     assert drawn == _cases(32, 1000, 7, False)
-    monkeypatch.undo()  # the per-vector transactions after a failure validate through pack_operands
+    monkeypatch.undo()  # the reference below packs through pack_operands
 
     mutant = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 32)
     got = functional_check(mutant, 1000, seed=7, delay_table=table)

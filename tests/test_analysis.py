@@ -6,8 +6,6 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-import qdisim.analysis
-import qdisim.sim
 from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.analysis import (
     CLASSIFY_MAX_PAIRS,
@@ -148,7 +146,9 @@ def test_closed_forms_hold_at_every_width(table):
             stage = build_stage(arch, n=n)
             sim = Simulation(stage.netlist, table)
             for m in range(n - 1):
-                assert measure(stage, ChainSpec(n, m), table, sim) == theory(m), (arch, n, m)
+                rec = run_transaction(stage, *gen_carry_chain_vector(ChainSpec(n, m)), table, sim=sim)
+                assert rec.ok, (arch, n, m)
+                assert (rec.forward_latency, rec.reverse_latency, rec.cycle_time) == theory(m), (arch, n, m)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -176,11 +176,6 @@ def test_measure_global_data_dominated(global_stage32, table):
 def test_measure_rejects_width_mismatch(local_stage32, table):
     with pytest.raises(ValueError, match="width"):
         measure(local_stage32, ChainSpec(8, 2), table)
-
-
-def test_measure_rejects_a_sim_of_another_netlist(local_stage32, global_stage32, table):
-    with pytest.raises(ValueError, match="another netlist"):
-        measure(local_stage32, ChainSpec(32, 4), table, Simulation(global_stage32.netlist, table))
 
 
 def test_undecoded_transaction_names_its_first_bad_pair(table):
@@ -296,7 +291,7 @@ def test_sweep_csv_shape(report):
 
 
 def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
-    # oracle: measure() without a sim builds a fresh Simulation for every point
+    # oracle: one measure() per point, each on a plan of its own
     local = build_stage(Architecture.LOCAL, n=32)
     glob = build_stage(Architecture.GLOBAL, n=32)
     rows = []
@@ -308,15 +303,8 @@ def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
     assert sweep_csv(report) == sweep_csv(TimingReport(32, rows))
 
 
-def test_analyses_compile_each_netlist_once(monkeypatch, table, simulations_built):
+def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):
     """One compile per netlist, straight into its wave plan; no event engine."""
-    real, compiled = qdisim.sim._compile, []
-
-    def counting(netlist, *args):
-        compiled.append(netlist)
-        return real(netlist, *args)
-
-    monkeypatch.setattr(qdisim.sim, "_compile", counting)
     sweep(n=8, m_values=range(4, 7), table=table)
     assert len(compiled) == 2
     asymptotic_check(AdderVariant.DIMS_WEAK, n=8, m_values=(2, 4, 6), table=table)

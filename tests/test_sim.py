@@ -61,6 +61,24 @@ def test_driving_gate_output_rejected(table):
         sim.apply_inputs([("y", 1)])
 
 
+def test_a_refused_stimulus_queues_nothing(table):
+    """An unknown net anywhere in the assignments refuses the whole
+    stimulus: the queue is as it was, and the next run commits nothing."""
+    sim = Simulation(build_rca(AdderVariant.DIMS_WEAK, 2).netlist, table)
+    sim.apply_inputs([("b0.r1", 1)], at_time=5)
+    queue = (list(sim._heap), {t: list(nets) for t, nets in sim._buckets.items()}, list(sim._ptime), list(sim._eff))
+    with pytest.raises(SimulationError, match="'bogus' is not a primary input"):
+        sim.apply_inputs([("a0.r1", 1), ("bogus", 1)])
+    assert (sim._heap, sim._buckets, sim._ptime, sim._eff) == queue
+    with pytest.raises(SimulationError, match="'bogus' is not a primary input"):
+        sim.apply_inputs([("a0.r1", 1), ("bogus", 1)], at_time=5)
+    assert (sim._heap, sim._buckets, sim._ptime, sim._eff) == queue
+    sim.reset()
+    with pytest.raises(SimulationError):
+        sim.apply_inputs([("a0.r1", 1), ("bogus", 1)])
+    assert sim.run_until_quiescent() == ([], 0)
+
+
 def test_wrong_arity_is_a_typed_error(table):
     # the parser refuses this text, so the gate is built directly
     netlist = Netlist((Gate("z", GateKind.C2, ("a",), "z"),), ("a",))

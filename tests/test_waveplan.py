@@ -6,16 +6,19 @@ runs the wave plan, which commits no events, so its `trace` stays empty;
 the event engine always leaves the spacer wave's commits there.
 """
 import random
+import re
 from dataclasses import fields, replace
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qdisim.adders import AdderVariant, build_rca, pack_operands, rca_transaction
-from qdisim.analysis import ChainSpec, TransactionError, measure, measure_chains
+from qdisim.adders import AdderVariant, build_rca, functional_check, pack_operands, rca_transaction
+from qdisim.analysis import (
+    ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
+)
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import PAIR_STATE, decode_word, rail_assignments
+from qdisim.dualrail import PAIR_STATE, DecodeIssue, decode_word, rail_assignments
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import OscillationError, Simulation, SimulationError, _WavePlan, drive_transaction
 from qdisim.stage import Architecture, build_stage, run_transaction
@@ -257,7 +260,10 @@ def test_measure_chains_equals_per_vector_measure(arch, variant):
     stage = _stage(arch, variant, 32)
     specs = [ChainSpec(32, m) for m in range(31)]
     sim = Simulation(stage.netlist, TABLE)
-    assert measure_chains(stage, specs, TABLE) == [measure(stage, spec, TABLE, sim) for spec in specs]
+    records = [run_transaction(stage, *gen_carry_chain_vector(spec), TABLE, sim=sim) for spec in specs]
+    assert all(rec.ok for rec in records)
+    assert measure_chains(stage, specs, TABLE) == [
+        (rec.forward_latency, rec.reverse_latency, rec.cycle_time) for rec in records]
 
 
 def _sum10_both_rails(netlist):
@@ -275,13 +281,10 @@ def _illegal_probe_pair(netlist):
     return replace(netlist, port_map={**netlist.port_map, "probe": ("fa10.s1a", "fa10.kg")})
 
 
-@pytest.mark.parametrize("planned", [True, False], ids=["plan", "no-plan"])
 @pytest.mark.parametrize("mutate,later_fails", [(_sum10_both_rails, True), (_illegal_probe_pair, False)])
-def test_measure_chains_names_the_first_failing_m(mutate, later_fails, planned, monkeypatch):
+def test_measure_chains_names_the_first_failing_m(mutate, later_fails):
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
     stage = replace(stage, netlist=mutate(stage.netlist))
-    if not planned:
-        monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *compiled: None))
     specs = [ChainSpec(32, m) for m in range(31)]
     assert measure_chains(stage, specs[:9], TABLE) == [measure(stage, s, TABLE) for s in specs[:9]]
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
@@ -312,11 +315,104 @@ def _netlists_with_loops(draw):
 
 @given(netlist=st.one_of(_acyclic_netlists(), _netlists_with_loops()), jitter=JITTER, seed=st.integers(1, 10_000))
 def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(netlist, jitter, seed):
-    built = _WavePlan.build(netlist, TABLE, jitter, seed)
+    """`build` raises exactly when a Simulation lowers no plan; otherwise
+    the two plans are equal."""
     lowered = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
-    assert (built is None) == (lowered is None)
-    if built is not None:
+    if lowered is None:
+        with pytest.raises(ValueError, match=NO_PLAN):
+            _WavePlan.build(netlist, TABLE, jitter, seed)
+    else:
+        built = _WavePlan.build(netlist, TABLE, jitter, seed)
         assert (built.nodes, built.slots, built.pairs) == (lowered.nodes, lowered.slots, lowered.pairs)
+
+
+# -- one compile per call, and no plan no analysis --------------------------
+
+NO_PLAN = "^" + re.escape("the wave plan does not cover this netlist: an INV, a cycle or a bad port map") + "$"
+
+
+def _inv_probe(netlist):
+    """`netlist` plus an INV off stage 0's generate detector, which the
+    wave plan does not cover."""
+    return replace(netlist, gates=netlist.gates + (Gate("probe", GateKind.INV, ("fa0.g",), "probe"),))
+
+
+def _probed(desc, probe):
+    return replace(desc, netlist=probe(desc.netlist))
+
+
+def _entry_points(rca, stage):
+    return {
+        "run_transaction": lambda: run_transaction(stage, 1, 1, 0, TABLE),
+        "functional_check": lambda: functional_check(rca, 40, delay_table=TABLE),
+        "measure_chains": lambda: measure_chains(stage, [ChainSpec(stage.n, 1)], TABLE),
+        "measure": lambda: measure(stage, ChainSpec(stage.n, 1), TABLE),
+        "classify_both": lambda: classify_both(rca.netlist, TABLE),
+    }
+
+
+ENTRY_POINTS = list(_entry_points(None, None))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("planless", ["inv-probe", "lower-none"])
+def test_a_netlist_without_a_plan_gets_the_one_value_error(entry, planless, monkeypatch, compiled, simulations_built):
+    rca = _rca(AdderVariant.LATENCY_OPT_BIASED, 4)
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4)
+    if planless == "inv-probe":
+        rca, stage = _probed(rca, _inv_probe), _probed(stage, _inv_probe)
+    else:
+        monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *args: None))
+    with pytest.raises(ValueError, match=NO_PLAN):
+        _entry_points(rca, stage)[entry]()
+    assert len(compiled) == 1 and simulations_built == []
+
+
+def _illegal_port(netlist):
+    """A port over stage 0's generate and its `e = OR2(kg, g)`: both rise
+    when a0 = b0 = 1."""
+    return replace(netlist, port_map={**netlist.port_map, "probe": ("fa0.g", "fa0.e")})
+
+
+def _unlatched(stage):
+    """ackin never rises, so the stage forwards only spacer."""
+    return replace(stage, ackin="a0.r1")
+
+
+def _passes(call):
+    """Whether an analysis call succeeds: no TransactionError, and a record
+    or a check that passed."""
+    try:
+        result = call()
+    except TransactionError:
+        return False
+    return getattr(result, "ok", getattr(result, "passed", True))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("faulty", [False, True], ids=["sound", "faulty"])
+def test_each_analysis_call_compiles_once(entry, faulty, compiled, simulations_built):
+    """Passing or failing, a call compiles its netlist once, into the wave
+    plan, and builds no event engine."""
+    rca = _rca(AdderVariant.LATENCY_OPT_BIASED, 4)
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4)
+    if faulty:
+        rca, stage = _probed(rca, _illegal_port), _unlatched(stage)
+    # the faulty block only classifies differently: classify_both reports no failure
+    assert _passes(_entry_points(rca, stage)[entry]) == (not faulty or entry == "classify_both")
+    assert compiled == [rca.netlist if entry in ("functional_check", "classify_both") else stage.netlist]
+    assert simulations_built == []
+
+
+def test_an_inv_stage_runs_on_a_sim_it_is_given():
+    """The event engine runs only on request: on a given sim it drives an
+    INV netlist the plan refuses, with the record `keep_traces` gives."""
+    stage = _probed(_stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4), _inv_probe)
+    sim = Simulation(stage.netlist, TABLE)
+    got = run_transaction(stage, 5, 3, 1, TABLE, sim=sim)
+    want = run_transaction(stage, 5, 3, 1, TABLE, sim=Simulation(stage.netlist, TABLE), keep_traces=True)
+    assert sim.trace and sim.trace == want.rtz_trace
+    assert _record(got) == _record(want)
 
 
 def _outcome(sim, step):
@@ -415,22 +511,35 @@ def test_low_event_cap_sim_takes_the_engine_in_drive_transaction():
         drive_transaction(sim, assigns, stage.forward_ports)
 
 
+def _engine_failure(stage, spec):
+    """The text of `spec`'s failed transaction as the event engine sees it."""
+    sim = Simulation(stage.netlist, TABLE)
+    rec = run_transaction(stage, *gen_carry_chain_vector(spec), TABLE, sim=sim, keep_traces=True)
+    assert not rec.ok
+    bad = [f", {word} pair {value.index} is {value.state.value}"
+           for word, value in (("sum", rec.sum_value), ("carry", rec.carry_value)) if isinstance(value, DecodeIssue)]
+    detail = f"set={rec.set_report.ok} rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
+    return f"transaction failed for m={spec.m}: {detail}{bad[0] if bad else ''}"
+
+
 @pytest.mark.parametrize("mutate,text", [
     (_sum10_both_rails, "transaction failed for m=9: set=False rtz=True spacer=True, sum pair 10 is ILLEGAL"),
     (_illegal_probe_pair, "transaction failed for m=9: set=False rtz=True spacer=True"),
 ])
-def test_a_failing_spec_falls_back_to_one_simulation(mutate, text, simulations_built):
+def test_a_failing_spec_compiles_once_and_builds_no_engine(mutate, text, compiled, simulations_built):
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
     stage = replace(stage, netlist=mutate(stage.netlist))
-    built = simulations_built
+    assert _engine_failure(stage, ChainSpec(32, 9)) == text
+    compiled.clear()
+    simulations_built.clear()
     with pytest.raises(TransactionError) as failed:
         measure_chains(stage, [ChainSpec(32, m) for m in range(31)], TABLE)
     assert str(failed.value) == text
-    assert built == [stage.netlist]
+    assert compiled == [stage.netlist] and simulations_built == []
     with pytest.raises(TransactionError) as failed:
         measure(stage, ChainSpec(32, 9), TABLE)
     assert str(failed.value) == text
-    assert built == [stage.netlist], "a plan-covered measure builds no Simulation"
+    assert compiled == [stage.netlist] * 2 and simulations_built == []
 
 
 def test_low_event_cap_still_raises():
