@@ -9,7 +9,6 @@ from .analysis import (
     TimingReport,
     asymptotic_check,
     classify_both,
-    classify_indication,
     crossover_m,
     gen_carry_chain_vector,
     measure,

@@ -20,10 +20,10 @@ import random
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .cells import DelayTable, default_delay_table
+from .cells import default_delay_table
 from .dualrail import decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist, NetlistBuilder
-from .sim import _WavePlan, drive_transaction
+from .sim import _WavePlan
 
 
 class AdderVariant(enum.Enum):
@@ -233,17 +233,6 @@ class FunctionalCheckResult:
     detail: str = ""
 
 
-def rca_transaction(sim, rca: RcaDescriptor, a: int, b: int, cin: int):
-    """Drive one valid wave then one spacer wave through a bare ripple
-    chain on `sim`, a Simulation of its netlist (see `drive_transaction`);
-    returns (decoded result or DecodeIssue, set report, rtz report).
-    The result covers n+1 bits: sum plus overflow carry.  Raises
-    ValueError when an operand does not fit."""
-    assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, cin))
-    waves = drive_transaction(sim, assignments, rca.forward_ports)
-    return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
-
-
 EXHAUSTIVE_MAX_N = 8  # 2^17 vectors
 CHECK_BLOCK = 4096  # vectors per boolean pass of the wave plan
 
@@ -276,37 +265,32 @@ def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> int:
     return fails
 
 
-def functional_check(
-    rca: RcaDescriptor,
-    trials: int,
-    seed: int = 1,
-    delay_table: DelayTable | None = None,
-    exhaustive: bool = False,
-) -> FunctionalCheckResult:
+def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> FunctionalCheckResult:
     """Compare full valid/spacer transactions against integer addition.
 
-    Random operands come from a seeded generator so runs are reproducible;
-    exhaustive mode sweeps the whole operand space instead, 2^(2n+1)
-    vectors, and refuses widths above EXHAUSTIVE_MAX_N.
+    `trials` random operand triples come from `random.Random(seed)`, so
+    runs are reproducible; `trials=None` sweeps the whole operand space
+    instead, 2^(2n+1) vectors, and refuses widths above EXHAUSTIVE_MAX_N.
 
     Vectors are read CHECK_BLOCK at a time and each block is one boolean
     pass of the wave plan (`rises`): which rails rise decides the valid
     word and the illegal pairs, and the plan always restores the spacer
-    with monotone waves.  The lowest failing vector is explained by both
-    its waves on the same plan (`run`), so the netlist is compiled once;
-    one the plan does not cover raises ValueError.
+    with monotone waves.  None of this depends on gate delays, so the plan
+    takes the default table.  The lowest failing vector is explained by
+    both its waves on the same plan (`run`), so the netlist is compiled
+    once; one the plan does not cover raises ValueError.
     """
-    if exhaustive and rca.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {rca.n}")
-    if not exhaustive and trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n = rca.n
-    if exhaustive:
+    if trials is None:
+        if n > EXHAUSTIVE_MAX_N:
+            raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {n}")
         cases = product(range(1 << n), range(1 << n), (0, 1))
     else:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
         cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
-    plan = _WavePlan.build(rca.netlist, delay_table or default_delay_table())
+    plan = _WavePlan.build(rca.netlist, default_delay_table())
     ran = 0
     while block := list(islice(cases, CHECK_BLOCK)):
         fails = _block_failures(plan, rca, block)

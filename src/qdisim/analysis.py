@@ -267,11 +267,9 @@ class IndicationClass:
 CLASSIFY_MAX_PAIRS = 9
 
 
-def classify_indication(
-    netlist: Netlist, phase, table: DelayTable | None = None
-) -> Indication:
-    """Classify a block over every input codeword and every order of its
-    input pairs' events, with full settling between events:
+def classify_both(netlist: Netlist) -> IndicationClass:
+    """Classify a block, per phase, over every input codeword and every
+    order of its input pairs' events, with full settling between events:
 
     STRONG  no output rail moves before the final input event, ever;
     EARLY   some codeword/order completes every output pair early;
@@ -282,22 +280,15 @@ def classify_indication(
     each codeword's valid state.  A monotone wave settles to a state that
     depends only on which inputs have moved, so the early steps of all
     orders are the proper non-empty subsets of the input pairs: one bit
-    per codeword and subset in boolean passes of the wave plan.  Raises
-    ValueError for more than CLASSIFY_MAX_PAIRS input pairs, a primary
-    input on no input pair, or a netlist the plan does not cover.
+    per codeword and subset in boolean passes of the wave plan, which read
+    no gate delay (the plan takes the default table).  Raises ValueError
+    for more than CLASSIFY_MAX_PAIRS input pairs, a primary input on no
+    input pair, or a netlist the plan does not cover.
+
+    Bit c*w + s-1 of every mask, w = 2^k - 2, stands for codeword c with
+    the k input pairs in subset s (1 <= s <= w) moved; an input rail's
+    mask is its pair's subset pattern times its codeword comb.
     """
-    (indication,) = _classify(netlist, table, (phase,))
-    return indication
-
-
-def classify_both(netlist: Netlist, table: DelayTable | None = None) -> IndicationClass:
-    return IndicationClass(*_classify(netlist, table, (Phase.SET, Phase.RTZ)))
-
-
-def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indication]:
-    """Bit c*w + s-1 of every mask, w = 2^k - 2, stands for codeword c
-    with the k input pairs in subset s (1 <= s <= w) moved; an input
-    rail's mask is its pair's subset pattern times its codeword comb."""
     pis, pos = set(netlist.primary_inputs), set(netlist.primary_outputs)
     in_rails = [pair for pair in netlist.port_map.values() if pis.issuperset(pair)]
     out_ports = [port for port, pair in netlist.port_map.items() if pos.issuperset(pair) and pair not in in_rails]
@@ -307,7 +298,7 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
     loose = pis.difference(*in_rails)
     if loose:
         raise ValueError(f"primary input {min(loose)!r} is on no input pair")
-    plan = _WavePlan.build(netlist, table or default_delay_table())
+    plan = _WavePlan.build(netlist, default_delay_table())
     codewords, width = 1 << k, max((1 << k) - 2, 0)
     arrived, valid = {}, {}
     raised = rail_masks(in_rails, range(codewords))
@@ -317,7 +308,7 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
             arrived[rail], valid[rail] = subset * comb, ((1 << width) - 1) * comb
     outs = [plan.rails[port] for port in out_ports]
     found = []
-    for phase in phases:
+    for phase in (Phase.SET, Phase.RTZ):
         if phase is Phase.SET:
             start, now = [0] * plan.slots, plan.rises(arrived)
         else:
@@ -328,7 +319,7 @@ def _classify(netlist: Netlist, table: DelayTable | None, phases) -> list[Indica
             moved |= (start[i1] ^ now[i1]) | (start[i0] ^ now[i0])
             complete &= now[i1] ^ now[i0] if phase is Phase.SET else ~(now[i1] | now[i0])
         found.append(Indication.EARLY if complete else Indication.WEAK if moved else Indication.STRONG)
-    return found
+    return IndicationClass(*found)
 
 
 def _spread(column: int, count: int, width: int) -> int:

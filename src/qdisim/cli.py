@@ -76,9 +76,9 @@ def _trials(text: str) -> int | None:
     return trials
 
 
-def _load_table(args):
-    if args.delay_table:
-        with open(args.delay_table, encoding="utf-8") as fp:
+def _load_table(path: str | None):
+    if path:
+        with open(path, encoding="utf-8") as fp:
             return load_delay_table(fp.read())
     return default_delay_table()
 
@@ -101,7 +101,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    table = _load_table(args)
+    table = args.table
     variant = PAIRED_VARIANT[args.arch]
     spec = ChainSpec(args.n, args.m)
     stage = build_stage(args.arch, variant, args.n)
@@ -123,9 +123,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    table = _load_table(args)
     try:
-        report = sweep(n=args.n, m_values=args.m_range, table=table)
+        report = sweep(n=args.n, m_values=args.m_range, table=args.table)
     except SweepMismatch as exc:
         sys.stderr.write(f"{exc}\n")
         return CHECK_FAILED
@@ -135,10 +134,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     net = build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
-    table = _load_table(args)
-    cls = classify_both(net, table)
+    cls = classify_both(net)
     sys.stdout.write(f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
-    if args.no_expect or args.n != 1:
+    if args.n != 1:
         return 0
     expected = EXPECTED_CLASSES[args.variant]
     if cls != expected:
@@ -151,11 +149,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    table = _load_table(args)
     rca = build_rca(args.variant, args.n)
-    result = functional_check(
-        rca, args.trials or 0, seed=args.seed, delay_table=table, exhaustive=args.trials is None
-    )
+    result = functional_check(rca, args.trials, seed=args.seed)
     if result.passed:
         sys.stdout.write(f"pass: {result.trials} vectors, {args.variant.value} n={args.n}\n")
         return 0
@@ -174,7 +169,7 @@ def cmd_ring(args) -> int:
         (rng.getrandbits(args.n), rng.getrandbits(args.n), rng.getrandbits(1))
         for _ in range(args.transactions)
     ]
-    report = run_closed_loop(args.stages, PAIRED_VARIANT[args.arch], args.arch, args.n, ops)
+    report = run_closed_loop(args.stages, PAIRED_VARIANT[args.arch], args.arch, args.n, ops, args.table)
     rows = "".join(
         f"{t},{a},{b},{c},{value},{carry}\n" for (t, value, carry), (a, b, c) in zip(report.deliveries, ops)
     )
@@ -183,7 +178,7 @@ def cmd_ring(args) -> int:
 
 
 def cmd_delays(args) -> int:
-    sys.stdout.write(dump_delay_table(_load_table(args)))
+    sys.stdout.write(dump_delay_table(args.table))
     return 0
 
 
@@ -216,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="report the indication classes of a full adder or ripple-carry block")
     p.add_argument("variant", type=_variant)
     p.add_argument("--n", type=int, default=1, help="ripple-carry width, at most 4 (default 1, one full adder)")
-    p.add_argument("--no-expect", action="store_true", help="print only, skip the expected-class check")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check", help="functional verification against integer addition")
@@ -250,6 +244,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
+        args.table = _load_table(args.delay_table)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -494,11 +494,10 @@ class _WavePlan:
     pairs can appear in the phase reports.
     """
 
-    def __init__(self, nodes, slots: int, pairs: list[tuple[str, int, int]], ids: dict[str, int], inputs: _Inputs):
+    def __init__(self, nodes, slots: int, rails: dict[str, tuple[int, int]], ids: dict[str, int], inputs: _Inputs):
         self.nodes = nodes  # (op, input, input, output slot, delay)
         self.slots = slots  # the nets, then the intermediate nodes
-        self.pairs = pairs  # (port, rail1 slot, rail0 slot)
-        self.rails = {port: (i1, i0) for port, i1, i0 in pairs}
+        self.rails = rails  # each port's (rail1 slot, rail0 slot)
         self.ids = ids  # each net's slot
         self.inputs = inputs  # each primary input's slot
 
@@ -525,9 +524,9 @@ class _WavePlan:
             driven.add(out)
             for user in fanout[out]:
                 waiting[user] += 1
-        pairs = [(port, ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()]
-        rails = [i for _, i1, i0 in pairs for i in (i1, i0)]
-        if None in rails or len(set(rails)) < len(rails):  # an unknown net, or a shared rail
+        rails = {port: (ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()}
+        used = [i for pair in rails.values() for i in pair]
+        if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
             return None
         # Kahn's algorithm over the gates, lowering each as it is ordered;
         # a gate still waiting at the end sits on or behind a cycle
@@ -548,7 +547,7 @@ class _WavePlan:
                 slot += 1
             op, a, b = last  # drives the gate's output, with the gate's delay
             nodes.append((op, operands[a], operands[b], out, delay))
-        return None if any(waiting) else cls(nodes, slot, pairs, ids, inputs)
+        return None if any(waiting) else cls(nodes, slot, rails, ids, inputs)
 
     def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
         """Both waves of one vector, the valid wave starting at `origin`;
@@ -585,7 +584,7 @@ class _WavePlan:
         rtz_origin = max(filter(never.__gt__, rise[:nets]), default=origin)
         illegal = sorted(
             (max(rise[i1], rise[i0]), port)
-            for port, i1, i0 in self.pairs
+            for port, (i1, i0) in self.rails.items()
             if rise[i1] != never and rise[i0] != never
         )
         waves = WaveResult(

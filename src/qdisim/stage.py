@@ -260,8 +260,11 @@ def run_closed_loop(
     architecture: Architecture,
     n: int,
     operands: list[tuple[int, int, int]],
+    delay_table: DelayTable | None = None,
 ) -> ThroughputReport:
-    """Demonstration pipeline of identical stages under full handshaking.
+    """Demonstration pipeline of identical stages under full handshaking,
+    timed with `delay_table` (the default table when None): delivery times
+    depend on it, the delivered values do not.
 
     Stage k+1 adds stage k's sum to environment-supplied zero operands, so
     a value travels the ring unchanged.  Acknowledge wiring lives in the
@@ -307,7 +310,7 @@ def run_closed_loop(
     pins = [p for p in dict.fromkeys(pins) if p not in driven]
     ring = Netlist(tuple(gates), tuple(pins), (), pmap)
 
-    sim = Simulation(ring, default_delay_table())
+    sim = Simulation(ring, delay_table or default_delay_table())
     sim.settle_power_on()
 
     last_pref = prefixes[-1]

@@ -13,7 +13,6 @@ from qdisim.adders import (
     build_rca,
     functional_check,
     pack_operands,
-    rca_transaction,
 )
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import RailState, bit_columns, decode_word, rail_assignments
@@ -36,6 +35,12 @@ EXPECTED_CENSUS = {
 @pytest.fixture(scope="module")
 def table():
     return default_delay_table()
+
+
+def _transaction(sim, rca, a, b, cin):
+    """Both waves of one vector through a bare ripple chain on `sim`."""
+    assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, cin))
+    return drive_transaction(sim, assignments, rca.forward_ports)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -65,10 +70,10 @@ def test_truth_table_single_stage(variant, table):
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, a, b, c)
-                assert decoded == a + b + c, (variant, a, b, c)
-                assert set_rep.ok and rtz_rep.ok
-                assert spacer
+                waves = _transaction(sim, rca, a, b, c)
+                assert decode_word(waves.valid_word) == a + b + c, (variant, a, b, c)
+                assert waves.set_report.ok and waves.rtz_report.ok
+                assert waves.spacer_restored
 
 
 def test_a_plus_b_plus_cin_example(table):
@@ -76,8 +81,7 @@ def test_a_plus_b_plus_cin_example(table):
     for variant in ALL_VARIANTS:
         rca = build_rca(variant, 1)
         sim = Simulation(rca.netlist, table)
-        decoded, *_ = rca_transaction(sim, rca, 1, 1, 0)
-        assert decoded == 2
+        assert decode_word(_transaction(sim, rca, 1, 1, 0).valid_word) == 2
 
 
 def test_degenerate_cascade_matches_full_adder(table):
@@ -94,7 +98,7 @@ def test_degenerate_cascade_matches_full_adder(table):
                  ("cin.r1", c), ("cin.r0", 1 - c)], at_time=0)
             s_fa.run_until_quiescent()
             s_rca = Simulation(rca.netlist, table)
-            decoded, *_ = rca_transaction(s_rca, rca, a, b, c)
+            decoded = decode_word(_transaction(s_rca, rca, a, b, c).valid_word)
             fa_sum = s_fa.pair_value("sum")
             fa_cout = s_fa.pair_value("cout")
             want_sum = RailState.ONE if (a + b + c) & 1 else RailState.ZERO
@@ -104,8 +108,8 @@ def test_degenerate_cascade_matches_full_adder(table):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_exhaustive_two_bit(variant, table):
-    result = functional_check(build_rca(variant, 2), 0, exhaustive=True, delay_table=table)
+def test_exhaustive_two_bit(variant):
+    result = functional_check(build_rca(variant, 2), None)
     assert result.passed and result.trials == 32
 
 
@@ -121,23 +125,21 @@ def test_random_additions_match_integers(variant, width, data, table):
     c = data.draw(st.integers(0, 1))
     rca = build_rca(variant, width)
     sim = Simulation(rca.netlist, table)
-    decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, a, b, c)
-    assert decoded == a + b + c
-    assert set_rep.ok and rtz_rep.ok and spacer
+    waves = _transaction(sim, rca, a, b, c)
+    assert decode_word(waves.valid_word) == a + b + c
+    assert waves.set_report.ok and waves.rtz_report.ok and waves.spacer_restored
 
 
 def test_full_length_propagate(table):
     rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
     sim = Simulation(rca.netlist, table)
-    decoded, *_ = rca_transaction(sim, rca, 2**32 - 1, 0, 1)
-    assert decoded == 2**32  # sum rails all zero, overflow carry set
+    assert decode_word(_transaction(sim, rca, 2**32 - 1, 0, 1).valid_word) == 2**32  # sum rails all zero, overflow carry set
 
 
 def test_all_zero_operands(table):
     rca = build_rca(AdderVariant.DIMS_WEAK, 8)
     sim = Simulation(rca.netlist, table)
-    decoded, *_ = rca_transaction(sim, rca, 0, 0, 0)
-    assert decoded == 0
+    assert decode_word(_transaction(sim, rca, 0, 0, 0).valid_word) == 0
 
 
 @pytest.mark.parametrize("variant", [AdderVariant.DIMS_STRONG, AdderVariant.DIMS_WEAK])
@@ -150,7 +152,7 @@ def test_minterm_outputs_mutually_disjoint(variant, table):
     sim = Simulation(rca.netlist, table)
     for code in range(8):
         a, b, c = code & 1, (code >> 1) & 1, (code >> 2) & 1
-        rca_transaction(sim, rca, a, b, c)  # leaves the state back at spacer
+        _transaction(sim, rca, a, b, c)  # leaves the state back at spacer
         sim2 = Simulation(rca.netlist, table)
         sim2.apply_inputs(
             [("a0.r1", a), ("a0.r0", 1 - a), ("b0.r1", b), ("b0.r0", 1 - b),
@@ -159,14 +161,14 @@ def test_minterm_outputs_mutually_disjoint(variant, table):
         assert sum(sim2.net_value(net) for net in minterm_nets) <= 1
 
 
-def test_functional_check_seeded(table):
-    result = functional_check(build_rca(AdderVariant.LATENCY_OPT_BIASED, 8), 50, seed=7, delay_table=table)
+def test_functional_check_seeded():
+    result = functional_check(build_rca(AdderVariant.LATENCY_OPT_BIASED, 8), 50, seed=7)
     assert result.passed and result.trials == 50
 
 
-def test_functional_check_rejects_zero_trials(table):
+def test_functional_check_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials"):
-        functional_check(build_rca(AdderVariant.EARLY_OUTPUT, 2), 0, delay_table=table)
+        functional_check(build_rca(AdderVariant.EARLY_OUTPUT, 2), 0)
 
 
 def test_build_rca_rejects_zero_width():
@@ -175,19 +177,17 @@ def test_build_rca_rejects_zero_width():
 
 
 @pytest.mark.parametrize("a,b,cin", [(3, 1, 2), (16, 0, 0), (0, -1, 0), (1.5, 0, 0), ("3", 0, 0)])
-def test_rca_transaction_rejects_operands_that_do_not_fit(a, b, cin, table):
-    rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 4)
-    sim = Simulation(rca.netlist, table)
+def test_pack_operands_rejects_operands_that_do_not_fit(a, b, cin):
     with pytest.raises(ValueError, match="do not fit width 4"):
-        rca_transaction(sim, rca, a, b, cin)
-    assert sim.now == 0 and not sim._heap  # nothing was driven
+        pack_operands(4, a, b, cin)
 
 
 # -- the block-wise check against one full transaction per vector -------------
 
 
-def _cases(n, trials, seed, exhaustive):
-    if exhaustive:
+def _cases(n, trials, seed):
+    """The vectors `functional_check(rca, trials, seed)` reads."""
+    if trials is None:
         return itertools.product(range(1 << n), range(1 << n), (0, 1))
     rng = random.Random(seed)
     return [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials)]
@@ -266,14 +266,14 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize("block", [adders.CHECK_BLOCK, 3])
-@pytest.mark.parametrize("exhaustive,trials,seed", [(True, 0, 1), (False, 200, 5)], ids=["exhaustive", "random"])
+@pytest.mark.parametrize("trials,seed", [(None, 1), (200, 5)], ids=["exhaustive", "random"])
 @pytest.mark.parametrize("mutant", list(MUTANTS))
-def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, exhaustive, trials, seed, block, table, monkeypatch):
+def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, trials, seed, block, table, monkeypatch):
     rca = MUTANTS[mutant](4)
-    want = _per_vector(rca, _cases(4, trials, seed, exhaustive), table)
+    want = _per_vector(rca, _cases(4, trials, seed), table)
     assert not want.passed
     monkeypatch.setattr(adders, "CHECK_BLOCK", block)
-    assert functional_check(rca, trials, seed=seed, delay_table=table, exhaustive=exhaustive) == want
+    assert functional_check(rca, trials, seed=seed) == want
 
 
 @pytest.mark.parametrize("mutant,result", [
@@ -282,18 +282,18 @@ def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, exhaustive, 
     ("both-rails", ((8, 1, 0), 259,
                     "decoded DecodeIssue(state=<RailState.ILLEGAL: 'ILLEGAL'>, index=3), expected 9")),
 ])
-def test_a_faulty_adder_compiles_once_and_builds_no_engine(mutant, result, table, compiled, simulations_built):
+def test_a_faulty_adder_compiles_once_and_builds_no_engine(mutant, result, compiled, simulations_built):
     rca = MUTANTS[mutant](4)
-    got = functional_check(rca, 0, delay_table=table, exhaustive=True)
+    got = functional_check(rca, None)
     assert (got.counterexample, got.trials, got.detail) == result and not got.passed
     assert compiled == [rca.netlist] and simulations_built == []
 
 
 def test_first_failure_past_the_first_block(table):
     rca = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 6)
-    got = functional_check(rca, 0, delay_table=table, exhaustive=True)
+    got = functional_check(rca, None)
     assert got.trials == adders.CHECK_BLOCK + 3 and got.counterexample == (32, 1, 0)
-    assert got == _per_vector(rca, _cases(6, 0, 1, True), table)
+    assert got == _per_vector(rca, _cases(6, None, 1), table)
     assert "ILLEGAL" in got.detail
 
 
@@ -314,15 +314,15 @@ def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
     monkeypatch.setattr(adders, "_pack", spy)
     monkeypatch.setattr(adders, "pack_operands", _raise_if_called)
     rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
-    assert functional_check(rca, 1000, seed=7, delay_table=table) == FunctionalCheckResult(True, 1000)
-    assert drawn == _cases(32, 1000, 7, False)
+    assert functional_check(rca, 1000, seed=7) == FunctionalCheckResult(True, 1000)
+    assert drawn == _cases(32, 1000, 7)
     monkeypatch.undo()  # the reference below packs through pack_operands
 
     mutant = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 32)
-    got = functional_check(mutant, 1000, seed=7, delay_table=table)
-    want = _per_vector(mutant, _cases(32, 1000, 7, False), table)
+    got = functional_check(mutant, 1000, seed=7)
+    want = _per_vector(mutant, _cases(32, 1000, 7), table)
     assert got == want and not got.passed
-    assert got.counterexample == _cases(32, 1000, 7, False)[got.trials - 1]
+    assert got.counterexample == _cases(32, 1000, 7)[got.trials - 1]
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(

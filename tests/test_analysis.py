@@ -15,8 +15,8 @@ from qdisim.analysis import (
     SweepRow,
     TimingReport,
     TransactionError,
+    IndicationClass,
     classify_both,
-    classify_indication,
     crossover_m,
     gen_carry_chain_vector,
     measure,
@@ -310,7 +310,7 @@ def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):
     asymptotic_check(AdderVariant.DIMS_WEAK, n=8, m_values=(2, 4, 6), table=table)
     assert len(compiled) == 3
     fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
-    assert classify_both(fa, table) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
+    assert classify_both(fa) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
     assert compiled[3:] == [fa]  # one wave plan for both phases
     assert simulations_built == []
 
@@ -319,41 +319,39 @@ def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):
 
 
 @pytest.mark.parametrize("variant", list(AdderVariant))
-def test_classification_matches_expected(variant, table):
-    assert classify_both(build_full_adder(variant), table) == EXPECTED_CLASSES[variant]
+def test_classification_matches_expected(variant):
+    assert classify_both(build_full_adder(variant)) == EXPECTED_CLASSES[variant]
 
 
-def test_strong_adder_both_phases(table):
+def test_strong_adder_both_phases():
     fa = build_full_adder(AdderVariant.DIMS_STRONG)
-    assert classify_indication(fa, Phase.SET, table) is Indication.STRONG
-    assert classify_indication(fa, Phase.RTZ, table) is Indication.STRONG
+    assert classify_both(fa) == IndicationClass(Indication.STRONG, Indication.STRONG)
 
 
-def test_early_output_resets_early(table):
+def test_early_output_resets_early():
     fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
-    assert classify_indication(fa, Phase.SET, table) is Indication.WEAK
-    assert classify_indication(fa, Phase.RTZ, table) is Indication.EARLY
+    assert classify_both(fa) == IndicationClass(Indication.WEAK, Indication.EARLY)
 
 
-def test_classifier_rejects_wide_blocks(table):
+def test_classifier_rejects_wide_blocks():
     assert CLASSIFY_MAX_PAIRS == 9
-    classify_both(build_rca(AdderVariant.EARLY_OUTPUT, 4).netlist, table)  # 9 input pairs
+    classify_both(build_rca(AdderVariant.EARLY_OUTPUT, 4).netlist)  # 9 input pairs
     wide = build_rca(AdderVariant.EARLY_OUTPUT, 5).netlist  # 11 input pairs
     with pytest.raises(ValueError, match="too wide"):
-        classify_indication(wide, Phase.SET, table)
+        classify_both(wide)
 
 
-def test_classifier_rejects_an_unpaired_input(table):
+def test_classifier_rejects_an_unpaired_input():
     stage = build_stage(Architecture.LOCAL, n=1).netlist  # ackin is on no input pair
     with pytest.raises(ValueError, match="'ackin' is on no input pair"):
-        classify_both(stage, table)
+        classify_both(stage)
 
 
-def test_classifier_rejects_a_block_the_wave_plan_does_not_cover(table):
+def test_classifier_rejects_a_block_the_wave_plan_does_not_cover():
     inv = parse_netlist("input d.r1\ninput d.r0\ngate i INV d.r0 y.r0\ngate o OR2 d.r1 d.r1 y.r1\n"
                         "output y.r1\noutput y.r0\npair d d.r1 d.r0\npair y y.r1 y.r0")
     with pytest.raises(ValueError, match="wave plan"):
-        classify_indication(inv, Phase.RTZ, table)
+        classify_both(inv)
 
 
 # -- the subset lattice against the event engine ---------------------------
@@ -427,11 +425,17 @@ def _indication(complete, moved):
     return Indication.EARLY if complete else Indication.WEAK if moved else Indication.STRONG
 
 
+def _class_of(netlist, phase):
+    """The class `classify_both` gives `netlist` in one phase."""
+    found = classify_both(netlist)
+    return found.set_phase if phase is Phase.SET else found.rtz_phase
+
+
 @pytest.mark.parametrize("phase", list(Phase))
 @pytest.mark.parametrize("variant", list(AdderVariant))
 def test_lattice_equals_the_order_enumerator(variant, phase, table):
     fa = build_full_adder(variant)
-    assert classify_indication(fa, phase, table) is _order_enumerator(fa, phase, table)
+    assert _class_of(fa, phase) is _order_enumerator(fa, phase, table)
     assert _subset_oracle(fa, phase, table) is _order_enumerator(fa, phase, table)
 
 
@@ -456,8 +460,7 @@ def _paired_blocks(draw):
 
 @given(block=_paired_blocks(), phase=st.sampled_from(list(Phase)))
 def test_lattice_equals_the_order_enumerator_on_random_blocks(block, phase):
-    table = default_delay_table()
-    assert classify_indication(block, phase, table) is _order_enumerator(block, phase, table)
+    assert _class_of(block, phase) is _order_enumerator(block, phase, default_delay_table())
 
 
 def test_an_early_zero_rail_alone_makes_a_block_weak(table):
@@ -469,7 +472,7 @@ def test_an_early_zero_rail_alone_makes_a_block_weak(table):
         "gate c C2 x0.r1 x1.r0 y1.r1\ngate d C2 x0.r0 x1.r1 y1.r0\n"
         "output y0.r1\noutput y0.r0\noutput y1.r1\noutput y1.r0\n"
         "pair x0 x0.r1 x0.r0\npair x1 x1.r1 x1.r0\npair y0 y0.r1 y0.r0\npair y1 y1.r1 y1.r0")
-    assert classify_indication(block, Phase.SET, table) is Indication.WEAK
+    assert classify_both(block).set_phase is Indication.WEAK
     assert _order_enumerator(block, Phase.SET, table) is Indication.WEAK
 
 
@@ -477,7 +480,7 @@ def test_an_early_zero_rail_alone_makes_a_block_weak(table):
 @pytest.mark.parametrize("variant", list(AdderVariant))
 def test_lattice_equals_the_subset_oracle_on_two_bit_adders(variant, phase, table):
     rca = build_rca(variant, 2).netlist
-    assert classify_indication(rca, phase, table) is _subset_oracle(rca, phase, table)
+    assert _class_of(rca, phase) is _subset_oracle(rca, phase, table)
 
 
 # -- the three early-reset scenarios, replayed at trace level ----------------

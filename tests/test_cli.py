@@ -163,10 +163,10 @@ def test_check_bad_trials_is_a_usage_error(trials, message, capsys):
 
 
 def test_check_exhaustive_refuses_wide_adders_before_driving(monkeypatch, capsys):
-    def no_transaction(*args, **kwargs):
-        raise AssertionError("a vector was driven before the width was checked")
+    def no_compile(*args, **kwargs):
+        raise AssertionError("the netlist was compiled before the width was checked")
 
-    monkeypatch.setattr(qdisim.adders, "drive_transaction", no_transaction)
+    monkeypatch.setattr(qdisim.adders._WavePlan, "build", no_compile)
     code, out, err = run(capsys, "check", "--n", "16", "--trials", "exhaustive")
     assert code == 2 and out == ""
     assert err == "error: exhaustive check takes n <= 8, got 16\n"
@@ -201,6 +201,39 @@ def test_ring_bad_size_is_a_usage_error(option, value, message, capsys):
     code, out, err = run(capsys, "ring", "--arch", "local", option, value)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_ring_is_timed_with_the_delay_table(tmp_path, capsys):
+    argv = ("ring", "--arch", "local", "--transactions", "4")
+    path = tmp_path / "delays.txt"
+    path.write_text("C2 200\n")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    code, slow, _ = run(capsys, "--delay-table", str(path), *argv)
+    assert code == 0
+    header, *rows = default.splitlines()
+    slow_header, *slow_rows = slow.splitlines()
+    assert slow_header == header and len(slow_rows) == len(rows) == 4
+    for row, slow_row in zip(rows, slow_rows):
+        t, values = row.split(",", 1)
+        slow_t, slow_values = slow_row.split(",", 1)
+        assert int(slow_t) > int(t) and slow_values == values
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--variant", "early-output", "--n", "1"],
+    ["measure", "--arch", "local", "--m", "4"],
+    ["sweep", "--m-range", "4:5"],
+    ["classify", "dims-strong"],
+    ["check", "--n", "2"],
+    ["ring", "--arch", "local", "--transactions", "2"],
+    ["delays"],
+], ids=lambda argv: argv[0])
+def test_every_command_refuses_a_missing_delay_table(argv, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "--delay-table", str(missing), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
 
 
 def test_build_long_chain_validates(capsys):

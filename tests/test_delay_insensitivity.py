@@ -1,19 +1,30 @@
 """Delay insensitivity, the paper's central claim, as a property: under
 seeded per-gate delay jitter every adder variant, in either architecture
 and as a bare ripple chain, decodes the same values with the same phase
-reports as with the calibrated delays.  Only latencies may move."""
+reports as with the calibrated delays.  Only latencies may move.  The
+delay-free analyses, `classify_both` and `functional_check`, agree with
+their event-engine oracles timed with any positive delay table."""
 from functools import lru_cache
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdisim.adders import AdderVariant, build_rca, rca_transaction
-from qdisim.cells import default_delay_table
-from qdisim.sim import Simulation
+from qdisim.adders import AdderVariant, build_full_adder, build_rca, functional_check
+from qdisim.analysis import classify_both
+from qdisim.cells import DelayTable, default_delay_table
+from qdisim.dualrail import decode_word
+from qdisim.netlist import GateKind
+from qdisim.sim import Phase, Simulation
 from qdisim.stage import Architecture, build_stage, run_transaction
+
+from test_adders import MUTANTS, _cases, _per_vector, _transaction
+from test_analysis import _order_enumerator, _paired_blocks, _subset_oracle
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
 FUNCTIONAL = ("sum_value", "carry_value", "set_report", "rtz_report", "spacer_restored", "ok")
+DELAY_TABLES = st.lists(st.integers(1, 300), min_size=len(GateKind), max_size=len(GateKind)).map(
+    lambda delays: DelayTable(dict(zip(GateKind, delays))))
 
 
 @lru_cache(maxsize=None)
@@ -50,12 +61,47 @@ def test_stage_results_do_not_depend_on_delays(arch, variant, n, jitter, seed, d
         assert _functional(got) == _functional(want), keep_traces
 
 
+def _rca_functional(sim, rca, a, b, cin):
+    """The decoded word, both phase reports and whether the spacer came
+    back, for one transaction through a bare ripple chain on `sim`."""
+    waves = _transaction(sim, rca, a, b, cin)
+    return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
+
+
 @given(variant=st.sampled_from(list(AdderVariant)), n=WIDTHS, jitter=st.integers(1, 80),
        seed=st.integers(1, 10_000), data=st.data())
 def test_rca_results_do_not_depend_on_delays(variant, n, jitter, seed, data):
     rca, calibrated = _rca(variant, n)
     a, b, cin = _operands(data, n)
-    want = rca_transaction(calibrated, rca, a, b, cin)
+    want = _rca_functional(calibrated, rca, a, b, cin)
     assert want[0] == a + b + cin
     jittered = Simulation(rca.netlist, TABLE, jitter=jitter, jitter_seed=seed)
-    assert rca_transaction(jittered, rca, a, b, cin) == want
+    assert _rca_functional(jittered, rca, a, b, cin) == want
+
+
+def _assert_classes_under(netlist, table):
+    """Both engine oracles, timed with `table`, give `classify_both`'s classes."""
+    want = classify_both(netlist)
+    for phase, indication in ((Phase.SET, want.set_phase), (Phase.RTZ, want.rtz_phase)):
+        assert _order_enumerator(netlist, phase, table) is indication, phase
+        assert _subset_oracle(netlist, phase, table) is indication, phase
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@given(table=DELAY_TABLES)
+@settings(max_examples=10)
+def test_full_adder_classes_do_not_depend_on_delays(variant, table):
+    _assert_classes_under(build_full_adder(variant), table)
+
+
+@given(block=_paired_blocks(), table=DELAY_TABLES)
+def test_random_block_classes_do_not_depend_on_delays(block, table):
+    _assert_classes_under(block, table)
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+@given(table=DELAY_TABLES)
+@settings(max_examples=10)
+def test_a_faulty_adder_fails_alike_under_any_delays(mutant, table):
+    rca = MUTANTS[mutant](3)
+    assert _per_vector(rca, _cases(3, None, 1), table) == functional_check(rca, None)

@@ -1,5 +1,5 @@
 """Every command in the README's "Command line" block runs and exits 0,
-and every subcommand appears in it."""
+every subcommand appears in it, and every option appears in the README."""
 import argparse
 import os
 import re
@@ -42,3 +42,17 @@ def test_readme_command_exits_zero(command, tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_option_is_in_the_readme():
+    readme = README.read_text(encoding="utf-8")
+    parsers, options = [build_parser()], set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif not isinstance(action, argparse._HelpAction):
+                options.update(action.option_strings)
+    assert "--delay-table" in options and "--trials" in options
+    assert {option for option in options if option not in readme} == set()

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from qdisim.adders import AdderVariant, build_full_adder, build_rca
+from qdisim.adders import AdderVariant, build_full_adder, build_rca, pack_operands
 from qdisim.cells import default_delay_table
+from qdisim.dualrail import decode_word, rail_assignments
 from qdisim.netlist import Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import (
     OscillationError,
@@ -12,6 +13,7 @@ from qdisim.sim import (
     SimulationError,
     _WavePlan,
     check_phase,
+    drive_transaction,
 )
 from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
 
@@ -212,13 +214,13 @@ def test_no_replacements_under_monotone_stimuli(table):
 def test_delay_jitter_preserves_function(table):
     """Per-instance delay spread must not change any settled value of a
     delay-insensitive circuit, only its timing."""
-    from qdisim.adders import rca_transaction
-
     rca = build_rca(AdderVariant.EARLY_OUTPUT, 6)
+    assignments = rail_assignments(rca.operand_rails, pack_operands(6, 45, 18, 1))
     for seed in (1, 2, 3):
         sim = Simulation(rca.netlist, table, jitter=25, jitter_seed=seed)
-        decoded, set_rep, rtz_rep, spacer = rca_transaction(sim, rca, 45, 18, 1)
-        assert decoded == 64 and set_rep.ok and rtz_rep.ok and spacer
+        waves = drive_transaction(sim, assignments, rca.forward_ports)
+        assert decode_word(waves.valid_word) == 64 and waves.set_report.ok and waves.rtz_report.ok
+        assert waves.spacer_restored
 
 
 # -- engine ordering and bookkeeping --------------------------------------
@@ -392,12 +394,12 @@ def _golden_netlist(case):
 def test_compiled_form_matches_golden(case, jitter, table):
     sim = Simulation(_golden_netlist(case), table, jitter=jitter, jitter_seed=3)
     plan = _WavePlan.build(sim.netlist, table, jitter=jitter, jitter_seed=3)
-    compiled = repr((sim._names, sim._gates, sim._fanout, plan.nodes, plan.pairs))
+    compiled = repr((sim._names, sim._gates, sim._fanout, plan.nodes, [(p, *r) for p, r in plan.rails.items()]))
     assert hashlib.sha256(compiled.encode()).hexdigest() == _COMPILED_DIGESTS[case, jitter]
 
 
 def _plan_shape(plan):
-    return plan.nodes, plan.slots, plan.pairs
+    return plan.nodes, plan.slots, plan.rails
 
 
 @pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qdisim.adders import AdderVariant, build_rca, functional_check, pack_operands, rca_transaction
+from qdisim.adders import AdderVariant, build_rca, functional_check, pack_operands
 from qdisim.analysis import (
     ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
 )
@@ -106,10 +106,10 @@ def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
     planned, reference = _sims(rca.netlist, jitter, seed)
     ports = rca.forward_ports
     for a, b, c in _operands(data, n):
-        decoded, set_rep, rtz_rep, spacer = rca_transaction(planned, rca, a, b, c)
+        got = drive_transaction(planned, _operand_assignments(rca, a, b, c), ports)
         want = drive_transaction(reference, _operand_assignments(rca, a, b, c), ports, keep_traces=True)
-        assert decoded == decode_word(want.valid_word)
-        assert (_report(set_rep), _report(rtz_rep), spacer) == (
+        assert decode_word(got.valid_word) == decode_word(want.valid_word)
+        assert (_report(got.set_report), _report(got.rtz_report), got.spacer_restored) == (
             _report(want.set_report), _report(want.rtz_report), want.spacer_restored)
         _assert_same_state(planned, reference)
 
@@ -323,7 +323,7 @@ def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(netlist, jitt
             _WavePlan.build(netlist, TABLE, jitter, seed)
     else:
         built = _WavePlan.build(netlist, TABLE, jitter, seed)
-        assert (built.nodes, built.slots, built.pairs) == (lowered.nodes, lowered.slots, lowered.pairs)
+        assert (built.nodes, built.slots, built.rails) == (lowered.nodes, lowered.slots, lowered.rails)
 
 
 # -- one compile per call, and no plan no analysis --------------------------
@@ -344,10 +344,10 @@ def _probed(desc, probe):
 def _entry_points(rca, stage):
     return {
         "run_transaction": lambda: run_transaction(stage, 1, 1, 0, TABLE),
-        "functional_check": lambda: functional_check(rca, 40, delay_table=TABLE),
+        "functional_check": lambda: functional_check(rca, 40),
         "measure_chains": lambda: measure_chains(stage, [ChainSpec(stage.n, 1)], TABLE),
         "measure": lambda: measure(stage, ChainSpec(stage.n, 1), TABLE),
-        "classify_both": lambda: classify_both(rca.netlist, TABLE),
+        "classify_both": lambda: classify_both(rca.netlist),
     }
 
 
