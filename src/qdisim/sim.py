@@ -19,17 +19,18 @@ C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
 all-zero power-on state required of return-to-zero circuits.
 
-`drive_transaction` runs one valid wave and one spacer wave.  When the
-netlist has no INV and no cycle and the simulation rests at all-spacer,
-every net moves at most once per wave, in one direction, so both waves
-are one min/max-plus pass over the gates lowered to two-input AND, OR and
-C-element nodes in topological order (`_WavePlan`).  On bit masks the
-same nodes give, for a block of vectors at once, which nets rise
-(`rises`), which stay high once some inputs fall (`falls`) and, on step
-functions of masks, when each net rises and falls (`times`).  The plan is
-compiled straight from a netlist (`_WavePlan.build`), which refuses a
-netlist the plan does not cover; the event engine is built only on
-request, and it stays the reference the plan is tested against.
+`drive_transaction` runs one valid wave and one spacer wave on the event
+engine, the reference, and returns both traces.  When the netlist has no
+INV and no cycle, every net moves at most once per wave from the
+all-spacer state, in one direction, so both waves are one min/max-plus
+pass over the gates lowered to two-input AND, OR and C-element nodes in
+topological order (`_WavePlan`), which reads and changes no simulation
+state.  On bit masks the same nodes give, for a block of vectors at
+once, which nets rise (`rises`), which stay high once some inputs fall
+(`falls`) and, on step functions of masks, when each net rises and falls
+(`times`).  The plan is compiled straight from a netlist
+(`_WavePlan.build`) or lowered from a simulation's own compiled gates
+(`Simulation.plan`); both refuse a netlist the plan does not cover.
 """
 from __future__ import annotations
 
@@ -139,23 +140,11 @@ class Simulation:
         jitter_seed: int = 1,
     ):
         self.netlist = netlist
+        self.delay_table = delay_table
         self.event_cap = event_cap
         self._ids, self._inputs, self._gates, fanout = _compile(netlist, delay_table, jitter, jitter_seed)
         self._names = list(self._ids)
         self._fanout = [tuple(f) for f in fanout]
-        self.reset()
-
-    @cached_property
-    def plan(self) -> _WavePlan | None:
-        """The wave plan of this sim's own compiled gates, lowered on first
-        use and kept across `reset`; None when the netlist admits none."""
-        return _WavePlan.lower(self._ids, self._inputs, self._gates, self._fanout, self.netlist.port_map)
-
-    def reset(self):
-        """Return to the state of a fresh instance: every net 0, nothing
-        pending, time 0 (call `settle_power_on` again if the netlist needs
-        it).  The interned gates, their jittered delays and the wave plan
-        are kept, so a netlist is compiled once however often it is run."""
         nets = len(self._names)
         self._values = [0] * nets
         self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
@@ -166,6 +155,13 @@ class Simulation:
         self._trace: list[tuple[int, str, int]] = []
         self.now = 0
         self.replacements = 0
+
+    @cached_property
+    def plan(self) -> _WavePlan:
+        """The wave plan of this sim's own compiled gates (jitter
+        included), lowered on first use; it neither reads nor changes the
+        sim's state.  Raises ValueError as `_WavePlan.lower` does."""
+        return _WavePlan.lower(self._ids, self._inputs, self._gates, self._fanout, self.netlist.port_map)
 
     # -- state access ------------------------------------------------
 
@@ -181,8 +177,7 @@ class Simulation:
 
     @property
     def trace(self) -> list[tuple[int, str, int]]:
-        """Transitions committed by the latest `run_until_quiescent` call;
-        empty after a transaction the wave plan evaluated."""
+        """Transitions committed by the latest `run_until_quiescent` call."""
         return list(self._trace)
 
     # -- stimulus ----------------------------------------------------
@@ -389,25 +384,14 @@ def drive_transaction(
     sim: Simulation,
     assignments: list[tuple[str, int]],
     output_ports: tuple[str, ...] | list[str],
-    keep_traces: bool = False,
 ) -> WaveResult:
     """Apply `assignments` to primary inputs at `sim.now` and settle (the
     valid wave), then return every assigned input to 0 and settle (the
-    spacer wave).  Each latency is the time of the last transition on any
-    rail of `output_ports`, measured from its wave's start, 0 if none moved.
-
-    The wave plan evaluates both waves when the netlist admits one, no
-    traces are kept, the sim rests at all-spacer with nothing pending and
-    `event_cap` is at least the net count (a wave commits once per net at
-    most); otherwise the event engine runs them, with the same result.
-    Callers that hold no sim run `_WavePlan.build(...).run` instead.
+    spacer wave), on the event engine; the record carries both waves'
+    traces.  Each latency is the time of the last transition on any rail
+    of `output_ports`, measured from its wave's start, 0 if none moved.
+    `_WavePlan.run` computes the same record, traces aside, with no sim.
     """
-    if not keep_traces and sim.event_cap >= len(sim._names) and not sim._heap and not any(sim._values):
-        plan = sim.plan
-        if plan is not None:
-            waves, sim.now = plan.run(assignments, output_ports, sim.now)
-            sim._trace = []
-            return waves
     pairs = sim.netlist.port_map
     rails = {r for p in output_ports for r in pairs[p]}
     origin = sim.now
@@ -426,8 +410,8 @@ def drive_transaction(
         reverse_latency=_latency(rtz_trace, rails, set_settle),
         set_report=set_report,
         rtz_report=rtz_report,
-        set_trace=set_trace if keep_traces else None,
-        rtz_trace=rtz_trace if keep_traces else None,
+        set_trace=set_trace,
+        rtz_trace=rtz_trace,
     )
 
 
@@ -443,6 +427,8 @@ _BEFORE = -math.inf
 
 # two-input node ops of the wave plan
 _AND, _OR, _C = range(3)
+
+_NO_PLAN = "the wave plan does not cover this netlist: an INV, a cycle or a bad port map"
 
 
 def _lower(product: int, terms: tuple[tuple[int, ...], ...]):
@@ -503,31 +489,28 @@ class _WavePlan:
 
     @classmethod
     def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan:
-        """`netlist` compiled as a Simulation compiles it, then lowered;
-        raises ValueError where `lower` finds no plan."""
-        plan = cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
-        if plan is None:
-            raise ValueError("the wave plan does not cover this netlist: an INV, a cycle or a bad port map")
-        return plan
+        """`netlist` compiled as a Simulation compiles it, then lowered."""
+        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
 
     @classmethod
-    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, fanout, port_map) -> _WavePlan | None:
-        """Lower compiled gates (see `_compile`).  None for a netlist the
-        algebra does not cover: an INV (its output rises while its input is
-        spacer), a cycle, a net with two drivers or a driven primary input,
-        or a port map that shares a rail or names an unknown net."""
+    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, fanout, port_map) -> _WavePlan:
+        """Lower compiled gates (see `_compile`).  Raises ValueError for a
+        netlist the algebra does not cover: an INV (its output rises while
+        its input is spacer), a cycle, a net with two drivers or a driven
+        primary input, or a port map that shares a rail or names an
+        unknown net."""
         driven: set[int] = set()
         waiting = [0] * len(gates)  # each gate's driven inputs not yet ordered
         for code, _, out, _ in gates:
             if code not in _CHAINS or out in driven or out < len(inputs):
-                return None
+                raise ValueError(_NO_PLAN)
             driven.add(out)
             for user in fanout[out]:
                 waiting[user] += 1
         rails = {port: (ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()}
         used = [i for pair in rails.values() for i in pair]
         if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
-            return None
+            raise ValueError(_NO_PLAN)
         # Kahn's algorithm over the gates, lowering each as it is ordered;
         # a gate still waiting at the end sits on or behind a cycle
         ready = [gi for gi, w in enumerate(waiting) if w == 0]
@@ -547,7 +530,9 @@ class _WavePlan:
                 slot += 1
             op, a, b = last  # drives the gate's output, with the gate's delay
             nodes.append((op, operands[a], operands[b], out, delay))
-        return None if any(waiting) else cls(nodes, slot, rails, ids, inputs)
+        if any(waiting):
+            raise ValueError(_NO_PLAN)
+        return cls(nodes, slot, rails, ids, inputs)
 
     def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
         """Both waves of one vector, the valid wave starting at `origin`;

@@ -196,24 +196,29 @@ def run_transaction(
     """One open-loop transaction: valid wave with ackin held high, then
     spacer wave with ackin low.  Latencies are the times of the last
     transition on any forwarded output pair, measured from each wave's
-    start.  Without a `sim` or `keep_traces`, the wave plan compiled from
-    the netlist runs it; otherwise `drive_transaction` does, on `sim` or
-    on an event engine built for the traces (a quiescent sim of the
-    stage's netlist chains transactions on one instance).  Raises
-    ValueError when an operand does not fit the stage width, `sim` was
-    built for another netlist, or the plan is needed and does not cover
-    the netlist.
+    start.  With `keep_traces`, `drive_transaction` runs it on the event
+    engine, on `sim` (which it advances) or on a new one.  Otherwise the
+    wave plan runs it: `sim.plan`, whose compiled gates (jitter included)
+    `sim` only lends, its state, clock and trace untouched, or with no
+    `sim` the plan compiled from the netlist.  `delay_table` defaults to
+    the sim's table, or to the default one.  Raises ValueError when an
+    operand does not fit the stage width, `sim` was built for another
+    netlist or another delay table, or the plan is needed and does not
+    cover the netlist.
     """
     word = pack_operands(stage.n, a, b, cin)
-    if sim is not None and sim.netlist is not stage.netlist:
-        raise ValueError("sim was built for another netlist than the stage's")
+    if sim is not None:
+        if sim.netlist is not stage.netlist:
+            raise ValueError("sim was built for another netlist than the stage's")
+        if delay_table is not None and delay_table != sim.delay_table:
+            raise ValueError("sim was built with another delay table than the one given")
     assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word)
     table = delay_table or default_delay_table()
-    if sim is None and not keep_traces:
-        waves, _ = _WavePlan.build(stage.netlist, table).run(assignments, stage.forward_ports)
+    if keep_traces:
+        waves = drive_transaction(sim or Simulation(stage.netlist, table), assignments, stage.forward_ports)
     else:
-        sim = sim or Simulation(stage.netlist, table)
-        waves = drive_transaction(sim, assignments, stage.forward_ports, keep_traces)
+        plan = _WavePlan.build(stage.netlist, table) if sim is None else sim.plan
+        waves, _ = plan.run(assignments, stage.forward_ports)
     return TransactionRecord(
         **vars(waves),
         architecture=stage.architecture,

@@ -26,9 +26,6 @@ class ReferenceSim:
                 self.users.setdefault(net, []).append(gi)
         self.inputs = set(netlist.primary_inputs)
         self.event_cap = event_cap
-        self.reset()
-
-    def reset(self):
         self.values: dict[str, int] = {}
         self.pending: dict[str, tuple[int, int]] = {}  # net -> (sequence, value)
         self.heap: list[tuple[int, int, str, int]] = []

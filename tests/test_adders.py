@@ -200,7 +200,7 @@ def _per_vector(rca, cases, table):
     ran = 0
     for a, b, c in cases:
         assignments = rail_assignments(rca.operand_rails, pack_operands(rca.n, a, b, c))
-        waves = drive_transaction(sim, assignments, rca.forward_ports, keep_traces=True)
+        waves = drive_transaction(sim, assignments, rca.forward_ports)
         decoded = decode_word(waves.valid_word)
         ran += 1
         if decoded != a + b + c:

@@ -366,11 +366,10 @@ def _order_enumerator(netlist, phase, table):
     is_set = phase is Phase.SET
     any_transition_early = all_complete_early = False
     k = len(in_rails)
-    sim = Simulation(netlist, table)
     for codeword in range(1 << k):
         active = [net for net, v in rail_assignments(in_rails, codeword) if v]
         for order in permutations(range(k)):
-            sim.reset()
+            sim = Simulation(netlist, table)
             if not is_set:
                 sim.apply_inputs([(net, 1) for net in active])
                 sim.run_until_quiescent()
@@ -393,11 +392,10 @@ def _subset_oracle(netlist, phase, table):
     is_set = phase is Phase.SET
     moved = complete = False
     k = len(in_rails)
-    sim = Simulation(netlist, table)
     for codeword in range(1 << k):
         active = [net for net, v in rail_assignments(in_rails, codeword) if v]
         for subset in range(1, (1 << k) - 1):
-            sim.reset()
+            sim = Simulation(netlist, table)
             if not is_set:
                 sim.apply_inputs([(net, 1) for net in active])
                 sim.run_until_quiescent()

@@ -65,6 +65,7 @@ def _rca_functional(sim, rca, a, b, cin):
     """The decoded word, both phase reports and whether the spacer came
     back, for one transaction through a bare ripple chain on `sim`."""
     waves = _transaction(sim, rca, a, b, cin)
+    assert waves.rtz_trace, "the event engine, not the wave plan, ran the transaction"
     return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
 
 

@@ -1,9 +1,11 @@
 """The wave plan against the event engine, which stays the reference.
 
-`keep_traces=True` always runs the event engine.  With traces off, a
-simulation resting at all-spacer over a netlist without INV or cycles
-runs the wave plan, which commits no events, so its `trace` stays empty;
-the event engine always leaves the spacer wave's commits there.
+`drive_transaction` always runs the event engine and returns both
+traces.  `_WavePlan.run` computes the same record, traces aside, from a
+given origin, and returns the time the engine's clock settles at; it
+reads and changes no simulation.  `run_transaction` runs the plan unless
+traces are asked for, borrowing only the compiled plan of a sim it is
+given.
 """
 import random
 import re
@@ -42,10 +44,6 @@ def _operand_assignments(desc, a, b, cin):
     return rail_assignments(desc.operand_rails, pack_operands(desc.n, a, b, cin))
 
 
-def _sims(netlist, jitter, seed):
-    return tuple(Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed) for _ in range(2))
-
-
 def _report(rep):
     return rep.nonmonotonic, sorted(rep.illegal_pairs)
 
@@ -57,11 +55,19 @@ def _record(rec):
     return out
 
 
-def _assert_same_state(planned, reference):
-    assert planned.trace == [] and reference.trace, "expected the plan on one side only"
-    assert planned.now == reference.now
-    nets = planned.netlist.nets()
-    assert {n: planned.net_value(n) for n in nets} == {n: reference.net_value(n) for n in nets}
+def _assert_plan_matches_engine(sim, assignments, ports):
+    """Both waves of one vector on the engine `sim` and on its plan from
+    the engine's `now`: the same record, traces aside, the plan's settle
+    time is the engine's new `now`, and every net is back at 0.  Returns
+    the engine's record."""
+    origin = sim.now
+    want = drive_transaction(sim, assignments, ports)
+    got, settle = sim.plan.run(assignments, ports, origin)
+    assert _record(got) == _record(want)
+    assert settle == sim.now
+    nets = sim.netlist.nets()
+    assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+    return want
 
 
 def _operands(data, n):
@@ -70,12 +76,10 @@ def _operands(data, n):
 
 
 def _check_stage(stage, ops, jitter, seed):
-    planned, reference = _sims(stage.netlist, jitter, seed)
+    sim = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=seed)
     for a, b, c in ops:
-        got = run_transaction(stage, a, b, c, sim=planned)
-        want = run_transaction(stage, a, b, c, sim=reference, keep_traces=True)
-        assert _record(got) == _record(want), (a, b, c)
-        _assert_same_state(planned, reference)
+        _assert_plan_matches_engine(sim, [(stage.ackin, 1)] + _operand_assignments(stage, a, b, c),
+                                    stage.forward_ports)
 
 
 @given(
@@ -103,15 +107,10 @@ def test_every_pairing_matches_event_engine(arch, variant, jitter):
        seed=st.integers(1, 10_000), data=st.data())
 def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
     rca = _rca(variant, n)
-    planned, reference = _sims(rca.netlist, jitter, seed)
-    ports = rca.forward_ports
+    sim = Simulation(rca.netlist, TABLE, jitter=jitter, jitter_seed=seed)
     for a, b, c in _operands(data, n):
-        got = drive_transaction(planned, _operand_assignments(rca, a, b, c), ports)
-        want = drive_transaction(reference, _operand_assignments(rca, a, b, c), ports, keep_traces=True)
-        assert decode_word(got.valid_word) == decode_word(want.valid_word)
-        assert (_report(got.set_report), _report(got.rtz_report), got.spacer_restored) == (
-            _report(want.set_report), _report(want.rtz_report), want.spacer_restored)
-        _assert_same_state(planned, reference)
+        want = _assert_plan_matches_engine(sim, _operand_assignments(rca, a, b, c), rca.forward_ports)
+        assert decode_word(want.valid_word) == a + b + c
 
 
 @st.composite
@@ -133,27 +132,14 @@ def _acyclic_netlists(draw):
     return Netlist(gates=tuple(gates), primary_inputs=inputs, port_map=ports)
 
 
-def _waves(w):
-    return (w.valid_word, w.forward_latency, w.reverse_latency,
-            _report(w.set_report), _report(w.rtz_report), w.spacer_restored)
-
-
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
 def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data):
-    planned, reference = _sims(netlist, jitter, seed)
-    ports = list(netlist.port_map)
-    nets = netlist.nets()
+    """Every net that rose falls again: the engine ends the spacer wave at
+    rest, where the plan puts it."""
+    sim = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
     assigns = st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=8)
     for _ in range(2):
-        inputs = data.draw(assigns)
-        got = drive_transaction(planned, inputs, ports)
-        want = drive_transaction(reference, inputs, ports, keep_traces=True)
-        assert isinstance(planned.plan, _WavePlan) and planned.trace == []
-        assert _waves(got) == _waves(want)
-        assert planned.now == reference.now
-        # every net that rose falls again: the engine ends the spacer wave at rest
-        assert {n: reference.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
-        assert {n: planned.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+        _assert_plan_matches_engine(sim, data.draw(assigns), list(netlist.port_map))
 
 
 _RAILS = {state: rails for rails, state in PAIR_STATE.items()}
@@ -222,7 +208,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
         reported = plan.run(list(zip(inputs, vec)), [])[0].set_report.illegal_pairs
         assert illegal >> v & 1 == bool(reported), v
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
-        waves = drive_transaction(reference, list(zip(inputs, vec)), [], keep_traces=True)
+        waves = drive_transaction(reference, list(zip(inputs, vec)), [])
         spacer = max((t for t, _, _ in waves.set_trace), default=0)
         rises = {net: t for t, net, _ in waves.set_trace}
         falls = {net: t - spacer for t, net, _ in waves.rtz_trace}
@@ -315,10 +301,13 @@ def _netlists_with_loops(draw):
 
 @given(netlist=st.one_of(_acyclic_netlists(), _netlists_with_loops()), jitter=JITTER, seed=st.integers(1, 10_000))
 def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(netlist, jitter, seed):
-    """`build` raises exactly when a Simulation lowers no plan; otherwise
-    the two plans are equal."""
-    lowered = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
-    if lowered is None:
+    """`build` refuses a netlist exactly when a Simulation's `plan` does,
+    with the same error; otherwise the two plans are equal."""
+    sim = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    try:
+        lowered = sim.plan
+    except ValueError as refused:
+        assert re.match(NO_PLAN, str(refused))
         with pytest.raises(ValueError, match=NO_PLAN):
             _WavePlan.build(netlist, TABLE, jitter, seed)
     else:
@@ -354,16 +343,24 @@ def _entry_points(rca, stage):
 ENTRY_POINTS = list(_entry_points(None, None))
 
 
+def _refuse(cls, *args):
+    raise ValueError("the wave plan does not cover this netlist: patched")
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("planless", ["inv-probe", "lower-none"])
+@pytest.mark.parametrize("planless", ["inv-probe", "lower-raises"])
 def test_a_netlist_without_a_plan_gets_the_one_value_error(entry, planless, monkeypatch, compiled, simulations_built):
+    """`lower`'s refusal reaches every caller unchanged, after one compile
+    and with no event engine built as a fallback."""
     rca = _rca(AdderVariant.LATENCY_OPT_BIASED, 4)
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4)
+    refusal = NO_PLAN
     if planless == "inv-probe":
         rca, stage = _probed(rca, _inv_probe), _probed(stage, _inv_probe)
     else:
-        monkeypatch.setattr(_WavePlan, "lower", classmethod(lambda cls, *args: None))
-    with pytest.raises(ValueError, match=NO_PLAN):
+        monkeypatch.setattr(_WavePlan, "lower", classmethod(_refuse))
+        refusal = "^the wave plan does not cover this netlist: patched$"
+    with pytest.raises(ValueError, match=refusal):
         _entry_points(rca, stage)[entry]()
     assert len(compiled) == 1 and simulations_built == []
 
@@ -405,14 +402,19 @@ def test_each_analysis_call_compiles_once(entry, faulty, compiled, simulations_b
 
 
 def test_an_inv_stage_runs_on_a_sim_it_is_given():
-    """The event engine runs only on request: on a given sim it drives an
-    INV netlist the plan refuses, with the record `keep_traces` gives."""
+    """Without traces a given sim only lends its plan, which refuses an
+    INV netlist and leaves the sim as it was; with traces the event engine
+    drives the sim, with the record `drive_transaction` gives."""
     stage = _probed(_stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4), _inv_probe)
     sim = Simulation(stage.netlist, TABLE)
-    got = run_transaction(stage, 5, 3, 1, TABLE, sim=sim)
-    want = run_transaction(stage, 5, 3, 1, TABLE, sim=Simulation(stage.netlist, TABLE), keep_traces=True)
-    assert sim.trace and sim.trace == want.rtz_trace
-    assert _record(got) == _record(want)
+    with pytest.raises(ValueError, match=NO_PLAN):
+        run_transaction(stage, 5, 3, 1, TABLE, sim=sim)
+    assert sim.now == 0 and sim.trace == []
+    got = run_transaction(stage, 5, 3, 1, TABLE, sim=sim, keep_traces=True)
+    assigns = [(stage.ackin, 1)] + _operand_assignments(stage, 5, 3, 1)
+    want = drive_transaction(Simulation(stage.netlist, TABLE), assigns, stage.forward_ports)
+    assert sim.trace and sim.trace == got.rtz_trace
+    assert vars(want).items() <= vars(got).items()  # every wave field, traces included
 
 
 def _outcome(sim, step):
@@ -429,23 +431,20 @@ def _outcome(sim, step):
 @given(netlist=_netlists_with_loops(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
 def test_inv_and_loops_go_quiet_or_raise_oscillation(netlist, jitter, seed, data):
     """Power-on and a few transactions on one reused sim each go quiet or
-    raise OscillationError, resuming after it; the reset sim replays the
-    same outcomes as a fresh one."""
+    raise OscillationError, resuming after it; a second sim replays the
+    same outcomes."""
     stimuli = data.draw(st.lists(
         st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=5),
         min_size=1, max_size=3))
 
     def replay(sim):
-        steps = [sim.settle_power_on] + [lambda s=s: drive_transaction(sim, s, [], keep_traces=True) for s in stimuli]
+        steps = [sim.settle_power_on] + [lambda s=s: drive_transaction(sim, s, []) for s in stimuli]
         return [_outcome(sim, step) for step in steps]
 
     def new_sim():
         return Simulation(netlist, TABLE, event_cap=200, jitter=jitter, jitter_seed=seed)
 
-    reused = new_sim()
-    first = replay(reused)
-    reused.reset()
-    assert replay(reused) == first == replay(new_sim())
+    assert replay(new_sim()) == replay(new_sim())
 
 
 @pytest.mark.parametrize("block_pass", ["rises", "falls", "times"])
@@ -484,23 +483,21 @@ def _or_loop(length):
 ], ids=["inv", "c2-self-loop", "ring", "long-or-loop"])
 def test_inv_or_cycle_takes_the_event_engine(text, port):
     netlist = parse_netlist(text)
-    sim, reference = Simulation(netlist, TABLE), Simulation(netlist, TABLE)
+    with pytest.raises(ValueError, match=NO_PLAN):
+        _WavePlan.build(netlist, TABLE)
+    sim = Simulation(netlist, TABLE)
+    with pytest.raises(ValueError, match=NO_PLAN):
+        sim.plan
     waves = drive_transaction(sim, [("d.r1", 1), ("d.r0", 0)], [port])
-    want = drive_transaction(reference, [("d.r1", 1), ("d.r0", 0)], [port], keep_traces=True)
-    assert sim.trace, "the event engine leaves the spacer wave's commits"
-    assert sim.trace == want.rtz_trace and sim.now == reference.now
-    assert (waves.valid_word, waves.spacer_restored, waves.forward_latency, waves.reverse_latency) == (
-        want.valid_word, want.spacer_restored, want.forward_latency, want.reverse_latency)
+    assert waves.set_trace and waves.rtz_trace, "the event engine returns both waves' commits"
+    assert sim.trace == waves.rtz_trace and sim.now == waves.rtz_trace[-1][0]
 
 
 def test_last_assignment_of_an_input_wins():
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
     assigns = _operand_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
-    planned, reference = _sims(rca.netlist, 0, 1)
-    got = drive_transaction(planned, assigns, rca.forward_ports)
-    want = drive_transaction(reference, assigns, rca.forward_ports, keep_traces=True)
-    assert decode_word(got.valid_word) == decode_word(want.valid_word) == 2
-    _assert_same_state(planned, reference)
+    want = _assert_plan_matches_engine(Simulation(rca.netlist, TABLE), assigns, rca.forward_ports)
+    assert decode_word(want.valid_word) == 2
 
 
 def test_low_event_cap_sim_takes_the_engine_in_drive_transaction():
@@ -543,56 +540,34 @@ def test_a_failing_spec_compiles_once_and_builds_no_engine(mutate, text, compile
 
 
 def test_low_event_cap_still_raises():
+    """A given sim's event cap binds only the event engine: the plan,
+    which commits no events, runs the transaction without traces."""
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 8)
     sim = Simulation(stage.netlist, TABLE, event_cap=20)
+    rec = run_transaction(stage, 255, 1, 0, sim=sim)
+    assert rec.ok and rec == run_transaction(stage, 255, 1, 0)
     with pytest.raises(OscillationError, match="quiescence"):
-        run_transaction(stage, 255, 1, 0, sim=sim)
+        run_transaction(stage, 255, 1, 0, sim=sim, keep_traces=True)
 
 
-# -- reset: a used simulation returns to the state of a fresh one -----------
-
-
-def _state(sim):
-    return sim.now, sim.replacements, {n: sim.net_value(n) for n in sim.netlist.nets()}
-
-
-def _assert_reset_matches_fresh(stage, used, jitter, ops):
-    plan = used.plan
-    assert isinstance(plan, _WavePlan)
-    for keep_traces in (False, True):
-        for a, b, c in ops:
-            used.reset()
-            fresh = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
-            assert _state(used) == _state(fresh)
-            want = run_transaction(stage, a, b, c, sim=fresh, keep_traces=keep_traces)
-            got = run_transaction(stage, a, b, c, sim=used, keep_traces=keep_traces)
-            assert got == want, (a, b, c, keep_traces)
-            assert used.trace == fresh.trace
-            assert _state(used) == _state(fresh)
-    assert used.plan is plan, "reset must keep the compiled wave plan"
-
-
-@pytest.mark.parametrize("jitter", [0, 40])
-@pytest.mark.parametrize("variant", list(AdderVariant))
-@pytest.mark.parametrize("arch", list(Architecture))
-def test_reset_sim_matches_a_fresh_one(arch, variant, jitter):
-    stage = _stage(arch, variant, 5)
-    rng = random.Random(f"reset/{arch.value}/{variant.value}/{jitter}")
-    used = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
-    for i in range(rng.randint(1, 3)):
-        ops = (rng.getrandbits(5), rng.getrandbits(5), rng.getrandbits(1))
-        run_transaction(stage, *ops, sim=used, keep_traces=bool(i % 2))
-    ops = [(rng.getrandbits(5), rng.getrandbits(5), rng.getrandbits(1)) for _ in range(2)]
-    _assert_reset_matches_fresh(stage, used, jitter, ops)
-
-
-@pytest.mark.parametrize("jitter", [0, 40])
-def test_reset_drops_pending_events(jitter):
-    stage = _stage(Architecture.GLOBAL, AdderVariant.EARLY_OUTPUT, 5)
-    used = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
-    run_transaction(stage, 9, 22, 1, sim=used)
-    assigns = [(stage.ackin, 1)] + _operand_assignments(stage, 31, 1, 1)
-    used.apply_inputs(assigns)
-    used.apply_inputs([(net, 0) for net, v in assigns if v][:3])  # replaces pending events
-    assert used._heap and used.replacements == 3
-    _assert_reset_matches_fresh(stage, used, jitter, [(31, 1, 1), (0, 0, 0)])
+@pytest.mark.parametrize("arch,variant", [
+    (Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED), (Architecture.GLOBAL, AdderVariant.EARLY_OUTPUT)])
+def test_a_reused_sim_only_lends_its_plan(arch, variant, compiled, simulations_built):
+    """Many transactions without traces on one reused sim, as a benchmark
+    loop drives them, compile nothing after its construction, build no
+    event engine and leave the sim as it was built; each record is the
+    fresh plan's, and the event engine's apart from traces."""
+    stage = _stage(arch, variant, 32)
+    rng = random.Random(f"lend/{arch.value}")
+    ops = [(rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(1)) for _ in range(20)]
+    sim = Simulation(stage.netlist, TABLE)
+    compiled.clear()
+    simulations_built.clear()
+    records = [run_transaction(stage, a, b, c, TABLE, sim=sim, keep_traces=False) for a, b, c in ops]
+    assert compiled == [] and simulations_built == []
+    nets = stage.netlist.nets()
+    assert sim.now == 0 and sim.trace == [] and not sim._heap
+    assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+    for (a, b, c), rec in zip(ops, records):
+        assert rec.ok and rec == run_transaction(stage, a, b, c, TABLE)
+        assert _record(rec) == _record(run_transaction(stage, a, b, c, TABLE, keep_traces=True))
