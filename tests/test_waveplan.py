@@ -550,17 +550,20 @@ def test_low_event_cap_still_raises():
         run_transaction(stage, 255, 1, 0, sim=sim, keep_traces=True)
 
 
-@pytest.mark.parametrize("arch,variant", [
-    (Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED), (Architecture.GLOBAL, AdderVariant.EARLY_OUTPUT)])
-def test_a_reused_sim_only_lends_its_plan(arch, variant, compiled, simulations_built):
+@pytest.mark.parametrize("jitter", [0, 40])
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_a_reused_sim_only_lends_its_plan(arch, variant, jitter, compiled, simulations_built):
     """Many transactions without traces on one reused sim, as a benchmark
     loop drives them, compile nothing after its construction, build no
     event engine and leave the sim as it was built; each record is the
-    fresh plan's, and the event engine's apart from traces."""
+    one a fresh sim of the same jitter gives, and the event engine's
+    apart from traces.  The lent plan carries the sim's jitter: jittered
+    records differ from the unjittered plan's."""
     stage = _stage(arch, variant, 32)
-    rng = random.Random(f"lend/{arch.value}")
+    rng = random.Random(f"lend/{arch.value}/{variant.value}/{jitter}")
     ops = [(rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(1)) for _ in range(20)]
-    sim = Simulation(stage.netlist, TABLE)
+    sim = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7)
     compiled.clear()
     simulations_built.clear()
     records = [run_transaction(stage, a, b, c, TABLE, sim=sim, keep_traces=False) for a, b, c in ops]
@@ -568,6 +571,10 @@ def test_a_reused_sim_only_lends_its_plan(arch, variant, compiled, simulations_b
     nets = stage.netlist.nets()
     assert sim.now == 0 and sim.trace == [] and not sim._heap
     assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+    fresh, engine = (Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7) for _ in range(2))
+    unjittered = []
     for (a, b, c), rec in zip(ops, records):
-        assert rec.ok and rec == run_transaction(stage, a, b, c, TABLE)
-        assert _record(rec) == _record(run_transaction(stage, a, b, c, TABLE, keep_traces=True))
+        assert rec.ok and rec == run_transaction(stage, a, b, c, TABLE, sim=fresh)
+        assert _record(rec) == _record(run_transaction(stage, a, b, c, TABLE, sim=engine, keep_traces=True))
+        unjittered.append(rec == run_transaction(stage, a, b, c, TABLE))
+    assert all(unjittered) == (jitter == 0)
