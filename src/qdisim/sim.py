@@ -1,19 +1,21 @@
 """Deterministic discrete-event simulation with transport delays.
 
 Every net starts at 0, the global spacer/reset state.  A committed
-transition re-evaluates the fanout gates and schedules each changed
-output at `now + delay(kind)`.  Events commit in (time, scheduling)
-order, so repeated runs of the same stimulus produce identical traces.
-The queue is a calendar of net ids: a heap holds each distinct pending
-time once, a per-time list holds the nets pending at that time in
-scheduling order, and each net has one pending time and one pending
-value.  Every delay is at least 1, so a time's list never grows while it
-is drained; one heap operation serves all the events of one time.
-Scheduling a different value for a net that is already pending replaces
-the pending event: the net leaves its old time's list (or, when that time
-is being drained, is skipped there, its pending time no longer matching)
-and joins the new time's list at the end.  A replacement is counted as a
-diagnostic, a case that monotone handshake stimuli never trigger.
+transition re-evaluates the gates of the net's fanout, which only the
+engine builds, and schedules each changed output at `now + delay(kind)`.
+Events commit in (time, scheduling) order, so repeated runs of the same
+stimulus produce identical traces.  The queue is a calendar of net ids: a
+heap holds each distinct pending time once, a per-time list holds the
+nets pending at that time in scheduling order, and each net has one
+pending time and one pending value.  Every delay is at least 1, so a
+time's list never grows while it is drained; one heap operation serves
+all the events of one time.  Scheduling a different value for a net that
+is already pending replaces the pending event: the net leaves its old
+time's list (or, when that time is being drained, is skipped there, its
+pending time no longer matching) and joins the new time's list at the
+end.  A replacement is counted as a diagnostic, a case that monotone
+handshake stimuli never trigger.  A run that commits more than
+`event_cap` transitions raises OscillationError and spends the sim.
 
 C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
@@ -24,13 +26,14 @@ engine, the reference, and returns both traces.  When the netlist has no
 INV and no cycle, every net moves at most once per wave from the
 all-spacer state, in one direction, so both waves are one min/max-plus
 pass over the gates lowered to two-input AND, OR and C-element nodes in
-topological order (`_WavePlan`), which reads and changes no simulation
-state.  On bit masks the same nodes give, for a block of vectors at
-once, which nets rise (`rises`), which stay high once some inputs fall
-(`falls`) and, on step functions of masks, when each net rises and falls
-(`times`).  The plan is compiled straight from a netlist
-(`_WavePlan.build`) or lowered from a simulation's own compiled gates
-(`Simulation.plan`); both refuse a netlist the plan does not cover.
+gate order, each gate after the drivers of its inputs (`_WavePlan`),
+which reads and changes no simulation state.  On bit masks the same
+nodes give, for a block of vectors at once, which nets rise (`rises`),
+which stay high once some inputs fall (`falls`) and, on step functions
+of masks, when each net rises and falls (`times`).  The plan is compiled
+straight from a netlist (`_WavePlan.build`) or lowered from a
+simulation's own compiled gates (`Simulation.plan`); both refuse a
+netlist the plan does not cover.
 """
 from __future__ import annotations
 
@@ -82,11 +85,11 @@ class _Inputs(dict):
 
 
 def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_seed: int = 1):
-    """(ids, inputs, gates, fanout) for the event engine and the wave plan:
-    each net's slot (primary inputs first, then each gate's inputs and
-    output, then primary outputs), each primary input's slot, each gate as
-    (code, input slots, output slot, delay plus jitter drawn in gate order),
-    and each net's users in gate order, once per gate: the engine's tie order."""
+    """(ids, inputs, gates) for the event engine and the wave plan: each
+    net's slot (primary inputs first, then each gate's inputs and output,
+    then primary outputs), each primary input's slot, and each gate as
+    (code, input slots, output slot, delay plus jitter drawn in gate
+    order).  Fanout is the engine's own, built by `Simulation`."""
     rng = random.Random(jitter_seed) if jitter else None
     ids: dict[str, int] = {}
     intern = ids.setdefault
@@ -110,13 +113,7 @@ def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_
         gates.append((code, tuple(ins), intern(g.output, len(ids)), delay))
     for net in netlist.primary_outputs:
         intern(net, len(ids))
-    fanout: list[list[int]] = [[] for _ in ids]
-    for gi, (_, ins, _, _) in enumerate(gates):
-        for net in ins:
-            users = fanout[net]
-            if not users or users[-1] != gi:
-                users.append(gi)
-    return ids, inputs, gates, fanout
+    return ids, inputs, gates
 
 
 class Simulation:
@@ -128,7 +125,8 @@ class Simulation:
     `jitter` adds a seeded per-gate-instance uniform delay in [0, jitter]
     on top of the table, for robustness experiments; delay-insensitive
     circuits must keep functioning under it.  All calibrated timing runs
-    use jitter=0.
+    use jitter=0.  The engine's fanout is built here, not by `_compile`,
+    whose gates the wave plan (`plan`) shares.
     """
 
     def __init__(
@@ -142,16 +140,21 @@ class Simulation:
         self.netlist = netlist
         self.delay_table = delay_table
         self.event_cap = event_cap
-        self._ids, self._inputs, self._gates, fanout = _compile(netlist, delay_table, jitter, jitter_seed)
+        self._ids, self._inputs, self._gates = _compile(netlist, delay_table, jitter, jitter_seed)
         self._names = list(self._ids)
-        self._fanout = [tuple(f) for f in fanout]
+        fanout: list[list[int]] = [[] for _ in self._names]
+        for gi, (_, ins, _, _) in enumerate(self._gates):
+            for net in ins:
+                users = fanout[net]
+                if not users or users[-1] != gi:
+                    users.append(gi)
+        self._fanout = [tuple(f) for f in fanout]  # each net's users in gate order, once per gate: the tie order
         nets = len(self._names)
         self._values = [0] * nets
         self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
         self._eff = [0] * nets     # pending value if an event is pending, else the settled value
         self._heap: list[int] = []  # the distinct times that have queued events
         self._buckets: dict[int, list[int]] = {}  # time -> the nets pending then, in scheduling order
-        self._resume: tuple[int, ...] = ()  # fanout of the commit an OscillationError cut off
         self._trace: list[tuple[int, str, int]] = []
         self.now = 0
         self.replacements = 0
@@ -161,7 +164,7 @@ class Simulation:
         """The wave plan of this sim's own compiled gates (jitter
         included), lowered on first use; it neither reads nor changes the
         sim's state.  Raises ValueError as `_WavePlan.lower` does."""
-        return _WavePlan.lower(self._ids, self._inputs, self._gates, self._fanout, self.netlist.port_map)
+        return _WavePlan.lower(self._ids, self._inputs, self._gates, self.netlist.port_map)
 
     # -- state access ------------------------------------------------
 
@@ -220,9 +223,9 @@ class Simulation:
 
         Raises OscillationError when more than event_cap transitions
         commit in a single call; `now` is then the last commit's time,
-        and the next call resumes with that commit's fanout.
+        and the sim is spent: the rest of its run is dropped.
         """
-        return self._run(self._resume)
+        return self._run(())
 
     def _run(self, users) -> tuple[list[tuple[int, str, int]], int]:
         """Evaluate the gates indexed by `users` at `now`, then drain the
@@ -238,7 +241,6 @@ class Simulation:
         fanout = self._fanout
         names = self._names
         trace = self._trace = []
-        self._resume = ()
         append = trace.append
         cap = self.event_cap
         commits = 0
@@ -299,13 +301,6 @@ class Simulation:
                 commits += 1
                 if commits > cap:
                     self.now = t
-                    self._resume = fanout[net]
-                    # requeue the nets still pending in the undrained rest of time t,
-                    # so a later call resumes here
-                    rest = [n for n in events if ptime[n] == t]
-                    if rest:
-                        buckets[t] = rest
-                        heappush(heap, t)
                     raise OscillationError(
                         f"no quiescence after {cap} transitions (last: {names[net]} at {t})"
                     )
@@ -458,8 +453,8 @@ _CHAINS = {
 
 
 class _WavePlan:
-    """A netlist's gates (jittered delays included) lowered, in
-    topological order, to two-input nodes for evaluating both waves of an
+    """A netlist's gates (jittered delays included) lowered, each after its
+    inputs' drivers, to two-input nodes for evaluating both waves of an
     open-loop transaction, with the nets' slots and the port map.
 
     From the all-zero state every gate here is monotone, so in the valid
@@ -493,45 +488,50 @@ class _WavePlan:
         return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
 
     @classmethod
-    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, fanout, port_map) -> _WavePlan:
-        """Lower compiled gates (see `_compile`).  Raises ValueError for a
-        netlist the algebra does not cover: an INV (its output rises while
-        its input is spacer), a cycle, a net with two drivers or a driven
-        primary input, or a port map that shares a rail or names an
-        unknown net."""
-        driven: set[int] = set()
-        waiting = [0] * len(gates)  # each gate's driven inputs not yet ordered
-        for code, _, out, _ in gates:
-            if code not in _CHAINS or out in driven or out < len(inputs):
+    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, port_map) -> _WavePlan:
+        """Lower compiled gates (see `_compile`) in gate order, each after
+        the drivers of its inputs.  Raises ValueError for a netlist the
+        algebra does not cover: an INV (its output rises while its input
+        is spacer), a cycle, a net with two drivers or a driven primary
+        input, or a port map that shares a rail or names an unknown net."""
+        driver = [-1] * len(ids)  # each slot's driving gate, until that gate is lowered
+        for gi, (code, _, out, _) in enumerate(gates):
+            if code not in _CHAINS or driver[out] >= 0 or out < len(inputs):
                 raise ValueError(_NO_PLAN)
-            driven.add(out)
-            for user in fanout[out]:
-                waiting[user] += 1
+            driver[out] = gi
         rails = {port: (ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()}
         used = [i for pair in rails.values() for i in pair]
         if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
             raise ValueError(_NO_PLAN)
-        # Kahn's algorithm over the gates, lowering each as it is ordered;
-        # a gate still waiting at the end sits on or behind a cycle
-        ready = [gi for gi, w in enumerate(waiting) if w == 0]
+        # an iterative depth-first post-order, roots in gate order; a gate is
+        # open while on the stack, so reaching an open gate again closes a cycle
+        opened = [False] * len(gates)
         nodes = []
         slot = len(ids)
-        while ready:
-            code, ins, out, delay = gates[ready.pop()]
-            for user in fanout[out]:
-                waiting[user] -= 1
-                if waiting[user] == 0:
-                    ready.append(user)
-            inner, last = _CHAINS[code]
-            operands = list(ins)
-            for op, a, b in inner:
-                nodes.append((op, operands[a], operands[b], slot, 0))
-                operands.append(slot)
-                slot += 1
-            op, a, b = last  # drives the gate's output, with the gate's delay
-            nodes.append((op, operands[a], operands[b], out, delay))
-        if any(waiting):
-            raise ValueError(_NO_PLAN)
+        for root in range(len(gates)):
+            stack = [] if opened[root] else [root]  # an opened root was lowered as an earlier gate's driver
+            opened[root] = True
+            while stack:
+                code, ins, out, delay = gates[stack[-1]]
+                for net in ins:
+                    gi = driver[net]
+                    if gi >= 0:
+                        if opened[gi]:
+                            raise ValueError(_NO_PLAN)
+                        opened[gi] = True
+                        stack.append(gi)
+                        break
+                else:
+                    stack.pop()
+                    driver[out] = -1
+                    inner, last = _CHAINS[code]
+                    operands = list(ins)
+                    for op, a, b in inner:
+                        nodes.append((op, operands[a], operands[b], slot, 0))
+                        operands.append(slot)
+                        slot += 1
+                    op, a, b = last  # drives the gate's output, with the gate's delay
+                    nodes.append((op, operands[a], operands[b], out, delay))
         return cls(nodes, slot, rails, ids, inputs)
 
     def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:

@@ -30,7 +30,6 @@ class ReferenceSim:
         self.pending: dict[str, tuple[int, int]] = {}  # net -> (sequence, value)
         self.heap: list[tuple[int, int, str, int]] = []
         self.seq = 0
-        self.resume: list[int] = []
         self.trace: list[tuple[int, str, int]] = []
         self.now = 0
         self.replacements = 0
@@ -74,10 +73,10 @@ class ReferenceSim:
         return self._run(range(len(self.gates)))
 
     def run_until_quiescent(self):
-        return self._run(self.resume)
+        return self._run(())
 
     def _run(self, users):
-        self.trace, self.resume = [], []
+        self.trace = []
         t = settle = self.now
         commits = 0
         while True:
@@ -102,7 +101,6 @@ class ReferenceSim:
                 commits += 1
                 if commits > self.event_cap:
                     self.now = t
-                    self.resume = self.users.get(net, [])
                     raise OscillationError(f"no quiescence after {self.event_cap} transitions (last: {net} at {t})")
                 users = self.users.get(net, ())
                 break

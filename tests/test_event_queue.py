@@ -99,9 +99,8 @@ def test_queue_matches_the_reference_engine(netlist, table, jitter, seed, cap, d
         result = _step(sim, op)
         assert result == _step(ref, op), op
         assert _state(sim, nets) == _state(ref, nets), op
-        if isinstance(result, str):  # an oscillation error: the next call resumes the cut-off run
-            assert _step(sim, ("run",)) == _step(ref, ("run",)), op
-            assert _state(sim, nets) == _state(ref, nets), op
+        if isinstance(result, str):  # an oscillation error spends both sims
+            sim, ref = fresh()
     # a last run drains whatever the ops left queued
     assert _step(sim, ("run",)) == _step(ref, ("run",))
     assert _state(sim, nets) == _state(ref, nets)

@@ -116,8 +116,8 @@ def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
 @st.composite
 def _acyclic_netlists(draw):
     """Gates of every non-INV kind over earlier nets, inputs repeated at
-    will, and disjoint ports over random nets, so both rails of a port can
-    rise (an illegal pair)."""
+    will, listed in any order, and disjoint ports over random nets, so
+    both rails of a port can rise (an illegal pair)."""
     inputs = tuple(f"i{k}" for k in range(draw(st.integers(1, 5))))
     nets = list(inputs)
     gates = []
@@ -129,7 +129,7 @@ def _acyclic_netlists(draw):
         nets.append(f"n{g}")
     rails = draw(st.permutations(nets))
     ports = {f"p{j}": (rails[2 * j], rails[2 * j + 1]) for j in range(draw(st.integers(0, len(nets) // 2)))}
-    return Netlist(gates=tuple(gates), primary_inputs=inputs, port_map=ports)
+    return Netlist(gates=tuple(draw(st.permutations(gates))), primary_inputs=inputs, port_map=ports)
 
 
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
@@ -431,15 +431,19 @@ def _outcome(sim, step):
 @given(netlist=_netlists_with_loops(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
 def test_inv_and_loops_go_quiet_or_raise_oscillation(netlist, jitter, seed, data):
     """Power-on and a few transactions on one reused sim each go quiet or
-    raise OscillationError, resuming after it; a second sim replays the
-    same outcomes."""
+    raise OscillationError, which spends the sim and ends the replay; a
+    second sim replays the same outcomes."""
     stimuli = data.draw(st.lists(
         st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=5),
         min_size=1, max_size=3))
 
     def replay(sim):
-        steps = [sim.settle_power_on] + [lambda s=s: drive_transaction(sim, s, []) for s in stimuli]
-        return [_outcome(sim, step) for step in steps]
+        outcomes = []
+        for step in [sim.settle_power_on] + [lambda s=s: drive_transaction(sim, s, []) for s in stimuli]:
+            outcomes.append(_outcome(sim, step))
+            if outcomes[-1][0] == "oscillation":
+                break
+        return outcomes
 
     def new_sim():
         return Simulation(netlist, TABLE, event_cap=200, jitter=jitter, jitter_seed=seed)
@@ -491,6 +495,31 @@ def test_inv_or_cycle_takes_the_event_engine(text, port):
     waves = drive_transaction(sim, [("d.r1", 1), ("d.r0", 0)], [port])
     assert waves.set_trace and waves.rtz_trace, "the event engine returns both waves' commits"
     assert sim.trace == waves.rtz_trace and sim.now == waves.rtz_trace[-1][0]
+
+
+def _or_chain(length, reverse):
+    """OR2 gates n0 = d.r1 | d.r1 and n{i} = n{i-1} | d.r0, listed in
+    order or last gate first."""
+    gates = ["gate g0 OR2 d.r1 d.r1 n0"] + [f"gate g{i} OR2 n{i - 1} d.r0 n{i}" for i in range(1, length)]
+    lines = ["input d.r1", "input d.r0", f"pair y n{length - 1} d.r0"]
+    return "\n".join(lines + (gates[::-1] if reverse else gates))
+
+
+def test_a_long_chain_listed_last_gate_first_lowers_as_listed_in_order():
+    """The plan's depth-first order takes no recursion, however deep."""
+    records = [_WavePlan.build(parse_netlist(_or_chain(3000, reverse)), TABLE).run([("d.r1", 1)], ["y"])
+               for reverse in (False, True)]
+    assert records[0] == records[1]
+    assert records[0][0].forward_latency == 3000 * TABLE[GateKind.OR2]
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_a_generated_stage_lowers_in_gate_order(arch):
+    """A generator emits gates in topological order, and the plan keeps it."""
+    netlist = build_stage(arch, n=32).netlist
+    plan = _WavePlan.build(netlist, TABLE)
+    drives = [out for _, _, _, out, _ in plan.nodes if out < len(plan.ids)]
+    assert drives == [plan.ids[g.output] for g in netlist.gates]
 
 
 def test_last_assignment_of_an_input_wins():
