@@ -52,7 +52,7 @@ class DelayTable:
             d = self.delays.get(kind)
             if d is None:
                 raise DelayTableError(f"missing delay for {kind.value}")
-            if not isinstance(d, int) or d < 1:
+            if isinstance(d, bool) or not isinstance(d, int) or d < 1:  # True would be delay 1
                 raise DelayTableError(f"delay for {kind.value} must be a positive integer, got {d!r}")
 
     def __getitem__(self, kind: GateKind) -> int:

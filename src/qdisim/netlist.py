@@ -284,7 +284,8 @@ class NetlistBuilder:
         return net
 
     def add_gate(self, kind: GateKind, inputs, output: str) -> str:
-        self._gates.append(Gate(output, kind, tuple(inputs), output))
+        # Gate(...) through the one C-level call its Python-level __new__ makes
+        self._gates.append(tuple.__new__(Gate, (output, kind, tuple(inputs), output)))
         return output
 
     def add_pair(self, port: str, rail1: str, rail0: str):

@@ -89,7 +89,10 @@ def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_
     net's slot (primary inputs first, then each gate's inputs and output,
     then primary outputs), each primary input's slot, and each gate as
     (code, input slots, output slot, delay plus jitter drawn in gate
-    order).  Fanout is the engine's own, built by `Simulation`."""
+    order).  Fanout is the engine's own, built by `Simulation`.  Raises
+    ValueError unless `jitter` is a non-negative int."""
+    if isinstance(jitter, bool) or not isinstance(jitter, int) or jitter < 0:
+        raise ValueError(f"jitter must be a non-negative integer, got {jitter!r}")
     rng = random.Random(jitter_seed) if jitter else None
     ids: dict[str, int] = {}
     intern = ids.setdefault
@@ -126,7 +129,8 @@ class Simulation:
     on top of the table, for robustness experiments; delay-insensitive
     circuits must keep functioning under it.  All calibrated timing runs
     use jitter=0.  The engine's fanout is built here, not by `_compile`,
-    whose gates the wave plan (`plan`) shares.
+    whose gates the wave plan (`plan`) shares.  A negative or non-integer
+    `jitter` or `event_cap` raises ValueError.
     """
 
     def __init__(
@@ -137,6 +141,8 @@ class Simulation:
         jitter: int = 0,
         jitter_seed: int = 1,
     ):
+        if isinstance(event_cap, bool) or not isinstance(event_cap, int) or event_cap < 0:
+            raise ValueError(f"event_cap must be a non-negative integer, got {event_cap!r}")
         self.netlist = netlist
         self.delay_table = delay_table
         self.event_cap = event_cap
@@ -490,10 +496,14 @@ class _WavePlan:
     @classmethod
     def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, port_map) -> _WavePlan:
         """Lower compiled gates (see `_compile`) in gate order, each after
-        the drivers of its inputs.  Raises ValueError for a netlist the
-        algebra does not cover: an INV (its output rises while its input
-        is spacer), a cycle, a net with two drivers or a driven primary
-        input, or a port map that shares a rail or names an unknown net."""
+        the drivers of its inputs.  A gate whose inputs' drivers are all
+        lowered, as every gate of a generated netlist is, is emitted at
+        once; only a gate listed before one of its drivers starts a
+        depth-first post-order that lowers those drivers first.  Raises
+        ValueError for a netlist the algebra does not cover: an INV (its
+        output rises while its input is spacer), a cycle, a net with two
+        drivers or a driven primary input, or a port map that shares a
+        rail or names an unknown net."""
         driver = [-1] * len(ids)  # each slot's driving gate, until that gate is lowered
         for gi, (code, _, out, _) in enumerate(gates):
             if code not in _CHAINS or driver[out] >= 0 or out < len(inputs):
@@ -503,35 +513,43 @@ class _WavePlan:
         used = [i for pair in rails.values() for i in pair]
         if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
             raise ValueError(_NO_PLAN)
-        # an iterative depth-first post-order, roots in gate order; a gate is
-        # open while on the stack, so reaching an open gate again closes a cycle
+        # `gi` is the gate being lowered and `stack` the open gates under it;
+        # a gate is open from its first visit until it is emitted, so
+        # reaching an open gate again closes a cycle
         opened = [False] * len(gates)
+        stack = []
         nodes = []
         slot = len(ids)
         for root in range(len(gates)):
-            stack = [] if opened[root] else [root]  # an opened root was lowered as an earlier gate's driver
+            if opened[root]:
+                continue  # lowered as an earlier gate's driver
             opened[root] = True
-            while stack:
-                code, ins, out, delay = gates[stack[-1]]
+            gi = root
+            while True:
+                code, ins, out, delay = gates[gi]
                 for net in ins:
-                    gi = driver[net]
-                    if gi >= 0:
-                        if opened[gi]:
+                    d = driver[net]
+                    if d >= 0:
+                        if opened[d]:
                             raise ValueError(_NO_PLAN)
-                        opened[gi] = True
+                        opened[d] = True
                         stack.append(gi)
+                        gi = d
                         break
                 else:
-                    stack.pop()
                     driver[out] = -1
-                    inner, last = _CHAINS[code]
-                    operands = list(ins)
-                    for op, a, b in inner:
-                        nodes.append((op, operands[a], operands[b], slot, 0))
-                        operands.append(slot)
-                        slot += 1
-                    op, a, b = last  # drives the gate's output, with the gate's delay
-                    nodes.append((op, operands[a], operands[b], out, delay))
+                    inner, (op, a, b) = _CHAINS[code]
+                    operands = ins
+                    if inner:
+                        operands = list(ins)
+                        for iop, ia, ib in inner:
+                            nodes.append((iop, operands[ia], operands[ib], slot, 0))
+                            operands.append(slot)
+                            slot += 1
+                    nodes.append((op, operands[a], operands[b], out, delay))  # the gate's output, with its delay
+                    if not stack:
+                        break
+                    gi = stack.pop()
         return cls(nodes, slot, rails, ids, inputs)
 
     def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
@@ -640,7 +658,11 @@ class _WavePlan:
         Each node combines its inputs over the union of their steps,
         shifted by its delay: AND and C nodes rise on `&` and OR nodes on
         `|`; an AND node stays high on `&` (falls at its earlier input),
-        OR and C nodes on `|`, a C node only where it rose."""
+        OR and C nodes on `|`, a C node only where it rose.  A node that
+        rises in no vector (`rose[a] | rose[b]` is 0 for an OR node,
+        `rose[a] & rose[b]` for an AND or C node) is skipped: rise masks
+        only gain bits and a slot is high only where it rose, so both its
+        step functions are empty, as they start."""
         rise: list[list] = [[] for _ in range(self.slots)]
         high: list[list] = [[] for _ in range(self.slots)]
         rose = [0] * self.slots
@@ -650,12 +672,17 @@ class _WavePlan:
             rise[nid], high[nid] = ([(0, mask)], [(0, 0)]) if mask else ([], [])
         and_, or_ = _AND, _OR
         for op, a, b, out, delay in self.nodes:
-            rise[out] = r = _steps(rise[a], 0, rise[b], 0, op != or_, delay)
-            rose[out] = last = r[-1][1] if r else 0
+            ra = rose[a]
+            rb = rose[b]
+            last = ra | rb if op == or_ else ra & rb  # the mask its rise steps end at
+            if not last:
+                continue  # rises in no vector: both step functions stay empty
+            rose[out] = last
+            rise[out] = _steps(rise[a], 0, rise[b], 0, op != or_, delay)
             if op == and_:
-                high[out] = _steps(high[a], rose[a], high[b], rose[b], True, delay)
+                high[out] = _steps(high[a], ra, high[b], rb, True, delay)
             else:  # an OR node is high only where it rose anyway
-                high[out] = _steps(high[a], rose[a], high[b], rose[b], False, delay, last)
+                high[out] = _steps(high[a], ra, high[b], rb, False, delay, last)
         return rose, rise, high
 
 

@@ -250,7 +250,7 @@ def _prefixed(netlist: Netlist, prefix: str, names: dict[str, str]) -> Netlist:
     renamed by `names`, which maps every net of it to one string."""
     nm = names.__getitem__
     gates = tuple(
-        Gate(prefix + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output))
+        tuple.__new__(Gate, (prefix + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
         for g in netlist.gates
     )
     pins = tuple(map(nm, netlist.primary_inputs))

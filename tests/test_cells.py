@@ -213,6 +213,12 @@ def test_table_requires_all_kinds_positive():
         default_delay_table().replace({GateKind.C2: 0})
 
 
+def test_table_refuses_a_bool_delay():
+    """True is an int to isinstance, but not a delay of 1."""
+    with pytest.raises(DelayTableError, match=r"^delay for OR2 must be a positive integer, got True$"):
+        default_delay_table().replace({GateKind.OR2: True})
+
+
 def test_table_keeps_its_own_copy_of_the_delays():
     delays = dict(default_delay_table().delays)
     table = DelayTable(delays)

@@ -268,6 +268,28 @@ def test_oscillation_error_names_the_last_commit(table):
     assert sim.now == 60 and sim.trace == [(0, "a", 1), (60, "m", 1)]
 
 
+def _compilers(netlist, table, jitter):
+    """Both users of the one compile pass, as thunks."""
+    return [lambda: Simulation(netlist, table, jitter=jitter), lambda: _WavePlan.build(netlist, table, jitter)]
+
+
+def test_negative_jitter_is_refused(table):
+    for compile_ in _compilers(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, -5):
+        with pytest.raises(ValueError, match=r"^jitter must be a non-negative integer, got -5$"):
+            compile_()
+
+
+def test_non_integer_jitter_is_refused(table):
+    for compile_ in _compilers(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, 2.5):
+        with pytest.raises(ValueError, match=r"^jitter must be a non-negative integer, got 2.5$"):
+            compile_()
+
+
+def test_negative_event_cap_is_refused(table):
+    with pytest.raises(ValueError, match=r"^event_cap must be a non-negative integer, got -1$"):
+        Simulation(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, event_cap=-1)
+
+
 # pinned values: any change to the engine's commit order or timing moves them
 @pytest.mark.parametrize("arch,digest", [
     ("local", "d63348e8d7baaaebbade90dea501fdd160169bdf1739aa7c62fd8024f6982b3b"),

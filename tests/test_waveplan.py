@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import fields, replace
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,10 +21,10 @@ from qdisim.analysis import (
     ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
 )
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import PAIR_STATE, DecodeIssue, decode_word, rail_assignments
-from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
+from qdisim.dualrail import PAIR_STATE, DecodeIssue, decode_word, rail_assignments, rail_masks
+from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, NetlistBuilder, parse_netlist
 from qdisim.sim import OscillationError, Simulation, SimulationError, _WavePlan, drive_transaction
-from qdisim.stage import Architecture, build_stage, run_transaction
+from qdisim.stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -284,6 +285,50 @@ def test_measure_chains_names_the_first_failing_m(mutate, later_fails):
         assert measure_chains(stage, specs[10:], TABLE) == [measure(stage, s, TABLE) for s in specs[10:]]
 
 
+def _dead_node_stage():
+    """A 3-bit stand-in for a stage whose forwarded word registers a and
+    cin.  Over the chain vectors of m = 0 and 1, a1's rails rise in
+    disjoint vectors and b0.r1 and a2.r1 in none, so the AND2 `x`, the C2
+    `c`, the OR2 `z` and both nodes of the AO21 `w` rise in no vector;
+    `w` reaches cout.r1 through an OR2 with the registered cin.r1.  It
+    has no completion detector; `measure_chains` reads none."""
+    nb = NetlistBuilder()
+    ackin = nb.add_input("ackin")
+    ports = ["a0", "a1", "a2", "b0", "b1", "b2", "cin"]
+    rails = dict(zip(ports, map(nb.add_input_pair, ports)))
+    (a1t, a1f), (b0t, _), (a2t, _) = rails["a1"], rails["b0"], rails["a2"]
+    x = nb.add_gate(GateKind.AND2, (a1t, a1f), "x")
+    c = nb.add_gate(GateKind.C2, (a1t, a1f), "c")
+    z = nb.add_gate(GateKind.OR2, (b0t, a2t), "z")
+    w = nb.add_gate(GateKind.AO21, (c, x, z), "w")
+    reg = {p: tuple(nb.add_gate(GateKind.C2, (r, ackin), f"reg.{r}") for r in rails[p]) for p in ports}
+    for k in range(3):
+        nb.add_output_pair(f"sum{k}", *reg[f"a{k}"])
+    nb.add_output_pair("cout", nb.add_gate(GateKind.OR2, (reg["cin"][0], w), "cout.r1"), reg["cin"][1])
+    return StageDescriptor(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 3, nb.build(),
+                           tuple(rails[p] for p in ports), (), ("sum0", "sum1", "sum2", "cout"), ackin, w)
+
+
+def test_times_leaves_a_node_that_rises_in_no_vector_empty():
+    """`times` skips a node that rises in no vector, whether its inputs
+    rise in disjoint vectors or not at all; the skip moves no latency."""
+    stage = _dead_node_stage()
+    specs = [ChainSpec(3, m) for m in range(2)]
+    plan = _WavePlan.build(stage.netlist, TABLE)
+    words = [pack_operands(3, *gen_carry_chain_vector(spec)) for spec in specs]
+    masks = rail_masks(stage.operand_rails, words)
+    masks[stage.ackin] = 0b11
+    rose, rise, high = plan.times(masks)
+    dead = [plan.ids[net] for net in "xczw"] + [out for _, _, _, out, _ in plan.nodes if out >= len(plan.ids)]
+    assert len(dead) == 5
+    assert [(rose[i], rise[i], high[i]) for i in dead] == [(0, [], [])] * 5
+    records = [_assert_plan_matches_engine(Simulation(stage.netlist, TABLE),
+                                           [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word),
+                                           stage.forward_ports) for word in words]
+    assert measure_chains(stage, specs, TABLE) == [
+        (rec.forward_latency, rec.reverse_latency, rec.cycle_time) for rec in records]
+
+
 @st.composite
 def _netlists_with_loops(draw):
     """Gates of every kind, INV included, over any nets, earlier or later,
@@ -520,6 +565,22 @@ def test_a_generated_stage_lowers_in_gate_order(arch):
     plan = _WavePlan.build(netlist, TABLE)
     drives = [out for _, _, _, out, _ in plan.nodes if out < len(plan.ids)]
     assert drives == [plan.ids[g.output] for g in netlist.gates]
+
+
+def test_a_gate_listed_before_its_driver_lowers_as_in_order():
+    """In-order gates but one, cout.r1's gate, listed ahead of its first
+    driver: the depth-first order lowers its drivers first, so every
+    record matches the in-order netlist's."""
+    rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
+    gates = list(rca.netlist.gates)
+    index = {g.output: k for k, g in enumerate(gates)}
+    i = index[rca.netlist.port_map["cout"][0]]
+    j = min(index[net] for net in gates[i].inputs if net in index)
+    moved = gates[:j] + [gates[i]] + gates[j:i] + gates[i + 1:]
+    in_order, listed = (_WavePlan.build(replace(rca.netlist, gates=tuple(gs)), TABLE) for gs in (gates, moved))
+    for a, b, c in product(range(4), range(4), range(2)):
+        assigns = _operand_assignments(rca, a, b, c)
+        assert listed.run(assigns, rca.forward_ports) == in_order.run(assigns, rca.forward_ports), (a, b, c)
 
 
 def test_last_assignment_of_an_input_wins():
