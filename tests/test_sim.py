@@ -268,21 +268,12 @@ def test_oscillation_error_names_the_last_commit(table):
     assert sim.now == 60 and sim.trace == [(0, "a", 1), (60, "m", 1)]
 
 
-def _compilers(netlist, table, jitter):
-    """Both users of the one compile pass, as thunks."""
-    return [lambda: Simulation(netlist, table, jitter=jitter), lambda: _WavePlan.build(netlist, table, jitter)]
-
-
-def test_negative_jitter_is_refused(table):
-    for compile_ in _compilers(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, -5):
-        with pytest.raises(ValueError, match=r"^jitter must be a non-negative integer, got -5$"):
-            compile_()
-
-
-def test_non_integer_jitter_is_refused(table):
-    for compile_ in _compilers(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, 2.5):
-        with pytest.raises(ValueError, match=r"^jitter must be a non-negative integer, got 2.5$"):
-            compile_()
+@pytest.mark.parametrize("jitter", [-5, 2.5], ids=["negative", "non-integer"])
+@pytest.mark.parametrize("compile_", [Simulation, _WavePlan.build], ids=["engine", "plan"])
+def test_a_bad_jitter_is_refused(compile_, jitter, table):
+    """Both users of the one compile pass refuse it by name."""
+    with pytest.raises(ValueError, match=rf"^jitter must be a non-negative integer, got {jitter}$"):
+        compile_(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, jitter=jitter)
 
 
 def test_negative_event_cap_is_refused(table):
