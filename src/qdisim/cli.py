@@ -123,8 +123,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    m_values = args.m_range if args.m_range is not None else range(4, min(28, args.n - 2) + 1)
     try:
-        report = sweep(n=args.n, m_values=args.m_range, table=args.table)
+        report = sweep(n=args.n, m_values=m_values, table=args.table)
     except SweepMismatch as exc:
         sys.stderr.write(f"{exc}\n")
         return CHECK_FAILED
@@ -204,8 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="cycle-time sweep over carry-chain lengths, CSV output")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--m-range", type=_m_range, default=range(4, 29))
+    p.add_argument("--n", type=int, default=32, help="stage width in bits (default 32)")
+    p.add_argument(
+        "--m-range",
+        type=_m_range,
+        metavar="START:STOP[:STRIDE]",
+        help="carry-chain lengths, STOP included (default 4 to min(28, n - 2))",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("classify", help="report the indication classes of a full adder or ripple-carry block")

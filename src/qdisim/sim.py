@@ -1,21 +1,25 @@
 """Deterministic discrete-event simulation with transport delays.
 
 Every net starts at 0, the global spacer/reset state.  A committed
-transition re-evaluates the gates of the net's fanout, which only the
-engine builds, and schedules each changed output at `now + delay(kind)`.
-Events commit in (time, scheduling) order, so repeated runs of the same
-stimulus produce identical traces.  The queue is a calendar of net ids: a
-heap holds each distinct pending time once, a per-time list holds the
-nets pending at that time in scheduling order, and each net has one
-pending time and one pending value.  Every delay is at least 1, so a
-time's list never grows while it is drained; one heap operation serves
-all the events of one time.  Scheduling a different value for a net that
-is already pending replaces the pending event: the net leaves its old
-time's list (or, when that time is being drained, is skipped there, its
-pending time no longer matching) and joins the new time's list at the
-end.  A replacement is counted as a diagnostic, a case that monotone
-handshake stimuli never trigger.  A run that commits more than
-`event_cap` transitions raises OscillationError and spends the sim.
+transition re-evaluates the gates of the net's fanout, the compiled
+gates themselves, which only the engine builds, and schedules each
+changed output at `now + delay(kind)`.  Events commit in (time,
+scheduling) order, so repeated runs of the same stimulus produce
+identical traces.  `run_until_quiescent` records each commit as (time,
+net, value); `drain` commits exactly the same transitions and records
+nothing, for callers such as the closed ring that read only net values.
+The queue is a calendar of net ids: a heap holds each distinct pending
+time once, a per-time list holds the nets pending at that time in
+scheduling order, and each net has one pending time and one pending
+value.  Every delay is at least 1, so a time's list never grows while
+it is drained; one heap operation serves all the events of one time.
+Scheduling a different value for a net that is already pending replaces
+the pending event: the net leaves its old time's list (or, when that
+time is being drained, is skipped there, its pending time no longer
+matching) and joins the new time's list at the end.  A replacement is
+counted as a diagnostic, a case that monotone handshake stimuli never
+trigger.  A run that commits more than `event_cap` transitions raises
+OscillationError and spends the sim.
 
 C-element state is the effective value of its output net (pending event
 if one exists, settled value otherwise), which coincides with the
@@ -148,13 +152,13 @@ class Simulation:
         self.event_cap = event_cap
         self._ids, self._inputs, self._gates = _compile(netlist, delay_table, jitter, jitter_seed)
         self._names = list(self._ids)
-        fanout: list[list[int]] = [[] for _ in self._names]
-        for gi, (_, ins, _, _) in enumerate(self._gates):
-            for net in ins:
+        fanout: list[list[tuple]] = [[] for _ in self._names]
+        for gate in self._gates:
+            for net in gate[1]:
                 users = fanout[net]
-                if not users or users[-1] != gi:
-                    users.append(gi)
-        self._fanout = [tuple(f) for f in fanout]  # each net's users in gate order, once per gate: the tie order
+                if not users or users[-1] is not gate:
+                    users.append(gate)
+        self._fanout = [tuple(f) for f in fanout]  # each net's gates in gate order, once per gate: the tie order
         nets = len(self._names)
         self._values = [0] * nets
         self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
@@ -182,11 +186,15 @@ class Simulation:
         return PAIR_STATE[self.net_value(r1), self.net_value(r0)]
 
     def read_word(self, ports: Iterable[str]) -> tuple[RailState, ...]:
-        return tuple(self.pair_value(p) for p in ports)
+        """Each port's pair state, as `pair_value` gives it."""
+        values, ids, port_map = self._values, self._ids, self.netlist.port_map
+        return tuple(PAIR_STATE[values[ids[r1]], values[ids[r0]]] for r1, r0 in map(port_map.__getitem__, ports))
 
     @property
     def trace(self) -> list[tuple[int, str, int]]:
-        """Transitions committed by the latest `run_until_quiescent` call."""
+        """Transitions committed by the latest drain of the queue:
+        `run_until_quiescent` or `settle_power_on`, or none after
+        `drain`, which records nothing."""
         return list(self._trace)
 
     # -- stimulus ----------------------------------------------------
@@ -220,7 +228,8 @@ class Simulation:
         when a netlist contains inverters whose quiescent output is 1
         (e.g. acknowledge wiring in a closed handshake loop).
         """
-        self._run(range(len(self._gates)))
+        self._trace = []
+        self._run(self._gates, self._trace.append)
 
     # -- engine ------------------------------------------------------
 
@@ -231,30 +240,37 @@ class Simulation:
         commit in a single call; `now` is then the last commit's time,
         and the sim is spent: the rest of its run is dropped.
         """
-        return self._run(())
+        trace = self._trace = []
+        return trace, self._run((), trace.append)
 
-    def _run(self, users) -> tuple[list[tuple[int, str, int]], int]:
-        """Evaluate the gates indexed by `users` at `now`, then drain the
-        event queue, re-evaluating the fanout of every committed net.
-        This loop is the one definition of what each gate kind computes."""
+    def drain(self) -> int:
+        """`run_until_quiescent` without the trace: the same transitions
+        commit at the same times, in the same order, and the same
+        OscillationError spends the sim, but nothing is recorded and
+        `trace` is left empty.  Returns the settle time."""
+        self._trace = []
+        return self._run((), None)
+
+    def _run(self, users, append) -> int:
+        """Evaluate the compiled gates `users` at `now`, then drain the
+        event queue, re-evaluating the fanout of every committed net and
+        passing each commit's (time, net name, value) to `append` unless
+        it is None.  Returns the settle time.  This loop is the one
+        definition of what each gate kind computes."""
         heap = self._heap
         buckets = self._buckets
         bucket_at = buckets.get
         ptime = self._ptime
         eff = self._eff
         values = self._values
-        gates = self._gates
         fanout = self._fanout
         names = self._names
-        trace = self._trace = []
-        append = trace.append
         cap = self.event_cap
         commits = 0
         t = settle = self.now
         events = iter(())  # the rest of time t's bucket, which is no longer in `buckets`
         while True:
-            for gi in users:
-                code, ins, out, delay = gates[gi]
+            for code, ins, out, delay in users:
                 held = eff[out]
                 if code == _C2:
                     a = values[ins[0]]
@@ -302,7 +318,8 @@ class Simulation:
                 if values[net] == val:
                     continue
                 values[net] = val
-                append((t, names[net], val))
+                if append is not None:
+                    append((t, names[net], val))
                 settle = t
                 commits += 1
                 if commits > cap:
@@ -318,7 +335,7 @@ class Simulation:
                 t = heappop(heap)
                 events = iter(buckets.pop(t))
         self.now = settle
-        return trace, settle
+        return settle
 
 
 def check_phase(

@@ -275,7 +275,9 @@ def run_closed_loop(
     a value travels the ring unchanged.  Acknowledge wiring lives in the
     harness: each inter-stage ackin is the inverted completion-detector
     output of the consumer, and a zero-delay source/sink plays the
-    environment at quiescence points.  Raises DeadlockError when the ring
+    environment at quiescence points.  The ring reads only net values at
+    those points, so it reaches each of them with `Simulation.drain`,
+    which records no trace.  Raises DeadlockError when the ring
     stops making progress with transactions outstanding, and ValueError
     before anything runs when an operand does not fit n bits.
     """
@@ -323,7 +325,7 @@ def run_closed_loop(
     out_ports = [last_pref + p for p in stage.forward_ports]
 
     def outputs_state() -> str:
-        states = {sim.pair_value(p) for p in out_ports}
+        states = set(sim.read_word(out_ports))
         if states == {RailState.SPACER}:
             return "spacer"
         if states <= {RailState.ZERO, RailState.ONE}:
@@ -374,7 +376,7 @@ def run_closed_loop(
                 src_valid[k] = False
                 progressed = True
         if progressed:
-            sim.run_until_quiescent()
+            sim.drain()
             continue
         if len(report.deliveries) == len(operands) and not words and state == "spacer":
             return report

@@ -86,6 +86,24 @@ def test_sweep_default(tmp_path, capsys):
     assert lines[-1].startswith("average,,,,,")
 
 
+def test_sweep_default_range_fits_a_narrow_stage(capsys):
+    code, out, _ = run(capsys, "sweep", "--n", "16")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [int(r[0]) for r in rows] == list(range(4, 15))
+    table = qdisim.cells.default_delay_table()
+    for m, local_sim, local_theory, global_sim, global_theory, _ in rows:
+        m = int(m)
+        assert int(local_sim) == int(local_theory) == qdisim.analysis.theory_local(m, table, 16)[2]
+        assert int(global_sim) == int(global_theory) == qdisim.analysis.theory_global(m, table, 16)[2]
+
+
+def test_sweep_default_range_empty_for_a_tiny_stage(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "5")
+    assert code == 2 and out == ""
+    assert "sweep needs at least one m value" in err
+
+
 def test_sweep_strided_range(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "--out", str(out), "sweep", "--m-range", "4:28:4")

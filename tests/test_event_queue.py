@@ -1,7 +1,9 @@
 """The event queue against a reference engine with a (time, sequence)
 heap: random netlists with INV gates, loops and jitter, driven at
 arbitrary times, must give the same traces, settle times, replacement
-counts and oscillation errors on both."""
+counts and oscillation errors on both.  An untraced drain must match the
+reference's traced run on all of them but the trace, which it leaves
+empty."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,13 +34,17 @@ def _looped_netlists(draw):
     return Netlist(gates=tuple(gates), primary_inputs=inputs)
 
 
-def _state(sim, nets):
-    return sim.now, sim.replacements, sim.trace, [sim.net_value(n) for n in nets]
+def _state(sim, nets, traced=True):
+    """The sim's clock, replacement count, trace (None unless `traced`)
+    and the values of `nets`."""
+    return sim.now, sim.replacements, sim.trace if traced else None, [sim.net_value(n) for n in nets]
 
 
 def _step(sim, op):
     """Run `op` on `sim` ("fresh" does nothing here); returns what it
-    returned, or the error it raised."""
+    returned, or the error it raised.  "drain" is `Simulation.drain`,
+    which the reference engine matches with the settle time of its
+    `run_until_quiescent`."""
     kind, *args = op
     try:
         if kind == "apply":
@@ -53,6 +59,8 @@ def _step(sim, op):
             sim.apply_inputs([(x, value)], at_time=sim.now + late)
         elif kind == "run":
             return sim.run_until_quiescent()
+        elif kind == "drain":
+            return sim.drain() if isinstance(sim, Simulation) else sim.run_until_quiescent()[1]
         elif kind == "power_on":
             sim.settle_power_on()
     except OscillationError as err:
@@ -77,7 +85,7 @@ def _ops(inputs, table):
                   st.lists(st.tuples(net, st.integers(0, 1)), max_size=4)),
         st.tuples(st.just("redrive"), net, net, st.integers(0, 1), time, time).map(
             lambda op: (*op[:4], max(op[4:]), min(op[4:]))),
-        st.just(("run",)), st.just(("run",)),
+        st.just(("run",)), st.just(("run",)), st.just(("drain",)),
         st.just(("power_on",)),
         st.just(("fresh",)),
     ), max_size=14)
@@ -93,14 +101,20 @@ def test_queue_matches_the_reference_engine(netlist, table, jitter, seed, cap, d
 
     sim, ref = fresh()
     nets = sorted(netlist.nets())
+    traced = True  # False from a drain until the next run, power-on or fresh pair
     for op in data.draw(_ops(netlist.primary_inputs, table)):
         if op == ("fresh",):  # both start over on new instances
             sim, ref = fresh()
         result = _step(sim, op)
         assert result == _step(ref, op), op
-        assert _state(sim, nets) == _state(ref, nets), op
+        if op[0] not in ("apply", "redrive"):
+            traced = op != ("drain",)
+        assert _state(sim, nets, traced) == _state(ref, nets, traced), op
+        if not traced:  # a drain records nothing, also when it raises
+            assert sim.trace == [], op
         if isinstance(result, str):  # an oscillation error spends both sims
             sim, ref = fresh()
+            traced = True
     # a last run drains whatever the ops left queued
     assert _step(sim, ("run",)) == _step(ref, ("run",))
     assert _state(sim, nets) == _state(ref, nets)

@@ -2,15 +2,17 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qdisim.stage
 
 from qdisim.adders import AdderVariant, pack_operands
-from qdisim.cells import default_delay_table
+from qdisim.cells import DelayTable, default_delay_table
 from qdisim.dualrail import RailState, rail_assignments
 from qdisim.netlist import GateKind, gate_census, validate
 from qdisim.sim import Simulation, WaveResult, drive_transaction
 from qdisim.stage import (
+    PAIRED_VARIANT,
     Architecture,
     DeadlockError,
     StageConfigError,
@@ -284,6 +286,33 @@ def test_closed_loop_two_local_stages(table):
 def test_closed_loop_global_pass_through(table):
     report = run_closed_loop(2, AdderVariant.EARLY_OUTPUT, Architecture.GLOBAL, 8, [(200, 55, 0)])
     assert [(v, c) for _, v, c in report.deliveries] == [((200 + 55) % 256, 0)]
+
+
+@st.composite
+def _rings(draw):
+    """A ring's stage count, architecture, width, delay table and operands."""
+    n = draw(st.integers(1, 8))
+    word = st.integers(0, (1 << n) - 1)
+    return (
+        draw(st.sampled_from([2, 3, 5])),
+        draw(st.sampled_from(list(Architecture))),
+        n,
+        DelayTable({kind: draw(st.integers(1, 300)) for kind in GateKind}),
+        draw(st.lists(st.tuples(word, word, st.integers(0, 1)), min_size=1, max_size=4)),
+    )
+
+
+@given(ring=_rings())
+def test_ring_deliveries_do_not_depend_on_the_delay_table(ring):
+    """Every stage after the first adds zero, so each operand's sum comes
+    out unchanged with carry 0, in order, whatever the gate delays."""
+    stages, arch, n, delays, operands = ring
+    report = run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays)
+    assert [(value, carry) for _, value, carry in report.deliveries] == [
+        ((a + b + cin) % (1 << n), 0) for a, b, cin in operands
+    ]
+    times = [t for t, _, _ in report.deliveries]
+    assert all(earlier < later for earlier, later in zip(times, times[1:]))
 
 
 def test_closed_loop_zero_transactions():
