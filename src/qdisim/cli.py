@@ -58,7 +58,9 @@ def _m_range(text: str) -> range:
         raise argparse.ArgumentTypeError("m-range must be integers") from None
     start, stop = nums[0], nums[1]
     stride = nums[2] if len(nums) == 3 else 1
-    if stride < 1 or stop < start:
+    if stride < 1:
+        raise argparse.ArgumentTypeError("m-range stride must be >= 1")
+    if stop < start:
         raise argparse.ArgumentTypeError("m-range must be increasing")
     return range(start, stop + 1, stride)
 
@@ -115,7 +117,7 @@ def cmd_measure(args) -> int:
         f"{sim_vals[0]},{sim_vals[1]},{sim_vals[2]},"
         f"{theory[0]},{theory[1]},{theory[2]}\n"
     )
-    sys.stdout.write(row)
+    _write_out(args, row)
     if sim_vals != theory:
         sys.stderr.write(f"mismatch: simulated {sim_vals}, theoretical {theory}\n")
         return CHECK_FAILED
@@ -136,7 +138,7 @@ def cmd_sweep(args) -> int:
 def cmd_classify(args) -> int:
     net = build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
     cls = classify_both(net)
-    sys.stdout.write(f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
+    _write_out(args, f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
     if args.n != 1:
         return 0
     expected = EXPECTED_CLASSES[args.variant]
@@ -153,10 +155,10 @@ def cmd_check(args) -> int:
     rca = build_rca(args.variant, args.n)
     result = functional_check(rca, args.trials, seed=args.seed)
     if result.passed:
-        sys.stdout.write(f"pass: {result.trials} vectors, {args.variant.value} n={args.n}\n")
+        _write_out(args, f"pass: {result.trials} vectors, {args.variant.value} n={args.n}\n")
         return 0
     a, b, c = result.counterexample
-    sys.stdout.write(f"FAIL at a={a} b={b} cin={c}: {result.detail}\n")
+    _write_out(args, f"FAIL at a={a} b={b} cin={c}: {result.detail}\n")
     return CHECK_FAILED
 
 
@@ -179,7 +181,7 @@ def cmd_ring(args) -> int:
 
 
 def cmd_delays(args) -> int:
-    sys.stdout.write(dump_delay_table(args.table))
+    _write_out(args, dump_delay_table(args.table))
     return 0
 
 

@@ -29,9 +29,11 @@ all-zero power-on state required of return-to-zero circuits.
 engine, the reference, and returns both traces.  When the netlist has no
 INV and no cycle, every net moves at most once per wave from the
 all-spacer state, in one direction, so both waves are one min/max-plus
-pass over the gates lowered to two-input AND, OR and C-element nodes in
-gate order, each gate after the drivers of its inputs (`_WavePlan`),
-which reads and changes no simulation state.  On bit masks the same
+pass over the gates lowered to two-input AND, OR and C-element nodes,
+each gate after the drivers of its inputs (`_WavePlan`), which reads and
+changes no simulation state.  Gates listed in that order, as every
+generator lists them, are lowered in one loop as listed; any other
+netlist is first put in a depth-first post-order.  On bit masks the same
 nodes give, for a block of vectors at once, which nets rise (`rises`),
 which stay high once some inputs fall (`falls`) and, on step functions
 of masks, when each net rises and falls (`times`).  The plan is compiled
@@ -105,19 +107,21 @@ def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_
     inputs = _Inputs(ids)
     kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
     gates = []
-    for g in netlist.gates:
-        compiled = kinds.get(g.kind)
+    for gid, kind, names, output in netlist.gates:
+        compiled = kinds.get(kind)
         if compiled is None:
-            raise SimulationError(f"gate {g.gid!r} has unknown kind {g.kind!r}")
+            raise SimulationError(f"gate {gid!r} has unknown kind {kind!r}")
         code, arity, delay = compiled
-        if len(g.inputs) != arity:
-            raise SimulationError(f"gate {g.gid!r} ({g.kind.value}) takes {arity} inputs, got {len(g.inputs)}")
+        if len(names) != arity:
+            raise SimulationError(f"gate {gid!r} ({kind.value}) takes {arity} inputs, got {len(names)}")
         if rng is not None:
             delay += rng.randint(0, jitter)
-        ins = []
-        for net in g.inputs:
-            ins.append(intern(net, len(ids)))
-        gates.append((code, tuple(ins), intern(g.output, len(ids)), delay))
+        if arity == 2:
+            a, b = names
+            ins = (intern(a, len(ids)), intern(b, len(ids)))
+        else:
+            ins = tuple([intern(net, len(ids)) for net in names])
+        gates.append((code, ins, intern(output, len(ids)), delay))
     for net in netlist.primary_outputs:
         intern(net, len(ids))
     return ids, inputs, gates
@@ -512,61 +516,41 @@ class _WavePlan:
 
     @classmethod
     def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, port_map) -> _WavePlan:
-        """Lower compiled gates (see `_compile`) in gate order, each after
-        the drivers of its inputs.  A gate whose inputs' drivers are all
-        lowered, as every gate of a generated netlist is, is emitted at
-        once; only a gate listed before one of its drivers starts a
-        depth-first post-order that lowers those drivers first.  Raises
-        ValueError for a netlist the algebra does not cover: an INV (its
-        output rises while its input is spacer), a cycle, a net with two
-        drivers or a driven primary input, or a port map that shares a
-        rail or names an unknown net."""
-        driver = [-1] * len(ids)  # each slot's driving gate, until that gate is lowered
-        for gi, (code, _, out, _) in enumerate(gates):
-            if code not in _CHAINS or driver[out] >= 0 or out < len(inputs):
-                raise ValueError(_NO_PLAN)
-            driver[out] = gi
+        """Lower compiled gates (see `_compile`), each after the drivers of
+        its inputs.  Gates listed in order, each reading only primary
+        inputs and earlier gates' outputs and driving a net no earlier gate
+        drives, as every generator lists them, are emitted in one loop in
+        gate order.  Under `_compile`'s interning they are the gates whose
+        outputs take the consecutive slots after the primary inputs' and
+        none of which reads its own output.  Any other netlist is first put
+        in a depth-first post-order (`_depth_first`).  Raises ValueError for
+        a netlist the algebra does not cover: an INV (its output rises
+        while its input is spacer), a cycle, a net with two drivers or a
+        driven primary input, or a port map that shares a rail or names an
+        unknown net."""
+        first = len(inputs)
+        if [out for _, _, out, _ in gates] != [*range(first, first + len(gates))]:
+            gates = _depth_first(gates, len(ids), first)
         rails = {port: (ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()}
         used = [i for pair in rails.values() for i in pair]
         if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
             raise ValueError(_NO_PLAN)
-        # `gi` is the gate being lowered and `stack` the open gates under it;
-        # a gate is open from its first visit until it is emitted, so
-        # reaching an open gate again closes a cycle
-        opened = [False] * len(gates)
-        stack = []
+        chains = _CHAINS
         nodes = []
         slot = len(ids)
-        for root in range(len(gates)):
-            if opened[root]:
-                continue  # lowered as an earlier gate's driver
-            opened[root] = True
-            gi = root
-            while True:
-                code, ins, out, delay = gates[gi]
-                for net in ins:
-                    d = driver[net]
-                    if d >= 0:
-                        if opened[d]:
-                            raise ValueError(_NO_PLAN)
-                        opened[d] = True
-                        stack.append(gi)
-                        gi = d
-                        break
-                else:
-                    driver[out] = -1
-                    inner, (op, a, b) = _CHAINS[code]
-                    operands = ins
-                    if inner:
-                        operands = list(ins)
-                        for iop, ia, ib in inner:
-                            nodes.append((iop, operands[ia], operands[ib], slot, 0))
-                            operands.append(slot)
-                            slot += 1
-                    nodes.append((op, operands[a], operands[b], out, delay))  # the gate's output, with its delay
-                    if not stack:
-                        break
-                    gi = stack.pop()
+        for code, ins, out, delay in gates:
+            chain = chains.get(code)
+            if chain is None or out in ins:  # an INV, or a gate on a cycle of its own
+                raise ValueError(_NO_PLAN)
+            inner, (op, a, b) = chain
+            operands = ins
+            if inner:
+                operands = list(ins)
+                for iop, ia, ib in inner:
+                    nodes.append((iop, operands[ia], operands[ib], slot, 0))
+                    operands.append(slot)
+                    slot += 1
+            nodes.append((op, operands[a], operands[b], out, delay))  # the gate's output, with its delay
         return cls(nodes, slot, rails, ids, inputs)
 
     def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
@@ -701,6 +685,48 @@ class _WavePlan:
             else:  # an OR node is high only where it rose anyway
                 high[out] = _steps(high[a], ra, high[b], rb, False, delay, last)
         return rose, rise, high
+
+
+def _depth_first(gates: list, nets: int, first: int) -> list:
+    """Compiled `gates` in a depth-first post-order over each input's one
+    driver, roots in gate order, so each gate follows the drivers of its
+    inputs; `nets` is the slot count and `first` the first slot that is
+    not a primary input's.  Raises ValueError for a cycle, a net with two
+    drivers or a driven primary input."""
+    driver = [-1] * nets  # each slot's driving gate, until that gate is ordered
+    for gi, (_, _, out, _) in enumerate(gates):
+        if driver[out] >= 0 or out < first:
+            raise ValueError(_NO_PLAN)
+        driver[out] = gi
+    # `gi` is the gate being ordered and `stack` the open gates under it; a
+    # gate is open from its first visit until it is ordered, so reaching an
+    # open gate again closes a cycle
+    opened = [False] * len(gates)
+    stack = []
+    order = []
+    for root in range(len(gates)):
+        if opened[root]:
+            continue  # ordered as an earlier gate's driver
+        opened[root] = True
+        gi = root
+        while True:
+            for net in gates[gi][1]:
+                d = driver[net]
+                if d >= 0:
+                    if opened[d]:
+                        raise ValueError(_NO_PLAN)
+                    opened[d] = True
+                    stack.append(gi)
+                    gi = d
+                    break
+            else:
+                gate = gates[gi]
+                driver[gate[2]] = -1
+                order.append(gate)
+                if not stack:
+                    break
+                gi = stack.pop()
+    return order
 
 
 def _steps(a: list, a0: int, b: list, b0: int, meet: bool, delay: int, keep: int = -1) -> list:

@@ -112,6 +112,18 @@ def test_sweep_strided_range(tmp_path, capsys):
     assert [r.split(",")[0] for r in rows] == ["4", "8", "12", "16", "20", "24", "28"]
 
 
+@pytest.mark.parametrize("m_range,message", [
+    ("4:28:0", "m-range stride must be >= 1"),
+    ("4:28:-4", "m-range stride must be >= 1"),
+    ("28:4", "m-range must be increasing"),
+    ("28:4:0", "m-range stride must be >= 1"),
+])
+def test_sweep_bad_m_range_names_its_fault(m_range, message, capsys):
+    code, out, err = run(capsys, "sweep", "--m-range", m_range)
+    assert (code, out) == (2, "")
+    assert err.rstrip("\n").endswith(f"argument --m-range: {message}")
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -283,6 +295,25 @@ def test_duplicate_delay_line_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "delays.txt"
     path.write_text("C2 100\nC2 7\n")
     assert run(capsys, "--delay-table", str(path), "delays") == (2, "", "error: line 2: duplicate delay for C2\n")
+
+
+@pytest.mark.parametrize("argv,mismatch", [
+    (["measure", "--arch", "local", "--m", "4"], False),
+    (["measure", "--arch", "local", "--m", "4"], True),
+    (["classify", "dims-strong"], False),
+    (["check", "--n", "2", "--trials", "3"], False),
+    (["delays"], False),
+], ids=["measure", "measure-mismatch", "classify", "check", "delays"])
+def test_out_holds_what_stdout_held(argv, mismatch, tmp_path, monkeypatch, capsys):
+    """The global --out takes a command's output, and only its output:
+    messages stay on stderr and the exit code is the same."""
+    if mismatch:
+        monkeypatch.setattr(qdisim.cli, "theory_local", lambda m, table, n: (0, 0, 0))
+    code, out, err = run(capsys, *argv)
+    assert out and code == (1 if mismatch else 0) and bool(err) == mismatch
+    path = tmp_path / "out.txt"
+    assert run(capsys, "--out", str(path), *argv) == (code, "", err)
+    assert path.read_bytes().decode("utf-8") == out
 
 
 def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):

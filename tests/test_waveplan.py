@@ -16,15 +16,17 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from qdisim.adders import AdderVariant, build_rca, functional_check, pack_operands
+from qdisim.adders import AdderVariant, build_full_adder, build_rca, functional_check, pack_operands
 from qdisim.analysis import (
     ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
 )
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import PAIR_STATE, DecodeIssue, decode_word, rail_assignments, rail_masks
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, NetlistBuilder, parse_netlist
-from qdisim.sim import OscillationError, Simulation, SimulationError, _WavePlan, drive_transaction
-from qdisim.stage import Architecture, StageDescriptor, build_stage, run_transaction
+from qdisim.sim import (
+    OscillationError, Simulation, SimulationError, _WavePlan, _compile, _depth_first, drive_transaction,
+)
+from qdisim.stage import Architecture, StageDescriptor, build_completion_detector, build_stage, run_transaction
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -558,13 +560,64 @@ def test_a_long_chain_listed_last_gate_first_lowers_as_listed_in_order():
     assert records[0][0].forward_latency == 3000 * TABLE[GateKind.OR2]
 
 
-@pytest.mark.parametrize("arch", list(Architecture))
-def test_a_generated_stage_lowers_in_gate_order(arch):
-    """A generator emits gates in topological order, and the plan keeps it."""
-    netlist = build_stage(arch, n=32).netlist
+GENERATED = {
+    **{str(arch): (lambda arch=arch: build_stage(arch, n=32).netlist) for arch in Architecture},
+    **{f"full-adder-{v.value}": (lambda v=v: build_full_adder(v)) for v in AdderVariant},
+    **{f"rca4-{v.value}": (lambda v=v: _rca(v, 4).netlist) for v in AdderVariant},
+    "completion-detector-5": lambda: build_completion_detector(5).netlist,
+}
+
+
+@pytest.mark.parametrize("generate", GENERATED.values(), ids=GENERATED.keys())
+def test_a_generated_stage_lowers_in_gate_order(generate):
+    """A generator emits gates in topological order, and the plan keeps
+    it; the depth-first order leaves that order as it is too."""
+    netlist = generate()
     plan = _WavePlan.build(netlist, TABLE)
     drives = [out for _, _, _, out, _ in plan.nodes if out < len(plan.ids)]
     assert drives == [plan.ids[g.output] for g in netlist.gates]
+    ids, inputs, gates = _compile(netlist, TABLE)
+    assert _depth_first(gates, len(ids), len(inputs)) == gates
+
+
+def _adder(variant, n):
+    """(netlist, operand rail pairs, output ports, fixed operand words) of
+    a full adder (n = 1) or an n-bit RCA."""
+    if n == 1:
+        rails = tuple((f"{port}.r1", f"{port}.r0") for port in ("a", "b", "cin"))
+        return build_full_adder(variant), rails, ("sum", "cout"), range(8)
+    rca, top = _rca(variant, n), (1 << n) - 1
+    ops = [(0, 0, 0), (top, 1, 0), (5, 10, 1), (top, top, 1), (9, 6, 0), (0, top, 1)]
+    return rca.netlist, rca.operand_rails, rca.forward_ports, [pack_operands(n, *op) for op in ops]
+
+
+@pytest.mark.parametrize("n", [1, 4], ids=["full-adder", "rca4"])
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_an_adder_listed_last_gate_first_runs_as_listed_in_order(variant, n):
+    """Gates listed in reverse take the depth-first order, and every
+    record matches the in-order netlist's."""
+    netlist, rails, ports, words = _adder(variant, n)
+    reverse = replace(netlist, gates=netlist.gates[::-1])
+    in_order, listed = (_WavePlan.build(net, TABLE) for net in (netlist, reverse))
+    assert in_order.nodes != listed.nodes
+    for word in words:
+        assigns = rail_assignments(rails, word)
+        assert listed.run(assigns, ports) == in_order.run(assigns, ports), word
+
+
+_SECOND_DRIVER = "input d.r1\ninput d.r0\ngate g0 OR2 d.r1 d.r0 n\ngate g1 AND2 d.r1 d.r0 n\npair d d.r1 d.r0"
+_DRIVEN_INPUT = "input d.r1\ninput d.r0\ngate g0 OR2 d.r1 d.r1 n\ngate g1 AND2 n d.r1 d.r0\npair d d.r1 d.r0"
+
+
+@pytest.mark.parametrize("text", [_SECOND_DRIVER, _DRIVEN_INPUT], ids=["two-drivers", "driven-input"])
+def test_an_in_order_netlist_with_a_bad_driver_has_no_plan(text):
+    """Each gate reads only primary inputs and earlier outputs, but a
+    net has two drivers or a primary input is driven: no plan."""
+    netlist = parse_netlist(text)
+    with pytest.raises(ValueError, match=NO_PLAN):
+        _WavePlan.build(netlist, TABLE)
+    with pytest.raises(ValueError, match=NO_PLAN):
+        Simulation(netlist, TABLE).plan
 
 
 def test_a_gate_listed_before_its_driver_lowers_as_in_order():
