@@ -3,7 +3,13 @@
 A netlist is a set of gates over named nets plus declared primary inputs
 and outputs and a map of named dual-rail ports onto (rail1, rail0) net
 pairs.  Muller C-elements (C2/C3) are primitive stateful gates, not
-feedback macros, so every well-formed netlist here is acyclic.
+feedback macros: a well-formed netlist has no loop of stateless gates,
+but may loop through a C-element, as the closed ring does.
+
+The compile pass that both engines in `sim` run (`_compile`, `_port_rails`,
+`_depth_first`) is the one check of structure: each rule raises
+NetlistError, naming the first offending gate, net or port, and `validate`
+reports from the same pass.
 
 Text format, one statement per line, `#` starts a comment:
 
@@ -17,6 +23,7 @@ Serialization emits inputs, outputs, gates (id-lexicographic), pairs.
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,6 +60,11 @@ COMPLEX_KINDS = frozenset(
 )
 STATEFUL_KINDS = frozenset({GateKind.C2, GateKind.C3})
 
+# each kind's code in compiled gates, ordered by frequency in the generated
+# circuits, the order the event engine dispatches in
+_C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
+_CODE = {GateKind[name]: code for code, name in enumerate("C2 OR2 AO22 AO21 C3 AND2 INV AO222".split())}
+
 
 class Gate(NamedTuple):
     gid: str
@@ -79,8 +91,20 @@ class Netlist:
 @dataclass(frozen=True)
 class Violation:
     rule: str
-    subject: str
+    subject: str  # the gate, net or port at fault
     detail: str = ""
+
+    def __str__(self):
+        return f"{self.rule}: {self.subject} {self.detail}".rstrip()
+
+
+class NetlistError(ValueError):
+    """A netlist that breaks a structural rule, or that the wave plan does
+    not cover; its one argument is the Violation, which is also its text."""
+
+    @property
+    def violation(self) -> Violation:
+        return self.args[0]
 
 
 @dataclass
@@ -92,86 +116,149 @@ class ValidationReport:
         return not self.violations
 
     def __str__(self):
-        if self.ok:
-            return "ok"
-        return "\n".join(f"{v.rule}: {v.subject} {v.detail}".rstrip() for v in self.violations)
+        return "\n".join(map(str, self.violations)) if self.violations else "ok"
+
+
+class SimulationError(RuntimeError):
+    """A stimulus a compiled netlist cannot take."""
+
+
+class _Inputs(dict):
+    """Each primary input's slot; looking up any other net raises."""
+
+    def __missing__(self, net):
+        raise SimulationError(f"{net!r} is not a primary input")
+
+
+def _compile(netlist: Netlist, delay_table, jitter: int = 0, jitter_seed: int = 1):
+    """(ids, inputs, gates) for the event engine and the wave plan: each
+    net's slot (primary inputs first, then each gate's inputs and output,
+    then primary outputs), each primary input's slot, and each gate as
+    (code, input slots, output slot, delay plus jitter drawn in gate
+    order).  Fanout is the engine's own, built by `Simulation`.  Raises
+    ValueError unless `jitter` is a non-negative int, and NetlistError at
+    the first gate of unknown kind or wrong arity."""
+    if isinstance(jitter, bool) or not isinstance(jitter, int) or jitter < 0:
+        raise ValueError(f"jitter must be a non-negative integer, got {jitter!r}")
+    rng = random.Random(jitter_seed) if jitter else None
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    for net in netlist.primary_inputs:
+        intern(net, len(ids))
+    inputs = _Inputs(ids)
+    kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
+    gates = []
+    for gid, kind, names, output in netlist.gates:
+        compiled = kinds.get(kind)
+        if compiled is None:
+            raise NetlistError(Violation("unknown-kind", gid, f"{kind!r} is not a GateKind"))
+        code, arity, delay = compiled
+        if len(names) != arity:
+            raise NetlistError(Violation("arity", gid, f"{kind.value} needs {arity} inputs, has {len(names)}"))
+        if rng is not None:
+            delay += rng.randint(0, jitter)
+        if arity == 2:
+            a, b = names
+            ins = (intern(a, len(ids)), intern(b, len(ids)))
+        else:
+            ins = tuple([intern(net, len(ids)) for net in names])
+        gates.append((code, ins, intern(output, len(ids)), delay))
+    for net in netlist.primary_outputs:
+        intern(net, len(ids))
+    return ids, inputs, gates
+
+
+def _port_rails(ids: dict[str, int], port_map) -> dict[str, tuple[int, int]]:
+    """Each port's (rail1 slot, rail0 slot); raises NetlistError (port-map)
+    at the first port whose rails are not two distinct nets of `ids`."""
+    rails = {}
+    for port, pair in port_map.items():
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise NetlistError(Violation("port-map", port, "needs two distinct nets"))
+        i1, i0 = ids.get(pair[0]), ids.get(pair[1])
+        if i1 is None or i0 is None:
+            raise NetlistError(Violation("port-map", port, f"unknown net {pair[0] if i1 is None else pair[1]}"))
+        rails[port] = i1, i0
+    return rails
+
+
+_STATELESS_LOOP = "is on a loop of stateless gates"
+_C_LOOP = "is on a loop through a C-element"
+
+
+def _depth_first(gates: list, ids: dict[str, int], first: int) -> list:
+    """Compiled `gates` in a depth-first post-order over each input's one
+    driver, roots in gate order, so each gate follows the drivers of its
+    inputs; `first` is the first slot in `ids` not a primary input's.
+    Raises NetlistError: single-driver at the first gate that drives a
+    driven net or a primary input, then at the first loop the walk closes
+    combinational-cycle, or cycle if a C-element is on it."""
+    driver = [-1] * len(ids)  # each slot's driving gate, until that gate is ordered
+    for gi, (_, _, out, _) in enumerate(gates):
+        if driver[out] >= 0 or out < first:
+            detail = "gate drives a primary input" if out < first else "driven by more than one gate"
+            raise NetlistError(Violation("single-driver", list(ids)[out], detail))
+        driver[out] = gi
+    # `gi` is the gate being ordered and `stack` the open gates under it; a
+    # gate is open from its first visit until it is ordered, so reaching an
+    # open gate again closes a cycle
+    opened = [False] * len(gates)
+    stack = []
+    order = []
+    for root in range(len(gates)):
+        if opened[root]:
+            continue  # ordered as an earlier gate's driver
+        opened[root] = True
+        gi = root
+        while True:
+            for net in gates[gi][1]:
+                d = driver[net]
+                if d >= 0:
+                    if opened[d]:
+                        loop = [*stack, gi]
+                        if {gates[k][0] for k in loop[loop.index(d):]}.isdisjoint((_C2, _C3)):
+                            raise NetlistError(Violation("combinational-cycle", list(ids)[net], _STATELESS_LOOP))
+                        raise NetlistError(Violation("cycle", list(ids)[net], _C_LOOP))
+                    opened[d] = True
+                    stack.append(gi)
+                    gi = d
+                    break
+            else:
+                gate = gates[gi]
+                driver[gate[2]] = -1
+                order.append(gate)
+                if not stack:
+                    break
+                gi = stack.pop()
+    return order
+
+
+_UNTIMED = dict.fromkeys(GateKind, 0)  # validate compiles with it; it reads no delay
 
 
 def validate(n: Netlist) -> ValidationReport:
-    """Structural checks: single driver, arity, dangling nets, port map,
-    acyclicity of the combinational (non C-element) subgraph."""
-    report = ValidationReport()
-    seen_ids: set[str] = set()
-    drivers: dict[str, int] = {}  # net -> the number of gates driving it
-    for g in n.gates:
-        if g.gid in seen_ids:
-            report.violations.append(Violation("duplicate-gate-id", g.gid))
-        seen_ids.add(g.gid)
-        drivers[g.output] = drivers.get(g.output, 0) + 1
-        want = GATE_ARITY[g.kind]
-        if len(g.inputs) != want:
-            report.violations.append(
-                Violation("arity", g.gid, f"{g.kind.value} needs {want} inputs, has {len(g.inputs)}")
-            )
-
-    pi = set(n.primary_inputs)
-    for net, count in drivers.items():
-        if count > 1:
-            report.violations.append(Violation("single-driver", net, f"driven by {count} gates"))
-        if net in pi:
-            report.violations.append(Violation("single-driver", net, "gate drives a primary input"))
-
-    used = set(n.primary_outputs)
-    for g in n.gates:
-        used.update(g.inputs)
-    for net in sorted(used):
-        if net not in pi and net not in drivers:
-            report.violations.append(Violation("dangling-net", net, "no driver"))
-
-    all_nets = n.nets()
-    for port, rails in n.port_map.items():
-        if len(rails) != 2 or rails[0] == rails[1]:
-            report.violations.append(Violation("port-map", port, "needs two distinct nets"))
-            continue
-        for net in rails:
-            if net not in all_nets:
-                report.violations.append(Violation("port-map", port, f"unknown net {net}"))
-
-    # cycle check over stateless gates only; C-elements may legally sit on
-    # feedback paths (none of the generated circuits have any cycles)
-    edges: dict[str, list[str]] = {}
-    for g in n.gates:
-        if g.kind in STATEFUL_KINDS:
-            continue
-        for src in g.inputs:
-            edges.setdefault(src, []).append(g.output)
-    color: dict[str, int] = {}  # 1 on the current path, 2 finished
-
-    def walk(root: str) -> bool:
-        """Depth-first from `root` with an explicit stack, so a long gate
-        chain cannot exhaust the interpreter's recursion limit."""
-        color[root] = 1
-        stack = [(root, iter(edges.get(root, ())))]
-        while stack:
-            net, successors = stack[-1]
-            for nxt in successors:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return True
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    break
-            else:
-                color[net] = 2
-                stack.pop()
-        return False
-
-    for net in sorted(edges):
-        if color.get(net, 0) == 0 and walk(net):
-            report.violations.append(Violation("combinational-cycle", net))
-            break
-    return report
+    """The first structural violation, if any: the compile pass's, with
+    every C-element's inputs cut so that only a loop of stateless gates
+    counts, then a repeated gate id, primary input or output, then a
+    dangling net (neither a primary input nor any gate's output)."""
+    try:
+        ids, inputs, gates = _compile(n, _UNTIMED)
+        _port_rails(ids, n.port_map)
+        cut = [(code, () if code in (_C2, _C3) else ins, out, 0) for code, ins, out, _ in gates]
+        _depth_first(cut, ids, len(inputs))
+    except NetlistError as refused:
+        return ValidationReport([refused.violation])
+    gids = [g.gid for g in n.gates]
+    for rule, names in (("duplicate-gate-id", gids), ("duplicate-input", n.primary_inputs),
+                        ("duplicate-output", n.primary_outputs)):
+        seen = set()
+        for name in names:
+            if name in seen:
+                return ValidationReport([Violation(rule, name)])
+            seen.add(name)
+    driven = {out for _, _, out, _ in gates}
+    dangling = [net for net, slot in ids.items() if slot >= len(inputs) and slot not in driven]
+    return ValidationReport([Violation("dangling-net", dangling[0], "no driver")] if dangling else [])
 
 
 class NetlistParseError(ValueError):

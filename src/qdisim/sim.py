@@ -38,14 +38,15 @@ nodes give, for a block of vectors at once, which nets rise (`rises`),
 which stay high once some inputs fall (`falls`) and, on step functions
 of masks, when each net rises and falls (`times`).  The plan is compiled
 straight from a netlist (`_WavePlan.build`) or lowered from a
-simulation's own compiled gates (`Simulation.plan`); both refuse a
-netlist the plan does not cover.
+simulation's own compiled gates (`Simulation.plan`).  Both raise the
+compile pass's NetlistError (see `netlist`), and add three refusals that
+the event engine does not make: an INV (inverter), a loop through a
+C-element (cycle) and a rail shared by two ports (shared-rail).
 """
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -53,11 +54,10 @@ from typing import Iterable
 
 from .cells import DelayTable
 from .dualrail import PAIR_STATE, RailState
-from .netlist import GATE_ARITY, GATE_TERMS, STATEFUL_KINDS, GateKind, Netlist
-
-# dispatch codes ordered by frequency in the generated circuits
-_C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
-_CODE = {GateKind[name]: code for code, name in enumerate("C2 OR2 AO22 AO21 C3 AND2 INV AO222".split())}
+from .netlist import (
+    _AND2, _AO21, _AO22, _C2, _C3, _CODE, _INV, _OR2, GATE_TERMS, STATEFUL_KINDS, GateKind, Netlist,
+    NetlistError, SimulationError, Violation, _compile, _depth_first, _port_rails,
+)
 
 
 class Phase(enum.Enum):
@@ -69,10 +69,6 @@ class OscillationError(RuntimeError):
     pass
 
 
-class SimulationError(RuntimeError):
-    pass
-
-
 @dataclass
 class PhaseCheckReport:
     nonmonotonic: list[tuple[int, str, int]] = field(default_factory=list)
@@ -81,50 +77,6 @@ class PhaseCheckReport:
     @property
     def ok(self) -> bool:
         return not self.nonmonotonic and not self.illegal_pairs
-
-
-class _Inputs(dict):
-    """Each primary input's slot; looking up any other net raises."""
-
-    def __missing__(self, net):
-        raise SimulationError(f"{net!r} is not a primary input")
-
-
-def _compile(netlist: Netlist, delay_table: DelayTable, jitter: int = 0, jitter_seed: int = 1):
-    """(ids, inputs, gates) for the event engine and the wave plan: each
-    net's slot (primary inputs first, then each gate's inputs and output,
-    then primary outputs), each primary input's slot, and each gate as
-    (code, input slots, output slot, delay plus jitter drawn in gate
-    order).  Fanout is the engine's own, built by `Simulation`.  Raises
-    ValueError unless `jitter` is a non-negative int."""
-    if isinstance(jitter, bool) or not isinstance(jitter, int) or jitter < 0:
-        raise ValueError(f"jitter must be a non-negative integer, got {jitter!r}")
-    rng = random.Random(jitter_seed) if jitter else None
-    ids: dict[str, int] = {}
-    intern = ids.setdefault
-    for net in netlist.primary_inputs:
-        intern(net, len(ids))
-    inputs = _Inputs(ids)
-    kinds = {kind: (_CODE[kind], GATE_ARITY[kind], delay_table[kind]) for kind in GateKind}
-    gates = []
-    for gid, kind, names, output in netlist.gates:
-        compiled = kinds.get(kind)
-        if compiled is None:
-            raise SimulationError(f"gate {gid!r} has unknown kind {kind!r}")
-        code, arity, delay = compiled
-        if len(names) != arity:
-            raise SimulationError(f"gate {gid!r} ({kind.value}) takes {arity} inputs, got {len(names)}")
-        if rng is not None:
-            delay += rng.randint(0, jitter)
-        if arity == 2:
-            a, b = names
-            ins = (intern(a, len(ids)), intern(b, len(ids)))
-        else:
-            ins = tuple([intern(net, len(ids)) for net in names])
-        gates.append((code, ins, intern(output, len(ids)), delay))
-    for net in netlist.primary_outputs:
-        intern(net, len(ids))
-    return ids, inputs, gates
 
 
 class Simulation:
@@ -177,8 +129,8 @@ class Simulation:
     def plan(self) -> _WavePlan:
         """The wave plan of this sim's own compiled gates (jitter
         included), lowered on first use; it neither reads nor changes the
-        sim's state.  Raises ValueError as `_WavePlan.lower` does."""
-        return _WavePlan.lower(self._ids, self._inputs, self._gates, self.netlist.port_map)
+        sim's state.  Raises NetlistError as `_WavePlan.lower` does."""
+        return _WavePlan.lower(self._ids, self._inputs, self._gates, self.netlist)
 
     # -- state access ------------------------------------------------
 
@@ -450,8 +402,6 @@ _BEFORE = -math.inf
 # two-input node ops of the wave plan
 _AND, _OR, _C = range(3)
 
-_NO_PLAN = "the wave plan does not cover this netlist: an INV, a cycle or a bad port map"
-
 
 def _lower(product: int, terms: tuple[tuple[int, ...], ...]):
     """One kind's chain of two-input nodes, each (op, operand, operand):
@@ -502,7 +452,7 @@ class _WavePlan:
     pairs can appear in the phase reports.
     """
 
-    def __init__(self, nodes, slots: int, rails: dict[str, tuple[int, int]], ids: dict[str, int], inputs: _Inputs):
+    def __init__(self, nodes, slots: int, rails: dict[str, tuple[int, int]], ids: dict[str, int], inputs: dict):
         self.nodes = nodes  # (op, input, input, output slot, delay)
         self.slots = slots  # the nets, then the intermediate nodes
         self.rails = rails  # each port's (rail1 slot, rail0 slot)
@@ -512,10 +462,10 @@ class _WavePlan:
     @classmethod
     def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan:
         """`netlist` compiled as a Simulation compiles it, then lowered."""
-        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist.port_map)
+        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist)
 
     @classmethod
-    def lower(cls, ids: dict[str, int], inputs: _Inputs, gates: list, port_map) -> _WavePlan:
+    def lower(cls, ids: dict[str, int], inputs: dict, gates: list, netlist: Netlist) -> _WavePlan:
         """Lower compiled gates (see `_compile`), each after the drivers of
         its inputs.  Gates listed in order, each reading only primary
         inputs and earlier gates' outputs and driving a net no earlier gate
@@ -523,25 +473,27 @@ class _WavePlan:
         gate order.  Under `_compile`'s interning they are the gates whose
         outputs take the consecutive slots after the primary inputs' and
         none of which reads its own output.  Any other netlist is first put
-        in a depth-first post-order (`_depth_first`).  Raises ValueError for
-        a netlist the algebra does not cover: an INV (its output rises
-        while its input is spacer), a cycle, a net with two drivers or a
-        driven primary input, or a port map that shares a rail or names an
-        unknown net."""
+        in a depth-first post-order (`_depth_first`).  Raises its and
+        `_port_rails`' NetlistError, and one for a rail shared by two ports
+        or an INV, whose output rises while its input is spacer."""
         first = len(inputs)
+        rails = _port_rails(ids, netlist.port_map)
         if [out for _, _, out, _ in gates] != [*range(first, first + len(gates))]:
-            gates = _depth_first(gates, len(ids), first)
-        rails = {port: (ids.get(r1), ids.get(r0)) for port, (r1, r0) in port_map.items()}
+            gates = _depth_first(gates, ids, first)
         used = [i for pair in rails.values() for i in pair]
-        if None in used or len(set(used)) < len(used):  # an unknown net, or a shared rail
-            raise ValueError(_NO_PLAN)
+        if len(set(used)) < len(used):  # name the first port with a rail of an earlier one
+            port = next(p for k, p in enumerate(rails) if not set(used[:2 * k]).isdisjoint(rails[p]))
+            raise NetlistError(Violation("shared-rail", port, "shares a rail with an earlier port"))
         chains = _CHAINS
         nodes = []
         slot = len(ids)
         for code, ins, out, delay in gates:
             chain = chains.get(code)
-            if chain is None or out in ins:  # an INV, or a gate on a cycle of its own
-                raise ValueError(_NO_PLAN)
+            if chain is None:  # an INV: name the first in gate order
+                gid = next(g.gid for g in netlist.gates if g.kind is GateKind.INV)
+                raise NetlistError(Violation("inverter", gid, "is an INV, which the wave plan does not cover"))
+            if out in ins:  # a gate listed in order that reads its own output
+                _depth_first(gates, ids, first)  # which refuses the loop
             inner, (op, a, b) = chain
             operands = ins
             if inner:
@@ -685,48 +637,6 @@ class _WavePlan:
             else:  # an OR node is high only where it rose anyway
                 high[out] = _steps(high[a], ra, high[b], rb, False, delay, last)
         return rose, rise, high
-
-
-def _depth_first(gates: list, nets: int, first: int) -> list:
-    """Compiled `gates` in a depth-first post-order over each input's one
-    driver, roots in gate order, so each gate follows the drivers of its
-    inputs; `nets` is the slot count and `first` the first slot that is
-    not a primary input's.  Raises ValueError for a cycle, a net with two
-    drivers or a driven primary input."""
-    driver = [-1] * nets  # each slot's driving gate, until that gate is ordered
-    for gi, (_, _, out, _) in enumerate(gates):
-        if driver[out] >= 0 or out < first:
-            raise ValueError(_NO_PLAN)
-        driver[out] = gi
-    # `gi` is the gate being ordered and `stack` the open gates under it; a
-    # gate is open from its first visit until it is ordered, so reaching an
-    # open gate again closes a cycle
-    opened = [False] * len(gates)
-    stack = []
-    order = []
-    for root in range(len(gates)):
-        if opened[root]:
-            continue  # ordered as an earlier gate's driver
-        opened[root] = True
-        gi = root
-        while True:
-            for net in gates[gi][1]:
-                d = driver[net]
-                if d >= 0:
-                    if opened[d]:
-                        raise ValueError(_NO_PLAN)
-                    opened[d] = True
-                    stack.append(gi)
-                    gi = d
-                    break
-            else:
-                gate = gates[gi]
-                driver[gate[2]] = -1
-                order.append(gate)
-                if not stack:
-                    break
-                gi = stack.pop()
-    return order
 
 
 def _steps(a: list, a0: int, b: list, b0: int, meet: bool, delay: int, keep: int = -1) -> list:

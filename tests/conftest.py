@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+import qdisim.netlist
 import qdisim.sim
 from qdisim.cells import default_delay_table
 from qdisim.sim import Simulation
@@ -30,15 +31,16 @@ def simulations_built(monkeypatch):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """The netlist of every compile (`qdisim.sim._compile`) made while the
-    test runs, by an event engine or a wave plan."""
-    calls, real = [], qdisim.sim._compile
+    """The netlist of every compile (`qdisim.netlist._compile`) made while
+    the test runs, by an event engine, a wave plan or `validate`."""
+    calls, real = [], qdisim.netlist._compile
 
     def spy(netlist, *args):
         calls.append(netlist)
         return real(netlist, *args)
 
-    monkeypatch.setattr(qdisim.sim, "_compile", spy)
+    for module in (qdisim.netlist, qdisim.sim):  # sim calls the name it imported
+        monkeypatch.setattr(module, "_compile", spy)
     return calls
 
 

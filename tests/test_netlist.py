@@ -11,13 +11,23 @@ from qdisim.netlist import (
     GateKind,
     Netlist,
     NetlistBuilder,
+    NetlistError,
     NetlistParseError,
     gate_census,
     parse_netlist,
     serialize_netlist,
     validate,
 )
-from qdisim.sim import Simulation
+from qdisim.sim import Simulation, _WavePlan
+
+TABLE = default_delay_table()
+
+# the rules the event engine refuses too, those only validate has and those
+# only the wave plan has; validate and the plan share the rest (port-map,
+# single-driver, combinational-cycle)
+COMPILE_RULES = {"unknown-kind", "arity"}
+VALIDATE_ONLY = {"duplicate-gate-id", "duplicate-input", "duplicate-output", "dangling-net"}
+PLAN_ONLY = {"inverter", "cycle", "shared-rail"}
 
 
 def test_parse_single_gate():
@@ -112,6 +122,61 @@ def test_random_netlists_round_trip(netlist):
         netlist.primary_inputs, netlist.primary_outputs, netlist.port_map)
 
 
+@st.composite
+def _maybe_malformed_netlists(draw):
+    """A valid netlist with up to three edits, each of which may break it:
+    a gate appended, possibly of a foreign kind or the wrong arity, under a
+    repeated id, driving a driven net or a primary input, or reading its
+    own output; a gate's inputs rewired to any nets, later ones too, so
+    loops form with and without a C-element; a repeated primary input or
+    output; a port of one to three rails, possibly unknown or shared."""
+    n = draw(_valid_netlists())
+    gates, inputs, outputs, ports = list(n.gates), list(n.primary_inputs), list(n.primary_outputs), dict(n.port_map)
+    nets = st.sampled_from(sorted(n.nets()) + ["ghost"])
+    for edit in draw(st.lists(st.sampled_from(["gate", "rewire", "input", "output", "port"]), max_size=3)):
+        if edit == "gate":
+            kind = draw(st.sampled_from([*GateKind, "OR2", "XOR"]))
+            arity = max(0, GATE_ARITY.get(kind, 2) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+            out = draw(st.one_of(nets, _NAMES))
+            ins = draw(st.lists(st.one_of(nets, st.just(out)), min_size=arity, max_size=arity))
+            gid = draw(st.one_of(_NAMES, st.sampled_from([g.gid for g in gates] or ["g"])))
+            gates.append(Gate(gid, kind, tuple(ins), out))
+        elif edit == "rewire" and gates:
+            i = draw(st.integers(0, len(gates) - 1))
+            ins = draw(st.lists(nets, min_size=len(gates[i].inputs), max_size=len(gates[i].inputs)))
+            gates[i] = gates[i]._replace(inputs=tuple(ins))
+        elif edit == "input":
+            inputs.append(draw(nets))
+        elif edit == "output":
+            outputs.append(draw(nets))
+        elif edit == "port":
+            ports[draw(_NAMES)] = tuple(draw(st.lists(nets, min_size=1, max_size=3)))
+    return Netlist(tuple(gates), tuple(inputs), tuple(outputs), ports)
+
+
+@given(_maybe_malformed_netlists())
+def test_validate_decides_the_round_trip_and_the_plan_refusals(netlist):
+    """`validate` never raises and is ok exactly when the netlist
+    serializes, to text that parses back to the same netlist; the wave
+    plan refuses only with `validate`'s violation or a rule of its own."""
+    report = validate(netlist)
+    try:
+        text = serialize_netlist(netlist)
+    except ValueError:
+        assert not report.ok
+    else:
+        assert report.ok
+        again = parse_netlist(text)
+        assert sorted(again.gates) == sorted(netlist.gates)
+        assert (again.primary_inputs, again.primary_outputs, again.port_map) == (
+            netlist.primary_inputs, netlist.primary_outputs, netlist.port_map)
+    try:
+        _WavePlan.build(netlist, TABLE)
+    except NetlistError as refused:
+        rule = refused.violation.rule
+        assert rule in PLAN_ONLY or [v.rule for v in report.violations] == [rule]
+
+
 _NETLIST_TOKENS = st.one_of(
     st.sampled_from(["input", "output", "gate", "pair", "#"] + [k.value for k in GateKind]),
     _NAMES,
@@ -129,18 +194,6 @@ def test_parse_raises_only_parse_errors(text):
 
 def test_validate_well_formed_adder():
     assert validate(build_full_adder(AdderVariant.DIMS_STRONG)).ok
-
-
-def test_validate_double_driver():
-    n = parse_netlist("input a\ninput b\ngate g1 INV a y\ngate g2 INV b y")
-    report = validate(n)
-    assert any(v.rule == "single-driver" and v.subject == "y" for v in report.violations)
-
-
-def test_validate_arity():
-    n = Netlist((Gate("g1", GateKind.AO22, ("a", "b", "c"), "y"),), ("a", "b", "c"))
-    report = validate(n)
-    assert any(v.rule == "arity" and v.subject == "g1" for v in report.violations)
 
 
 def test_gate_table_pins_arity_and_terms():
@@ -161,22 +214,76 @@ def test_parse_rejects_wrong_arity(line, message):
         parse_netlist(f"input a\n{line}\ninput b")
 
 
-def test_validate_dangling_net():
-    n = parse_netlist("input a\ngate g1 AND2 a ghost y")
-    report = validate(n)
-    assert any(v.rule == "dangling-net" and v.subject == "ghost" for v in report.violations)
+_DOUBLE_DRIVER = "input a\ninput b\ngate g1 INV a y\ngate g2 INV b y"
+_IN_ORDER_DOUBLE_DRIVER = "input d.r1\ninput d.r0\ngate g0 OR2 d.r1 d.r0 n\ngate g1 AND2 d.r1 d.r0 n\npair d d.r1 d.r0"
+_DRIVEN_INPUT = "input d.r1\ninput d.r0\ngate g0 OR2 d.r1 d.r1 n\ngate g1 AND2 n d.r1 d.r0\npair d d.r1 d.r0"
 
 
-def test_validate_port_map_integrity():
-    n = Netlist(primary_inputs=("a",), port_map={"p": ("a", "a")})
-    assert any(v.rule == "port-map" for v in validate(n).violations)
-    n2 = Netlist(primary_inputs=("a",), port_map={"p": ("a", "nope")})
-    assert any(v.rule == "port-map" for v in validate(n2).violations)
+def _ported(*ports):
+    return Netlist(primary_inputs=("a", "b", "c"), port_map=dict(ports))
 
 
-def test_validate_combinational_cycle():
-    n = parse_netlist("input a\ngate g1 OR2 a y y")
-    assert any(v.rule == "combinational-cycle" for v in validate(n).violations)
+RULE_CASES = {
+    "foreign-kind": (Netlist((Gate("g", "OR2", ("a", "b"), "y"),), ("a", "b")), "unknown-kind", "g"),
+    "arity": (Netlist((Gate("g1", GateKind.AO22, ("a", "b", "c"), "y"),), ("a", "b", "c")), "arity", "g1"),
+    "double-driver": (parse_netlist(_DOUBLE_DRIVER), "single-driver", "y"),
+    "in-order-double-driver": (parse_netlist(_IN_ORDER_DOUBLE_DRIVER), "single-driver", "n"),
+    "driven-input": (parse_netlist(_DRIVEN_INPUT), "single-driver", "d.r0"),
+    "one-net-port": (_ported(("p", ("a", "a"))), "port-map", "p"),
+    "unknown-net-port": (_ported(("p", ("a", "nope"))), "port-map", "p"),
+    "one-rail-port": (_ported(("p", ("a",))), "port-map", "p"),
+    "three-rail-port": (_ported(("q", ("a", "b")), ("p", ("a", "b", "c"))), "port-map", "p"),
+    "self-loop": (parse_netlist("input a\ngate g1 OR2 a y y"), "combinational-cycle", "y"),
+    "two-gate-loop": (parse_netlist("input a\ngate g1 OR2 a z y\ngate g2 AND2 a y z"), "combinational-cycle", "y"),
+    "duplicate-gate-id": (Netlist((Gate("g", GateKind.OR2, ("a", "a"), "x"), Gate("g", GateKind.OR2, ("a", "x"), "y")),
+                                  ("a",)), "duplicate-gate-id", "g"),
+    "duplicate-input": (Netlist((Gate("g", GateKind.OR2, ("a", "b"), "y"),), ("a", "b", "a")), "duplicate-input", "a"),
+    "duplicate-output": (Netlist((Gate("g", GateKind.OR2, ("a", "b"), "y"),), ("a", "b"), ("y", "y")),
+                         "duplicate-output", "y"),
+    "dangling-net": (parse_netlist("input a\ngate g1 AND2 a ghost y"), "dangling-net", "ghost"),
+    "inverter": (parse_netlist("input a\ngate i INV a y"), "inverter", "i"),
+    "c2-self-loop": (parse_netlist("input a\ngate z C2 a z z"), "cycle", "z"),
+    "shared-rail": (_ported(("p", ("a", "b")), ("q", ("c", "b"))), "shared-rail", "q"),
+}
+
+
+def _named(refused):
+    return refused.value.violation.rule, refused.value.violation.subject
+
+
+@pytest.mark.parametrize("netlist,rule,subject", RULE_CASES.values(), ids=RULE_CASES.keys())
+def test_each_rule_names_its_first_offender(netlist, rule, subject):
+    """`validate` reports the rule unless only the wave plan has it; the
+    plan, built from the netlist or lowered by a Simulation, refuses with
+    the same rule and subject unless only `validate` has it; the event
+    engine refuses only what the compile pass does."""
+    report = validate(netlist)
+    assert [(v.rule, v.subject) for v in report.violations] == ([] if rule in PLAN_ONLY else [(rule, subject)])
+    if rule in COMPILE_RULES:
+        for build in (lambda: _WavePlan.build(netlist, TABLE), lambda: Simulation(netlist, TABLE)):
+            with pytest.raises(NetlistError) as refused:
+                build()
+            assert _named(refused) == (rule, subject)
+        return
+    sim = Simulation(netlist, TABLE)
+    if rule in VALIDATE_ONLY:
+        assert _WavePlan.build(netlist, TABLE).nodes == sim.plan.nodes
+        return
+    for build in (lambda: _WavePlan.build(netlist, TABLE), lambda: sim.plan):
+        with pytest.raises(NetlistError) as refused:
+            build()
+        assert _named(refused) == (rule, subject)
+
+
+@pytest.mark.parametrize("call", [validate, serialize_netlist])
+@pytest.mark.parametrize("netlist", [build_full_adder(AdderVariant.DIMS_STRONG), parse_netlist(_DRIVEN_INPUT)],
+                         ids=["well-formed", "driven-input"])
+def test_validate_compiles_once_and_builds_no_simulation(call, netlist, compiled, simulations_built):
+    try:
+        call(netlist)
+    except ValueError:
+        assert call is serialize_netlist
+    assert compiled == [netlist] and simulations_built == []
 
 
 def _or_chain(length, closed):
@@ -194,7 +301,7 @@ def test_validate_long_chain_without_recursion():
 
 def test_validate_flags_long_loop():
     report = validate(_or_chain(5000, closed=True))
-    assert [(v.rule, v.subject) for v in report.violations] == [("combinational-cycle", "a")]
+    assert [(v.rule, v.subject) for v in report.violations] == [("combinational-cycle", "c0")]
 
 
 def test_serialize_refuses_invalid():

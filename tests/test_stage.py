@@ -9,8 +9,8 @@ import qdisim.stage
 from qdisim.adders import AdderVariant, pack_operands
 from qdisim.cells import DelayTable, default_delay_table
 from qdisim.dualrail import RailState, rail_assignments
-from qdisim.netlist import GateKind, gate_census, validate
-from qdisim.sim import Simulation, WaveResult, drive_transaction
+from qdisim.netlist import GateKind, NetlistError, gate_census, validate
+from qdisim.sim import Simulation, WaveResult, _WavePlan, drive_transaction
 from qdisim.stage import (
     PAIRED_VARIANT,
     Architecture,
@@ -335,9 +335,8 @@ def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
         run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)
 
 
-def test_ring_copies_share_one_string_per_net(monkeypatch):
-    """Every reference to a net of the ring, across gates, stage copies,
-    ports and the acknowledge inverters, is the same string object."""
+def _ring(monkeypatch):
+    """The netlist of a three-stage ring, as `run_closed_loop` simulates it."""
     rings = []
 
     def capture(netlist, *args, **kwargs):
@@ -347,6 +346,23 @@ def test_ring_copies_share_one_string_per_net(monkeypatch):
     monkeypatch.setattr(qdisim.stage, "Simulation", capture)
     run_closed_loop(3, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [(1, 2, 0)])
     (ring,) = rings
+    return ring
+
+
+def test_the_closed_ring_validates_but_has_no_wave_plan(monkeypatch):
+    """Every loop of the ring passes through a C-element, so `validate`
+    accepts it; the wave plan refuses the first such loop by its own
+    rule."""
+    ring = _ring(monkeypatch)
+    assert validate(ring).ok
+    with pytest.raises(NetlistError, match="^cycle: ack0 is on a loop through a C-element"):
+        _WavePlan.build(ring, default_delay_table())
+
+
+def test_ring_copies_share_one_string_per_net(monkeypatch):
+    """Every reference to a net of the ring, across gates, stage copies,
+    ports and the acknowledge inverters, is the same string object."""
+    ring = _ring(monkeypatch)
     refs = [*ring.primary_inputs, *ring.primary_outputs]
     for g in ring.gates:
         refs.extend(g.inputs)
