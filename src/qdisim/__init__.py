@@ -38,7 +38,6 @@ from .stage import (
     Architecture,
     StageDescriptor,
     TransactionRecord,
-    build_completion_detector,
     build_stage,
     run_closed_loop,
     run_transaction,

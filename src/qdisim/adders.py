@@ -46,9 +46,12 @@ class RcaDescriptor:
 
 def pack_operands(n: int, a: int, b: int, cin: int) -> int:
     """`a | b << n | cin << 2n`, the bit order of `operand_rails`; raises
-    ValueError unless a and b are ints that fit n bits and cin is a bit."""
+    ValueError unless a and b are ints that fit n bits and cin is a bit,
+    each of type int exactly (a bool is not an operand)."""
     if (
-        not all(isinstance(x, int) for x in (a, b, cin))
+        type(a) is not int
+        or type(b) is not int
+        or type(cin) is not int
         or not 0 <= a < (1 << n)
         or not 0 <= b < (1 << n)
         or cin not in (0, 1)
@@ -271,6 +274,7 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     `trials` random operand triples come from `random.Random(seed)`, so
     runs are reproducible; `trials=None` sweeps the whole operand space
     instead, 2^(2n+1) vectors, and refuses widths above EXHAUSTIVE_MAX_N.
+    Any other `trials`, a bool included, must be an int >= 1 (ValueError).
 
     Vectors are read CHECK_BLOCK at a time and each block is one boolean
     pass of the wave plan (`rises`): which rails rise decides the valid
@@ -286,6 +290,8 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
             raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {n}")
         cases = product(range(1 << n), range(1 << n), (0, 1))
     else:
+        if isinstance(trials, bool) or not isinstance(trials, int):
+            raise ValueError(f"trials must be an integer or None, got {trials!r}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)

@@ -11,7 +11,8 @@ The compile pass that both engines in `sim` run (`_compile`, `_port_rails`,
 NetlistError, naming the first offending gate, net or port, and `validate`
 reports from the same pass.
 
-Text format, one statement per line, `#` starts a comment:
+Text format, one statement per line, `#` starts a comment, and names
+hold no whitespace and no `#`:
 
     input <net>
     output <net>
@@ -239,8 +240,10 @@ _UNTIMED = dict.fromkeys(GateKind, 0)  # validate compiles with it; it reads no 
 def validate(n: Netlist) -> ValidationReport:
     """The first structural violation, if any: the compile pass's, with
     every C-element's inputs cut so that only a loop of stateless gates
-    counts, then a repeated gate id, primary input or output, then a
-    dangling net (neither a primary input nor any gate's output)."""
+    counts, then a gate id, net or port name that the text format cannot
+    hold (empty, or with whitespace or `#`), then a repeated gate id,
+    primary input or output, then a dangling net (neither a primary input
+    nor any gate's output)."""
     try:
         ids, inputs, gates = _compile(n, _UNTIMED)
         _port_rails(ids, n.port_map)
@@ -249,6 +252,10 @@ def validate(n: Netlist) -> ValidationReport:
     except NetlistError as refused:
         return ValidationReport([refused.violation])
     gids = [g.gid for g in n.gates]
+    for what, names in (("gate id", gids), ("net", ids), ("port", n.port_map)):
+        for name in names:
+            if name.split() != [name] or "#" in name:  # split() is [] for "" and splits at any whitespace
+                return ValidationReport([Violation("name", repr(name), f"is not a {what} the text format can hold")])
     for rule, names in (("duplicate-gate-id", gids), ("duplicate-input", n.primary_inputs),
                         ("duplicate-output", n.primary_outputs)):
         seen = set()

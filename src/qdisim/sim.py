@@ -364,7 +364,9 @@ def drive_transaction(
     spacer wave), on the event engine; the record carries both waves'
     traces.  Each latency is the time of the last transition on any rail
     of `output_ports`, measured from its wave's start, 0 if none moved.
-    `_WavePlan.run` computes the same record, traces aside, with no sim.
+    Illegal pairs carry the sim's own commit times.  `_WavePlan.run`
+    computes the same record, traces aside, with no sim and the valid
+    wave starting at 0.
     """
     pairs = sim.netlist.port_map
     rails = {r for p in output_ports for r in pairs[p]}
@@ -505,9 +507,11 @@ class _WavePlan:
             nodes.append((op, operands[a], operands[b], out, delay))  # the gate's output, with its delay
         return cls(nodes, slot, rails, ids, inputs)
 
-    def run(self, assignments, output_ports, origin: int = 0) -> tuple[WaveResult, int]:
-        """Both waves of one vector, the valid wave starting at `origin`;
-        returns the WaveResult and the time the spacer wave settles."""
+    def run(self, assignments, output_ports) -> tuple[WaveResult, int]:
+        """Both waves of one vector: the record `drive_transaction` returns,
+        traces aside, on a sim at rest at time 0, and the time the spacer
+        wave settles.  The valid wave starts at 0, so the illegal pairs'
+        times count from it."""
         inputs = self.inputs
         out_pairs = [self.rails[p] for p in output_ports]
         out_rails = [i for pair in out_pairs for i in pair]
@@ -518,7 +522,7 @@ class _WavePlan:
         for net, value in assignments:
             # the last value wins, as in apply_inputs; an input that rose falls as the spacer wave starts
             nid = inputs[net]
-            rise[nid], fall[nid] = (origin, 0) if value else (never, before)
+            rise[nid], fall[nid] = (0, 0) if value else (never, before)
         for op, a, b, out, delay in self.nodes:
             ra = rise[a]
             rb = rise[b]
@@ -537,7 +541,7 @@ class _WavePlan:
 
         # each wave settles at its last net; intermediate nodes are not nets
         nets = len(self.ids)
-        rtz_origin = max(filter(never.__gt__, rise[:nets]), default=origin)
+        rtz_origin = max(filter(never.__gt__, rise[:nets]), default=0)
         illegal = sorted(
             (max(rise[i1], rise[i0]), port)
             for port, (i1, i0) in self.rails.items()
@@ -546,7 +550,7 @@ class _WavePlan:
         waves = WaveResult(
             valid_word=tuple(PAIR_STATE[rise[i1] != never, rise[i0] != never] for i1, i0 in out_pairs),
             spacer_restored=True,
-            forward_latency=max((rise[i] for i in out_rails if rise[i] != never), default=origin) - origin,
+            forward_latency=max((rise[i] for i in out_rails if rise[i] != never), default=0),
             reverse_latency=max((fall[i] for i in out_rails if fall[i] != before), default=0),
             set_report=PhaseCheckReport(illegal_pairs=illegal),
             rtz_report=PhaseCheckReport(),

@@ -47,9 +47,9 @@ PAIRED_VARIANT = {
 }
 
 
-def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]]) -> tuple[str, int]:
+def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]]) -> str:
     """OR2 per pair then a balanced C2 tree, nets prefixed `cd.`; returns
-    (root net, depth).
+    the root net.
 
     A single pair's OR2 is the root itself; otherwise the tree is
     ceil(log2(pair_count)) C2 levels deep.
@@ -59,26 +59,7 @@ def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]]) 
         nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"cd.or{i}")
         for i, (r1, r0) in enumerate(pairs)
     ]
-    nb.tree(GateKind.C2, level, root, "cd.l")
-    return root, (len(pairs) - 1).bit_length()
-
-
-@dataclass
-class CompletionDetector:
-    netlist: Netlist
-    cd_out: str
-    depth: int
-
-
-def build_completion_detector(pair_count: int) -> CompletionDetector:
-    """Standalone detector over pair_count dual-rail inputs p0..p(k-1)."""
-    if pair_count < 1:
-        raise ValueError(f"pair_count must be >= 1, got {pair_count}")
-    nb = NetlistBuilder()
-    rails = [nb.add_input_pair(f"p{i}") for i in range(pair_count)]
-    root, depth = _emit_completion_detector(nb, rails)
-    nb.add_output(root)
-    return CompletionDetector(nb.build(), root, depth)
+    return nb.tree(GateKind.C2, level, root, "cd.l")
 
 
 @dataclass
@@ -127,7 +108,7 @@ def build_stage(
         reg_pairs.append((q1, q0))
 
     sums, cout = emit_rca(nb, variant, n, reg_pairs[:n], reg_pairs[n:-1], reg_pairs[-1])
-    cd_out, _ = _emit_completion_detector(nb, reg_pairs)
+    cd_out = _emit_completion_detector(nb, reg_pairs)
 
     forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
     for port, (s1, s0) in zip(forward_ports[:n], sums):

@@ -23,8 +23,9 @@ from qdisim.cells import default_delay_table, derive_pinned_delays, global_datap
 from qdisim.dualrail import RailState
 from qdisim.netlist import GateKind, gate_census
 from qdisim.sim import Simulation
-from qdisim.stage import Architecture, build_completion_detector, build_stage, run_transaction
+from qdisim.stage import Architecture, build_stage, run_transaction
 
+from completion_detector import build_completion_detector
 from trace_utils import assert_completion_ordering
 
 

@@ -18,6 +18,7 @@ from qdisim.cells import default_delay_table
 from qdisim.dualrail import RailState, bit_columns, decode_word, rail_assignments
 from qdisim.netlist import Gate, GateKind, gate_census, validate
 from qdisim.sim import Simulation, drive_transaction
+from qdisim.stage import Architecture, build_stage, run_transaction
 
 ALL_VARIANTS = list(AdderVariant)
 
@@ -180,6 +181,19 @@ def test_build_rca_rejects_zero_width():
 def test_pack_operands_rejects_operands_that_do_not_fit(a, b, cin):
     with pytest.raises(ValueError, match="do not fit width 4"):
         pack_operands(4, a, b, cin)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pack_operands(4, True, 0, 0), "do not fit width 4"),
+    (lambda: pack_operands(4, 1, False, 0), "do not fit width 4"),
+    (lambda: pack_operands(4, 1, 2, True), "do not fit width 4"),
+    (lambda: run_transaction(build_stage(Architecture.LOCAL, n=1), True, 0, False), "do not fit width 1"),
+    (lambda: functional_check(build_rca(AdderVariant.EARLY_OUTPUT, 2), True), "trials must be an integer or None"),
+    (lambda: functional_check(build_rca(AdderVariant.EARLY_OUTPUT, 2), 2.0), "trials must be an integer or None"),
+], ids=["a", "b", "cin", "run_transaction", "trials", "float-trials"])
+def test_operands_and_trial_counts_refuse_bools_and_non_ints(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- the block-wise check against one full transaction per vector -------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.cells import default_delay_table
@@ -26,7 +26,7 @@ TABLE = default_delay_table()
 # only the wave plan has; validate and the plan share the rest (port-map,
 # single-driver, combinational-cycle)
 COMPILE_RULES = {"unknown-kind", "arity"}
-VALIDATE_ONLY = {"duplicate-gate-id", "duplicate-input", "duplicate-output", "dangling-net"}
+VALIDATE_ONLY = {"name", "duplicate-gate-id", "duplicate-input", "duplicate-output", "dangling-net"}
 PLAN_ONLY = {"inverter", "cycle", "shared-rail"}
 
 
@@ -91,16 +91,19 @@ def test_round_trip_wide_early_output_rca():
 
 
 _NAMES = st.text("abcxyz019._[]-", min_size=1, max_size=5)
+# also names the text format cannot hold: empty, or with whitespace (line
+# breaks included) or '#'
+_ANY_NAMES = st.one_of(_NAMES, st.text("ab# \t\n\x0b\x1c\x85\u2028", max_size=3))
 
 
 @st.composite
-def _valid_netlists(draw):
+def _valid_netlists(draw, names=_NAMES):
     """Two or more inputs, gates of every kind over earlier nets (so no
-    cycles), distinct outputs and any ports, all under random names."""
+    cycles), distinct outputs and any ports, all drawn from `names`."""
     kinds = draw(st.lists(st.sampled_from(list(GateKind)), max_size=12))
-    names = draw(st.lists(_NAMES, min_size=2 + len(kinds), max_size=5 + len(kinds), unique=True))
-    inputs, outputs = names[:len(names) - len(kinds)], names[len(names) - len(kinds):]
-    gids = draw(st.lists(_NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
+    drawn = draw(st.lists(names, min_size=2 + len(kinds), max_size=5 + len(kinds), unique=True))
+    inputs, outputs = drawn[:len(drawn) - len(kinds)], drawn[len(drawn) - len(kinds):]
+    gids = draw(st.lists(names, min_size=len(kinds), max_size=len(kinds), unique=True))
     nets = list(inputs)
     gates = []
     for gid, kind, out in zip(gids, kinds, outputs):
@@ -108,12 +111,21 @@ def _valid_netlists(draw):
         gates.append(Gate(gid, kind, tuple(ins), out))
         nets.append(out)
     rails = st.lists(st.sampled_from(nets), min_size=2, max_size=2, unique=True).map(tuple)
-    ports = draw(st.dictionaries(_NAMES, rails, max_size=4))
+    ports = draw(st.dictionaries(names, rails, max_size=4))
     return Netlist(tuple(gates), tuple(inputs), tuple(draw(st.lists(st.sampled_from(nets), max_size=4, unique=True))), ports)
 
 
-@given(_valid_netlists())
+@settings(max_examples=100)  # about half draw only readable names
+@given(st.one_of(_valid_netlists(), _valid_netlists(_ANY_NAMES)))
 def test_random_netlists_round_trip(netlist):
+    """A well-formed netlist is refused only for a name the text format
+    cannot hold; every one `validate` accepts survives serialize -> parse."""
+    report = validate(netlist)
+    if not report.ok:
+        assert [v.rule for v in report.violations] == ["name"]
+        with pytest.raises(ValueError, match="^refusing to serialize invalid netlist:\nname: "):
+            serialize_netlist(netlist)
+        return
     text = serialize_netlist(netlist)
     again = parse_netlist(text)
     assert serialize_netlist(again) == text
@@ -241,6 +253,10 @@ RULE_CASES = {
     "duplicate-output": (Netlist((Gate("g", GateKind.OR2, ("a", "b"), "y"),), ("a", "b"), ("y", "y")),
                          "duplicate-output", "y"),
     "dangling-net": (parse_netlist("input a\ngate g1 AND2 a ghost y"), "dangling-net", "ghost"),
+    "gate-id-with-hash": (Netlist((Gate("g#1", GateKind.OR2, ("a b", "c"), "y"),), ("a b", "c")), "name", "'g#1'"),
+    "empty-gate-id": (Netlist((Gate("", GateKind.OR2, ("a", "c"), "y"),), ("a", "c")), "name", "''"),
+    "net-with-space": (Netlist((Gate("g", GateKind.OR2, ("a b", "c"), "y"),), ("a b", "c")), "name", "'a b'"),
+    "port-with-space": (_ported(("p q", ("a", "b"))), "name", "'p q'"),
     "inverter": (parse_netlist("input a\ngate i INV a y"), "inverter", "i"),
     "c2-self-loop": (parse_netlist("input a\ngate z C2 a z z"), "cycle", "z"),
     "shared-rail": (_ported(("p", ("a", "b")), ("q", ("c", "b"))), "shared-rail", "q"),

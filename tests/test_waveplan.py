@@ -1,8 +1,8 @@
 """The wave plan against the event engine, which stays the reference.
 
 `drive_transaction` always runs the event engine and returns both
-traces.  `_WavePlan.run` computes the same record, traces aside, from a
-given origin, and returns the time the engine's clock settles at; it
+traces.  `_WavePlan.run` computes the same record, traces aside, with
+the valid wave starting at 0, and the time the spacer wave settles; it
 reads and changes no simulation.  `run_transaction` runs the plan unless
 traces are asked for, borrowing only the compiled plan of a sim it is
 given.
@@ -25,7 +25,9 @@ from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, NetlistBuilder, 
 from qdisim.sim import (
     OscillationError, Simulation, SimulationError, _WavePlan, _compile, _depth_first, drive_transaction,
 )
-from qdisim.stage import Architecture, StageDescriptor, build_completion_detector, build_stage, run_transaction
+from qdisim.stage import Architecture, StageDescriptor, build_stage, run_transaction
+
+from completion_detector import build_completion_detector
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -46,27 +48,29 @@ def _operand_assignments(desc, a, b, cin):
     return rail_assignments(desc.operand_rails, pack_operands(desc.n, a, b, cin))
 
 
-def _report(rep):
-    return rep.nonmonotonic, sorted(rep.illegal_pairs)
+def _report(rep, origin):
+    return rep.nonmonotonic, sorted((t - origin, port) for t, port in rep.illegal_pairs)
 
 
-def _record(rec):
+def _record(rec, origin=0):
+    """`rec` traces aside, its illegal pairs timed from `origin`."""
     out = {f.name: getattr(rec, f.name) for f in fields(rec) if not f.name.endswith("trace")}
-    out["set_report"] = _report(rec.set_report)
-    out["rtz_report"] = _report(rec.rtz_report)
+    out["set_report"] = _report(rec.set_report, origin)
+    out["rtz_report"] = _report(rec.rtz_report, origin)
     return out
 
 
 def _assert_plan_matches_engine(sim, assignments, ports):
-    """Both waves of one vector on the engine `sim` and on its plan from
-    the engine's `now`: the same record, traces aside, the plan's settle
-    time is the engine's new `now`, and every net is back at 0.  Returns
-    the engine's record."""
+    """Both waves of one vector on the engine `sim` from its `now` and on
+    its plan: the same record, traces aside and the engine's illegal
+    pairs timed from that `now`, the plan's settle time is the engine's
+    new `now` less that start, and every net is back at 0.  Returns the
+    engine's record."""
     origin = sim.now
     want = drive_transaction(sim, assignments, ports)
-    got, settle = sim.plan.run(assignments, ports, origin)
-    assert _record(got) == _record(want)
-    assert settle == sim.now
+    got, settle = sim.plan.run(assignments, ports)
+    assert _record(got) == _record(want, origin)
+    assert settle == sim.now - origin
     nets = sim.netlist.nets()
     assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
     return want
