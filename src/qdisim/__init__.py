@@ -33,7 +33,7 @@ from .netlist import (
     serialize_netlist,
     validate,
 )
-from .sim import Phase, Simulation, check_phase
+from .sim import Phase, Simulation
 from .stage import (
     Architecture,
     StageDescriptor,

@@ -103,15 +103,19 @@ def measure(
 
 
 def _failure(spec: ChainSpec, waves: WaveResult) -> TransactionError:
-    """The error for the failed transaction of `spec`, naming the first
-    forwarded pair of the sum, then of the carry, that did not decode."""
-    detail = f"set={waves.set_report.ok} rtz={waves.rtz_report.ok} spacer={waves.spacer_restored}"
+    """The error for the failed transaction of `spec`, naming its first
+    illegal pair with its time, a spacer that was not restored, and the
+    first forwarded pair of the sum, then of the carry, that did not
+    decode."""
+    faults = [f"illegal pair {port} at {t}" for t, port in waves.illegal_pairs[:1]]
+    if not waves.spacer_restored:
+        faults.append("spacer not restored")
     for word, pairs in (("sum", waves.valid_word[:-1]), ("carry", waves.valid_word[-1:])):
         value = decode_word(pairs)
         if isinstance(value, DecodeIssue):
-            detail += f", {word} pair {value.index} is {value.state.value}"
+            faults.append(f"{word} pair {value.index} is {value.state.value}")
             break
-    return TransactionError(f"transaction failed for m={spec.m}: {detail}")
+    return TransactionError(f"transaction failed for m={spec.m}: {', '.join(faults)}")
 
 
 def measure_chains(

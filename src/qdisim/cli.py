@@ -93,12 +93,13 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
+def _adder_netlist(args):
+    """One full adder for n = 1, else the n-bit ripple-carry block."""
+    return build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
+
+
 def cmd_build(args) -> int:
-    if args.n == 1:
-        net = build_full_adder(args.variant)
-    else:
-        net = build_rca(args.variant, args.n).netlist
-    _write_out(args, serialize_netlist(net))
+    _write_out(args, serialize_netlist(_adder_netlist(args)))
     return 0
 
 
@@ -136,8 +137,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    net = build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
-    cls = classify_both(net)
+    cls = classify_both(_adder_netlist(args))
     _write_out(args, f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
     if args.n != 1:
         return 0

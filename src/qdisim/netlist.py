@@ -108,18 +108,6 @@ class NetlistError(ValueError):
         return self.args[0]
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        return "\n".join(map(str, self.violations)) if self.violations else "ok"
-
-
 class SimulationError(RuntimeError):
     """A stimulus a compiled netlist cannot take."""
 
@@ -237,35 +225,35 @@ def _depth_first(gates: list, ids: dict[str, int], first: int) -> list:
 _UNTIMED = dict.fromkeys(GateKind, 0)  # validate compiles with it; it reads no delay
 
 
-def validate(n: Netlist) -> ValidationReport:
-    """The first structural violation, if any: the compile pass's, with
-    every C-element's inputs cut so that only a loop of stateless gates
-    counts, then a gate id, net or port name that the text format cannot
-    hold (empty, or with whitespace or `#`), then a repeated gate id,
-    primary input or output, then a dangling net (neither a primary input
-    nor any gate's output)."""
+def validate(n: Netlist) -> Violation | None:
+    """The first structural violation, None if there is none: the compile
+    pass's, with every C-element's inputs cut so that only a loop of
+    stateless gates counts, then a gate id, net or port name that the text
+    format cannot hold (empty, or with whitespace or `#`), then a repeated
+    gate id, primary input or output, then a dangling net (neither a
+    primary input nor any gate's output)."""
     try:
         ids, inputs, gates = _compile(n, _UNTIMED)
         _port_rails(ids, n.port_map)
         cut = [(code, () if code in (_C2, _C3) else ins, out, 0) for code, ins, out, _ in gates]
         _depth_first(cut, ids, len(inputs))
     except NetlistError as refused:
-        return ValidationReport([refused.violation])
+        return refused.violation
     gids = [g.gid for g in n.gates]
     for what, names in (("gate id", gids), ("net", ids), ("port", n.port_map)):
         for name in names:
             if name.split() != [name] or "#" in name:  # split() is [] for "" and splits at any whitespace
-                return ValidationReport([Violation("name", repr(name), f"is not a {what} the text format can hold")])
+                return Violation("name", repr(name), f"is not a {what} the text format can hold")
     for rule, names in (("duplicate-gate-id", gids), ("duplicate-input", n.primary_inputs),
                         ("duplicate-output", n.primary_outputs)):
         seen = set()
         for name in names:
             if name in seen:
-                return ValidationReport([Violation(rule, name)])
+                return Violation(rule, name)
             seen.add(name)
     driven = {out for _, _, out, _ in gates}
     dangling = [net for net, slot in ids.items() if slot >= len(inputs) and slot not in driven]
-    return ValidationReport([Violation("dangling-net", dangling[0], "no driver")] if dangling else [])
+    return Violation("dangling-net", dangling[0], "no driver") if dangling else None
 
 
 class NetlistParseError(ValueError):
@@ -326,9 +314,9 @@ def parse_netlist(text: str) -> Netlist:
 
 def serialize_netlist(n: Netlist) -> str:
     """Deterministic text form; refuses netlists that fail validation."""
-    report = validate(n)
-    if not report.ok:
-        raise ValueError(f"refusing to serialize invalid netlist:\n{report}")
+    violation = validate(n)
+    if violation is not None:
+        raise ValueError(f"refusing to serialize invalid netlist:\n{violation}")
     lines = [f"input {net}" for net in n.primary_inputs]
     lines += [f"output {net}" for net in n.primary_outputs]
     for g in sorted(n.gates, key=lambda g: g.gid):

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable
@@ -67,16 +67,6 @@ class Phase(enum.Enum):
 
 class OscillationError(RuntimeError):
     pass
-
-
-@dataclass
-class PhaseCheckReport:
-    nonmonotonic: list[tuple[int, str, int]] = field(default_factory=list)
-    illegal_pairs: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.nonmonotonic and not self.illegal_pairs
 
 
 class Simulation:
@@ -294,53 +284,20 @@ class Simulation:
         return settle
 
 
-def check_phase(
-    trace: list[tuple[int, str, int]],
-    phase: Phase,
-    pairs: dict[str, tuple[str, str]] | None = None,
-    initial_rails: dict[str, int] | None = None,
-) -> PhaseCheckReport:
-    """Verify handshake discipline over one phase trace.
-
-    SET allows only rising transitions, RTZ only falling
-    ones, and no port pair may ever show both rails high.  `initial_rails`
-    gives the pair-rail values at the start of the phase (0 if omitted).
-    """
-    report = PhaseCheckReport()
-    expect = 1 if phase is Phase.SET else 0
-    rail_of: dict[str, tuple[str, str]] = {}
-    rail_values: dict[str, int] = {}
-    if pairs:
-        for port, (r1, r0) in pairs.items():
-            rail_of[r1] = (port, r0)
-            rail_of[r0] = (port, r1)
-            rail_values[r1] = initial_rails.get(r1, 0) if initial_rails else 0
-            rail_values[r0] = initial_rails.get(r0, 0) if initial_rails else 0
-    for t, net, value in trace:
-        if value != expect:
-            report.nonmonotonic.append((t, net, value))
-        hit = rail_of.get(net)
-        if hit is not None:
-            rail_values[net] = value
-            port, partner = hit
-            if value and rail_values[partner]:
-                report.illegal_pairs.append((t, port))
-    return report
-
-
 # -- two-wave transactions ------------------------------------------------
 
 
 @dataclass
 class WaveResult:
-    """One valid wave then one spacer wave, seen from the output ports."""
+    """One valid wave then one spacer wave, seen from the output ports.
+    The phase faults' times count from the valid wave's start."""
 
     valid_word: tuple[RailState, ...]  # output ports once the valid wave settled
     spacer_restored: bool           # every output port back at spacer
     forward_latency: int
     reverse_latency: int
-    set_report: PhaseCheckReport
-    rtz_report: PhaseCheckReport
+    illegal_pairs: list[tuple[int, str]]  # (t, port) with both rails high, sorted
+    nonmonotonic: list[tuple[int, str, int]]  # (t, net, value): a valid-wave fall or a spacer-wave rise
     set_trace: list[tuple[int, str, int]] | None = None
     rtz_trace: list[tuple[int, str, int]] | None = None
 
@@ -350,8 +307,9 @@ class WaveResult:
 
     @property
     def ok(self) -> bool:
-        """Both phase checks passed and the outputs are back at spacer."""
-        return self.set_report.ok and self.rtz_report.ok and self.spacer_restored
+        """No illegal pair, no non-monotone transition, and the outputs
+        back at spacer."""
+        return not self.illegal_pairs and not self.nonmonotonic and self.spacer_restored
 
 
 def drive_transaction(
@@ -362,38 +320,51 @@ def drive_transaction(
     """Apply `assignments` to primary inputs at `sim.now` and settle (the
     valid wave), then return every assigned input to 0 and settle (the
     spacer wave), on the event engine; the record carries both waves'
-    traces.  Each latency is the time of the last transition on any rail
-    of `output_ports`, measured from its wave's start, 0 if none moved.
-    Illegal pairs carry the sim's own commit times.  `_WavePlan.run`
-    computes the same record, traces aside, with no sim and the valid
-    wave starting at 0.
+    traces, in the sim's own times.  Each latency is the time of the last
+    transition on any rail of `output_ports`, measured from its wave's
+    start, 0 if none moved.  One pass over both traces, from the port
+    rails' values at `sim.now`, finds the phase faults: a rise of both
+    rails of a port pair, a fall in the valid wave, a rise in the spacer
+    wave.  `_WavePlan.run` computes the same record, traces aside, with no
+    sim.
     """
     pairs = sim.netlist.port_map
-    rails = {r for p in output_ports for r in pairs[p]}
+    rail_of = {}
+    for port, (r1, r0) in pairs.items():
+        rail_of[r1] = (port, r0)
+        rail_of[r0] = (port, r1)
+    high = {r: sim.net_value(r) for r in rail_of}
+    outs = {r for p in output_ports for r in pairs[p]}
     origin = sim.now
     sim.apply_inputs(assignments, at_time=origin)
     set_trace, set_settle = sim.run_until_quiescent()
-    set_report = check_phase(set_trace, Phase.SET, pairs=pairs)
     valid_word = sim.read_word(output_ports)
-    initial = {r: sim.net_value(r) for pair in pairs.values() for r in pair}
     sim.apply_inputs([(net, 0) for net, _ in assignments], at_time=set_settle)
     rtz_trace, _ = sim.run_until_quiescent()
-    rtz_report = check_phase(rtz_trace, Phase.RTZ, pairs=pairs, initial_rails=initial)
+    illegal, nonmonotonic, last = [], [], [origin, set_settle]
+    for wave, (trace, expect) in enumerate(((set_trace, 1), (rtz_trace, 0))):
+        for t, net, value in trace:
+            if value != expect:
+                nonmonotonic.append((t - origin, net, value))
+            hit = rail_of.get(net)
+            if hit is not None:
+                high[net] = value
+                port, partner = hit
+                if value and high[partner]:
+                    illegal.append((t - origin, port))
+                if net in outs:
+                    last[wave] = t
+    illegal.sort()
     return WaveResult(
         valid_word=valid_word,
         spacer_restored=all(sim.pair_value(p) is RailState.SPACER for p in output_ports),
-        forward_latency=_latency(set_trace, rails, origin),
-        reverse_latency=_latency(rtz_trace, rails, set_settle),
-        set_report=set_report,
-        rtz_report=rtz_report,
+        forward_latency=last[0] - origin,
+        reverse_latency=last[1] - set_settle,
+        illegal_pairs=illegal,
+        nonmonotonic=nonmonotonic,
         set_trace=set_trace,
         rtz_trace=rtz_trace,
     )
-
-
-def _latency(trace: list[tuple[int, str, int]], rails: set[str], origin: int) -> int:
-    times = [t for t, net, _ in trace if net in rails]
-    return max(times) - origin if times else 0
 
 
 # wave times: a net that never rises in the valid wave, and one that stays
@@ -450,8 +421,8 @@ class _WavePlan:
     one pass computes both waves.  By induction over the topological order
     every net that rose falls again, so the spacer wave always ends at
     rest.  The event engine commits exactly these times, never replaces a
-    pending event and never breaks phase monotonicity, so only illegal
-    pairs can appear in the phase reports.
+    pending event and never breaks phase monotonicity, so its records
+    list no non-monotone transition, only illegal pairs.
     """
 
     def __init__(self, nodes, slots: int, rails: dict[str, tuple[int, int]], ids: dict[str, int], inputs: dict):
@@ -509,9 +480,8 @@ class _WavePlan:
 
     def run(self, assignments, output_ports) -> tuple[WaveResult, int]:
         """Both waves of one vector: the record `drive_transaction` returns,
-        traces aside, on a sim at rest at time 0, and the time the spacer
-        wave settles.  The valid wave starts at 0, so the illegal pairs'
-        times count from it."""
+        traces aside, on a sim at rest, and the time the spacer wave
+        settles, counted from the valid wave's start."""
         inputs = self.inputs
         out_pairs = [self.rails[p] for p in output_ports]
         out_rails = [i for pair in out_pairs for i in pair]
@@ -552,8 +522,8 @@ class _WavePlan:
             spacer_restored=True,
             forward_latency=max((rise[i] for i in out_rails if rise[i] != never), default=0),
             reverse_latency=max((fall[i] for i in out_rails if fall[i] != before), default=0),
-            set_report=PhaseCheckReport(illegal_pairs=illegal),
-            rtz_report=PhaseCheckReport(),
+            illegal_pairs=illegal,
+            nonmonotonic=[],
         )
         return waves, rtz_origin + max(0, max(fall[:nets], default=0))
 

@@ -133,8 +133,7 @@ def test_criterion_7_functional_correctness(table, local_stage32, global_stage32
         for _ in range(1000):
             a, b, c = rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(1)
             rec = run_transaction(stage, a, b, c, table, sim=sim)
-            assert rec.set_report.ok and rec.rtz_report.ok, (stage.architecture, a, b, c)
-            assert rec.spacer_restored
+            assert rec.ok, (stage.architecture, a, b, c)
             assert rec.sum_value == (a + b + c) % 2**32
             assert rec.carry_value == (a + b + c) >> 32
     elapsed = time.time() - t0

@@ -191,7 +191,7 @@ def test_undecoded_transaction_names_its_first_bad_pair(table):
     ports = {**stage.netlist.port_map, "cout": ("fa3.k1", "fa2.k1")}  # two carry rails that stay low
     carryless = replace(stage, netlist=replace(stage.netlist, port_map=ports))
     for bad, detail in ((unlatched, "sum pair 0 is SPACER"), (carryless, "carry pair 0 is SPACER")):
-        message = f"^transaction failed for m=1: set=True rtz=True spacer=True, {detail}$"
+        message = f"^transaction failed for m=1: {detail}$"
         with pytest.raises(TransactionError, match=message):
             measure(bad, spec, table)
         with pytest.raises(TransactionError, match=message):

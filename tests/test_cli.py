@@ -10,10 +10,14 @@ import qdisim.adders
 import qdisim.analysis
 import qdisim.cells
 import qdisim.cli
+from qdisim.adders import AdderVariant
+from qdisim.analysis import Indication, IndicationClass
 from qdisim.cli import main
 from qdisim.netlist import gate_census, parse_netlist
 from qdisim.sim import OscillationError, SimulationError
 from qdisim.stage import DeadlockError
+
+from test_adders import MUTANTS
 
 
 def run(capsys, *argv):
@@ -442,3 +446,32 @@ def test_measure_failed_transaction_exits_one(monkeypatch, capsys):
     code, out, err = run(capsys, "measure", "--arch", "local", "--n", "8", "--m", "4")
     assert code == 1 and out == ""
     assert err.startswith("error: transaction failed for m=4") and err.count("\n") == 1
+
+
+def test_sweep_mismatch_exits_one(monkeypatch, capsys):
+    """A simulated cycle that misses its closed form stops the sweep
+    before any row is written."""
+    real = qdisim.analysis.theory_local
+
+    def off_by_one(m, table, n=32):
+        fl, rl, cycle = real(m, table, n)
+        return fl, rl, cycle + 1
+
+    monkeypatch.setattr(qdisim.analysis, "theory_local", off_by_one)
+    assert run(capsys, "sweep", "--m-range", "4:6") == (
+        1, "", "m=4: simulated local cycle 1254 != theoretical 1255\n")
+
+
+def test_classify_unexpected_class_exits_one(monkeypatch, capsys):
+    weak = IndicationClass(Indication.WEAK, Indication.WEAK)
+    monkeypatch.setitem(qdisim.cli.EXPECTED_CLASSES, AdderVariant.DIMS_STRONG, weak)
+    assert run(capsys, "classify", "dims-strong") == (
+        1, "SET: STRONG, RTZ: STRONG\n", "unexpected class for dims-strong: expected SET WEAK, RTZ WEAK\n")
+
+
+def test_check_of_a_faulty_adder_exits_one(monkeypatch, capsys):
+    """The counterexample goes to the output, as a pass would; nothing
+    goes to stderr."""
+    monkeypatch.setattr(qdisim.cli, "build_rca", lambda variant, n: MUTANTS["swapped-sum"](n))
+    assert run(capsys, "check", "--n", "2", "--trials", "exhaustive") == (
+        1, "FAIL at a=0 b=0 cin=0: decoded 2, expected 0\n", "")

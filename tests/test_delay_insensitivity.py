@@ -1,7 +1,7 @@
 """Delay insensitivity, the paper's central claim, as a property: under
 seeded per-gate delay jitter every adder variant, in either architecture
 and as a bare ripple chain, decodes the same values with the same phase
-reports as with the calibrated delays.  Only latencies may move.  The
+faults (none) as with the calibrated delays.  Only latencies may move.  The
 delay-free analyses, `classify_both` and `functional_check`, agree with
 their event-engine oracles timed with any positive delay table."""
 from functools import lru_cache
@@ -22,7 +22,7 @@ from test_analysis import _order_enumerator, _paired_blocks, _subset_oracle
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
-FUNCTIONAL = ("sum_value", "carry_value", "set_report", "rtz_report", "spacer_restored", "ok")
+FUNCTIONAL = ("sum_value", "carry_value", "illegal_pairs", "nonmonotonic", "spacer_restored", "ok")
 DELAY_TABLES = st.lists(st.integers(1, 300), min_size=len(GateKind), max_size=len(GateKind)).map(
     lambda delays: DelayTable(dict(zip(GateKind, delays))))
 
@@ -62,11 +62,11 @@ def test_stage_results_do_not_depend_on_delays(arch, variant, n, jitter, seed, d
 
 
 def _rca_functional(sim, rca, a, b, cin):
-    """The decoded word, both phase reports and whether the spacer came
+    """The decoded word, the phase faults and whether the spacer came
     back, for one transaction through a bare ripple chain on `sim`."""
     waves = _transaction(sim, rca, a, b, cin)
     assert waves.rtz_trace, "the event engine, not the wave plan, ran the transaction"
-    return decode_word(waves.valid_word), waves.set_report, waves.rtz_report, waves.spacer_restored
+    return decode_word(waves.valid_word), waves.illegal_pairs, waves.nonmonotonic, waves.spacer_restored
 
 
 @given(variant=st.sampled_from(list(AdderVariant)), n=WIDTHS, jitter=st.integers(1, 80),

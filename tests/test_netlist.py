@@ -120,9 +120,9 @@ def _valid_netlists(draw, names=_NAMES):
 def test_random_netlists_round_trip(netlist):
     """A well-formed netlist is refused only for a name the text format
     cannot hold; every one `validate` accepts survives serialize -> parse."""
-    report = validate(netlist)
-    if not report.ok:
-        assert [v.rule for v in report.violations] == ["name"]
+    violation = validate(netlist)
+    if violation is not None:
+        assert violation.rule == "name"
         with pytest.raises(ValueError, match="^refusing to serialize invalid netlist:\nname: "):
             serialize_netlist(netlist)
         return
@@ -168,16 +168,16 @@ def _maybe_malformed_netlists(draw):
 
 @given(_maybe_malformed_netlists())
 def test_validate_decides_the_round_trip_and_the_plan_refusals(netlist):
-    """`validate` never raises and is ok exactly when the netlist
+    """`validate` never raises and finds nothing exactly when the netlist
     serializes, to text that parses back to the same netlist; the wave
     plan refuses only with `validate`'s violation or a rule of its own."""
-    report = validate(netlist)
+    violation = validate(netlist)
     try:
         text = serialize_netlist(netlist)
     except ValueError:
-        assert not report.ok
+        assert violation is not None
     else:
-        assert report.ok
+        assert violation is None
         again = parse_netlist(text)
         assert sorted(again.gates) == sorted(netlist.gates)
         assert (again.primary_inputs, again.primary_outputs, again.port_map) == (
@@ -186,7 +186,7 @@ def test_validate_decides_the_round_trip_and_the_plan_refusals(netlist):
         _WavePlan.build(netlist, TABLE)
     except NetlistError as refused:
         rule = refused.violation.rule
-        assert rule in PLAN_ONLY or [v.rule for v in report.violations] == [rule]
+        assert rule in PLAN_ONLY or violation.rule == rule
 
 
 _NETLIST_TOKENS = st.one_of(
@@ -205,7 +205,7 @@ def test_parse_raises_only_parse_errors(text):
 
 
 def test_validate_well_formed_adder():
-    assert validate(build_full_adder(AdderVariant.DIMS_STRONG)).ok
+    assert validate(build_full_adder(AdderVariant.DIMS_STRONG)) is None
 
 
 def test_gate_table_pins_arity_and_terms():
@@ -220,6 +220,7 @@ def test_gate_table_pins_arity_and_terms():
 @pytest.mark.parametrize("line,message", [
     ("gate z C2 a z", "line 2: C2 takes 2 inputs, got 1"),
     ("gate g1 AO22 a b a y", "line 2: AO22 takes 4 inputs, got 3"),
+    ("pair p a", "line 2: pair takes portname, rail1 net, rail0 net"),
 ])
 def test_parse_rejects_wrong_arity(line, message):
     with pytest.raises(NetlistParseError, match=f"^{message}$"):
@@ -273,8 +274,8 @@ def test_each_rule_names_its_first_offender(netlist, rule, subject):
     plan, built from the netlist or lowered by a Simulation, refuses with
     the same rule and subject unless only `validate` has it; the event
     engine refuses only what the compile pass does."""
-    report = validate(netlist)
-    assert [(v.rule, v.subject) for v in report.violations] == ([] if rule in PLAN_ONLY else [(rule, subject)])
+    violation = validate(netlist)
+    assert (violation and (violation.rule, violation.subject)) == (None if rule in PLAN_ONLY else (rule, subject))
     if rule in COMPILE_RULES:
         for build in (lambda: _WavePlan.build(netlist, TABLE), lambda: Simulation(netlist, TABLE)):
             with pytest.raises(NetlistError) as refused:
@@ -312,12 +313,12 @@ def _or_chain(length, closed):
 
 
 def test_validate_long_chain_without_recursion():
-    assert validate(_or_chain(5000, closed=False)).ok
+    assert validate(_or_chain(5000, closed=False)) is None
 
 
 def test_validate_flags_long_loop():
-    report = validate(_or_chain(5000, closed=True))
-    assert [(v.rule, v.subject) for v in report.violations] == [("combinational-cycle", "c0")]
+    violation = validate(_or_chain(5000, closed=True))
+    assert (violation.rule, violation.subject) == ("combinational-cycle", "c0")
 
 
 def test_serialize_refuses_invalid():
@@ -374,7 +375,7 @@ def test_c2_feedback_expansion_matches_primitive():
     primitive = parse_netlist(text)
     expanded = expand_c2_feedback(primitive)
     assert expanded.gates[0].kind is GateKind.AO222
-    assert any(v.rule == "combinational-cycle" for v in validate(expanded).violations)
+    assert validate(expanded).rule == "combinational-cycle"
     table = default_delay_table()
     # identical input sequences, identical settled outputs
     sequence = [(1, 0), (1, 1), (0, 1), (0, 0), (1, 1), (1, 0)]

@@ -1,14 +1,14 @@
 """The wave plan against the event engine, which stays the reference.
 
 `drive_transaction` always runs the event engine and returns both
-traces.  `_WavePlan.run` computes the same record, traces aside, with
-the valid wave starting at 0, and the time the spacer wave settles; it
-reads and changes no simulation.  `run_transaction` runs the plan unless
+traces.  `_WavePlan.run` computes the same record, traces aside, and
+the time the spacer wave settles, all timed from the valid wave's start;
+it reads and changes no simulation.  `run_transaction` runs the plan unless
 traces are asked for, borrowing only the compiled plan of a sim it is
 given.
 """
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -48,29 +48,29 @@ def _operand_assignments(desc, a, b, cin):
     return rail_assignments(desc.operand_rails, pack_operands(desc.n, a, b, cin))
 
 
-def _report(rep, origin):
-    return rep.nonmonotonic, sorted((t - origin, port) for t, port in rep.illegal_pairs)
+def _engine(netlist, jitter=0, seed=1):
+    """An event engine at rest whose clock reads 1000, as after earlier
+    transactions, so that a record timed from 0 would show."""
+    sim = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    sim.now = 1000
+    return sim
 
 
-def _record(rec, origin=0):
-    """`rec` traces aside, its illegal pairs timed from `origin`."""
-    out = {f.name: getattr(rec, f.name) for f in fields(rec) if not f.name.endswith("trace")}
-    out["set_report"] = _report(rec.set_report, origin)
-    out["rtz_report"] = _report(rec.rtz_report, origin)
-    return out
+def _without_traces(rec):
+    return replace(rec, set_trace=None, rtz_trace=None)
 
 
 def _assert_plan_matches_engine(sim, assignments, ports):
-    """Both waves of one vector on the engine `sim` from its `now` and on
-    its plan: the same record, traces aside and the engine's illegal
-    pairs timed from that `now`, the plan's settle time is the engine's
-    new `now` less that start, and every net is back at 0.  Returns the
-    engine's record."""
-    origin = sim.now
+    """Both waves of one vector on the engine `sim` from its `now`, which
+    is above 0, and on its plan: the same record, traces aside, the
+    plan's settle time is the engine's new `now` less that start, and
+    every net is back at 0.  Returns the engine's record."""
+    start = sim.now
+    assert start > 0
     want = drive_transaction(sim, assignments, ports)
     got, settle = sim.plan.run(assignments, ports)
-    assert _record(got) == _record(want, origin)
-    assert settle == sim.now - origin
+    assert got == _without_traces(want)
+    assert settle == sim.now - start
     nets = sim.netlist.nets()
     assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
     return want
@@ -82,7 +82,7 @@ def _operands(data, n):
 
 
 def _check_stage(stage, ops, jitter, seed):
-    sim = Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    sim = _engine(stage.netlist, jitter, seed)
     for a, b, c in ops:
         _assert_plan_matches_engine(sim, [(stage.ackin, 1)] + _operand_assignments(stage, a, b, c),
                                     stage.forward_ports)
@@ -113,7 +113,7 @@ def test_every_pairing_matches_event_engine(arch, variant, jitter):
        seed=st.integers(1, 10_000), data=st.data())
 def test_rca_transactions_match_event_engine(variant, n, jitter, seed, data):
     rca = _rca(variant, n)
-    sim = Simulation(rca.netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    sim = _engine(rca.netlist, jitter, seed)
     for a, b, c in _operands(data, n):
         want = _assert_plan_matches_engine(sim, _operand_assignments(rca, a, b, c), rca.forward_ports)
         assert decode_word(want.valid_word) == a + b + c
@@ -142,7 +142,7 @@ def _acyclic_netlists(draw):
 def test_random_acyclic_netlists_match_event_engine(netlist, jitter, seed, data):
     """Every net that rose falls again: the engine ends the spacer wave at
     rest, where the plan puts it."""
-    sim = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    sim = _engine(netlist, jitter, seed)
     assigns = st.lists(st.tuples(st.sampled_from(netlist.primary_inputs), st.integers(0, 1)), max_size=8)
     for _ in range(2):
         _assert_plan_matches_engine(sim, data.draw(assigns), list(netlist.port_map))
@@ -211,7 +211,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     assert plan.rails == {port: (ids[r1], ids[r0]) for port, (r1, r0) in netlist.port_map.items()}
     illegal = plan.illegal(rose_masks)
     for v, vec in enumerate(vectors):
-        reported = plan.run(list(zip(inputs, vec)), [])[0].set_report.illegal_pairs
+        reported = plan.run(list(zip(inputs, vec)), [])[0].illegal_pairs
         assert illegal >> v & 1 == bool(reported), v
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         waves = drive_transaction(reference, list(zip(inputs, vec)), [])
@@ -327,7 +327,7 @@ def test_times_leaves_a_node_that_rises_in_no_vector_empty():
     dead = [plan.ids[net] for net in "xczw"] + [out for _, _, _, out, _ in plan.nodes if out >= len(plan.ids)]
     assert len(dead) == 5
     assert [(rose[i], rise[i], high[i]) for i in dead] == [(0, [], [])] * 5
-    records = [_assert_plan_matches_engine(Simulation(stage.netlist, TABLE),
+    records = [_assert_plan_matches_engine(_engine(stage.netlist),
                                            [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, word),
                                            stage.forward_ports) for word in words]
     assert measure_chains(stage, specs, TABLE) == [
@@ -629,7 +629,7 @@ def test_a_gate_listed_before_its_driver_lowers_as_in_order():
 def test_last_assignment_of_an_input_wins():
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
     assigns = _operand_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
-    want = _assert_plan_matches_engine(Simulation(rca.netlist, TABLE), assigns, rca.forward_ports)
+    want = _assert_plan_matches_engine(_engine(rca.netlist), assigns, rca.forward_ports)
     assert decode_word(want.valid_word) == 2
 
 
@@ -642,19 +642,20 @@ def test_low_event_cap_sim_takes_the_engine_in_drive_transaction():
 
 
 def _engine_failure(stage, spec):
-    """The text of `spec`'s failed transaction as the event engine sees it."""
-    sim = Simulation(stage.netlist, TABLE)
-    rec = run_transaction(stage, *gen_carry_chain_vector(spec), TABLE, sim=sim, keep_traces=True)
+    """The text of `spec`'s failed transaction as the event engine sees it,
+    from a clock past 0."""
+    rec = run_transaction(stage, *gen_carry_chain_vector(spec), TABLE, sim=_engine(stage.netlist), keep_traces=True)
     assert not rec.ok
-    bad = [f", {word} pair {value.index} is {value.state.value}"
-           for word, value in (("sum", rec.sum_value), ("carry", rec.carry_value)) if isinstance(value, DecodeIssue)]
-    detail = f"set={rec.set_report.ok} rtz={rec.rtz_report.ok} spacer={rec.spacer_restored}"
-    return f"transaction failed for m={spec.m}: {detail}{bad[0] if bad else ''}"
+    faults = [f"illegal pair {port} at {t}" for t, port in rec.illegal_pairs[:1]]
+    faults += [] if rec.spacer_restored else ["spacer not restored"]
+    faults += [f"{word} pair {value.index} is {value.state.value}" for word, value in
+               (("sum", rec.sum_value), ("carry", rec.carry_value)) if isinstance(value, DecodeIssue)][:1]
+    return f"transaction failed for m={spec.m}: {', '.join(faults)}"
 
 
 @pytest.mark.parametrize("mutate,text", [
-    (_sum10_both_rails, "transaction failed for m=9: set=False rtz=True spacer=True, sum pair 10 is ILLEGAL"),
-    (_illegal_probe_pair, "transaction failed for m=9: set=False rtz=True spacer=True"),
+    (_sum10_both_rails, "transaction failed for m=9: illegal pair sum10 at 1068, sum pair 10 is ILLEGAL"),
+    (_illegal_probe_pair, "transaction failed for m=9: illegal pair probe at 1008"),
 ])
 def test_a_failing_spec_compiles_once_and_builds_no_engine(mutate, text, compiled, simulations_built):
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
@@ -708,6 +709,6 @@ def test_a_reused_sim_only_lends_its_plan(arch, variant, jitter, compiled, simul
     unjittered = []
     for (a, b, c), rec in zip(ops, records):
         assert rec.ok and rec == run_transaction(stage, a, b, c, TABLE, sim=fresh)
-        assert _record(rec) == _record(run_transaction(stage, a, b, c, TABLE, sim=engine, keep_traces=True))
+        assert rec == _without_traces(run_transaction(stage, a, b, c, TABLE, sim=engine, keep_traces=True))
         unjittered.append(rec == run_transaction(stage, a, b, c, TABLE))
     assert all(unjittered) == (jitter == 0)
