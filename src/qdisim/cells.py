@@ -150,6 +150,16 @@ def default_delay_table() -> DelayTable:
     return DelayTable(delays)
 
 
+def _integer(text: str) -> int:
+    """`text` as an int when it is ASCII decimal digits after at most one
+    leading minus, else ValueError: the integer rule of every text boundary,
+    delay tables and command-line options alike.  int() alone would also
+    take "+5", "1_0", "٣" and surrounding whitespace."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def load_delay_table(text: str) -> DelayTable:
     """Parse `<KIND> <positive integer>` override lines on top of the
     default table.  `#` starts a comment."""
@@ -168,9 +178,7 @@ def load_delay_table(text: str) -> DelayTable:
         if kind in overrides:
             raise DelayTableError(f"line {line_no}: duplicate delay for {kind.value}")
         try:
-            if not (tokens[1].isascii() and tokens[1].removeprefix("-").isdigit()):
-                raise ValueError  # int() would also take "+5", "1_0" and "٣"
-            delay = int(tokens[1])
+            delay = _integer(tokens[1])
         except ValueError:
             raise DelayTableError(f"line {line_no}: delay must be an integer") from None
         if delay < 1:

@@ -23,7 +23,7 @@ from .analysis import (
     theory_global,
     theory_local,
 )
-from .cells import default_delay_table, dump_delay_table, load_delay_table
+from .cells import _integer, default_delay_table, dump_delay_table, load_delay_table
 from .netlist import serialize_netlist
 from .sim import OscillationError, SimulationError
 from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage, run_closed_loop
@@ -53,7 +53,7 @@ def _m_range(text: str) -> range:
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("m-range must be start:stop[:stride]")
     try:
-        nums = [int(p) for p in parts]
+        nums = [_integer(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError("m-range must be integers") from None
     start, stop = nums[0], nums[1]
@@ -70,7 +70,7 @@ def _trials(text: str) -> int | None:
     if text == "exhaustive":
         return None
     try:
-        trials = int(text)
+        trials = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"trials must be an integer or 'exhaustive', got {text!r}") from None
     if trials < 1:
@@ -127,6 +127,8 @@ def cmd_measure(args) -> int:
 
 def cmd_sweep(args) -> int:
     m_values = args.m_range if args.m_range is not None else range(4, min(28, args.n - 2) + 1)
+    if not m_values and args.m_range is None:
+        raise ValueError(f"n = {args.n} leaves the default m range, 4 to min(28, n - 2), empty; give --m-range")
     try:
         report = sweep(n=args.n, m_values=m_values, table=args.table)
     except SweepMismatch as exc:
@@ -192,22 +194,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--delay-table", metavar="PATH", help="delay override file")
     parser.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=1, help="seed for random vectors (default 1)")
+    parser.add_argument("--seed", type=_integer, default=1, help="seed for random vectors (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit an adder netlist in text form")
     p.add_argument("--variant", type=_variant, required=True)
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_integer, default=32)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("measure", help="simulate one carry-chain point against the closed form")
     p.add_argument("--arch", type=_architecture, required=True)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_integer, default=32)
+    p.add_argument("--m", type=_integer, required=True)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="cycle-time sweep over carry-chain lengths, CSV output")
-    p.add_argument("--n", type=int, default=32, help="stage width in bits (default 32)")
+    p.add_argument("--n", type=_integer, default=32, help="stage width in bits (default 32)")
     p.add_argument(
         "--m-range",
         type=_m_range,
@@ -218,20 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="report the indication classes of a full adder or ripple-carry block")
     p.add_argument("variant", type=_variant)
-    p.add_argument("--n", type=int, default=1, help="ripple-carry width, at most 4 (default 1, one full adder)")
+    p.add_argument("--n", type=_integer, default=1, help="ripple-carry width, at most 4 (default 1, one full adder)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check", help="functional verification against integer addition")
     p.add_argument("--variant", type=_variant, default=AdderVariant.LATENCY_OPT_BIASED)
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_integer, default=32)
     p.add_argument("--trials", type=_trials, default=1000, help="vector count or 'exhaustive'")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("ring", help="closed handshake ring of paired stages, one CSV row per delivery")
     p.add_argument("--arch", type=_architecture, required=True)
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--transactions", type=int, default=10)
+    p.add_argument("--stages", type=_integer, default=2)
+    p.add_argument("--n", type=_integer, default=8)
+    p.add_argument("--transactions", type=_integer, default=10)
     p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("delays", help="print the active delay table")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import pairwise, repeat
 
 from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
@@ -218,26 +219,19 @@ def run_transaction(
 
 @dataclass
 class ThroughputReport:
+    """A ring's deliveries in order.  `intervals` is derived from the
+    delivery times, and `steady_interval` is the last interval between two
+    deliveries, a round trip, not a pipelined steady state."""
+
     deliveries: list[tuple[int, int, int]] = field(default_factory=list)  # (time, sum, carry)
-    intervals: list[int] = field(default_factory=list)
+
+    @property
+    def intervals(self) -> list[int]:
+        return [later[0] - earlier[0] for earlier, later in pairwise(self.deliveries)]
 
     @property
     def steady_interval(self) -> int | None:
-        return self.intervals[-1] if self.intervals else None
-
-
-def _prefixed(netlist: Netlist, prefix: str, names: dict[str, str]) -> Netlist:
-    """`netlist` with `prefix` on its gate ids and ports and each net
-    renamed by `names`, which maps every net of it to one string."""
-    nm = names.__getitem__
-    gates = tuple(
-        tuple.__new__(Gate, (prefix + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
-        for g in netlist.gates
-    )
-    pins = tuple(map(nm, netlist.primary_inputs))
-    pouts = tuple(map(nm, netlist.primary_outputs))
-    pmap = {prefix + p: (nm(r1), nm(r0)) for p, (r1, r0) in netlist.port_map.items()}
-    return Netlist(gates, pins, pouts, pmap)
+        return self.intervals[-1] if len(self.deliveries) > 1 else None
 
 
 def run_closed_loop(
@@ -256,112 +250,82 @@ def run_closed_loop(
     a value travels the ring unchanged.  Acknowledge wiring lives in the
     harness: each inter-stage ackin is the inverted completion-detector
     output of the consumer, and a zero-delay source/sink plays the
-    environment at quiescence points.  The ring reads only net values at
-    those points, so it reaches each of them with `Simulation.drain`,
-    which records no trace.  Raises DeadlockError when the ring
-    stops making progress with transactions outstanding, and ValueError
-    before anything runs when an operand does not fit n bits.
+    environment at quiescence points: at each it reads the last stage's
+    word once, applies its moves in one input batch and, reading only net
+    values, reaches the next with `Simulation.drain`, which records no
+    trace.  Raises DeadlockError when the ring stops making progress with
+    transactions outstanding, and ValueError before anything runs when an
+    operand does not fit n bits.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
-    words = [pack_operands(n, a, b, c) for a, b, c in operands]
+    words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
     report = ThroughputReport()
     if not operands:
         return report
     stage = build_stage(architecture, variant, n)
-    prefixes = [f"st{k}." for k in range(stage_count)]
-    acks = [f"ack{k}" for k in range(stage_count - 1)]
+    nets = stage.netlist.nets()
 
+    # one rename map per stage copy, one string per net, and one source per
+    # copy, which drives every operand of copy 0 but only b and cin of the
+    # others: their a is the previous copy's sum
     gates: list[Gate] = []
+    acks: list[Gate] = []  # the acknowledge inverters, listed after every copy's gates
     pins: list[str] = []
     pmap: dict[str, tuple[str, str]] = {}
-    stage_nets = stage.netlist.nets()
-    names_of: list[dict[str, str]] = []  # each copy's net names, one string per net
-    for k, pref in enumerate(prefixes):
-        names = {net: pref + net for net in stage_nets}
+    sources = []
+    names: dict[str, str] = {}
+    for k in range(stage_count):
+        prev, pref = names, f"st{k}."
+        names = {net: pref + net for net in nets}
         if k > 0:
-            # consume the producer's forwarded sum pairs as this stage's a operand
-            prev = names_of[-1]
             for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
-                s1, s0 = stage.netlist.port_map[port]
-                names[a1], names[a0] = prev[s1], prev[s0]
+                names[a1], names[a0] = (prev[rail] for rail in stage.netlist.port_map[port])
+            acks.append(Gate(f"ackinv{k - 1}", GateKind.INV, (names[stage.cd_out],), prev[stage.ackin]))
         if k < stage_count - 1:
-            names[stage.ackin] = acks[k]
-        names_of.append(names)
-        nl = _prefixed(stage.netlist, pref, names)
-        gates.extend(nl.gates)
-        pmap.update(nl.port_map)
-        pins.extend(nl.primary_inputs)
-    for k, ack in enumerate(acks):
-        gates.append(Gate(f"ackinv{k}", GateKind.INV, (names_of[k + 1][stage.cd_out],), ack))
+            names[stage.ackin] = f"ack{k}"
+        nm = names.__getitem__
+        gates.extend(
+            tuple.__new__(Gate, (pref + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
+            for g in stage.netlist.gates
+        )
+        pins.extend(map(nm, stage.netlist.primary_inputs))
+        pmap.update((pref + port, (nm(r1), nm(r0))) for port, (r1, r0) in stage.netlist.port_map.items())
+        rails = [(nm(r1), nm(r0)) for r1, r0 in stage.operand_rails[n if k else 0:]]
+        sources.append((nm(stage.cd_out), rails, repeat(0) if k else words))
+    gates += acks
     driven = {g.output for g in gates}
-    pins = [p for p in dict.fromkeys(pins) if p not in driven]
-    ring = Netlist(tuple(gates), tuple(pins), (), pmap)
-
-    sim = Simulation(ring, delay_table or default_delay_table())
+    pins = [p for p in pins if p not in driven]
+    sim = Simulation(Netlist(tuple(gates), tuple(pins), (), pmap), delay_table or default_delay_table())
     sim.settle_power_on()
 
-    last_pref = prefixes[-1]
-    last_ackin = names_of[-1][stage.ackin]
-    out_ports = [last_pref + p for p in stage.forward_ports]
-
-    def outputs_state() -> str:
-        states = set(sim.read_word(out_ports))
-        if states == {RailState.SPACER}:
-            return "spacer"
-        if states <= {RailState.ZERO, RailState.ONE}:
-            return "valid"
-        return "mixed"
-
-    # the environment drives every operand of stage 0, and b and cin of the
-    # others (their a is the previous stage's sum)
-    env = []
-    for k, names in enumerate(names_of):
-        rails = stage.operand_rails if k == 0 else stage.operand_rails[n:]
-        env.append((names[stage.cd_out], [(names[r1], names[r0]) for r1, r0 in rails]))
-    src_valid = [False] * stage_count  # environment rails currently valid, per stage
+    out_ports = [pref + port for port in stage.forward_ports]
+    sink_ackin = names[stage.ackin]
     sink_ack = 0
+    valid = [False] * stage_count  # each source's rails currently valid
     while True:
-        progressed = False
-        t = sim.now
-        state = outputs_state()
-        # sink: acknowledge a fresh codeword, re-arm on spacer
-        if state == "valid" and sink_ack == 1:
-            value = decode_word(sim.read_word(out_ports[:-1]))
-            carry = sim.pair_value(out_ports[-1])
-            report.deliveries.append((t, value, 1 if carry is RailState.ONE else 0))
-            if len(report.deliveries) > 1:
-                report.intervals.append(t - report.deliveries[-2][0])
-            sim.apply_inputs([(last_ackin, 0)], at_time=t)
-            sink_ack = 0
-            progressed = True
-        elif state == "spacer" and sink_ack == 0:
-            sim.apply_inputs([(last_ackin, 1)], at_time=t)
-            sink_ack = 1
-            progressed = True
-        # per-stage environment rails follow each stage's own ack
-        for k, (cd_net, rails) in enumerate(env):
-            cd = sim.net_value(cd_net)
-            if cd == 0 and not src_valid[k]:
-                if k == 0:
-                    if not words:
-                        continue
-                    word = words.pop(0)
-                else:
-                    word = 0  # b = cin = 0: the sum passes through unchanged
-                sim.apply_inputs(rail_assignments(rails, word), at_time=t)
-                src_valid[k] = True
-                progressed = True
-            elif cd == 1 and src_valid[k]:
-                sim.apply_inputs(rail_assignments(rails, None), at_time=t)
-                src_valid[k] = False
-                progressed = True
-        if progressed:
-            sim.drain()
-            continue
-        if len(report.deliveries) == len(operands) and not words and state == "spacer":
-            return report
-        raise DeadlockError(
-            f"ring stalled at t={sim.now} with {len(operands) - len(report.deliveries)} "
-            "transactions outstanding"
-        )
+        word = sim.read_word(out_ports)
+        states = set(word)
+        moves: list[tuple[str, int]] = []
+        # sink: acknowledge a fresh codeword while its ack is high, re-arm on spacer while low
+        if states <= ({RailState.ZERO, RailState.ONE} if sink_ack else {RailState.SPACER}):
+            if sink_ack:
+                carry, value = divmod(decode_word(word), 1 << n)
+                report.deliveries.append((sim.now, value, carry))
+            sink_ack = 1 - sink_ack
+            moves.append((sink_ackin, sink_ack))
+        # a source acts when its stage's ack (cd.out) equals its valid flag
+        for k, (cd_out, rails, feed) in enumerate(sources):
+            if sim.net_value(cd_out) == valid[k]:
+                raised = None if valid[k] else next(feed, None)
+                if valid[k] or raised is not None:
+                    moves += rail_assignments(rails, raised)
+                    valid[k] = not valid[k]
+        if not moves:
+            break
+        sim.apply_inputs(moves)
+        sim.drain()
+    outstanding = len(operands) - len(report.deliveries)
+    if outstanding or states != {RailState.SPACER}:
+        raise DeadlockError(f"ring stalled at t={sim.now} with {outstanding} transactions outstanding")
+    return report

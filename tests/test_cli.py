@@ -103,9 +103,12 @@ def test_sweep_default_range_fits_a_narrow_stage(capsys):
 
 
 def test_sweep_default_range_empty_for_a_tiny_stage(capsys):
-    code, out, err = run(capsys, "sweep", "--n", "5")
-    assert code == 2 and out == ""
-    assert "sweep needs at least one m value" in err
+    for n in (3, 5):
+        assert run(capsys, "sweep", "--n", str(n)) == (
+            2,
+            "",
+            f"error: n = {n} leaves the default m range, 4 to min(28, n - 2), empty; give --m-range\n",
+        )
 
 
 def test_sweep_strided_range(tmp_path, capsys):
@@ -194,6 +197,38 @@ def test_check_bad_trials_is_a_usage_error(trials, message, capsys):
     code, out, err = run(capsys, "check", "--trials", trials, "--n", "2")
     assert code == 2 and out == ""
     assert f"argument --trials: {message}" in err
+
+
+# each integer option, with {} where its value goes
+INTEGER_OPTIONS = {
+    "--n": ["check", "--n", "{}", "--trials", "5"],
+    "--m": ["measure", "--arch", "local", "--m", "{}"],
+    "--seed": ["--seed", "{}", "check", "--n", "2", "--trials", "5"],
+    "--stages": ["ring", "--arch", "local", "--stages", "{}"],
+    "--transactions": ["ring", "--arch", "local", "--transactions", "{}"],
+    "--trials": ["check", "--n", "2", "--trials", "{}"],
+    "--m-range": ["sweep", "--m-range", "4:{}"],
+}
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+@pytest.mark.parametrize("spelling", ["+5", "1_0", "\u0663", "\uff14", " 5", "5 "])
+def test_integer_options_take_only_ascii_decimal_digits(option, spelling, monkeypatch, capsys):
+    """int() would read each of these spellings as a number; every integer
+    option refuses them as a usage error before its command runs."""
+    monkeypatch.setattr(qdisim.cli, "_load_table", lambda path: pytest.fail("the command ran"))
+    argv = [arg.format(spelling) for arg in INTEGER_OPTIONS[option]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {option}: " in err
+
+
+def test_integer_options_keep_leading_zeros_and_minus(capsys):
+    assert run(capsys, "check", "--n", "004", "--trials", "0005") == (
+        0, "pass: 5 vectors, latency-opt-biased n=4\n", ""
+    )
+    code, out, err = run(capsys, "check", "--n", "2", "--trials", "-03")
+    assert (code, out) == (2, "") and "argument --trials: trials must be >= 1, got -3\n" in err
 
 
 def test_check_exhaustive_refuses_wide_adders_before_driving(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import fields
 
@@ -326,8 +327,8 @@ def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
         run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)
 
 
-def _ring(monkeypatch):
-    """The netlist of a three-stage ring, as `run_closed_loop` simulates it."""
+def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
+    """The netlist of a 4-bit ring, as `run_closed_loop` simulates it."""
     rings = []
 
     def capture(netlist, *args, **kwargs):
@@ -335,9 +336,30 @@ def _ring(monkeypatch):
         return Simulation(netlist, *args, **kwargs)
 
     monkeypatch.setattr(qdisim.stage, "Simulation", capture)
-    run_closed_loop(3, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [(1, 2, 0)])
+    run_closed_loop(stage_count, PAIRED_VARIANT[architecture], architecture, 4, [(1, 2, 0)])
     (ring,) = rings
     return ring
+
+
+@pytest.mark.parametrize(
+    "stage_count, architecture, digest",
+    [
+        (3, Architecture.LOCAL, "820e4a3341f2bd27b06c19396aea0c53914b321ebdeedd2976e4eb953e77777b"),
+        (2, Architecture.GLOBAL, "3b3f1f9b7b845727da5dde75439450a44847906b852dc21022fbe5da763089fe"),
+    ],
+)
+def test_the_ring_netlist_is_pinned(stage_count, architecture, digest, monkeypatch):
+    """The ring's gates in order, its inputs, outputs and ports.  Gate
+    order is the engine's tie order, so a reordering can move delivery
+    times without changing any value."""
+    ring = _ring(monkeypatch, stage_count, architecture)
+    text = repr((
+        [(g.gid, g.kind.value, tuple(g.inputs), g.output) for g in ring.gates],
+        tuple(ring.primary_inputs),
+        tuple(ring.primary_outputs),
+        list(ring.port_map.items()),
+    ))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_the_closed_ring_validates_but_has_no_wave_plan(monkeypatch):
