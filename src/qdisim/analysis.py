@@ -96,7 +96,7 @@ def measure(
     on the wave plan; raises TransactionError when the transaction fails."""
     if stage.n != spec.n:
         raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
-    rec = run_transaction(stage, *gen_carry_chain_vector(spec), table or default_delay_table())
+    rec = run_transaction(stage, *gen_carry_chain_vector(spec), table)
     if not rec.ok:
         raise _failure(spec, rec)
     return rec.forward_latency, rec.reverse_latency, rec.cycle_time
@@ -136,8 +136,6 @@ def measure_chains(
         if stage.n != spec.n:
             raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
     plan = _WavePlan.build(stage.netlist, table)
-    if not specs:
-        return []
     words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
     masks = rail_masks(stage.operand_rails, words)
     masks[stage.ackin] = full = (1 << len(specs)) - 1
@@ -209,17 +207,27 @@ class TimingReport:
         return sum(r.reduction_pct for r in self.rows) / len(self.rows)
 
 
+def default_m_values(n: int) -> range:
+    """The carry-chain lengths a width-n sweep measures unless given others:
+    the paper's m = 4..28 up to n - 2, whose kill stage fits (`ChainSpec`)."""
+    return range(4, min(28, n - 2) + 1)
+
+
+_PAPER_M = default_m_values(30)
+DEFAULT_M_RANGE = f"{_PAPER_M.start} to min({_PAPER_M[-1]}, n - 2)"  # default_m_values in words
+
+
 def sweep(
     n: int = 32,
-    m_values=range(4, 29),
+    m_values=None,
     table: DelayTable | None = None,
 ) -> TimingReport:
-    """Measure both architectures over the carry-chain lengths and check
-    every row against the closed forms; a mismatch aborts the sweep."""
+    """Measure both architectures over `m_values`, by default `default_m_values(n)`,
+    and check every row against the closed forms; a mismatch aborts the sweep."""
     table = table or default_delay_table()
     local = build_stage(Architecture.LOCAL, n=n)
     glob = build_stage(Architecture.GLOBAL, n=n)
-    specs = [ChainSpec(n, m) for m in m_values]
+    specs = [ChainSpec(n, m) for m in (default_m_values(n) if m_values is None else m_values)]
     if not specs:
         raise ValueError("sweep needs at least one m value")
     local_sims = measure_chains(local, specs, table)
@@ -386,7 +394,6 @@ def asymptotic_check(
     """Measure forward/reverse latency growth over carry-chain lengths for
     any adder style.  Non-paired combinations are built with force=True so
     the data path of every variant can be profiled."""
-    table = table or default_delay_table()
     stage = build_stage(architecture, variant, n, force=True)
     measured = measure_chains(stage, [ChainSpec(n, m) for m in m_values], table)
     fls = tuple(fl for fl, _, _ in measured)

@@ -12,11 +12,13 @@ import sys
 
 from .adders import AdderVariant, build_full_adder, build_rca, functional_check
 from .analysis import (
+    DEFAULT_M_RANGE,
     ChainSpec,
     EXPECTED_CLASSES,
     SweepMismatch,
     TransactionError,
     classify_both,
+    default_m_values,
     measure,
     sweep,
     sweep_csv,
@@ -104,17 +106,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    table = args.table
-    variant = PAIRED_VARIANT[args.arch]
     spec = ChainSpec(args.n, args.m)
-    stage = build_stage(args.arch, variant, args.n)
-    sim_vals = measure(stage, spec, table)
+    stage = build_stage(args.arch, n=args.n)
+    sim_vals = measure(stage, spec, args.table)
     if args.arch is Architecture.LOCAL:
-        theory = theory_local(args.m, table, args.n)
+        theory = theory_local(args.m, args.table, args.n)
     else:
-        theory = theory_global(args.m, table, args.n)
+        theory = theory_global(args.m, args.table, args.n)
     row = (
-        f"{args.arch.value},{variant.value},{args.n},{args.m},"
+        f"{args.arch.value},{stage.variant.value},{args.n},{args.m},"
         f"{sim_vals[0]},{sim_vals[1]},{sim_vals[2]},"
         f"{theory[0]},{theory[1]},{theory[2]}\n"
     )
@@ -126,11 +126,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    m_values = args.m_range if args.m_range is not None else range(4, min(28, args.n - 2) + 1)
-    if not m_values and args.m_range is None:
-        raise ValueError(f"n = {args.n} leaves the default m range, 4 to min(28, n - 2), empty; give --m-range")
+    if args.m_range is None and not default_m_values(args.n):
+        raise ValueError(f"n = {args.n} leaves the default m range, {DEFAULT_M_RANGE}, empty; give --m-range")
     try:
-        report = sweep(n=args.n, m_values=m_values, table=args.table)
+        report = sweep(n=args.n, m_values=args.m_range, table=args.table)
     except SweepMismatch as exc:
         sys.stderr.write(f"{exc}\n")
         return CHECK_FAILED
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--m-range",
         type=_m_range,
         metavar="START:STOP[:STRIDE]",
-        help="carry-chain lengths, STOP included (default 4 to min(28, n - 2))",
+        help=f"carry-chain lengths, STOP included (default {DEFAULT_M_RANGE})",
     )
     p.set_defaults(func=cmd_sweep)
 

@@ -290,7 +290,8 @@ class Simulation:
 @dataclass
 class WaveResult:
     """One valid wave then one spacer wave, seen from the output ports.
-    The phase faults' times count from the valid wave's start."""
+    The phase faults' times count from the valid wave's start.  `ok` is
+    the one test of a good transaction."""
 
     valid_word: tuple[RailState, ...]  # output ports once the valid wave settled
     spacer_restored: bool           # every output port back at spacer
@@ -307,9 +308,10 @@ class WaveResult:
 
     @property
     def ok(self) -> bool:
-        """No illegal pair, no non-monotone transition, and the outputs
-        back at spacer."""
-        return not self.illegal_pairs and not self.nonmonotonic and self.spacer_restored
+        """No illegal pair, no non-monotone transition, a codeword on every
+        output port after the valid wave, and the outputs back at spacer."""
+        codewords = {RailState.ZERO, RailState.ONE}.issuperset(self.valid_word)
+        return codewords and not self.illegal_pairs and not self.nonmonotonic and self.spacer_restored
 
 
 def drive_transaction(

@@ -138,8 +138,8 @@ def build_stage(
 
 @dataclass(kw_only=True)
 class TransactionRecord(WaveResult):
-    """One stage transaction: its two waves, the stage and operands that
-    drove them, and the forwarded word decoded as sum and carry."""
+    """One stage transaction: the `WaveResult` of its two waves, `ok`
+    included, extended with only its stage, operands and decoded sum and carry."""
 
     architecture: Architecture
     variant: AdderVariant
@@ -149,14 +149,6 @@ class TransactionRecord(WaveResult):
     cin: int
     sum_value: int | DecodeIssue
     carry_value: int | DecodeIssue
-
-    @property
-    def ok(self) -> bool:
-        return (
-            super().ok
-            and not isinstance(self.sum_value, DecodeIssue)
-            and not isinstance(self.carry_value, DecodeIssue)
-        )
 
     def csv_row(self) -> str:
         return (
@@ -255,14 +247,12 @@ def run_closed_loop(
     values, reaches the next with `Simulation.drain`, which records no
     trace.  Raises DeadlockError when the ring stops making progress with
     transactions outstanding, and ValueError before anything runs when an
-    operand does not fit n bits.
+    operand does not fit n bits or `build_stage` refuses its arguments.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
     words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
     report = ThroughputReport()
-    if not operands:
-        return report
     stage = build_stage(architecture, variant, n)
     nets = stage.netlist.nets()
 

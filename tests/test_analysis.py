@@ -18,6 +18,7 @@ from qdisim.analysis import (
     IndicationClass,
     classify_both,
     crossover_m,
+    default_m_values,
     gen_carry_chain_vector,
     measure,
     measure_chains,
@@ -27,6 +28,7 @@ from qdisim.analysis import (
     theory_local,
 )
 from qdisim.analysis import asymptotic_check
+from qdisim.cli import main
 from qdisim.cells import default_delay_table, global_datapath_cycle, local_cycle, path_delay, sync_path
 from qdisim.dualrail import DecodeIssue, RailState, rail_assignments
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
@@ -301,6 +303,25 @@ def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
                              measure(glob, spec, table), theory_global(m, table, 32)))
     assert report.rows == rows
     assert sweep_csv(report) == sweep_csv(TimingReport(32, rows))
+
+
+def test_default_m_values_stop_where_the_kill_stage_would_not_fit():
+    assert [default_m_values(n) for n in (1, 5, 6, 16, 30, 32, 64)] == [
+        range(4, 4), range(4, 4), range(4, 5), range(4, 15), range(4, 29), range(4, 29), range(4, 29),
+    ]
+
+
+def test_sweep_defaults_to_the_cli_range(capsys):
+    assert main(["sweep", "--n", "16"]) == 0
+    report = sweep(n=16)
+    assert [row.m for row in report.rows] == list(range(4, 15))
+    assert sweep_csv(report) == capsys.readouterr().out
+
+
+def test_measure_chains_of_no_spec_is_empty_after_one_compile(compiled):
+    stage = build_stage(Architecture.LOCAL, n=8)
+    assert measure_chains(stage, []) == []
+    assert compiled == [stage.netlist]
 
 
 def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):

@@ -17,6 +17,7 @@ from qdisim.stage import (
     Architecture,
     DeadlockError,
     StageConfigError,
+    TransactionRecord,
     build_stage,
     run_closed_loop,
     run_transaction,
@@ -300,6 +301,22 @@ def test_ring_deliveries_do_not_depend_on_the_delay_table(ring):
 def test_closed_loop_zero_transactions():
     report = run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, [])
     assert report.deliveries == [] and report.intervals == []
+
+
+@pytest.mark.parametrize("operands", [[], [(1, 2, 0)]])
+def test_closed_loop_refuses_a_mispaired_stage_with_or_without_operands(operands):
+    with pytest.raises(StageConfigError) as refused:
+        run_closed_loop(2, AdderVariant.EARLY_OUTPUT, Architecture.LOCAL, 4, operands)
+    assert str(refused.value) == "local stages pair with latency-opt-biased; got early-output (use force=True to override)"
+
+
+def test_closed_loop_refuses_width_zero_without_operands():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 0, [])
+
+
+def test_a_record_is_ok_as_its_waves_are():
+    assert TransactionRecord.ok is WaveResult.ok
 
 
 def test_closed_loop_needs_two_stages():

@@ -20,7 +20,7 @@ from qdisim.analysis import (
     ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
 )
 from qdisim.cells import default_delay_table
-from qdisim.dualrail import PAIR_STATE, DecodeIssue, decode_word, rail_assignments, rail_masks
+from qdisim.dualrail import PAIR_STATE, DecodeIssue, RailState, decode_word, rail_assignments, rail_masks
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, NetlistBuilder, NetlistError, parse_netlist
 from qdisim.sim import (
     OscillationError, Simulation, SimulationError, _WavePlan, _compile, _depth_first, drive_transaction,
@@ -631,6 +631,17 @@ def test_last_assignment_of_an_input_wins():
     assigns = _operand_assignments(rca, 1, 2, 0) + [("a0.r1", 0), ("a0.r0", 1)]
     want = _assert_plan_matches_engine(_engine(rca.netlist), assigns, rca.forward_ports)
     assert decode_word(want.valid_word) == 2
+
+
+def test_a_stage_whose_ackin_never_rises_is_not_ok():
+    """With ackin low the registers never fire: the outputs stay spacer
+    through both waves, with no phase fault, and a word of spacers is no
+    codeword, on the plan and on the engine alike."""
+    stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 4)
+    want = _assert_plan_matches_engine(_engine(stage.netlist), _operand_assignments(stage, 5, 9, 1), stage.forward_ports)
+    assert want.valid_word == (RailState.SPACER,) * 5
+    assert want.illegal_pairs == want.nonmonotonic == [] and want.spacer_restored
+    assert not want.ok and not _without_traces(want).ok
 
 
 def test_low_event_cap_sim_takes_the_engine_in_drive_transaction():
