@@ -1,9 +1,14 @@
 """Deterministic discrete-event simulation with transport delays.
 
 Every net starts at 0, the global spacer/reset state.  A committed
-transition re-evaluates the gates of the net's fanout, the compiled
-gates themselves, which only the engine builds, and schedules each
-changed output at `now + delay(kind)`.  Events commit in (time,
+transition re-evaluates the gates of the net's fanout, which only the
+engine builds, on its first run, and schedules each changed output at
+`now + delay(kind)`.  A gate of one or two inputs (C2, OR2, AND2, INV)
+is listed as (code, other input, out, delay) and evaluated from the
+value that just committed and its other input; a wider gate is listed
+as its compiled gate and reads every input.  `settle_power_on` feeds
+the same loop pseudo-commits, each gate seen from its first input, so
+each kind's formula is written once.  Events commit in (time,
 scheduling) order, so repeated runs of the same stimulus produce
 identical traces.  `run_until_quiescent` records each commit as (time,
 net, value); `drain` commits exactly the same transitions and records
@@ -78,9 +83,9 @@ class Simulation:
     `jitter` adds a seeded per-gate-instance uniform delay in [0, jitter]
     on top of the table, for robustness experiments; delay-insensitive
     circuits must keep functioning under it.  All calibrated timing runs
-    use jitter=0.  The engine's fanout is built here, not by `_compile`,
-    whose gates the wave plan (`plan`) shares.  A negative or non-integer
-    `jitter` or `event_cap` raises ValueError.
+    use jitter=0.  The engine's fanout (`_fanout`) is built on its first
+    run, not by `_compile`, whose gates the wave plan (`plan`) shares.  A
+    negative or non-integer `jitter` or `event_cap` raises ValueError.
     """
 
     def __init__(
@@ -98,13 +103,6 @@ class Simulation:
         self.event_cap = event_cap
         self._ids, self._inputs, self._gates = _compile(netlist, delay_table, jitter, jitter_seed)
         self._names = list(self._ids)
-        fanout: list[list[tuple]] = [[] for _ in self._names]
-        for gate in self._gates:
-            for net in gate[1]:
-                users = fanout[net]
-                if not users or users[-1] is not gate:
-                    users.append(gate)
-        self._fanout = [tuple(f) for f in fanout]  # each net's gates in gate order, once per gate: the tie order
         nets = len(self._names)
         self._values = [0] * nets
         self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
@@ -121,6 +119,31 @@ class Simulation:
         included), lowered on first use; it neither reads nor changes the
         sim's state.  Raises NetlistError as `_WavePlan.lower` does."""
         return _WavePlan.lower(self._ids, self._inputs, self._gates, self.netlist)
+
+    @cached_property
+    def _fanout(self) -> list[list[tuple]]:
+        """Each net's gates as the engine's entries (code, other, out,
+        delay), in gate order and once per gate, which is the tie order.  A
+        gate of one or two inputs holds its other input: the same net for
+        an INV or a gate that reads the net twice.  A wider gate's entry is
+        its compiled gate, which holds every input slot.  Built on the
+        engine's first run, so a sim that only lends its `plan` builds
+        none."""
+        fanout: list[list[tuple]] = [[] for _ in self._names]
+        for gate in self._gates:
+            code, ins, out, delay = gate
+            if len(ins) > 2:
+                for net in ins:
+                    users = fanout[net]
+                    if not users or users[-1] is not gate:
+                        users.append(gate)
+            else:
+                a = ins[0]
+                b = ins[-1]
+                fanout[a].append((code, b, out, delay))
+                if b != a:
+                    fanout[b].append((code, a, out, delay))
+        return fanout
 
     # -- state access ------------------------------------------------
 
@@ -168,14 +191,29 @@ class Simulation:
             bucket.append(nid)
 
     def settle_power_on(self):
-        """Evaluate every gate once from the all-zero state and settle.
+        """Evaluate every gate once from the current state and settle.
 
-        A no-op for the return-to-zero circuits generated here; needed
-        when a netlist contains inverters whose quiescent output is 1
-        (e.g. acknowledge wiring in a closed handshake loop).
+        Each gate, in gate order, is seen from its first input, as if that
+        input had just committed its present value: the gates of a run
+        whose first inputs hold one value make one pseudo-commit, which
+        `_run` dispatches as it dispatches a commit's fanout.  A no-op
+        for the return-to-zero circuits generated here; needed when a
+        netlist contains inverters whose quiescent output is 1 (e.g.
+        acknowledge wiring in a closed handshake loop).
         """
+        values = self._values
+        pseudo = []
+        last = None
+        for gate in self._gates:
+            code, ins, out, delay = gate
+            val = values[ins[0]]
+            if val != last:
+                last = val
+                entries = []
+                pseudo.append((val, entries))
+            entries.append(gate if len(ins) > 2 else (code, ins[-1], out, delay))
         self._trace = []
-        self._run(self._gates, self._trace.append)
+        self._run(pseudo, self._trace.append)
 
     # -- engine ------------------------------------------------------
 
@@ -197,11 +235,16 @@ class Simulation:
         self._trace = []
         return self._run((), None)
 
-    def _run(self, users, append) -> int:
-        """Evaluate the compiled gates `users` at `now`, then drain the
-        event queue, re-evaluating the fanout of every committed net and
-        passing each commit's (time, net name, value) to `append` unless
-        it is None.  Returns the settle time.  This loop is the one
+    def _run(self, pseudo, append) -> int:
+        """Dispatch the pseudo-commits `pseudo`, each (value, entries) as
+        a commit of that value to a net whose fanout is `entries`, at
+        `now`, then drain the event queue, dispatching the fanout of every
+        committed net and passing each commit's (time, net name, value) to
+        `append` unless it is None.  Returns the settle time.
+
+        A fanout entry (see `_fanout`) of a gate of one or two inputs is
+        evaluated from the value that just committed, `val`, and its other
+        input; a wider gate's reads every input.  This dispatch is the one
         definition of what each gate kind computes."""
         heap = self._heap
         buckets = self._buckets
@@ -212,34 +255,37 @@ class Simulation:
         fanout = self._fanout
         names = self._names
         cap = self.event_cap
+        c2, or2, ao22, ao21, c3, and2, inv = _C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV
         commits = 0
         t = settle = self.now
+        pseudo = iter(pseudo)
+        last, bucket = -1, None  # the time scheduled at last and its list: outputs scheduled in a row often share it
+        users = ()
+        val = 0
         events = iter(())  # the rest of time t's bucket, which is no longer in `buckets`
         while True:
-            for code, ins, out, delay in users:
+            for code, b, out, delay in users:  # b: the other input, or a wider gate's inputs
                 held = eff[out]
-                if code == _C2:
-                    a = values[ins[0]]
-                    new = a if a == values[ins[1]] else held
-                elif code == _OR2:
-                    new = values[ins[0]] | values[ins[1]]
-                elif code == _AO22:
-                    new = (values[ins[0]] & values[ins[1]]) | (values[ins[2]] & values[ins[3]])
-                elif code == _AO21:
-                    new = (values[ins[0]] & values[ins[1]]) | values[ins[2]]
-                elif code == _C3:
-                    a = values[ins[0]]
-                    new = a if a == values[ins[1]] == values[ins[2]] else held
-                elif code == _AND2:
-                    new = values[ins[0]] & values[ins[1]]
-                elif code == _INV:
-                    new = 1 - values[ins[0]]
+                if code == c2:
+                    if val == held or values[b] != val:
+                        continue
+                    new = val
+                elif code == or2:
+                    new = val | values[b]
+                elif code == ao22:
+                    new = (values[b[0]] & values[b[1]]) | (values[b[2]] & values[b[3]])
+                elif code == ao21:
+                    new = (values[b[0]] & values[b[1]]) | values[b[2]]
+                elif code == c3:
+                    new = values[b[0]]
+                    if new != values[b[1]] or new != values[b[2]]:
+                        continue
+                elif code == and2:
+                    new = val & values[b]
+                elif code == inv:
+                    new = 1 - val
                 else:
-                    new = (
-                        (values[ins[0]] & values[ins[1]])
-                        | (values[ins[2]] & values[ins[3]])
-                        | (values[ins[4]] & values[ins[5]])
-                    )
+                    new = (values[b[0]] & values[b[1]]) | (values[b[2]] & values[b[3]]) | (values[b[4]] & values[b[5]])
                 if new != held:
                     if ptime[out] >= 0:
                         self.replacements += 1
@@ -249,13 +295,16 @@ class Simulation:
                     when = t + delay
                     ptime[out] = when
                     eff[out] = new
-                    bucket = bucket_at(when)
-                    if bucket is None:
-                        buckets[when] = [out]
-                        heappush(heap, when)
-                    else:
+                    if when == last:
                         bucket.append(out)
-            users = ()
+                    else:
+                        last = when
+                        bucket = bucket_at(when)
+                        if bucket is None:
+                            bucket = buckets[when] = [out]
+                            heappush(heap, when)
+                        else:
+                            bucket.append(out)
             for net in events:
                 if ptime[net] != t:
                     continue  # rescheduled while time t was drained
@@ -276,10 +325,14 @@ class Simulation:
                 users = fanout[net]
                 break
             else:
-                if not heap:
+                for val, users in pseudo:
                     break
-                t = heappop(heap)
-                events = iter(buckets.pop(t))
+                else:
+                    if not heap:
+                        break
+                    t = heappop(heap)
+                    events = iter(buckets.pop(t))
+                    users = ()
         self.now = settle
         return settle
 

@@ -226,6 +226,12 @@ class ThroughputReport:
         return self.intervals[-1] if len(self.deliveries) > 1 else None
 
 
+def _rising(pairs, value: int) -> list[str]:
+    """The rail of each pair in `pairs` that rises to put `value` on them,
+    as `rail_assignments` encodes it."""
+    return [rail for rail, bit in rail_assignments(pairs, value) if bit]
+
+
 def run_closed_loop(
     stage_count: int,
     variant: AdderVariant,
@@ -233,10 +239,13 @@ def run_closed_loop(
     n: int,
     operands: list[tuple[int, int, int]],
     delay_table: DelayTable | None = None,
+    jitter: int = 0,
+    jitter_seed: int = 1,
 ) -> ThroughputReport:
     """Demonstration pipeline of identical stages under full handshaking,
-    timed with `delay_table` (the default table when None): delivery times
-    depend on it, the delivered values do not.
+    timed with `delay_table` (the default table when None) and the
+    per-gate `jitter` drawn from `jitter_seed`, as `Simulation` draws it:
+    delivery times depend on them, the delivered values do not.
 
     Stage k+1 adds stage k's sum to environment-supplied zero operands, so
     a value travels the ring unchanged.  Acknowledge wiring lives in the
@@ -245,9 +254,12 @@ def run_closed_loop(
     environment at quiescence points: at each it reads the last stage's
     word once, applies its moves in one input batch and, reading only net
     values, reaches the next with `Simulation.drain`, which records no
-    trace.  Raises DeadlockError when the ring stops making progress with
+    trace.  A source raises only the rail that rises in each pair and later
+    lowers exactly those rails, so every move it applies changes a rail.
+    Raises DeadlockError when the ring stops making progress with
     transactions outstanding, and ValueError before anything runs when an
-    operand does not fit n bits or `build_stage` refuses its arguments.
+    operand does not fit n bits, `build_stage` refuses its arguments or
+    `Simulation` refuses the jitter.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
@@ -258,7 +270,8 @@ def run_closed_loop(
 
     # one rename map per stage copy, one string per net, and one source per
     # copy, which drives every operand of copy 0 but only b and cin of the
-    # others: their a is the previous copy's sum
+    # others (their a is the previous copy's sum); its feed yields the rails
+    # that rise for each operand word, copy 0's words or zeros
     gates: list[Gate] = []
     acks: list[Gate] = []  # the acknowledge inverters, listed after every copy's gates
     pins: list[str] = []
@@ -282,17 +295,18 @@ def run_closed_loop(
         pins.extend(map(nm, stage.netlist.primary_inputs))
         pmap.update((pref + port, (nm(r1), nm(r0))) for port, (r1, r0) in stage.netlist.port_map.items())
         rails = [(nm(r1), nm(r0)) for r1, r0 in stage.operand_rails[n if k else 0:]]
-        sources.append((nm(stage.cd_out), rails, repeat(0) if k else words))
+        sources.append((nm(stage.cd_out), repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words)))
     gates += acks
     driven = {g.output for g in gates}
     pins = [p for p in pins if p not in driven]
-    sim = Simulation(Netlist(tuple(gates), tuple(pins), (), pmap), delay_table or default_delay_table())
+    netlist = Netlist(tuple(gates), tuple(pins), (), pmap)
+    sim = Simulation(netlist, delay_table or default_delay_table(), jitter=jitter, jitter_seed=jitter_seed)
     sim.settle_power_on()
 
     out_ports = [pref + port for port in stage.forward_ports]
     sink_ackin = names[stage.ackin]
     sink_ack = 0
-    valid = [False] * stage_count  # each source's rails currently valid
+    high: list[list[str]] = [[] for _ in sources]  # the rails each source holds high, none while spacer
     while True:
         word = sim.read_word(out_ports)
         states = set(word)
@@ -304,13 +318,16 @@ def run_closed_loop(
                 report.deliveries.append((sim.now, value, carry))
             sink_ack = 1 - sink_ack
             moves.append((sink_ackin, sink_ack))
-        # a source acts when its stage's ack (cd.out) equals its valid flag
-        for k, (cd_out, rails, feed) in enumerate(sources):
-            if sim.net_value(cd_out) == valid[k]:
-                raised = None if valid[k] else next(feed, None)
-                if valid[k] or raised is not None:
-                    moves += rail_assignments(rails, raised)
-                    valid[k] = not valid[k]
+        # a source acts when its stage's ack (cd.out) equals its valid flag:
+        # whether it holds rails high
+        for k, (cd_out, feed) in enumerate(sources):
+            if sim.net_value(cd_out) == bool(high[k]):
+                if high[k]:
+                    moves += [(rail, 0) for rail in high[k]]
+                    high[k] = []
+                else:
+                    high[k] = next(feed, [])
+                    moves += [(rail, 1) for rail in high[k]]
         if not moves:
             break
         sim.apply_inputs(moves)

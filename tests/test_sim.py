@@ -1,11 +1,12 @@
 import hashlib
+from itertools import product
 
 import pytest
 
 from qdisim.adders import AdderVariant, build_full_adder, build_rca, pack_operands
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import decode_word, rail_assignments
-from qdisim.netlist import Gate, GateKind, Netlist, NetlistError, parse_netlist
+from qdisim.netlist import GATE_ARITY, GATE_TERMS, STATEFUL_KINDS, Gate, GateKind, Netlist, NetlistError, parse_netlist
 from qdisim.sim import (
     OscillationError,
     Simulation,
@@ -35,6 +36,63 @@ def test_c_element_holds_with_one_input_high(table):
     trace, _ = sim.run_until_quiescent()
     assert trace == [(0, "a", 1)]
     assert sim.net_value("y") == 0
+
+
+def _wirings(arity):
+    """Every way to wire `arity` input positions to nets, up to renaming
+    them: each tuple gives each position's net, and net k is first used
+    after nets 0..k-1.  The first wiring reads `arity` distinct nets; the
+    others read some net twice or more."""
+    wirings = [()]
+    for _ in range(arity):
+        wirings = [w + (k,) for w in wirings for k in range(max(w, default=-1) + 2)]
+    return wirings
+
+
+def _gate_terms_output(kind, inputs, held):
+    """The output `GATE_TERMS` gives: the OR of the terms' ANDs, or for a
+    C-element its inputs' common value, else `held`; 1 - input for INV."""
+    if kind is GateKind.INV:
+        return 1 - inputs[0]
+    terms = GATE_TERMS[kind]
+    if kind in STATEFUL_KINDS:
+        agreed = {inputs[i] for (term,) in [terms] for i in term}
+        return agreed.pop() if len(agreed) == 1 else held
+    return int(any(all(inputs[i] for i in term) for term in terms))
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_dispatch_matches_gate_terms_exhaustively(kind, table):
+    """One gate of `kind`, wired every way to its nets, at rest with every
+    input vector and every held output value: a commit of each net in
+    turn, and power-on with no commit, change the output exactly as
+    `GATE_TERMS` says, after the kind's delay."""
+    delay = table[kind]
+    for wiring in _wirings(GATE_ARITY[kind]):
+        nets = [f"x{k}" for k in range(max(wiring) + 1)]
+        text = "".join(f"input {net}\n" for net in nets) + f"gate g {kind.value} {' '.join(nets[k] for k in wiring)} y"
+        sim = Simulation(parse_netlist(text), table)
+        slots = [sim._ids[net] for net in nets] + [sim._ids["y"]]
+        assert [len(sim._fanout[nid]) for nid in slots] == [1] * len(nets) + [0]  # once per net it reads
+
+        def rest(values):  # every net settled at its value, nothing pending
+            for nid, value in zip(slots, values):
+                sim._values[nid] = sim._eff[nid] = value
+
+        for vector in product((0, 1), repeat=len(nets)):
+            for held in (0, 1):
+                new = _gate_terms_output(kind, [vector[k] for k in wiring], held)
+                change = [(delay, "y", new)] if new != held else []
+                rest([*vector, held])
+                t = sim.now
+                sim.settle_power_on()
+                assert [(u - t, *c) for u, *c in sim.trace] == change, (wiring, vector, held, "power-on")
+                for k, net in enumerate(nets):
+                    rest([*vector[:k], 1 - vector[k], *vector[k + 1:], held])
+                    t = sim.now
+                    sim.apply_inputs([(net, vector[k])])
+                    trace = [(u - t, *c) for u, *c in sim.run_until_quiescent()[0]]
+                    assert trace == [(0, net, vector[k])] + change, (wiring, vector, held, net)
 
 
 def test_determinism_identical_traces(table):
@@ -467,12 +525,21 @@ def test_compiled_form_matches_golden(case, jitter, table):
     sim = Simulation(_golden_netlist(case), table, jitter=jitter, jitter_seed=3)
     plan = _WavePlan.build(sim.netlist, table, jitter=jitter, jitter_seed=3)
     engine, lowered = _COMPILED_DIGESTS[case, jitter]
-    # the fanout holds the compiled gates themselves; the digests record their indices
-    index = {id(gate): gi for gi, gate in enumerate(sim._gates)}
-    fanout = [tuple(index[id(gate)] for gate in users) for users in sim._fanout]
+    # the digests record each fanout entry's gate index, found through its
+    # output slot, which one gate drives in a generated netlist
+    index = {gate[2]: gi for gi, gate in enumerate(sim._gates)}
+    fanout = [tuple(index[entry[2]] for entry in users) for users in sim._fanout]
     assert hashlib.sha256(repr((sim._names, sim._gates, fanout)).encode()).hexdigest() == engine
     rails = [(p, *r) for p, r in plan.rails.items()]
     assert hashlib.sha256(repr((plan.nodes, rails)).encode()).hexdigest() == lowered
+
+
+def test_a_sim_that_only_lends_its_plan_builds_no_fanout(local_stage32):
+    sim = Simulation(local_stage32.netlist, default_delay_table())
+    run_transaction(local_stage32, 5, 9, 1, sim=sim)
+    assert "_fanout" not in vars(sim)
+    sim.drain()
+    assert "_fanout" in vars(sim)
 
 
 def _plan_shape(plan):

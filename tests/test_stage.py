@@ -273,7 +273,8 @@ def test_closed_loop_global_pass_through(table):
 
 @st.composite
 def _rings(draw):
-    """A ring's stage count, architecture, width, delay table and operands."""
+    """A ring's stage count, architecture, width, delay table, operands,
+    jitter and jitter seed."""
     n = draw(st.integers(1, 8))
     word = st.integers(0, (1 << n) - 1)
     return (
@@ -282,20 +283,34 @@ def _rings(draw):
         n,
         DelayTable({kind: draw(st.integers(1, 300)) for kind in GateKind}),
         draw(st.lists(st.tuples(word, word, st.integers(0, 1)), min_size=1, max_size=4)),
+        draw(st.one_of(st.just(0), st.integers(1, 300))),
+        draw(st.integers(1, 10_000)),
     )
 
 
 @given(ring=_rings())
 def test_ring_deliveries_do_not_depend_on_the_delay_table(ring):
     """Every stage after the first adds zero, so each operand's sum comes
-    out unchanged with carry 0, in order, whatever the gate delays."""
-    stages, arch, n, delays, operands = ring
-    report = run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays)
+    out unchanged with carry 0, in order, whatever the gate delays and
+    their per-instance jitter."""
+    stages, arch, n, delays, operands, jitter, seed = ring
+    report = run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays, jitter, seed)
     assert [(value, carry) for _, value, carry in report.deliveries] == [
         ((a + b + cin) % (1 << n), 0) for a, b, cin in operands
     ]
     times = [t for t, _, _ in report.deliveries]
     assert all(earlier < later for earlier, later in zip(times, times[1:]))
+
+
+def test_ring_jitter_moves_delivery_times_not_values():
+    arch = Architecture.LOCAL
+    ops = [(87, 168, 1), (69, 149, 1)]
+    plain, jittered, again = (
+        run_closed_loop(3, PAIRED_VARIANT[arch], arch, 8, ops, jitter=jitter, jitter_seed=5).deliveries
+        for jitter in (0, 40, 40)
+    )
+    assert [d[1:] for d in jittered] == [d[1:] for d in plain]
+    assert jittered == again and [d[0] for d in jittered] != [d[0] for d in plain]
 
 
 def test_closed_loop_zero_transactions():
