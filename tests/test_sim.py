@@ -56,7 +56,8 @@ def _gate_terms_output(kind, inputs, held):
         return 1 - inputs[0]
     terms = GATE_TERMS[kind]
     if kind in STATEFUL_KINDS:
-        agreed = {inputs[i] for (term,) in [terms] for i in term}
+        (term,) = terms
+        agreed = {inputs[i] for i in term}
         return agreed.pop() if len(agreed) == 1 else held
     return int(any(all(inputs[i] for i in term) for term in terms))
 
