@@ -11,7 +11,7 @@ from .analysis import (
     classify_both,
     crossover_m,
     gen_carry_chain_vector,
-    measure,
+    measure_chains,
     sweep,
     sweep_csv,
     theory_global,

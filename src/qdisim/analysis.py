@@ -21,7 +21,7 @@ from .cells import (
 from .dualrail import DecodeIssue, bit_columns, decode_word, rail_assignments, rail_masks
 from .netlist import GateKind, Netlist
 from .sim import Phase, WaveResult, _WavePlan
-from .stage import Architecture, StageDescriptor, build_stage, run_transaction
+from .stage import Architecture, StageDescriptor, build_stage
 
 
 @dataclass(frozen=True)
@@ -87,21 +87,6 @@ class TransactionError(RuntimeError):
     """A measured transaction broke the handshake or did not decode."""
 
 
-def measure(
-    stage: StageDescriptor,
-    spec: ChainSpec,
-    table: DelayTable | None = None,
-) -> tuple[int, int, int]:
-    """Simulated (forward, reverse, cycle) for the canonical chain vector,
-    on the wave plan; raises TransactionError when the transaction fails."""
-    if stage.n != spec.n:
-        raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
-    rec = run_transaction(stage, *gen_carry_chain_vector(spec), table)
-    if not rec.ok:
-        raise _failure(spec, rec)
-    return rec.forward_latency, rec.reverse_latency, rec.cycle_time
-
-
 def _failure(spec: ChainSpec, waves: WaveResult) -> TransactionError:
     """The error for the failed transaction of `spec`, naming its first
     illegal pair with its time, a spacer that was not restored, and the
@@ -123,20 +108,34 @@ def measure_chains(
     specs: list[ChainSpec],
     table: DelayTable | None = None,
 ) -> list[tuple[int, int, int]]:
-    """`measure` for every spec, in one timed pass of the wave plan
-    (`_WavePlan.times`) over all the chain vectors at once.
+    """Simulated (forward, reverse, cycle) for the canonical chain vector
+    of every spec, on the wave plan compiled once from the stage's
+    netlist.  A spec of another width than the stage's, or a netlist the
+    plan does not cover, raises ValueError.
 
-    A vector fails as `measure` fails it: some port pair has both rails
-    high, or a forward pair does not have exactly one.  The first failing
-    spec runs both its waves on the same plan (`_WavePlan.run`), which
-    gives the TransactionError `measure` raises for it.  The netlist is
-    compiled once; one the plan does not cover raises ValueError."""
+    One spec runs both its waves (`_WavePlan.run`, cheaper than `times`
+    for one vector) and fails unless the record is `ok`.  More specs take
+    one timed pass over all their chain vectors at once
+    (`_WavePlan.times`), where a vector fails when some port pair has both
+    rails high or a forward pair does not have exactly one; the first
+    failing spec then runs alone, as one spec does.  A failing spec raises
+    the TransactionError that names its faults."""
     table = table or default_delay_table()
     for spec in specs:
         if stage.n != spec.n:
             raise ValueError(f"stage width {stage.n} != spec width {spec.n}")
     plan = _WavePlan.build(stage.netlist, table)
     words = [pack_operands(stage.n, *gen_carry_chain_vector(spec)) for spec in specs]
+
+    def run(v: int) -> WaveResult:
+        assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, words[v])
+        return plan.run(assignments, stage.forward_ports)[0]
+
+    if len(specs) == 1:
+        waves = run(0)
+        if not waves.ok:
+            raise _failure(specs[0], waves)
+        return [(waves.forward_latency, waves.reverse_latency, waves.cycle_time)]
     masks = rail_masks(stage.operand_rails, words)
     masks[stage.ackin] = full = (1 << len(specs)) - 1
     rose, rise, high = plan.times(masks)
@@ -146,8 +145,7 @@ def measure_chains(
         fails |= full & ~(rose[i1] ^ rose[i0])
     if fails:
         first = (fails & -fails).bit_length() - 1
-        assignments = [(stage.ackin, 1)] + rail_assignments(stage.operand_rails, words[first])
-        raise _failure(specs[first], plan.run(assignments, stage.forward_ports)[0])
+        raise _failure(specs[first], run(first))
     outs = [i for pair in out for i in pair]
     fl = _latest([(0, rise[i]) for i in outs], len(specs))
     rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
@@ -223,24 +221,25 @@ def sweep(
     table: DelayTable | None = None,
 ) -> TimingReport:
     """Measure both architectures over `m_values`, by default `default_m_values(n)`,
-    and check every row against the closed forms; a mismatch aborts the sweep."""
+    and check each row's cycle, forward latency and reverse latency against
+    the closed forms; the first mismatch aborts the sweep.  The chain specs
+    are made before any stage is built, so a bad n or m is refused as
+    `ChainSpec` refuses it."""
     table = table or default_delay_table()
-    local = build_stage(Architecture.LOCAL, n=n)
-    glob = build_stage(Architecture.GLOBAL, n=n)
     specs = [ChainSpec(n, m) for m in (default_m_values(n) if m_values is None else m_values)]
     if not specs:
         raise ValueError("sweep needs at least one m value")
-    local_sims = measure_chains(local, specs, table)
-    glob_sims = measure_chains(glob, specs, table)
+    local_sims = measure_chains(build_stage(Architecture.LOCAL, n=n), specs, table)
+    glob_sims = measure_chains(build_stage(Architecture.GLOBAL, n=n), specs, table)
     rows = []
     for spec, lsim, gsim in zip(specs, local_sims, glob_sims):
         m = spec.m
         lth = theory_local(m, table, n)
         gth = theory_global(m, table, n)
-        if lsim[2] != lth[2]:
-            raise SweepMismatch(m, "local cycle", lsim[2], lth[2])
-        if gsim[2] != gth[2]:
-            raise SweepMismatch(m, "global cycle", gsim[2], gth[2])
+        for arch, sim, theory in (("local", lsim, lth), ("global", gsim, gth)):
+            for what, k in (("cycle", 2), ("forward latency", 0), ("reverse latency", 1)):
+                if sim[k] != theory[k]:
+                    raise SweepMismatch(m, f"{arch} {what}", sim[k], theory[k])
         rows.append(SweepRow(m, lsim, lth, gsim, gth))
     return TimingReport(n, rows)
 

@@ -19,7 +19,7 @@ from .analysis import (
     TransactionError,
     classify_both,
     default_m_values,
-    measure,
+    measure_chains,
     sweep,
     sweep_csv,
     theory_global,
@@ -108,7 +108,7 @@ def cmd_build(args) -> int:
 def cmd_measure(args) -> int:
     spec = ChainSpec(args.n, args.m)
     stage = build_stage(args.arch, n=args.n)
-    sim_vals = measure(stage, spec, args.table)
+    [sim_vals] = measure_chains(stage, [spec], args.table)
     if args.arch is Architecture.LOCAL:
         theory = theory_local(args.m, args.table, args.n)
     else:

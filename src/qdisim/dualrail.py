@@ -33,13 +33,10 @@ PAIR_STATE = {
 }
 
 
-def rail_assignments(pairs, value: int | None) -> list[tuple[str, int]]:
+def rail_assignments(pairs, value: int) -> list[tuple[str, int]]:
     """Rail-net assignments that put bit k of `value` on `pairs[k]`, a
-    (rail1, rail0) pair of net names, or every rail at 0 (the spacer) when
-    `value` is None.  Bits beyond the last pair are ignored: callers check
-    their operands."""
-    if value is None:
-        return [(r, 0) for pair in pairs for r in pair]
+    (rail1, rail0) pair of net names.  Bits beyond the last pair are
+    ignored: callers check their operands."""
     out = []
     for r1, r0 in pairs:
         bit = value & 1

@@ -42,11 +42,12 @@ netlist is first put in a depth-first post-order.  On bit masks the same
 nodes give, for a block of vectors at once, which nets rise (`rises`),
 which stay high once some inputs fall (`falls`) and, on step functions
 of masks, when each net rises and falls (`times`).  The plan is compiled
-straight from a netlist (`_WavePlan.build`) or lowered from a
-simulation's own compiled gates (`Simulation.plan`).  Both raise the
-compile pass's NetlistError (see `netlist`), and add three refusals that
-the event engine does not make: an INV (inverter), a loop through a
-C-element (cycle) and a rail shared by two ports (shared-rail).
+straight from a netlist with no jitter (`_WavePlan.build`) or lowered
+from a simulation's own compiled gates, jitter included
+(`Simulation.plan`).  Both raise the compile pass's NetlistError (see
+`netlist`), and add three refusals that the event engine does not make:
+an INV (inverter), a loop through a C-element (cycle) and a rail shared
+by two ports (shared-rail).
 """
 from __future__ import annotations
 
@@ -150,12 +151,8 @@ class Simulation:
     def net_value(self, net: str) -> int:
         return self._values[self._ids[net]]
 
-    def pair_value(self, port: str) -> RailState:
-        r1, r0 = self.netlist.port_map[port]
-        return PAIR_STATE[self.net_value(r1), self.net_value(r0)]
-
     def read_word(self, ports: Iterable[str]) -> tuple[RailState, ...]:
-        """Each port's pair state, as `pair_value` gives it."""
+        """Each port's pair state, `PAIR_STATE` of its two rails' values."""
         values, ids, port_map = self._values, self._ids, self.netlist.port_map
         return tuple(PAIR_STATE[values[ids[r1]], values[ids[r0]]] for r1, r0 in map(port_map.__getitem__, ports))
 
@@ -412,7 +409,7 @@ def drive_transaction(
     illegal.sort()
     return WaveResult(
         valid_word=valid_word,
-        spacer_restored=all(sim.pair_value(p) is RailState.SPACER for p in output_ports),
+        spacer_restored=all(state is RailState.SPACER for state in sim.read_word(output_ports)),
         forward_latency=last[0] - origin,
         reverse_latency=last[1] - set_settle,
         illegal_pairs=illegal,
@@ -488,9 +485,10 @@ class _WavePlan:
         self.inputs = inputs  # each primary input's slot
 
     @classmethod
-    def build(cls, netlist: Netlist, delay_table: DelayTable, jitter=0, jitter_seed=1) -> _WavePlan:
-        """`netlist` compiled as a Simulation compiles it, then lowered."""
-        return cls.lower(*_compile(netlist, delay_table, jitter, jitter_seed), netlist)
+    def build(cls, netlist: Netlist, delay_table: DelayTable) -> _WavePlan:
+        """`netlist` compiled as a Simulation with no jitter compiles it,
+        then lowered; a jittered plan is `Simulation(..., jitter=).plan`."""
+        return cls.lower(*_compile(netlist, delay_table), netlist)
 
     @classmethod
     def lower(cls, ids: dict[str, int], inputs: dict, gates: list, netlist: Netlist) -> _WavePlan:

@@ -70,7 +70,6 @@ class StageDescriptor:
     n: int
     netlist: Netlist
     operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
-    register_ports: tuple[str, ...]    # reg.a0.. covered by the detector
     forward_ports: tuple[str, ...]     # sum0.., cout: what the next stage sees
     ackin: str
     cd_out: str
@@ -129,7 +128,6 @@ def build_stage(
         n=n,
         netlist=nb.build(),
         operand_rails=tuple(operand_rails),
-        register_ports=tuple(f"reg.{port}" for port in operand_ports),
         forward_ports=forward_ports,
         ackin=ackin,
         cd_out=cd_out,

@@ -6,12 +6,14 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+import qdisim.analysis
 from qdisim.adders import AdderVariant, build_full_adder, build_rca
 from qdisim.analysis import (
     CLASSIFY_MAX_PAIRS,
     ChainSpec,
     EXPECTED_CLASSES,
     Indication,
+    SweepMismatch,
     SweepRow,
     TimingReport,
     TransactionError,
@@ -20,7 +22,6 @@ from qdisim.analysis import (
     crossover_m,
     default_m_values,
     gen_carry_chain_vector,
-    measure,
     measure_chains,
     sweep,
     sweep_csv,
@@ -164,20 +165,21 @@ def test_local_closed_form_holds_for_other_tables(seed, table):
 
 
 def test_measure_local_m10(local_stage32, table):
-    assert measure(local_stage32, ChainSpec(32, 10), table)[2] == 1632
+    assert measure_chains(local_stage32, [ChainSpec(32, 10)], table)[0][2] == 1632
 
 
 def test_measure_global_sync_dominated(global_stage32, table):
-    assert measure(global_stage32, ChainSpec(32, 4), table)[2] == 2028
+    assert measure_chains(global_stage32, [ChainSpec(32, 4)], table)[0][2] == 2028
 
 
 def test_measure_global_data_dominated(global_stage32, table):
-    assert measure(global_stage32, ChainSpec(32, 20), table)[2] == 2870
+    assert measure_chains(global_stage32, [ChainSpec(32, 20)], table)[0][2] == 2870
 
 
 def test_measure_rejects_width_mismatch(local_stage32, table):
-    with pytest.raises(ValueError, match="width"):
-        measure(local_stage32, ChainSpec(8, 2), table)
+    for count in (1, 2):  # the `run` pass and the `times` pass
+        with pytest.raises(ValueError, match="^stage width 32 != spec width 8$"):
+            measure_chains(local_stage32, [ChainSpec(8, 2)] * count, table)
 
 
 def test_undecoded_transaction_names_its_first_bad_pair(table):
@@ -194,10 +196,10 @@ def test_undecoded_transaction_names_its_first_bad_pair(table):
     carryless = replace(stage, netlist=replace(stage.netlist, port_map=ports))
     for bad, detail in ((unlatched, "sum pair 0 is SPACER"), (carryless, "carry pair 0 is SPACER")):
         message = f"^transaction failed for m=1: {detail}$"
-        with pytest.raises(TransactionError, match=message):
-            measure(bad, spec, table)
-        with pytest.raises(TransactionError, match=message):
+        with pytest.raises(TransactionError, match=message):  # the `run` pass
             measure_chains(bad, [spec], table)
+        with pytest.raises(TransactionError, match=message):  # the `times` pass
+            measure_chains(bad, [spec, ChainSpec(4, 2)], table)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -293,14 +295,13 @@ def test_sweep_csv_shape(report):
 
 
 def test_sweep_on_one_reset_sim_per_stage_matches_fresh_sims(report, table):
-    # oracle: one measure() per point, each on a plan of its own
+    # oracle: one `run` pass per point (a one-spec measure_chains), each on a plan of its own
     local = build_stage(Architecture.LOCAL, n=32)
     glob = build_stage(Architecture.GLOBAL, n=32)
     rows = []
     for m in range(4, 29):
-        spec = ChainSpec(32, m)
-        rows.append(SweepRow(m, measure(local, spec, table), theory_local(m, table),
-                             measure(glob, spec, table), theory_global(m, table, 32)))
+        [lsim], [gsim] = (measure_chains(stage, [ChainSpec(32, m)], table) for stage in (local, glob))
+        rows.append(SweepRow(m, lsim, theory_local(m, table), gsim, theory_global(m, table, 32)))
     assert report.rows == rows
     assert sweep_csv(report) == sweep_csv(TimingReport(32, rows))
 
@@ -316,6 +317,33 @@ def test_sweep_defaults_to_the_cli_range(capsys):
     report = sweep(n=16)
     assert [row.m for row in report.rows] == list(range(4, 15))
     assert sweep_csv(report) == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("closed_form,shift,message", [
+    ("theory_local", (1, -1), "local forward latency 753 != theoretical 754"),
+    ("theory_global", (0, 1), "global reverse latency 1014 != theoretical 1015"),
+], ids=["local", "global"])
+def test_sweep_checks_each_latency_not_only_the_cycle(closed_form, shift, message, monkeypatch, table):
+    """A closed form that splits the cycle wrongly between the two waves
+    keeps the sum, and still stops the sweep."""
+    real = getattr(qdisim.analysis, closed_form)
+
+    def split_off(m, table, n=32):
+        fl, rl, cycle = real(m, table, n)
+        return fl + shift[0], rl + shift[1], cycle
+
+    monkeypatch.setattr(qdisim.analysis, closed_form, split_off)
+    with pytest.raises(SweepMismatch, match=f"^m=4: simulated {message}$"):
+        sweep(n=32, m_values=[4, 5], table=table)
+
+
+def test_sweep_refuses_a_bad_width_as_chain_spec_does_before_building(monkeypatch, capsys):
+    """A sweep needs n >= 2, and says so before it builds either stage."""
+    monkeypatch.setattr(qdisim.analysis, "build_stage", lambda *args, **kwargs: pytest.fail("built a stage"))
+    with pytest.raises(ValueError, match="^n must be >= 2, got 0$"):
+        sweep(n=0, m_values=[0])
+    assert main(["sweep", "--n", "0", "--m-range", "0:0"]) == 2
+    assert capsys.readouterr() == ("", "error: n must be >= 2, got 0\n")
 
 
 def test_measure_chains_of_no_spec_is_empty_after_one_compile(compiled):
@@ -401,7 +429,7 @@ def _order_enumerator(netlist, phase, table):
                     break
                 if any(net in out_rails for _, net, _ in seg):
                     any_transition_early = True
-                if all(_pair_complete(sim.pair_value(p), is_set) for p in out_ports):
+                if all(_pair_complete(state, is_set) for state in sim.read_word(out_ports)):
                     all_complete_early = True
     return _indication(all_complete_early, any_transition_early)
 
@@ -519,41 +547,37 @@ def test_early_reset_propagate_scenario(table):
     # a=0, b=1 propagates cin=1; dropping one operand rail resets the carry
     # alone, and dropping cin as well resets the whole block early
     sim = _settled_fa(table, 0, 1, 1)
-    assert sim.pair_value("sum") is RailState.ZERO
-    assert sim.pair_value("cout") is RailState.ONE
+    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.ONE)
     sim.apply_inputs([("a.r0", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("cout") is RailState.SPACER
-    assert sim.pair_value("sum") is RailState.ZERO  # sum still held
+    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.SPACER)  # sum still held
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("sum") is RailState.SPACER
+    assert sim.read_word(["sum"]) == (RailState.SPACER,)
     assert sim.net_value("b.r1") == 1  # fully reset with one input still valid
 
 
 def test_early_reset_generate_scenario(table):
     sim = _settled_fa(table, 1, 1, 1)
-    assert sim.pair_value("sum") is RailState.ONE
-    assert sim.pair_value("cout") is RailState.ONE
+    assert sim.read_word(["sum", "cout"]) == (RailState.ONE, RailState.ONE)
     sim.apply_inputs([("a.r1", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("cout") is RailState.SPACER
+    assert sim.read_word(["cout"]) == (RailState.SPACER,)
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("sum") is RailState.SPACER
+    assert sim.read_word(["sum"]) == (RailState.SPACER,)
     assert sim.net_value("b.r1") == 1
 
 
 def test_early_reset_kill_scenario(table):
     sim = _settled_fa(table, 0, 0, 0)
-    assert sim.pair_value("sum") is RailState.ZERO
-    assert sim.pair_value("cout") is RailState.ZERO
+    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.ZERO)
     sim.apply_inputs([("a.r0", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("cout") is RailState.SPACER
+    assert sim.read_word(["cout"]) == (RailState.SPACER,)
     sim.apply_inputs([("cin.r0", 0)])
     sim.run_until_quiescent()
-    assert sim.pair_value("sum") is RailState.SPACER
+    assert sim.read_word(["sum"]) == (RailState.SPACER,)
     assert sim.net_value("b.r0") == 1
 
 
@@ -591,5 +615,5 @@ def test_early_output_datapath_reset_constant():
 def test_asymptotic_check_matches_fresh_sims(variant, arch, table):
     rep = asymptotic_check(variant, arch, table=table)
     stage = build_stage(arch, variant, 32, force=True)
-    fresh = [measure(stage, ChainSpec(32, m), table)[:2] for m in rep.m_values]
+    fresh = [measure_chains(stage, [ChainSpec(32, m)], table)[0][:2] for m in rep.m_values]
     assert list(zip(rep.fl, rep.rl)) == fresh

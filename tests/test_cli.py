@@ -470,17 +470,16 @@ def test_simulation_failures_exit_one_with_one_line(monkeypatch, capsys, callee,
 
 
 def test_measure_failed_transaction_exits_one(monkeypatch, capsys):
-    real = qdisim.analysis.run_transaction
+    real = qdisim.analysis._WavePlan.run
 
     def spacer_lost(*args, **kwargs):
-        rec = real(*args, **kwargs)
-        rec.spacer_restored = False
-        return rec
+        waves, settle = real(*args, **kwargs)
+        waves.spacer_restored = False
+        return waves, settle
 
-    monkeypatch.setattr(qdisim.analysis, "run_transaction", spacer_lost)
+    monkeypatch.setattr(qdisim.analysis._WavePlan, "run", spacer_lost)
     code, out, err = run(capsys, "measure", "--arch", "local", "--n", "8", "--m", "4")
-    assert code == 1 and out == ""
-    assert err.startswith("error: transaction failed for m=4") and err.count("\n") == 1
+    assert (code, out, err) == (1, "", "error: transaction failed for m=4: spacer not restored\n")
 
 
 def test_sweep_mismatch_exits_one(monkeypatch, capsys):

@@ -77,7 +77,6 @@ def test_rail_assignments_put_bit_k_on_pair_k(case):
     for k, (r1, r0) in enumerate(pairs):
         bit = (value >> k) & 1
         assert got[2 * k:2 * k + 2] == [(r1, bit), (r0, 1 - bit)]
-    assert rail_assignments(pairs, None) == [(net, 0) for pair in pairs for net in pair]
 
 
 @given(st.integers(min_value=1, max_value=40).flatmap(

@@ -320,11 +320,9 @@ def test_oscillation_error_names_the_last_commit(table):
 
 
 @pytest.mark.parametrize("jitter", [-5, 2.5], ids=["negative", "non-integer"])
-@pytest.mark.parametrize("compile_", [Simulation, _WavePlan.build], ids=["engine", "plan"])
-def test_a_bad_jitter_is_refused(compile_, jitter, table):
-    """Both users of the one compile pass refuse it by name."""
+def test_a_bad_jitter_is_refused(jitter, table):
     with pytest.raises(ValueError, match=rf"^jitter must be a non-negative integer, got {jitter}$"):
-        compile_(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, jitter=jitter)
+        Simulation(parse_netlist("input a\ninput b\ngate g OR2 a b y"), table, jitter=jitter)
 
 
 def test_negative_event_cap_is_refused(table):
@@ -524,7 +522,7 @@ def _golden_netlist(case):
 @pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))
 def test_compiled_form_matches_golden(case, jitter, table):
     sim = Simulation(_golden_netlist(case), table, jitter=jitter, jitter_seed=3)
-    plan = _WavePlan.build(sim.netlist, table, jitter=jitter, jitter_seed=3)
+    plan = sim.plan
     engine, lowered = _COMPILED_DIGESTS[case, jitter]
     # the digests record each fanout entry's gate index, found through its
     # output slot, which one gate drives in a generated netlist
@@ -544,14 +542,20 @@ def test_a_sim_that_only_lends_its_plan_builds_no_fanout(local_stage32):
 
 
 def _plan_shape(plan):
-    return plan.nodes, plan.slots, plan.rails
+    """The plan with its delays left out."""
+    return [node[:4] for node in plan.nodes], plan.slots, plan.rails
 
 
 @pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))
 def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(case, jitter, table):
+    """A jittered simulation's plan is `build`'s with only the gates'
+    delays raised, each by at most the jitter."""
     netlist = _golden_netlist(case)
-    sim = Simulation(netlist, table, jitter=jitter, jitter_seed=3)
-    assert _plan_shape(_WavePlan.build(netlist, table, jitter, 3)) == _plan_shape(sim.plan)
+    built = _WavePlan.build(netlist, table)
+    lowered = Simulation(netlist, table, jitter=jitter, jitter_seed=3).plan
+    assert _plan_shape(built) == _plan_shape(lowered)
+    assert all(0 <= late[4] - node[4] <= jitter for node, late in zip(built.nodes, lowered.nodes))
+    assert (built.nodes == lowered.nodes) == (jitter == 0)
 
 
 _RING_GOLDEN = [

@@ -1,0 +1,74 @@
+"""Every definition in `src/qdisim` has a reader in `src/qdisim`.
+
+A function, class or dataclass field that no `src/` line reads (a `Name`
+or `Attribute` load; `__init__.py`'s re-exports do not count) is API that
+only the tests use, and the tests should not keep it alive.  The few that
+wait for a caller are listed in `KEPT`, each with what keeps it.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qdisim"
+
+# definition -> what keeps it while nothing in src/ reads it
+KEPT = {
+    "analysis.crossover_m": "ROADMAP item 10 generalises it",
+    "analysis.asymptotic_check": "ROADMAP item 10 checks every variant's law against it",
+    "analysis.AsymptoticReport.shape": "ROADMAP item 10 reads it off each law's slopes",
+    "netlist.parse_netlist": "ROADMAP item 2 gives it a command (`classify --netlist`)",
+    "netlist.gate_census": "ROADMAP item 8 makes it the area column",
+    "netlist.GateCensus.total": "ROADMAP item 8, with gate_census",
+    "netlist.GateCensus.complex_total": "ROADMAP item 8, with gate_census",
+    "stage.run_transaction": "perfbench/workloads.py runs every stage-random transaction through it",
+    "stage.TransactionRecord.sum_value": "perfbench/workloads.py checks every stage-random sum",
+    "stage.TransactionRecord.carry_value": "perfbench/workloads.py checks every stage-random carry",
+    "stage.TransactionRecord.csv_row": "perfbench/workloads.py fingerprints stage-random; ROADMAP item 12 moves it there",
+    "stage.ThroughputReport.steady_interval": "perfbench/workloads.py reads it per ring pass; ROADMAP item 15",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _definitions(module: str, body, prefix: str = "", fields: bool = False):
+    """(qualified name, bare name) of each function, class and, in a
+    dataclass body, each annotated field; dunder methods are called by
+    the language, not read."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            yield f"{module}.{prefix}{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(module, node.body, f"{prefix}{node.name}.", _is_dataclass(node))
+        elif fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield f"{module}.{prefix}{node.target.id}", node.target.id
+
+
+def _unread():
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += _definitions(path.stem, tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [qualified for qualified, name in defined if name not in read]
+
+
+def test_every_definition_in_src_has_a_reader_in_src():
+    assert [name for name in _unread() if name not in KEPT] == []
+
+
+def test_every_kept_definition_still_waits_for_a_reader():
+    """An entry whose definition gained a reader, or is gone, leaves `KEPT`."""
+    assert sorted(set(KEPT) - set(_unread())) == []

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from qdisim.adders import AdderVariant, build_full_adder, build_rca, functional_check, pack_operands
 from qdisim.analysis import (
-    ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure, measure_chains,
+    ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure_chains,
 )
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import PAIR_STATE, DecodeIssue, RailState, decode_word, rail_assignments, rail_masks
@@ -173,7 +173,7 @@ def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
     netlist = replace(netlist, primary_inputs=inputs,
                       port_map={f"q{j}": (nets[2 * j], nets[2 * j + 1]) for j in range(len(nets) // 2)})
     vectors = _vectors(data, inputs)
-    plan = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    plan = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
     assert plan is not None
     rise = plan.rises(_masks(inputs, vectors))
     ports = list(netlist.port_map)
@@ -204,7 +204,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     engine commits them."""
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
-    plan, masks = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed), _masks(inputs, vectors)
+    plan, masks = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan, _masks(inputs, vectors)
     rose_masks, rise, high = plan.times(masks)
     assert rose_masks == plan.rises(masks)
     ids = plan.ids
@@ -234,7 +234,7 @@ def test_falls_match_settled_removals(netlist, jitter, seed, data):
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
     removals = [data.draw(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs))) for _ in vectors]
-    plan = _WavePlan.build(netlist, TABLE, jitter=jitter, jitter_seed=seed)
+    plan = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
     high = plan.falls(plan.rises(_masks(inputs, vectors)), _masks(inputs, removals))
     for v, (vec, removed) in enumerate(zip(vectors, removals)):
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
@@ -249,13 +249,10 @@ def test_falls_match_settled_removals(netlist, jitter, seed, data):
 @pytest.mark.parametrize("variant", list(AdderVariant))
 @pytest.mark.parametrize("arch", list(Architecture))
 def test_measure_chains_equals_per_vector_measure(arch, variant):
+    """The `run` pass of one spec per call equals one `times` pass over all."""
     stage = _stage(arch, variant, 32)
     specs = [ChainSpec(32, m) for m in range(31)]
-    sim = Simulation(stage.netlist, TABLE)
-    records = [run_transaction(stage, *gen_carry_chain_vector(spec), TABLE, sim=sim) for spec in specs]
-    assert all(rec.ok for rec in records)
-    assert measure_chains(stage, specs, TABLE) == [
-        (rec.forward_latency, rec.reverse_latency, rec.cycle_time) for rec in records]
+    assert measure_chains(stage, specs, TABLE) == [measure_chains(stage, [spec], TABLE)[0] for spec in specs]
 
 
 def _sum10_both_rails(netlist):
@@ -278,16 +275,16 @@ def test_measure_chains_names_the_first_failing_m(mutate, later_fails):
     stage = _stage(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 32)
     stage = replace(stage, netlist=mutate(stage.netlist))
     specs = [ChainSpec(32, m) for m in range(31)]
-    assert measure_chains(stage, specs[:9], TABLE) == [measure(stage, s, TABLE) for s in specs[:9]]
+    assert measure_chains(stage, specs[:9], TABLE) == [measure_chains(stage, [s], TABLE)[0] for s in specs[:9]]
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
-        measure(stage, specs[9], TABLE)
+        measure_chains(stage, specs[9:10], TABLE)
     with pytest.raises(TransactionError, match="transaction failed for m=9:"):
         measure_chains(stage, specs, TABLE)
     if later_fails:
         with pytest.raises(TransactionError, match="transaction failed for m=10:"):
             measure_chains(stage, specs[10:], TABLE)
     else:
-        assert measure_chains(stage, specs[10:], TABLE) == [measure(stage, s, TABLE) for s in specs[10:]]
+        assert measure_chains(stage, specs[10:], TABLE) == [measure_chains(stage, [s], TABLE)[0] for s in specs[10:]]
 
 
 def _dead_node_stage():
@@ -311,7 +308,7 @@ def _dead_node_stage():
         nb.add_output_pair(f"sum{k}", *reg[f"a{k}"])
     nb.add_output_pair("cout", nb.add_gate(GateKind.OR2, (reg["cin"][0], w), "cout.r1"), reg["cin"][1])
     return StageDescriptor(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 3, nb.build(),
-                           tuple(rails[p] for p in ports), (), ("sum0", "sum1", "sum2", "cout"), ackin, w)
+                           tuple(rails[p] for p in ports), ("sum0", "sum1", "sum2", "cout"), ackin, w)
 
 
 def test_times_leaves_a_node_that_rises_in_no_vector_empty():
@@ -352,17 +349,20 @@ def _netlists_with_loops(draw):
 @given(netlist=st.one_of(_acyclic_netlists(), _netlists_with_loops()), jitter=JITTER, seed=st.integers(1, 10_000))
 def test_plan_from_the_netlist_equals_the_plan_a_simulation_lowers(netlist, jitter, seed):
     """`build` refuses a netlist exactly when a Simulation's `plan` does,
-    with the same error; otherwise the two plans are equal."""
+    jittered or not, with the same error; otherwise the two plans differ
+    at most in the gates' delays, each raised by at most the jitter."""
     sim = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
     try:
         lowered = sim.plan
     except NetlistError as refused:
         with pytest.raises(NetlistError) as again:
-            _WavePlan.build(netlist, TABLE, jitter, seed)
+            _WavePlan.build(netlist, TABLE)
         assert again.value.violation == refused.violation
     else:
-        built = _WavePlan.build(netlist, TABLE, jitter, seed)
-        assert (built.nodes, built.slots, built.rails) == (lowered.nodes, lowered.slots, lowered.rails)
+        built = _WavePlan.build(netlist, TABLE)
+        assert (built.slots, built.rails) == (lowered.slots, lowered.rails)
+        assert [node[:4] for node in built.nodes] == [node[:4] for node in lowered.nodes]
+        assert all(0 <= late[4] - node[4] <= jitter for node, late in zip(built.nodes, lowered.nodes))
 
 
 # -- one compile per call, and no plan no analysis --------------------------
@@ -385,7 +385,7 @@ def _entry_points(rca, stage):
         "run_transaction": lambda: run_transaction(stage, 1, 1, 0, TABLE),
         "functional_check": lambda: functional_check(rca, 40),
         "measure_chains": lambda: measure_chains(stage, [ChainSpec(stage.n, 1)], TABLE),
-        "measure": lambda: measure(stage, ChainSpec(stage.n, 1), TABLE),
+        "measure_chains-block": lambda: measure_chains(stage, [ChainSpec(stage.n, 1), ChainSpec(stage.n, 2)], TABLE),
         "classify_both": lambda: classify_both(rca.netlist),
     }
 
@@ -679,7 +679,7 @@ def test_a_failing_spec_compiles_once_and_builds_no_engine(mutate, text, compile
     assert str(failed.value) == text
     assert compiled == [stage.netlist] and simulations_built == []
     with pytest.raises(TransactionError) as failed:
-        measure(stage, ChainSpec(32, 9), TABLE)
+        measure_chains(stage, [ChainSpec(32, 9)], TABLE)
     assert str(failed.value) == text
     assert compiled == [stage.netlist] * 2 and simulations_built == []
 
