@@ -258,7 +258,7 @@ def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> int:
     carries their complement within the block."""
     # functional_check generates these operands itself, so they fit
     masks = rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block])
-    rise = plan.rises(masks)
+    rise = plan.levels([0] * plan.slots, masks)
     full = (1 << len(block)) - 1
     fails = plan.illegal(rise)
     wants = _sliced_sum(rca.n, [masks[r1] for r1, _ in rca.operand_rails])
@@ -277,9 +277,9 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     Any other `trials`, a bool included, must be an int >= 1 (ValueError).
 
     Vectors are read CHECK_BLOCK at a time and each block is one boolean
-    pass of the wave plan (`rises`): which rails rise decides the valid
-    word and the illegal pairs, and the plan always restores the spacer
-    with monotone waves.  None of this depends on gate delays, so the plan
+    pass of the wave plan (`levels` from spacer): which rails rise decides
+    the valid word and the illegal pairs, and the plan always restores the
+    spacer with monotone waves.  None of this depends on gate delays, so the plan
     takes the default table.  The lowest failing vector is explained by
     both its waves on the same plan (`run`), so the netlist is compiled
     once; one the plan does not cover raises ValueError.
@@ -305,8 +305,9 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
             a, b, c = block[first]
             waves, _ = plan.run(rail_assignments(rca.operand_rails, _pack(n, a, b, c)), rca.forward_ports)
             decoded, expected = decode_word(waves.valid_word), a + b + c
-            # a right sum on a flagged vector leaves an illegal pair
-            detail = f"decoded {decoded!r}, expected {expected}" if decoded != expected else "phase-check violation"
+            detail = f"decoded {decoded!r}, expected {expected}"
+            if decoded == expected:  # a right sum on a flagged vector leaves an illegal pair
+                detail = "illegal pair {1} at {0}".format(*waves.illegal_pairs[0])
             return FunctionalCheckResult(False, ran + first + 1, (a, b, c), detail)
         ran += len(block)
     return FunctionalCheckResult(True, ran)

@@ -291,7 +291,7 @@ def classify_both(netlist: Netlist) -> IndicationClass:
     each codeword's valid state.  A monotone wave settles to a state that
     depends only on which inputs have moved, so the early steps of all
     orders are the proper non-empty subsets of the input pairs: one bit
-    per codeword and subset in boolean passes of the wave plan, which read
+    per codeword and subset in `levels` passes of the wave plan, which read
     no gate delay (the plan takes the default table).  Raises ValueError
     for more than CLASSIFY_MAX_PAIRS input pairs, a primary input on no
     input pair, or a netlist the plan does not cover.
@@ -318,13 +318,11 @@ def classify_both(netlist: Netlist) -> IndicationClass:
             comb = _spread(raised[rail], codewords, width)
             arrived[rail], valid[rail] = subset * comb, ((1 << width) - 1) * comb
     outs = [plan.rails[port] for port in out_ports]
-    found = []
+    found, spacer = [], [0] * plan.slots
     for phase in (Phase.SET, Phase.RTZ):
-        if phase is Phase.SET:
-            start, now = [0] * plan.slots, plan.rises(arrived)
-        else:
-            start = plan.rises(valid)
-            now = plan.falls(start, arrived)
+        start = spacer if phase is Phase.SET else plan.levels(spacer, valid)
+        # the subset's rails move: up from spacer, down from the valid codeword
+        now = plan.levels(start, {rail: start[plan.inputs[rail]] ^ mask for rail, mask in arrived.items()})
         moved, complete = 0, (1 << codewords * width) - 1
         for i1, i0 in outs:
             moved |= (start[i1] ^ now[i1]) | (start[i0] ^ now[i0])

@@ -63,7 +63,7 @@ STATEFUL_KINDS = frozenset({GateKind.C2, GateKind.C3})
 
 # each kind's code in compiled gates, ordered by frequency in the generated
 # circuits, the order the event engine dispatches in
-_C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV, _AO222 = range(8)
+_C2, _OR2, _AO22, _AO21, _C3, _AND2, _INV = range(7)  # AO222, code 7, is the final `else`
 _CODE = {GateKind[name]: code for code, name in enumerate("C2 OR2 AO22 AO21 C3 AND2 INV AO222".split())}
 
 

@@ -39,9 +39,10 @@ each gate after the drivers of its inputs (`_WavePlan`), which reads and
 changes no simulation state.  Gates listed in that order, as every
 generator lists them, are lowered in one loop as listed; any other
 netlist is first put in a depth-first post-order.  On bit masks the same
-nodes give, for a block of vectors at once, which nets rise (`rises`),
-which stay high once some inputs fall (`falls`) and, on step functions
-of masks, when each net rises and falls (`times`).  The plan is compiled
+nodes give, for a block of vectors at once, where each net settles once
+some inputs move from a settled state (`levels`, one boolean pass for
+both waves) and, on step functions of masks, when each net rises and
+falls (`times`).  The plan is compiled
 straight from a netlist with no jitter (`_WavePlan.build`) or lowered
 from a simulation's own compiled gates, jitter included
 (`Simulation.plan`).  Both raise the compile pass's NetlistError (see
@@ -580,53 +581,46 @@ class _WavePlan:
         )
         return waves, rtz_origin + max(0, max(fall[:nets], default=0))
 
-    def rises(self, masks: dict[str, int]) -> list[int]:
-        """Which slots rise in the valid waves of a block of vectors, with
-        no times: `masks` maps primary inputs to an int whose bit v is set
-        when that input rises in vector v, and bit v of the returned slot
-        i is set when slot i rises in vector v.  A node rises when both
-        inputs rise (AND, C) or either does (OR), as in `run`."""
-        rise = [0] * self.slots
-        for net, mask in masks.items():
-            rise[self.inputs[net]] = mask
-        or_ = _OR
+    def levels(self, held: list[int], high: dict[str, int]) -> list[int]:
+        """Which slots are high once a settled block of vectors takes new
+        input levels, with no times; bit v of each int stands for vector v.
+        `held` is the settled slot masks, `[0] * slots` for spacer.  Each
+        primary input named in `high` takes its mask and every other input
+        keeps its held level; each node then settles as AND `a & b`, OR
+        `a | b` and C `a & b | held[out] & (a | b)`, the Muller C-element's
+        next-state equation.  From spacer these are the valid waves; from a
+        valid state with some inputs lowered, where their spacer waves stop."""
+        level = list(held)
+        inputs = self.inputs
+        for net, mask in high.items():
+            level[inputs[net]] = mask
+        and_, or_ = _AND, _OR
         for op, a, b, out, _ in self.nodes:
-            rise[out] = rise[a] | rise[b] if op == or_ else rise[a] & rise[b]
-        return rise
+            va = level[a]
+            vb = level[b]
+            if op == and_:
+                level[out] = va & vb
+            elif op == or_:
+                level[out] = va | vb
+            else:
+                level[out] = va & vb | held[out] & (va | vb)
+        return level
 
     def illegal(self, rose: list[int]) -> int:
-        """Bit v set when some port pair has both rails risen in vector v,
-        given which slots rose: a `rises` result or the first list of
-        `times`."""
+        """Bit v set when some port pair has both rails high in vector v,
+        given which slots rose: a `levels` result from spacer or the first
+        list of `times`."""
         bad = 0
         for i1, i0 in self.rails.values():
             bad |= rose[i1] & rose[i0]
         return bad
 
-    def falls(self, rise: list[int], masks: dict[str, int]) -> list[int]:
-        """Which slots are still high once some inputs of settled valid
-        waves fall, with no times: `rise` is a `rises` result, and bit v
-        of `masks[net]` is set when primary input `net` falls in vector v.
-        An AND node falls on either input and an OR or C node on both, a
-        C node only where it rose; the rest of `rise` stays high."""
-        high = list(rise)
-        for net, mask in masks.items():
-            high[self.inputs[net]] &= ~mask
-        and_, or_ = _AND, _OR
-        for op, a, b, out, _ in self.nodes:
-            if op == and_:
-                high[out] = high[a] & high[b]
-            elif op == or_:
-                high[out] = high[a] | high[b]
-            else:
-                high[out] = (high[a] | high[b]) & rise[out]
-        return high
-
     def times(self, masks: dict[str, int]) -> tuple[list[int], list[list], list[list]]:
-        """`run`'s times for a block of vectors at once.  `masks` is as
-        for `rises`; an input rises at 0 in its vectors and falls at 0, the
-        spacer wave's start.  Returns (rose, rise, high): rose[i] is the
-        mask of the vectors in which slot i rises, as `rises` gives it,
+        """`run`'s times for a block of vectors at once.  Bit v of
+        `masks[net]` is set when primary input `net` rises in vector v; it
+        rises at 0 in its vectors and falls at 0, the spacer wave's start.
+        Returns (rose, rise, high): rose[i] is the mask of the vectors in
+        which slot i rises, as `levels` from spacer gives it,
         and rise and high hold a step function per slot, a list of
         (t, mask) with t increasing.  Bit v of rise[i]'s mask is set when
         slot i has risen by t in vector v, from 0 before its first step.

@@ -261,9 +261,9 @@ def run_closed_loop(
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
+    stage = build_stage(architecture, variant, n)  # refuses n < 1 before any operand is packed
     words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
     report = ThroughputReport()
-    stage = build_stage(architecture, variant, n)
     nets = stage.netlist.nets()
 
     # one rename map per stage copy, one string per net, and one source per

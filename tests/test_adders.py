@@ -216,8 +216,10 @@ def _per_vector(rca, cases, table):
         ran += 1
         if decoded != a + b + c:
             return FunctionalCheckResult(False, ran, (a, b, c), f"decoded {decoded!r}, expected {a + b + c}")
-        if waves.illegal_pairs or waves.nonmonotonic:
-            return FunctionalCheckResult(False, ran, (a, b, c), "phase-check violation")
+        if waves.illegal_pairs:
+            return FunctionalCheckResult(False, ran, (a, b, c), "illegal pair {1} at {0}".format(*waves.illegal_pairs[0]))
+        if waves.nonmonotonic:
+            return FunctionalCheckResult(False, ran, (a, b, c), f"non-monotone transition {waves.nonmonotonic[0]}")
         if not waves.spacer_restored:
             return FunctionalCheckResult(False, ran, (a, b, c), "outputs did not return to spacer")
     return FunctionalCheckResult(True, ran)
@@ -289,7 +291,7 @@ def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, trials, seed
 
 @pytest.mark.parametrize("mutant,result", [
     ("swapped-sum", ((0, 0, 0), 1, "decoded 2, expected 0")),
-    ("illegal-probe", ((1, 1, 0), 35, "phase-check violation")),
+    ("illegal-probe", ((1, 1, 0), 35, "illegal pair probe at 166")),
     ("both-rails", ((8, 1, 0), 259,
                     "decoded DecodeIssue(state=<RailState.ILLEGAL: 'ILLEGAL'>, index=3), expected 9")),
 ])

@@ -104,6 +104,12 @@ def test_theory_local_values(table):
     assert theory_local(0, table, n=2)[1] == theory_local(1, table, n=3)[1] == 438
 
 
+@pytest.mark.parametrize("closed_form", [theory_local, theory_global])
+def test_closed_forms_refuse_a_negative_m(closed_form, table):
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        closed_form(-1, table)
+
+
 def test_theory_global_values(table):
     assert theory_global(8, table)[2] == 2028
     assert theory_global(12, table)[2] == 2294
@@ -344,6 +350,12 @@ def test_sweep_refuses_a_bad_width_as_chain_spec_does_before_building(monkeypatc
         sweep(n=0, m_values=[0])
     assert main(["sweep", "--n", "0", "--m-range", "0:0"]) == 2
     assert capsys.readouterr() == ("", "error: n must be >= 2, got 0\n")
+
+
+def test_sweep_refuses_no_m_values_before_building(monkeypatch):
+    monkeypatch.setattr(qdisim.analysis, "build_stage", lambda *args, **kwargs: pytest.fail("built a stage"))
+    with pytest.raises(ValueError, match="^sweep needs at least one m value$"):
+        sweep(m_values=[])
 
 
 def test_measure_chains_of_no_spec_is_empty_after_one_compile(compiled):

@@ -51,6 +51,12 @@ def test_build_unknown_variant(capsys):
     assert run(capsys, "build", "--variant", "nope", "--n", "1")[0] == 2
 
 
+def test_measure_unknown_architecture(capsys):
+    code, out, err = run(capsys, "measure", "--arch", "bogus", "--m", "4")
+    assert (code, out) == (2, "")
+    assert err.rstrip("\n").endswith("argument --arch: unknown architecture 'bogus'; choose local or global")
+
+
 def test_measure_local_m4(capsys):
     code, out, _ = run(capsys, "measure", "--arch", "local", "--m", "4")
     assert code == 0
@@ -124,6 +130,7 @@ def test_sweep_strided_range(tmp_path, capsys):
     ("4:28:-4", "m-range stride must be >= 1"),
     ("28:4", "m-range must be increasing"),
     ("28:4:0", "m-range stride must be >= 1"),
+    ("4", "m-range must be start:stop[:stride]"),
 ])
 def test_sweep_bad_m_range_names_its_fault(m_range, message, capsys):
     code, out, err = run(capsys, "sweep", "--m-range", m_range)

@@ -4,6 +4,8 @@ and as a bare ripple chain, decodes the same values with the same phase
 faults (none) as with the calibrated delays.  Only latencies may move.  The
 delay-free analyses, `classify_both` and `functional_check`, agree with
 their event-engine oracles timed with any positive delay table."""
+import re
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -104,5 +106,9 @@ def test_random_block_classes_do_not_depend_on_delays(block, table):
 @given(table=DELAY_TABLES)
 @settings(max_examples=10)
 def test_a_faulty_adder_fails_alike_under_any_delays(mutant, table):
+    """The same vector fails in the same way; only the time of an illegal
+    pair, which `functional_check` reads at the default table, may move."""
     rca = MUTANTS[mutant](3)
-    assert _per_vector(rca, _cases(3, None, 1), table) == functional_check(rca, None)
+    want, got = (replace(r, detail=re.sub(r" at \d+$", "", r.detail))
+                 for r in (_per_vector(rca, _cases(3, None, 1), table), functional_check(rca, None)))
+    assert got == want

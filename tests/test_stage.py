@@ -323,9 +323,12 @@ def test_closed_loop_refuses_a_mispaired_stage_with_or_without_operands(operands
     assert str(refused.value) == "local stages pair with latency-opt-biased; got early-output (use force=True to override)"
 
 
-def test_closed_loop_refuses_width_zero_without_operands():
-    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
-        run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 0, [])
+@pytest.mark.parametrize("operands", [[], [(0, 0, 0)]])
+@pytest.mark.parametrize("n", [0, -1])
+def test_closed_loop_refuses_a_width_below_one(n, operands):
+    """The stage is built before any operand is packed."""
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, n, operands)
 
 
 def test_a_record_is_ok_as_its_waves_are():

@@ -1,8 +1,9 @@
 """Every definition in `src/qdisim` has a reader in `src/qdisim`.
 
-A function, class or dataclass field that no `src/` line reads (a `Name`
-or `Attribute` load; `__init__.py`'s re-exports do not count) is API that
-only the tests use, and the tests should not keep it alive.  The few that
+A function, class, module-level name or dataclass field that no `src/`
+line reads (a `Name` or `Attribute` load; `__init__.py`'s re-exports do
+not count) is API that only the tests use, and the tests should not keep
+it alive.  The few that
 wait for a caller are listed in `KEPT`, each with what keeps it.
 """
 import ast
@@ -35,19 +36,32 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _targets(node):
+    """The names an assignment target binds, unpacking included."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for element in node.elts:
+            yield from _targets(element)
+
+
 def _definitions(module: str, body, prefix: str = "", fields: bool = False):
-    """(qualified name, bare name) of each function, class and, in a
-    dataclass body, each annotated field; dunder methods are called by
-    the language, not read."""
+    """(qualified name, bare name) of each function and class, each
+    module-level assignment target and, in a dataclass body, each annotated
+    field; dunder names are read by the language, not by code."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            yield f"{module}.{prefix}{node.name}", node.name
-            if isinstance(node, ast.ClassDef):
-                yield from _definitions(module, node.body, f"{prefix}{node.name}.", _is_dataclass(node))
-        elif fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield f"{module}.{prefix}{node.target.id}", node.target.id
+            names = [node.name]
+        elif isinstance(node, ast.Assign) and not prefix:
+            names = [name for target in node.targets for name in _targets(target)]
+        elif isinstance(node, ast.AnnAssign) and (fields or not prefix):
+            names = list(_targets(node.target))
+        else:
+            continue
+        names = [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+        yield from ((f"{module}.{prefix}{name}", name) for name in names)
+        if isinstance(node, ast.ClassDef) and names:
+            yield from _definitions(module, node.body, f"{prefix}{node.name}.", _is_dataclass(node))
 
 
 def _unread():

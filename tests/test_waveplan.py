@@ -161,9 +161,9 @@ def _masks(inputs, vectors):
 
 
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
-def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
-    """Bit v of `rises` says whether each net rises in vector v: as the
-    plan's timed pass sees it, and as the event engine settles."""
+def test_levels_from_spacer_match_per_vector_waves(netlist, jitter, seed, data):
+    """Bit v of `levels` from spacer says whether each net rises in vector
+    v: as the plan's timed pass sees it, and as the event engine settles."""
     # every net on a port rail, so the valid word shows every net; a spare input evens the count
     nets = sorted(netlist.nets())
     inputs = netlist.primary_inputs
@@ -175,7 +175,7 @@ def test_rises_match_per_vector_waves(netlist, jitter, seed, data):
     vectors = _vectors(data, inputs)
     plan = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
     assert plan is not None
-    rise = plan.rises(_masks(inputs, vectors))
+    rise = plan.levels([0] * plan.slots, _masks(inputs, vectors))
     ports = list(netlist.port_map)
     for v, vec in enumerate(vectors):
         want = {net: rise[plan.ids[net]] >> v & 1 for net in nets}
@@ -206,7 +206,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     vectors = _vectors(data, inputs)
     plan, masks = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan, _masks(inputs, vectors)
     rose_masks, rise, high = plan.times(masks)
-    assert rose_masks == plan.rises(masks)
+    assert rose_masks == plan.levels([0] * plan.slots, masks)
     ids = plan.ids
     assert plan.rails == {port: (ids[r1], ids[r0]) for port, (r1, r0) in netlist.port_map.items()}
     illegal = plan.illegal(rose_masks)
@@ -216,26 +216,28 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         waves = drive_transaction(reference, list(zip(inputs, vec)), [])
         spacer = max((t for t, _, _ in waves.set_trace), default=0)
-        rises = {net: t for t, net, _ in waves.set_trace}
-        falls = {net: t - spacer for t, net, _ in waves.rtz_trace}
-        assert len(rises) == len(waves.set_trace) and len(falls) == len(waves.rtz_trace)
+        rise_at = {net: t for t, net, _ in waves.set_trace}
+        fall_at = {net: t - spacer for t, net, _ in waves.rtz_trace}
+        assert len(rise_at) == len(waves.set_trace) and len(fall_at) == len(waves.rtz_trace)
         for net in netlist.nets():
             i = ids[net]
             rose = rise[i][-1][1] if rise[i] else 0
-            assert _first_change(rise[i], v) == rises.get(net), (v, net)
-            assert _first_change(high[i], v, rose) == falls.get(net), (v, net)
+            assert _first_change(rise[i], v) == rise_at.get(net), (v, net)
+            assert _first_change(high[i], v, rose) == fall_at.get(net), (v, net)
 
 
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
-def test_falls_match_settled_removals(netlist, jitter, seed, data):
-    """Bit v of `falls` says which nets are still high when a subset of the
-    inputs returns to 0 after vector v's valid wave settled, as the event
-    engine settles; C-elements hold until every input has fallen."""
+def test_levels_match_settled_removals(netlist, jitter, seed, data):
+    """Bit v of `levels` from a settled valid state says which nets are
+    still high when a subset of the inputs returns to 0 after vector v's
+    valid wave, as the event engine settles; C-elements hold until every
+    input has fallen."""
     inputs = netlist.primary_inputs
     vectors = _vectors(data, inputs)
     removals = [data.draw(st.lists(st.integers(0, 1), min_size=len(inputs), max_size=len(inputs))) for _ in vectors]
     plan = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
-    high = plan.falls(plan.rises(_masks(inputs, vectors)), _masks(inputs, removals))
+    rise, lowered = plan.levels([0] * plan.slots, _masks(inputs, vectors)), _masks(inputs, removals)
+    high = plan.levels(rise, {net: rise[plan.inputs[net]] & ~mask for net, mask in lowered.items()})
     for v, (vec, removed) in enumerate(zip(vectors, removals)):
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         reference.apply_inputs(list(zip(inputs, vec)))
@@ -244,6 +246,17 @@ def test_falls_match_settled_removals(netlist, jitter, seed, data):
         reference.run_until_quiescent()
         assert {n: reference.net_value(n) for n in netlist.nets()} == {
             n: high[plan.ids[n]] >> v & 1 for n in netlist.nets()}, v
+
+
+@given(netlist=_acyclic_netlists(), data=st.data())
+def test_a_settled_state_stays_settled(netlist, data):
+    """`levels` of a valid state under the inputs that set it is that
+    state: each C node that rose holds through its held term."""
+    inputs = netlist.primary_inputs
+    plan = _WavePlan.build(netlist, TABLE)
+    masks = _masks(inputs, _vectors(data, inputs))
+    valid = plan.levels([0] * plan.slots, masks)
+    assert plan.levels(valid, masks) == valid
 
 
 @pytest.mark.parametrize("variant", list(AdderVariant))
@@ -501,13 +514,13 @@ def test_inv_and_loops_go_quiet_or_raise_oscillation(netlist, jitter, seed, data
     assert replay(new_sim()) == replay(new_sim())
 
 
-@pytest.mark.parametrize("block_pass", ["rises", "falls", "times"])
+@pytest.mark.parametrize("block_pass", ["levels", "times"])
 def test_block_passes_reject_a_net_that_is_not_a_primary_input(block_pass):
     rca = _rca(AdderVariant.EARLY_OUTPUT, 2)
     plan = _WavePlan.build(rca.netlist, TABLE)
-    rise = (plan.rises({}),) if block_pass == "falls" else ()
+    held = ([0] * plan.slots,) if block_pass == "levels" else ()
     with pytest.raises(SimulationError, match="'fa0.s1' is not a primary input"):
-        getattr(plan, block_pass)(*rise, {"fa0.s1": 1})
+        getattr(plan, block_pass)(*held, {"fa0.s1": 1})
 
 
 RING = """\
