@@ -279,10 +279,10 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     Vectors are read CHECK_BLOCK at a time and each block is one boolean
     pass of the wave plan (`levels` from spacer): which rails rise decides
     the valid word and the illegal pairs, and the plan always restores the
-    spacer with monotone waves.  None of this depends on gate delays, so the plan
-    takes the default table.  The lowest failing vector is explained by
-    both its waves on the same plan (`run`), so the netlist is compiled
-    once; one the plan does not cover raises ValueError.
+    spacer with monotone waves.  None of this depends on gate delays, so
+    the plan takes the default table.  The lowest failing vector is
+    explained by both its waves on the same plan (`run`), so the netlist
+    is compiled once; one the plan does not cover raises ValueError.
     """
     n = rca.n
     if trials is None:

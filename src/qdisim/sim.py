@@ -42,13 +42,12 @@ netlist is first put in a depth-first post-order.  On bit masks the same
 nodes give, for a block of vectors at once, where each net settles once
 some inputs move from a settled state (`levels`, one boolean pass for
 both waves) and, on step functions of masks, when each net rises and
-falls (`times`).  The plan is compiled
-straight from a netlist with no jitter (`_WavePlan.build`) or lowered
-from a simulation's own compiled gates, jitter included
-(`Simulation.plan`).  Both raise the compile pass's NetlistError (see
-`netlist`), and add three refusals that the event engine does not make:
-an INV (inverter), a loop through a C-element (cycle) and a rail shared
-by two ports (shared-rail).
+falls (`times`).  The plan is compiled straight from a netlist with no
+jitter (`_WavePlan.build`) or lowered from a simulation's own compiled
+gates, jitter included (`Simulation.plan`).  Both raise the compile
+pass's NetlistError (see `netlist`), and add three refusals that the
+event engine does not make: an INV (inverter), a loop through a
+C-element (cycle) and a rail shared by two ports (shared-rail).
 """
 from __future__ import annotations
 
@@ -594,16 +593,14 @@ class _WavePlan:
         inputs = self.inputs
         for net, mask in high.items():
             level[inputs[net]] = mask
-        and_, or_ = _AND, _OR
+        or_, c_ = _OR, _C
         for op, a, b, out, _ in self.nodes:
-            va = level[a]
-            vb = level[b]
-            if op == and_:
-                level[out] = va & vb
-            elif op == or_:
-                level[out] = va | vb
-            else:
-                level[out] = va & vb | held[out] & (va | vb)
+            if op == or_:
+                level[out] = level[a] | level[b]
+            elif op == c_ and held[out]:
+                level[out] = level[a] & level[b] | held[out] & (level[a] | level[b])
+            else:  # an AND node, or a C node that held 0 in every vector, whose equation is then a & b
+                level[out] = level[a] & level[b]
         return level
 
     def illegal(self, rose: list[int]) -> int:
@@ -620,9 +617,9 @@ class _WavePlan:
         `masks[net]` is set when primary input `net` rises in vector v; it
         rises at 0 in its vectors and falls at 0, the spacer wave's start.
         Returns (rose, rise, high): rose[i] is the mask of the vectors in
-        which slot i rises, as `levels` from spacer gives it,
-        and rise and high hold a step function per slot, a list of
-        (t, mask) with t increasing.  Bit v of rise[i]'s mask is set when
+        which slot i rises, as `levels` from spacer gives it, and rise and
+        high hold a step function per slot, a list of (t, mask) with t
+        increasing.  Bit v of rise[i]'s mask is set when
         slot i has risen by t in vector v, from 0 before its first step.
         high[i] is the dual over offsets from the spacer wave's start: bit
         v is set while slot i is still high in vector v, from rose[i]
