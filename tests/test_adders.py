@@ -217,7 +217,8 @@ def _per_vector(rca, cases, table):
         if decoded != a + b + c:
             return FunctionalCheckResult(False, ran, (a, b, c), f"decoded {decoded!r}, expected {a + b + c}")
         if waves.illegal_pairs:
-            return FunctionalCheckResult(False, ran, (a, b, c), "illegal pair {1} at {0}".format(*waves.illegal_pairs[0]))
+            t, port = waves.illegal_pairs[0]
+            return FunctionalCheckResult(False, ran, (a, b, c), f"illegal pair {port} at {t}")
         if waves.nonmonotonic:
             return FunctionalCheckResult(False, ran, (a, b, c), f"non-monotone transition {waves.nonmonotonic[0]}")
         if not waves.spacer_restored:

@@ -3,8 +3,8 @@
 A function, class, module-level name or dataclass field that no `src/`
 line reads (a `Name` or `Attribute` load; `__init__.py`'s re-exports do
 not count) is API that only the tests use, and the tests should not keep
-it alive.  The few that
-wait for a caller are listed in `KEPT`, each with what keeps it.
+it alive.  The few that wait for a caller are listed in `KEPT`, each with
+what keeps it.
 """
 import ast
 from pathlib import Path
