@@ -1,7 +1,7 @@
 """Gate-level simulation and timing analysis of dual-rail self-timed
 ripple-carry adders under 4-phase return-to-zero handshaking."""
 
-from .adders import AdderVariant, build_full_adder, build_rca, functional_check
+from .adders import AdderVariant, build_rca, functional_check
 from .analysis import (
     ChainSpec,
     IndicationClass,

@@ -1,4 +1,5 @@
-"""Generators for the dual-rail full-adder variants and ripple-carry chains.
+"""The generator of dual-rail ripple-carry adders, `build_rca`, in six
+full-adder variants; a full adder is the one-stage chain, `build_rca(v, 1)`.
 
 Each variant is one gate-level template over the dual-rail operand pairs
 a, b, cin and result pairs sum, cout.  Naming convention inside a stage
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .cells import default_delay_table
-from .dualrail import decode_word, rail_assignments, rail_masks
+from .dualrail import PAIR_STATE, decode_word, rail_masks
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .sim import _WavePlan
 
@@ -211,20 +212,6 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
     )
 
 
-def build_full_adder(variant: AdderVariant) -> Netlist:
-    """Single full adder with ports a, b, cin, sum, cout."""
-    nb = NetlistBuilder()
-    (a1, a0), (b1, b0), (c1, c0) = (nb.add_input_pair(port) for port in ("a", "b", "cin"))
-    r = {
-        "a1": a1, "a0": a0, "b1": b1, "b0": b0, "c1": c1, "c0": c0,
-        "s1": "sum.r1", "s0": "sum.r0", "k1": "cout.r1", "k0": "cout.r0",
-    }
-    _emit_stage(nb, variant, "", r)
-    nb.add_output_pair("sum", "sum.r1", "sum.r0")
-    nb.add_output_pair("cout", "cout.r1", "cout.r0")
-    return nb.build()
-
-
 # -- functional verification ------------------------------------------
 
 
@@ -251,21 +238,19 @@ def _sliced_sum(n: int, columns: list[int]) -> list[int]:
     return out + [carry]
 
 
-def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> int:
-    """Bit v set when vector v of `block` fails: an output pair is not its
-    expected rail, or some port pair has both rails high.  The expected
-    rail1 masks come from the operand rail1 masks by `_sliced_sum`; rail0
-    carries their complement within the block."""
+def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> tuple[int, list[int]]:
+    """Bit v set when vector v of `block` fails (`_WavePlan.faults`, or a
+    sum rail1 that is not its expected value), and the slots' `levels`
+    from spacer.  The expected rail1 masks come from the operand rail1
+    masks by `_sliced_sum`."""
     # functional_check generates these operands itself, so they fit
     masks = rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block])
-    rise = plan.levels([0] * plan.slots, masks)
-    full = (1 << len(block)) - 1
-    fails = plan.illegal(rise)
+    rose = plan.levels([0] * plan.slots, masks)
+    fails = plan.faults(rose, rca.forward_ports)
     wants = _sliced_sum(rca.n, [masks[r1] for r1, _ in rca.operand_rails])
     for port, want in zip(rca.forward_ports, wants):
-        i1, i0 = plan.rails[port]
-        fails |= rise[i1] ^ want | rise[i0] ^ full ^ want
-    return fails
+        fails |= rose[plan.rails[port][0]] ^ want
+    return fails, rose
 
 
 def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> FunctionalCheckResult:
@@ -281,8 +266,10 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     the valid word and the illegal pairs, and the plan always restores the
     spacer with monotone waves.  None of this depends on gate delays, so
     the plan takes the default table.  The lowest failing vector is
-    explained by both its waves on the same plan (`run`), so the netlist
-    is compiled once; one the plan does not cover raises ValueError.
+    explained from the same pass: its valid word, decoded against the
+    sum, or, when that is right, `illegal pair <port>` for the first port
+    in port-map order with both rails high.  A netlist the plan does not
+    cover raises ValueError.
     """
     n = rca.n
     if trials is None:
@@ -299,15 +286,15 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     plan = _WavePlan.build(rca.netlist, default_delay_table())
     ran = 0
     while block := list(islice(cases, CHECK_BLOCK)):
-        fails = _block_failures(plan, rca, block)
+        fails, rose = _block_failures(plan, rca, block)
         if fails:
             first = (fails & -fails).bit_length() - 1
             a, b, c = block[first]
-            waves, _ = plan.run(rail_assignments(rca.operand_rails, _pack(n, a, b, c)), rca.forward_ports)
-            decoded, expected = decode_word(waves.valid_word), a + b + c
+            rails = {port: (rose[i1] >> first & 1, rose[i0] >> first & 1) for port, (i1, i0) in plan.rails.items()}
+            decoded, expected = decode_word([PAIR_STATE[rails[port]] for port in rca.forward_ports]), a + b + c
             detail = f"decoded {decoded!r}, expected {expected}"
             if decoded == expected:  # a right sum on a flagged vector leaves an illegal pair
-                detail = "illegal pair {1} at {0}".format(*waves.illegal_pairs[0])
+                detail = "illegal pair " + next(port for port, pair in rails.items() if pair == (1, 1))
             return FunctionalCheckResult(False, ran + first + 1, (a, b, c), detail)
         ran += len(block)
     return FunctionalCheckResult(True, ran)

@@ -116,10 +116,9 @@ def measure_chains(
     One spec runs both its waves (`_WavePlan.run`, cheaper than `times`
     for one vector) and fails unless the record is `ok`.  More specs take
     one timed pass over all their chain vectors at once
-    (`_WavePlan.times`), where a vector fails when some port pair has both
-    rails high or a forward pair does not have exactly one; the first
-    failing spec then runs alone, as one spec does.  A failing spec raises
-    the TransactionError that names its faults."""
+    (`_WavePlan.times`), where a vector fails as `_WavePlan.faults` flags
+    it; the first failing spec then runs alone, as one spec does.  A
+    failing spec raises the TransactionError that names its faults."""
     table = table or default_delay_table()
     for spec in specs:
         if stage.n != spec.n:
@@ -137,16 +136,13 @@ def measure_chains(
             raise _failure(specs[0], waves)
         return [(waves.forward_latency, waves.reverse_latency, waves.cycle_time)]
     masks = rail_masks(stage.operand_rails, words)
-    masks[stage.ackin] = full = (1 << len(specs)) - 1
+    masks[stage.ackin] = (1 << len(specs)) - 1
     rose, rise, high = plan.times(masks)
-    out = [plan.rails[port] for port in stage.forward_ports]
-    fails = plan.illegal(rose)
-    for i1, i0 in out:
-        fails |= full & ~(rose[i1] ^ rose[i0])
+    fails = plan.faults(rose, stage.forward_ports)
     if fails:
         first = (fails & -fails).bit_length() - 1
         raise _failure(specs[first], run(first))
-    outs = [i for pair in out for i in pair]
+    outs = [i for port in stage.forward_ports for i in plan.rails[port]]
     fl = _latest([(0, rise[i]) for i in outs], len(specs))
     rl = _latest([(rose[i], high[i]) for i in outs], len(specs))
     return [(f, r, f + r) for f, r in zip(fl, rl)]

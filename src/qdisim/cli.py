@@ -10,7 +10,7 @@ import argparse
 import random
 import sys
 
-from .adders import AdderVariant, build_full_adder, build_rca, functional_check
+from .adders import AdderVariant, build_rca, functional_check
 from .analysis import (
     DEFAULT_M_RANGE,
     ChainSpec,
@@ -95,13 +95,8 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
-def _adder_netlist(args):
-    """One full adder for n = 1, else the n-bit ripple-carry block."""
-    return build_full_adder(args.variant) if args.n == 1 else build_rca(args.variant, args.n).netlist
-
-
 def cmd_build(args) -> int:
-    _write_out(args, serialize_netlist(_adder_netlist(args)))
+    _write_out(args, serialize_netlist(build_rca(args.variant, args.n).netlist))
     return 0
 
 
@@ -138,7 +133,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cls = classify_both(_adder_netlist(args))
+    cls = classify_both(build_rca(args.variant, args.n).netlist)
     _write_out(args, f"SET: {cls.set_phase.value}, RTZ: {cls.rtz_phase.value}\n")
     if args.n != 1:
         return 0

@@ -603,13 +603,20 @@ class _WavePlan:
                 level[out] = level[a] & level[b]
         return level
 
-    def illegal(self, rose: list[int]) -> int:
-        """Bit v set when some port pair has both rails high in vector v,
-        given which slots rose: a `levels` result from spacer or the first
-        list of `times`."""
-        bad = 0
+    def faults(self, rose: list[int], ports) -> int:
+        """Bit v set when, in vector v, some port pair has both rails high
+        or a port in `ports` does not have exactly one rail high: the block
+        form of `WaveResult.ok`'s valid-word test, given which slots rose
+        (a `levels` result from spacer or the first list of `times`).  The
+        block's vectors are those in which some primary input rose."""
+        block = bad = 0
+        for i in self.inputs.values():
+            block |= rose[i]
         for i1, i0 in self.rails.values():
             bad |= rose[i1] & rose[i0]
+        for port in ports:
+            i1, i0 = self.rails[port]
+            bad |= block & ~(rose[i1] ^ rose[i0])
         return bad
 
     def times(self, masks: dict[str, int]) -> tuple[list[int], list[list], list[list]]:

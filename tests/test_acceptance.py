@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qdisim.adders import AdderVariant, build_full_adder, build_rca, functional_check
+from qdisim.adders import AdderVariant, build_rca, functional_check
 from qdisim.analysis import (
     ChainSpec,
     EXPECTED_CLASSES,
@@ -93,28 +93,28 @@ def test_criterion_5_asymptotic_shapes():
 
 def test_criterion_6_indication_classes(table):
     for variant, expected in EXPECTED_CLASSES.items():
-        assert classify_both(build_full_adder(variant)) == expected, variant
+        assert classify_both(build_rca(variant, 1).netlist) == expected, variant
     assert EXPECTED_CLASSES[AdderVariant.DIMS_STRONG].set_phase is Indication.STRONG
     assert EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT].rtz_phase is Indication.EARLY
 
     # the three early-reset operand scenarios, each driven partially to
     # the spacer and asserted to reset fully with one input still valid
     for a, b, c, drop in (
-        (0, 1, 1, ("a.r0", "cin.r1")),   # carry propagation
-        (1, 1, 1, ("a.r1", "cin.r1")),   # carry generation
-        (0, 0, 0, ("a.r0", "cin.r0")),   # carry kill
+        (0, 1, 1, ("a0.r0", "cin.r1")),   # carry propagation
+        (1, 1, 1, ("a0.r1", "cin.r1")),   # carry generation
+        (0, 0, 0, ("a0.r0", "cin.r0")),   # carry kill
     ):
-        fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+        fa = build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist
         sim = Simulation(fa, table)
         sim.apply_inputs(
-            [("a.r1", a), ("a.r0", 1 - a), ("b.r1", b), ("b.r0", 1 - b),
+            [("a0.r1", a), ("a0.r0", 1 - a), ("b0.r1", b), ("b0.r0", 1 - b),
              ("cin.r1", c), ("cin.r0", 1 - c)], at_time=0)
         sim.run_until_quiescent()
         for net in drop:
             sim.apply_inputs([(net, 0)])
             sim.run_until_quiescent()
-        assert sim.read_word(["sum", "cout"]) == (RailState.SPACER, RailState.SPACER)
-        assert sim.net_value("b.r1" if b else "b.r0") == 1
+        assert sim.read_word(["sum0", "cout"]) == (RailState.SPACER, RailState.SPACER)
+        assert sim.net_value("b0.r1" if b else "b0.r0") == 1
     print("PASS criterion 6: indication classes match for all six variants; "
           "propagate/generate/kill early-reset scenarios confirmed")
 
@@ -141,12 +141,12 @@ def test_criterion_7_functional_correctness(table, local_stage32, global_stage32
 
 
 def test_criterion_8_structural_proxies(global_stage32):
-    early = gate_census(build_full_adder(AdderVariant.EARLY_OUTPUT))
+    early = gate_census(build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist)
     assert early.total == 10
     assert early.counts[GateKind.AO22] == 4
     assert early.counts[GateKind.C2] == 4
     assert early.counts[GateKind.OR2] == 2
-    opt = gate_census(build_full_adder(AdderVariant.LATENCY_OPT_BIASED))
+    opt = gate_census(build_rca(AdderVariant.LATENCY_OPT_BIASED, 1).netlist)
     assert early.total < opt.total
     assert early.complex_total < opt.complex_total
     forced_local = build_stage(Architecture.LOCAL, AdderVariant.EARLY_OUTPUT, 32, force=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qdisim.analysis
-from qdisim.adders import AdderVariant, build_full_adder, build_rca
+from qdisim.adders import AdderVariant, build_rca
 from qdisim.analysis import (
     CLASSIFY_MAX_PAIRS,
     ChainSpec,
@@ -28,7 +28,7 @@ from qdisim.analysis import (
     theory_global,
     theory_local,
 )
-from qdisim.analysis import asymptotic_check
+from qdisim.analysis import AsymptoticReport, asymptotic_check
 from qdisim.cli import main
 from qdisim.cells import default_delay_table, global_datapath_cycle, local_cycle, path_delay, sync_path
 from qdisim.dualrail import DecodeIssue, RailState, rail_assignments
@@ -370,7 +370,7 @@ def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):
     assert len(compiled) == 2
     asymptotic_check(AdderVariant.DIMS_WEAK, n=8, m_values=(2, 4, 6), table=table)
     assert len(compiled) == 3
-    fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+    fa = build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist
     assert classify_both(fa) == EXPECTED_CLASSES[AdderVariant.EARLY_OUTPUT]
     assert compiled[3:] == [fa]  # one wave plan for both phases
     assert simulations_built == []
@@ -381,16 +381,16 @@ def test_analyses_compile_each_netlist_once(table, compiled, simulations_built):
 
 @pytest.mark.parametrize("variant", list(AdderVariant))
 def test_classification_matches_expected(variant):
-    assert classify_both(build_full_adder(variant)) == EXPECTED_CLASSES[variant]
+    assert classify_both(build_rca(variant, 1).netlist) == EXPECTED_CLASSES[variant]
 
 
 def test_strong_adder_both_phases():
-    fa = build_full_adder(AdderVariant.DIMS_STRONG)
+    fa = build_rca(AdderVariant.DIMS_STRONG, 1).netlist
     assert classify_both(fa) == IndicationClass(Indication.STRONG, Indication.STRONG)
 
 
 def test_early_output_resets_early():
-    fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+    fa = build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist
     assert classify_both(fa) == IndicationClass(Indication.WEAK, Indication.EARLY)
 
 
@@ -493,7 +493,7 @@ def _class_of(netlist, phase):
 @pytest.mark.parametrize("phase", list(Phase))
 @pytest.mark.parametrize("variant", list(AdderVariant))
 def test_lattice_equals_the_order_enumerator(variant, phase, table):
-    fa = build_full_adder(variant)
+    fa = build_rca(variant, 1).netlist
     assert _class_of(fa, phase) is _order_enumerator(fa, phase, table)
     assert _subset_oracle(fa, phase, table) is _order_enumerator(fa, phase, table)
 
@@ -546,10 +546,10 @@ def test_lattice_equals_the_subset_oracle_on_two_bit_adders(variant, phase, tabl
 
 
 def _settled_fa(table, a, b, c):
-    fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+    fa = build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist
     sim = Simulation(fa, table)
     sim.apply_inputs(
-        [("a.r1", a), ("a.r0", 1 - a), ("b.r1", b), ("b.r0", 1 - b),
+        [("a0.r1", a), ("a0.r0", 1 - a), ("b0.r1", b), ("b0.r0", 1 - b),
          ("cin.r1", c), ("cin.r0", 1 - c)], at_time=0)
     sim.run_until_quiescent()
     return sim
@@ -559,38 +559,38 @@ def test_early_reset_propagate_scenario(table):
     # a=0, b=1 propagates cin=1; dropping one operand rail resets the carry
     # alone, and dropping cin as well resets the whole block early
     sim = _settled_fa(table, 0, 1, 1)
-    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.ONE)
-    sim.apply_inputs([("a.r0", 0)])
+    assert sim.read_word(["sum0", "cout"]) == (RailState.ZERO, RailState.ONE)
+    sim.apply_inputs([("a0.r0", 0)])
     sim.run_until_quiescent()
-    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.SPACER)  # sum still held
+    assert sim.read_word(["sum0", "cout"]) == (RailState.ZERO, RailState.SPACER)  # sum still held
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert sim.read_word(["sum"]) == (RailState.SPACER,)
-    assert sim.net_value("b.r1") == 1  # fully reset with one input still valid
+    assert sim.read_word(["sum0"]) == (RailState.SPACER,)
+    assert sim.net_value("b0.r1") == 1  # fully reset with one input still valid
 
 
 def test_early_reset_generate_scenario(table):
     sim = _settled_fa(table, 1, 1, 1)
-    assert sim.read_word(["sum", "cout"]) == (RailState.ONE, RailState.ONE)
-    sim.apply_inputs([("a.r1", 0)])
+    assert sim.read_word(["sum0", "cout"]) == (RailState.ONE, RailState.ONE)
+    sim.apply_inputs([("a0.r1", 0)])
     sim.run_until_quiescent()
     assert sim.read_word(["cout"]) == (RailState.SPACER,)
     sim.apply_inputs([("cin.r1", 0)])
     sim.run_until_quiescent()
-    assert sim.read_word(["sum"]) == (RailState.SPACER,)
-    assert sim.net_value("b.r1") == 1
+    assert sim.read_word(["sum0"]) == (RailState.SPACER,)
+    assert sim.net_value("b0.r1") == 1
 
 
 def test_early_reset_kill_scenario(table):
     sim = _settled_fa(table, 0, 0, 0)
-    assert sim.read_word(["sum", "cout"]) == (RailState.ZERO, RailState.ZERO)
-    sim.apply_inputs([("a.r0", 0)])
+    assert sim.read_word(["sum0", "cout"]) == (RailState.ZERO, RailState.ZERO)
+    sim.apply_inputs([("a0.r0", 0)])
     sim.run_until_quiescent()
     assert sim.read_word(["cout"]) == (RailState.SPACER,)
     sim.apply_inputs([("cin.r0", 0)])
     sim.run_until_quiescent()
-    assert sim.read_word(["sum"]) == (RailState.SPACER,)
-    assert sim.net_value("b.r0") == 1
+    assert sim.read_word(["sum0"]) == (RailState.SPACER,)
+    assert sim.net_value("b0.r0") == 1
 
 
 # -- asymptotic shapes ---------------------------------------------------------
@@ -620,6 +620,11 @@ def test_early_output_datapath_reset_constant():
     rep = asymptotic_check(AdderVariant.EARLY_OUTPUT)
     assert rep.rl == (416, 416, 416, 416)
     assert rep.shape == "O(m)+O(2)"
+
+
+def test_a_flat_forward_latency_with_a_growing_reset_is_irregular():
+    rep = AsymptoticReport(AdderVariant.DIMS_WEAK, Architecture.LOCAL, (4, 12), fl=(900, 900), rl=(400, 480))
+    assert rep.shape == "irregular"
 
 
 @pytest.mark.parametrize("arch", list(Architecture))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdisim.adders import AdderVariant, build_full_adder, build_rca
+from qdisim.adders import AdderVariant, build_rca
 from qdisim.cells import default_delay_table
 from qdisim.netlist import (
     Gate,
@@ -74,14 +74,14 @@ def test_serialize_lone_input():
 
 
 def test_serialize_deterministic():
-    fa = build_full_adder(AdderVariant.EARLY_OUTPUT)
+    fa = build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist
     assert serialize_netlist(fa) == serialize_netlist(fa)
 
 
 @pytest.mark.parametrize("variant", list(AdderVariant))
 def test_round_trip_over_adder_corpus(variant):
-    for netlist in (build_full_adder(variant), build_rca(variant, 3).netlist):
-        text = serialize_netlist(netlist)
+    for n in (1, 3):
+        text = serialize_netlist(build_rca(variant, n).netlist)
         assert serialize_netlist(parse_netlist(text)) == text
 
 
@@ -205,7 +205,7 @@ def test_parse_raises_only_parse_errors(text):
 
 
 def test_validate_well_formed_adder():
-    assert validate(build_full_adder(AdderVariant.DIMS_STRONG)) is None
+    assert validate(build_rca(AdderVariant.DIMS_STRONG, 1).netlist) is None
 
 
 def test_gate_table_pins_arity_and_terms():
@@ -221,6 +221,8 @@ def test_gate_table_pins_arity_and_terms():
     ("gate z C2 a z", "line 2: C2 takes 2 inputs, got 1"),
     ("gate g1 AO22 a b a y", "line 2: AO22 takes 4 inputs, got 3"),
     ("pair p a", "line 2: pair takes portname, rail1 net, rail0 net"),
+    ("output y z", "line 2: output takes one net name"),
+    ("gate g1 OR2 a", "line 2: gate needs id, kind, inputs, output"),
 ])
 def test_parse_rejects_wrong_arity(line, message):
     with pytest.raises(NetlistParseError, match=f"^{message}$"):
@@ -293,7 +295,7 @@ def test_each_rule_names_its_first_offender(netlist, rule, subject):
 
 
 @pytest.mark.parametrize("call", [validate, serialize_netlist])
-@pytest.mark.parametrize("netlist", [build_full_adder(AdderVariant.DIMS_STRONG), parse_netlist(_DRIVEN_INPUT)],
+@pytest.mark.parametrize("netlist", [build_rca(AdderVariant.DIMS_STRONG, 1).netlist, parse_netlist(_DRIVEN_INPUT)],
                          ids=["well-formed", "driven-input"])
 def test_validate_compiles_once_and_builds_no_simulation(call, netlist, compiled, simulations_built):
     try:
@@ -328,7 +330,7 @@ def test_serialize_refuses_invalid():
 
 
 def test_census_early_output_full_adder():
-    cen = gate_census(build_full_adder(AdderVariant.EARLY_OUTPUT))
+    cen = gate_census(build_rca(AdderVariant.EARLY_OUTPUT, 1).netlist)
     assert cen.total == 10
     assert cen.counts[GateKind.AO22] == 4
     assert cen.counts[GateKind.C2] == 4
@@ -337,7 +339,7 @@ def test_census_early_output_full_adder():
 
 
 def test_census_dims_strong_full_adder():
-    cen = gate_census(build_full_adder(AdderVariant.DIMS_STRONG))
+    cen = gate_census(build_rca(AdderVariant.DIMS_STRONG, 1).netlist)
     assert cen.counts[GateKind.C3] == 8
     assert cen.counts[GateKind.OR2] == 12
     assert cen.total == 20

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from qdisim.adders import AdderVariant, build_full_adder, build_rca, pack_operands
+from qdisim.adders import AdderVariant, build_rca, pack_operands
 from qdisim.cells import default_delay_table
 from qdisim.dualrail import decode_word, rail_assignments
 from qdisim.netlist import GATE_ARITY, GATE_TERMS, STATEFUL_KINDS, Gate, GateKind, Netlist, NetlistError, parse_netlist
@@ -347,13 +347,13 @@ def test_jittered_traces_match_golden(arch, digest, table):
 # fanout, the engine's tie order) and the wave plan's (nodes, in gate order
 # after their drivers, and pairs); jitter 40 draws with seed 3
 _COMPILED_DIGESTS = {
-    ("fa dims-strong", 0): (
-        "8b25f58c37b9b44ffc2c3c77d3ed58cc377ecaa3679386ccb059dc1f19ecc13f",
-        "d072586a18220f452af9a8df541fd072438b0ca15dbb3cb3bf1f01d3598b4ecb",
+    ("rca1 dims-strong", 0): (
+        "c01b4fd7c2619f69fad06eb7ad66b4888ab09653873533edfb5b30c0255920ac",
+        "541ded0ff29332c7ca26a50501263dd2030f3f250932b4fd7cfd3d6a36e8da7f",
     ),
-    ("fa dims-strong", 40): (
-        "7b172a929a189a46df4036c00a58f8d32f23b65b7399cb55147d93acef8dbaa0",
-        "73edf22ffc506ef7b22f55c243ef6ed7c046dc52532b7fabd70b8c9bc606f983",
+    ("rca1 dims-strong", 40): (
+        "b1eb8e803aaecc2b1de455e00eab4e4ad7f5f514f8b6542a4fb7e6c490120c92",
+        "a337ae9775396072be62802e0e03be8f4efcbd1e92def56cf3ffa45c9db1cdab",
     ),
     ("rca4 dims-strong", 0): (
         "2a48c2c49ac1cb0209e11f3f751f226e87478119e832b0b2fdcaa4d8a051a98e",
@@ -371,13 +371,13 @@ _COMPILED_DIGESTS = {
         "f0f886207d62327bb28b2b9010bd577438327ca571b075cc9c9c05686dbb1339",
         "801171402ee9d648fcbcfb834cd7b0af048fe64f4e544efe6ff3cefb05a2411c",
     ),
-    ("fa dims-weak", 0): (
-        "4a8153326137e46cdb0e5d4d822a201f42aa99a0da26c1750f234392b2bb0436",
-        "c3f6a397ebc8349298f79d7fe92ea4feabdbc8e18ff3ca6e7511eccd44bc17e8",
+    ("rca1 dims-weak", 0): (
+        "8bbc213125bf380399e3416c9e377891bf89293747d19a52a676d970bd03a372",
+        "a46dc288d4d91c1f75f739eb60064f66caba13762b5d342a49805f7c4bd8fea2",
     ),
-    ("fa dims-weak", 40): (
-        "3de1576587b03d36ebc5cce7fa760ebf84e53e1257afdc7482dfcd73c7ab492a",
-        "e1da7361586e5914afc97b149bcaf4e657ad1f521a4d2ba5a97c5112b010e00d",
+    ("rca1 dims-weak", 40): (
+        "5da0db11ac6f99a250b5efab4208cdccf3271bbb01b347f8f530423ba2970dd0",
+        "0e48c584692d826d40e451dae9e3b0112cd99043a003fdcc1ea9b6313f46bf0f",
     ),
     ("rca4 dims-weak", 0): (
         "aaafdc72a606fec51bad4e4f622240b777b76dcca7ef781ec094b1a4e2ffa50b",
@@ -395,13 +395,13 @@ _COMPILED_DIGESTS = {
         "778081d510b09a81a07232812d062efe6143a1337fca13f951272f686a7f2ac0",
         "a28746aae73080b94ee2270b5308b3c1895cffd47ecff184e172c0f7f2c78c47",
     ),
-    ("fa distributive", 0): (
-        "0ad6d2499389621f11f1345afc1c52bf0448b67be4cdb70ce4c5fad9564488a1",
-        "800e5ee71b27c3fd14b4feeb868c4b5f7651eea9b2ab413b118fe7dfc4dda857",
+    ("rca1 distributive", 0): (
+        "e68b05af9130e5c97e520df0abddd0e39fb3dd0676a8cb82e28a0c547c599de6",
+        "f1ac01676bac3935adfd9ebdec56480743ab3266032c9d8980d2d74f844294b9",
     ),
-    ("fa distributive", 40): (
-        "268142944e2713fe856cdb6674b950bfc2984dd3e2fc190486bcfe744acb99ed",
-        "5ebafff306e98d2022a8b3b8669d0941e70cc530c8b6de5e8abdb9804c744dc6",
+    ("rca1 distributive", 40): (
+        "e43e9e2c912a1f3a823e67c0a30c6792f5f279df2aa6baa5cb4cb4ef7bf1b414",
+        "c3e245400aa4ac456cf13baa41aca9087e6107937c807fe91c24d7ea969f3461",
     ),
     ("rca4 distributive", 0): (
         "d065e8ecdfa518c441a57c5c36d7f08132de42e635ffbaed9c45773d218d4b96",
@@ -419,13 +419,13 @@ _COMPILED_DIGESTS = {
         "843ac06457dbb7db7cafce9ec01b121be8cdfb3915a981f39058daea545e5755",
         "35ad249ef0b6e22a97200fe3a5f3a1ad2ed8f207901e8e733db7a9843ff145da",
     ),
-    ("fa biased-ao222", 0): (
-        "91c3fce43e745fe9f5b69524c3f1d34318cd16de91a6b671b780124b0076c4c1",
-        "1b3602d7f148515c0db34bf380518c05ddf2a493002bbf6a3042b44e89792b5c",
+    ("rca1 biased-ao222", 0): (
+        "9827867f87aff6e332c2d8d0ed1c9429d41290fcaaf465441d11d1a413f1307a",
+        "9ff949d9b5d24f01c6f2341c9705b3f000f295535e45f8f732400e137544c597",
     ),
-    ("fa biased-ao222", 40): (
-        "5ffb75f76bb2e250de7b761848e17b3762f07534313d6d8450ce7d0eeaf47555",
-        "3794191be10d316863b20b32595ed1c3b76c0a16277b8cf296eab26031dcef2e",
+    ("rca1 biased-ao222", 40): (
+        "65fab1626abc3e6a7a0a37dd0d71ca3eaa55188e45c2bcfd68ec91e0647eaf72",
+        "16386b21f53a8dde40ffd526c4158b8208f1a4bef148a12fbad3e542490fa985",
     ),
     ("rca4 biased-ao222", 0): (
         "c201d9057162ba9308236cb794463a2d7a523b45bf1af76f1ffda82859a3b4b8",
@@ -443,13 +443,13 @@ _COMPILED_DIGESTS = {
         "a74dfd0127f964a7b40f9af5e7dd0dde0633d331f56d5916ab7fb81e5a34da2e",
         "7d7f3185828f489c801540c8cf3a80366805d0da630e16eed89f4aaa470eb26f",
     ),
-    ("fa latency-opt-biased", 0): (
-        "b511b5ff407cb204c95e65aeb5943b8be81cc999661671b415fb44a5a9ea546e",
-        "3bc3d926da4555b5edb2b26b6bb11e8442fa9f38f1cc7462945148e409d7e8ca",
+    ("rca1 latency-opt-biased", 0): (
+        "47147462569ce2c805de0c622965024eda1c6c446bebe611acf9e110d3c0e9a4",
+        "ecd28049ebc38e5101cc866f4d845d89de0d0632bf6cf36e9a3b9ef466533377",
     ),
-    ("fa latency-opt-biased", 40): (
-        "dd5d48c8152e055f5e555125c7605c21c0c9afe2152380363b82b58a691055d1",
-        "eeb80991a1d5f4b1f7b860a5aed86d8e9d6f59b076b11ed659b74a712a385c37",
+    ("rca1 latency-opt-biased", 40): (
+        "625d3e35b1883e74802765ac0056bc585cf1bbd16886cb0a0ba19cc0f60f01c3",
+        "a418519be77a5fe6a45087b3e40e8393ccb80c3ca11d291bcb1b1ab593a0d03e",
     ),
     ("rca4 latency-opt-biased", 0): (
         "a7a818404e833c00917cbb52bc59742a6cb10f7a52f692d751bea35734c607e8",
@@ -467,13 +467,13 @@ _COMPILED_DIGESTS = {
         "96a62b6d9b902e5da59659a5dde8caef84f4bdab84e7c76dd82f777f82f9b9bf",
         "f7f68b3aeda9006fd5ae8c2e1ca5a80f1e636d302132cf9d6be86b8ef869b916",
     ),
-    ("fa early-output", 0): (
-        "53f348ffe17d1386e4945f134ca3de3f5e8baf2b062f52956a9c9b595e241ceb",
-        "ff0b1e109a36da63789d87aca2a88cf5743b03aa585a544be116e745db8015e0",
+    ("rca1 early-output", 0): (
+        "4df6da22c76564d37cabdd8795ef2a26b71625b5f0fb036fc9d807adf8dcc258",
+        "7d170b059801a78afc9d0e68c20347d432113723be46fa1aaba4707c3f40c1b0",
     ),
-    ("fa early-output", 40): (
-        "200a41e74a51756bee7d681624d2bccc0880b7f47e718cd58e6338cf4d6c90cc",
-        "ddd852e60ffc2beb3c6042df9c5ec40f420450d2b037a786546e89014ad0cc38",
+    ("rca1 early-output", 40): (
+        "e21cc5caf10930e114bd9a9f1e03fcb3075fce56c7e77359d8e108b105da55bc",
+        "7d9b29f80bfd7992e2c76f4295239e081fa7d1f532bb582be40950c0860ab066",
     ),
     ("rca4 early-output", 0): (
         "6ee381d4177db4cd25940e209ec73932d1ee538e6944f9a81b3b57f92f3a76d0",
@@ -516,7 +516,7 @@ def _golden_netlist(case):
         arch = Architecture(name)
         return build_stage(arch, PAIRED_VARIANT[arch], 32).netlist
     variant = AdderVariant(name)
-    return build_full_adder(variant) if shape == "fa" else build_rca(variant, int(shape[3:])).netlist
+    return build_rca(variant, int(shape[3:])).netlist
 
 
 @pytest.mark.parametrize("case,jitter", list(_COMPILED_DIGESTS))

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from qdisim.adders import AdderVariant, build_full_adder, build_rca, functional_check, pack_operands
+from qdisim.adders import AdderVariant, build_rca, functional_check, pack_operands
 from qdisim.analysis import (
     ChainSpec, TransactionError, classify_both, gen_carry_chain_vector, measure_chains,
 )
@@ -28,6 +28,7 @@ from qdisim.sim import (
 from qdisim.stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 from completion_detector import build_completion_detector
+from test_adders import MUTANTS
 
 TABLE = default_delay_table()
 WIDTHS = st.one_of(st.integers(1, 8), st.just(32))
@@ -209,7 +210,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
     assert rose_masks == plan.levels([0] * plan.slots, masks)
     ids = plan.ids
     assert plan.rails == {port: (ids[r1], ids[r0]) for port, (r1, r0) in netlist.port_map.items()}
-    illegal = plan.illegal(rose_masks)
+    illegal = plan.faults(rose_masks, [])
     for v, vec in enumerate(vectors):
         reported = plan.run(list(zip(inputs, vec)), [])[0].illegal_pairs
         assert illegal >> v & 1 == bool(reported), v
@@ -224,6 +225,21 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
             rose = rise[i][-1][1] if rise[i] else 0
             assert _first_change(rise[i], v) == rise_at.get(net), (v, net)
             assert _first_change(high[i], v, rose) == fall_at.get(net), (v, net)
+
+
+@given(name=st.sampled_from([v.value for v in AdderVariant] + list(MUTANTS)), n=st.integers(2, 6), data=st.data())
+def test_faults_flag_the_vectors_whose_record_is_not_ok(name, n, data):
+    """`faults` over `levels` from spacer is the block form of `ok`, on
+    sound adders and on every mutant."""
+    rca = MUTANTS[name](n) if name in MUTANTS else _rca(AdderVariant(name), n)
+    plan = _WavePlan.build(rca.netlist, TABLE)
+    word = st.integers(0, (1 << n) - 1)
+    words = [pack_operands(n, *op) for op in data.draw(
+        st.lists(st.tuples(word, word, st.integers(0, 1)), min_size=1, max_size=40))]
+    faults = plan.faults(plan.levels([0] * plan.slots, rail_masks(rca.operand_rails, words)), rca.forward_ports)
+    for v, w in enumerate(words):
+        waves = plan.run(rail_assignments(rca.operand_rails, w), rca.forward_ports)[0]
+        assert faults >> v & 1 == (not waves.ok), v
 
 
 @given(netlist=_acyclic_netlists(), jitter=JITTER, seed=st.integers(1, 10_000), data=st.data())
@@ -580,7 +596,7 @@ def test_a_long_chain_listed_last_gate_first_lowers_as_listed_in_order():
 
 GENERATED = {
     **{str(arch): (lambda arch=arch: build_stage(arch, n=32).netlist) for arch in Architecture},
-    **{f"full-adder-{v.value}": (lambda v=v: build_full_adder(v)) for v in AdderVariant},
+    **{f"full-adder-{v.value}": (lambda v=v: _rca(v, 1).netlist) for v in AdderVariant},
     **{f"rca4-{v.value}": (lambda v=v: _rca(v, 4).netlist) for v in AdderVariant},
     "completion-detector-5": lambda: build_completion_detector(5).netlist,
 }
@@ -600,13 +616,11 @@ def test_a_generated_stage_lowers_in_gate_order(generate):
 
 def _adder(variant, n):
     """(netlist, operand rail pairs, output ports, fixed operand words) of
-    a full adder (n = 1) or an n-bit RCA."""
-    if n == 1:
-        rails = tuple((f"{port}.r1", f"{port}.r0") for port in ("a", "b", "cin"))
-        return build_full_adder(variant), rails, ("sum", "cout"), range(8)
+    an n-bit RCA; a full adder (n = 1) takes all eight words."""
     rca, top = _rca(variant, n), (1 << n) - 1
     ops = [(0, 0, 0), (top, 1, 0), (5, 10, 1), (top, top, 1), (9, 6, 0), (0, top, 1)]
-    return rca.netlist, rca.operand_rails, rca.forward_ports, [pack_operands(n, *op) for op in ops]
+    words = range(8) if n == 1 else [pack_operands(n, *op) for op in ops]
+    return rca.netlist, rca.operand_rails, rca.forward_ports, words
 
 
 @pytest.mark.parametrize("n", [1, 4], ids=["full-adder", "rca4"])
