@@ -238,21 +238,6 @@ def _sliced_sum(n: int, columns: list[int]) -> list[int]:
     return out + [carry]
 
 
-def _block_failures(plan: _WavePlan, rca: RcaDescriptor, block) -> tuple[int, list[int]]:
-    """Bit v set when vector v of `block` fails (`_WavePlan.faults`, or a
-    sum rail1 that is not its expected value), and the slots' `levels`
-    from spacer.  The expected rail1 masks come from the operand rail1
-    masks by `_sliced_sum`."""
-    # functional_check generates these operands itself, so they fit
-    masks = rail_masks(rca.operand_rails, [_pack(rca.n, a, b, c) for a, b, c in block])
-    rose = plan.levels([0] * plan.slots, masks)
-    fails = plan.faults(rose, rca.forward_ports)
-    wants = _sliced_sum(rca.n, [masks[r1] for r1, _ in rca.operand_rails])
-    for port, want in zip(rca.forward_ports, wants):
-        fails |= rose[plan.rails[port][0]] ^ want
-    return fails, rose
-
-
 def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> FunctionalCheckResult:
     """Compare full valid/spacer transactions against integer addition.
 
@@ -264,8 +249,10 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     Vectors are read CHECK_BLOCK at a time and each block is one boolean
     pass of the wave plan (`levels` from spacer): which rails rise decides
     the valid word and the illegal pairs, and the plan always restores the
-    spacer with monotone waves.  None of this depends on gate delays, so
-    the plan takes the default table.  The lowest failing vector is
+    spacer with monotone waves.  A vector fails when `_WavePlan.faults`
+    flags it or an output's rail1 is not its bit of the sum, added
+    bit-sliced over the block (`_sliced_sum`).  None of this depends on
+    gate delays, so the plan takes the default table.  The lowest failing vector is
     explained from the same pass: its valid word, decoded against the
     sum, or, when that is right, `illegal pair <port>` for the first port
     in port-map order with both rails high.  A netlist the plan does not
@@ -286,7 +273,13 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     plan = _WavePlan.build(rca.netlist, default_delay_table())
     ran = 0
     while block := list(islice(cases, CHECK_BLOCK)):
-        fails, rose = _block_failures(plan, rca, block)
+        # functional_check generates these operands itself, so they fit
+        masks = rail_masks(rca.operand_rails, [_pack(n, a, b, c) for a, b, c in block])
+        rose = plan.levels([0] * plan.slots, masks)
+        fails = plan.faults(rose, rca.forward_ports)
+        # where faults is clear each output has one rail, so its rail1 decides
+        for port, want in zip(rca.forward_ports, _sliced_sum(n, [masks[r1] for r1, _ in rca.operand_rails])):
+            fails |= rose[plan.rails[port][0]] ^ want
         if fails:
             first = (fails & -fails).bit_length() - 1
             a, b, c = block[first]
