@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from qdisim.sim import (
     _WavePlan,
     drive_transaction,
 )
+import qdisim.stage as stage_module
 from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
 
 
@@ -583,3 +585,50 @@ def test_ring_delivers_the_golden_values_without_a_traced_run(arch, ops, deliver
     monkeypatch.setattr(Simulation, "run_until_quiescent", traced_run)
     arch = Architecture(arch)
     assert run_closed_loop(3, PAIRED_VARIANT[arch], arch, 8, ops).deliveries == deliveries
+
+
+def _engine_state(sim):
+    return (list(sim._values), list(sim._eff), list(sim._ptime), list(sim._heap), dict(sim._buckets),
+            sim.now, sim.replacements)
+
+
+@pytest.mark.parametrize("part_way", [False, True])
+@pytest.mark.parametrize("k", [1, 6, 13])  # a golden ring drains 13 times
+@pytest.mark.parametrize("arch,ops,deliveries", _RING_GOLDEN)
+def test_a_ring_cut_short_delivers_the_golden_values_next(arch, ops, deliveries, k, part_way, monkeypatch):
+    """The k-th drain fails, before it commits anything or part-way
+    through its run; the next call on the same cached ring starts from the
+    engine state a fresh ring starts from and delivers the golden values."""
+    arch = Architecture(arch)
+    run = partial(run_closed_loop, 3, PAIRED_VARIANT[arch], arch, 8, ops)
+    real_apply, real_drain = Simulation.apply_inputs, Simulation.drain
+    starts, drains = [], []
+
+    def apply_inputs(self, assignments):
+        starts.append(_engine_state(self))
+        return real_apply(self, assignments)
+
+    def drain(self):
+        drains.append(self)
+        if len(drains) < k:
+            return real_drain(self)
+        if not part_way:
+            raise RuntimeError("drain failed")
+        cap, self.event_cap = self.event_cap, 10
+        try:
+            return real_drain(self)
+        finally:
+            self.event_cap = cap
+
+    monkeypatch.setattr(Simulation, "apply_inputs", apply_inputs)
+    stage_module._closed_ring.cache_clear()
+    assert run().deliveries == deliveries
+    fresh = starts[0]
+    with monkeypatch.context() as cut:
+        cut.setattr(Simulation, "drain", drain)
+        with pytest.raises(OscillationError if part_way else RuntimeError):
+            run()
+    starts.clear()
+    assert run().deliveries == deliveries
+    assert starts[0] == fresh
+    assert stage_module._closed_ring.cache_info().misses == 1

@@ -1,9 +1,13 @@
+import gc
 import hashlib
 import random
+import sys
+import threading
+import weakref
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qdisim.stage
 
@@ -25,6 +29,9 @@ from qdisim.stage import (
 
 from completion_detector import build_completion_detector, completion_tree_depth
 from trace_utils import assert_completion_ordering, transitions_of
+
+# the bounded cache of built rings that every `run_closed_loop` call goes through
+RING_CACHE = qdisim.stage._closed_ring
 
 
 @pytest.fixture(scope="module")
@@ -355,9 +362,149 @@ def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the ring ran before its operands were checked")
 
+    RING_CACHE.cache_clear()
     monkeypatch.setattr(qdisim.stage, "Simulation", no_simulation)
     with pytest.raises(ValueError, match="do not fit width 4"):
         run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)
+
+
+# a 3-copy GLOBAL ring at n = 3 whose slow AO22s let copy 2 complete on
+# copy 1's partial spacer and re-arm ack1 while copy 1's `reg.a2.r1` still
+# holds 1 (ROADMAP item 15, probe B)
+_STALL = (3, Architecture.GLOBAL, 3, DelayTable({kind: 7 if kind is GateKind.AO22 else 1 for kind in GateKind}))
+
+
+def _stall_ring(operands):
+    stages, arch, n, delays = _STALL
+    return run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays)
+
+
+@pytest.mark.xfail(strict=True, raises=DeadlockError, reason="ROADMAP item 15: the ring reads no intermediate cout")
+def test_a_global_ring_with_slow_ao22s_delivers_every_value():
+    report = _stall_ring([(0, 3, 1), (0, 0, 0)])
+    assert [(value, carry) for _, value, carry in report.deliveries] == [(4, 0), (0, 0)]
+
+
+def test_a_ring_that_stalled_delivers_as_a_fresh_one_next():
+    """The deliveries after the stall are those of fresh rings, on the one
+    ring the stall left behind."""
+    RING_CACHE.cache_clear()
+    with pytest.raises(DeadlockError, match="^ring stalled at t=72 with 1 transactions outstanding$"):
+        _stall_ring([(0, 3, 1), (0, 0, 0)])
+    assert _stall_ring([(5, 1, 0)]).deliveries == [(44, 6, 0)]
+    assert _stall_ring([(0, 3, 1)]).deliveries == [(51, 4, 0)]
+    assert _stall_ring([(2, 2, 1), (1, 1, 1), (7, 7, 0)]).deliveries == [(44, 5, 0), (104, 3, 0), (170, 6, 0)]
+    assert RING_CACHE.cache_info().misses == 1
+
+
+def _outcome(call):
+    """A call's deliveries, or the type and text of what it raised."""
+    stages, arch, n, delays, jitter, operands = call
+    try:
+        return run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays, jitter, 3).deliveries
+    except (DeadlockError, ValueError) as refused:
+        return f"{type(refused).__name__}: {refused}"
+
+
+@st.composite
+def _ring_calls(draw):
+    """Calls over a few ring keys, each with its own operands; a jitter of
+    True and an operand one past the width draw refusals."""
+    keys = draw(st.lists(
+        st.tuples(
+            st.integers(2, 5),
+            st.sampled_from(list(Architecture)),
+            st.integers(1, 8),
+            st.one_of(st.just(default_delay_table()), st.just(_STALL[3]),
+                      st.builds(DelayTable, st.fixed_dictionaries({kind: st.integers(1, 300) for kind in GateKind}))),
+            st.sampled_from([0, 1, 40, True]),
+        ),
+        min_size=1, max_size=3,
+    ))
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        stages, arch, n, delays, jitter = draw(st.sampled_from(keys))
+        word = st.integers(0, 1 << n)
+        operands = draw(st.lists(st.tuples(word, word, st.integers(0, 1)), max_size=4))
+        calls.append((stages, arch, n, delays, jitter, operands))
+    return calls
+
+
+@settings(max_examples=25)
+@given(calls=_ring_calls())
+def test_a_reused_ring_runs_as_a_fresh_one(calls):
+    fresh = []
+    for call in calls:
+        RING_CACHE.cache_clear()
+        fresh.append(_outcome(call))
+    RING_CACHE.cache_clear()
+    assert [_outcome(call) for call in calls] == fresh
+
+
+def test_equal_tables_share_one_ring_and_a_changed_delay_gets_its_own(table):
+    reversed_order = DelayTable(dict(reversed(table.delays.items())))
+    slower = table.replace({GateKind.C2: table[GateKind.C2] + 1})
+    assert list(reversed_order.delays) != list(table.delays) and hash(reversed_order) == hash(table)
+    arch = Architecture.LOCAL
+    RING_CACHE.cache_clear()
+    runs = [
+        run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(5, 9, 1), (3, 2, 0)], delays).deliveries
+        for delays in (table, reversed_order, None, slower)
+    ]
+    info = RING_CACHE.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert runs[0] == runs[1] == runs[2]
+    assert [d[1:] for d in runs[3]] == [d[1:] for d in runs[0]]
+    assert [d[0] for d in runs[3]] != [d[0] for d in runs[0]]
+
+
+def test_a_refused_jitter_finds_no_cached_ring():
+    """True == 1, but a jitter of True is refused, cached ring or not."""
+    arch = Architecture.LOCAL
+    run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(1, 2, 0)], jitter=1)
+    with pytest.raises(ValueError, match="^jitter must be a non-negative integer, got True$"):
+        run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(1, 2, 0)], jitter=True)
+
+
+def test_the_ring_cache_keeps_at_most_its_bound_alive():
+    """Rings past the bound are dropped, least recently used first."""
+    arch, variant = Architecture.LOCAL, PAIRED_VARIANT[Architecture.LOCAL]
+    RING_CACHE.cache_clear()
+    bound = RING_CACHE.cache_info().maxsize
+    sims = []
+    for seed in range(bound + 3):
+        run_closed_loop(2, variant, arch, 2, [(1, 2, 0)], jitter=1, jitter_seed=seed)
+        sims.append(weakref.ref(RING_CACHE(2, variant, arch, 2, default_delay_table(), 1, seed).sim))
+    gc.collect()
+    assert RING_CACHE.cache_info().currsize == bound
+    assert [ref() is not None for ref in sims] == [False] * 3 + [True] * bound
+
+
+def test_threads_sharing_a_ring_each_get_their_own_deliveries():
+    arch = Architecture.LOCAL
+    jobs = [[(k, 15 - k, k % 2)] * 3 for k in range(6)]
+    want = [run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, ops).deliveries for ops in jobs]
+    got: dict[int, list] = {i: [] for i in range(len(jobs))}
+
+    def work(i):
+        for _ in range(5):
+            try:
+                got[i].append(run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, jobs[i]).deliveries)
+            except Exception as failed:  # the assertion below reports it
+                got[i].append(repr(failed))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {i: [deliveries] * 5 for i, deliveries in enumerate(want)}
 
 
 def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
@@ -368,6 +515,7 @@ def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
         rings.append(netlist)
         return Simulation(netlist, *args, **kwargs)
 
+    RING_CACHE.cache_clear()  # a cached ring would build no Simulation to capture
     monkeypatch.setattr(qdisim.stage, "Simulation", capture)
     run_closed_loop(stage_count, PAIRED_VARIANT[architecture], architecture, 4, [(1, 2, 0)])
     (ring,) = rings
