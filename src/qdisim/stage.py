@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise, repeat
+from typing import NamedTuple
 
 from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
@@ -242,8 +243,7 @@ def _rising(pairs, value: int) -> list[str]:
     return [rail for rail, bit in rail_assignments(pairs, value) if bit]
 
 
-@dataclass(frozen=True)
-class _Ring:
+class _Ring(NamedTuple):
     """A closed ring, compiled and powered on once: the `Simulation`, the
     state power-on left it in, each source's completion-detector net and
     the operand rails it drives, the last copy's forward ports and the
@@ -256,11 +256,11 @@ class _Ring:
     sources: tuple[tuple[str, list[tuple[str, str]]], ...]
     out_ports: tuple[str, ...]
     sink_ackin: str
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    lock: threading.Lock
 
 
 # perfbench alternates the two pairings and a `qdisim ring` process runs
-# one; a 4-copy 32-bit ring holds about 1.9 MB.  typed: jitter=True must
+# one; a 4-copy 32-bit ring holds about 2 MB.  typed: jitter=True must
 # not find the jitter=1 ring, but be refused as it is on a miss
 @lru_cache(maxsize=4, typed=True)
 def _closed_ring(
@@ -316,6 +316,7 @@ def _closed_ring(
         sources=tuple(sources),
         out_ports=tuple(pref + port for port in stage.forward_ports),
         sink_ackin=names[stage.ackin],
+        lock=threading.Lock(),
     )
 
 
@@ -349,10 +350,12 @@ def run_closed_loop(
     in a cache of the four most recently used; equal tables share one
     ring.  Every call first restores the state power-on left, so it runs
     as on a fresh ring whatever an earlier call left, a raised one
-    included; calls on one ring from several threads take turns.  Raises DeadlockError when the ring stops making progress
-    with transactions outstanding, and ValueError before anything runs
-    when an operand does not fit n bits, `build_stage` refuses its
-    arguments or `Simulation` refuses the jitter.
+    included; calls on one ring from several threads take turns.
+
+    Raises DeadlockError when the ring stops making progress with
+    transactions outstanding, and ValueError before anything runs when
+    an operand does not fit n bits, `build_stage` refuses its arguments
+    or `Simulation` refuses the jitter.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
