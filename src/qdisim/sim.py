@@ -13,6 +13,9 @@ scheduling) order, so repeated runs of the same stimulus produce
 identical traces.  `run_until_quiescent` records each commit as (time,
 net, value); `drain` commits exactly the same transitions and records
 nothing, for callers such as the closed ring that read only net values.
+`fork` starts a second sim from a sim's committed values, sharing its
+compiled gates and fanout; the closed ring forks its powered-on sim for
+every call.
 The queue is a calendar of net ids: a heap holds each distinct pending
 time once, a per-time list holds the nets pending at that time in
 scheduling order, and each net has one pending time and one pending
@@ -51,6 +54,7 @@ C-element (cycle) and a rail shared by two ports (shared-rail).
 """
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -104,15 +108,28 @@ class Simulation:
         self.event_cap = event_cap
         self._ids, self._inputs, self._gates = _compile(netlist, delay_table, jitter, jitter_seed)
         self._names = list(self._ids)
-        nets = len(self._names)
-        self._values = [0] * nets
-        self._ptime = [-1] * nets  # time of the net's pending event, -1 if none
-        self._eff = [0] * nets     # pending value if an event is pending, else the settled value
+        self._start([0] * len(self._names), 0, 0)
+
+    def _start(self, values: list[int], now: int, replacements: int):
+        """Set every field a run changes: the committed `values` at time
+        `now`, nothing pending and no trace."""
+        self._values = values
+        self._ptime = [-1] * len(values)  # time of the net's pending event, -1 if none
+        self._eff = list(values)  # pending value if an event is pending, else the settled value
         self._heap: list[int] = []  # the distinct times that have queued events
         self._buckets: dict[int, list[int]] = {}  # time -> the nets pending then, in scheduling order
         self._trace: list[tuple[int, str, int]] = []
-        self.now = 0
-        self.replacements = 0
+        self.now = now
+        self.replacements = replacements
+
+    def fork(self) -> Simulation:
+        """A sim over this one's compiled gates, fanout and plan, shared
+        and not rebuilt, that starts from this one's committed values at
+        `now` with nothing pending.  A run of either leaves the other's
+        state as it was."""
+        sim = copy.copy(self)
+        sim._start(list(self._values), self.now, self.replacements)
+        return sim
 
     @cached_property
     def plan(self) -> _WavePlan:

@@ -16,7 +16,6 @@ built from several stages is available for demonstration.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise, repeat
@@ -244,25 +243,22 @@ def _rising(pairs, value: int) -> list[str]:
 
 
 class _Ring(NamedTuple):
-    """A closed ring, compiled and powered on once: the `Simulation`, the
-    state power-on left it in, each source's completion-detector net and
-    the operand rails it drives, the last copy's forward ports and the
-    sink's ackin.  `lock` keeps two threads from running it at once."""
+    """A closed ring, compiled and powered on once: the `Simulation` that
+    every run forks, each source's completion-detector net and the operand
+    rails it drives, the last copy's forward ports and the sink's ackin."""
 
     sim: Simulation
-    values: tuple[int, ...]  # every net's value after power-on
-    now: int
-    replacements: int
     sources: tuple[tuple[str, list[tuple[str, str]]], ...]
     out_ports: tuple[str, ...]
     sink_ackin: str
-    lock: threading.Lock
 
 
-# perfbench alternates the two pairings and a `qdisim ring` process runs
-# one; a 4-copy 32-bit ring holds about 2 MB.  typed: jitter=True must
-# not find the jitter=1 ring, but be refused as it is on a miss
-@lru_cache(maxsize=4, typed=True)
+# A ring is reused only when one process calls `run_closed_loop` again
+# with the same key.  perfbench's `ring` alternates two keys, so every
+# call after its first pass finds its ring; a `qdisim ring` process makes
+# one call and never does.  typed: jitter=True must not find the jitter=1
+# ring, but be refused as it is on a miss
+@lru_cache(maxsize=2, typed=True)
 def _closed_ring(
     stage_count: int,
     variant: AdderVariant,
@@ -310,13 +306,9 @@ def _closed_ring(
     sim.settle_power_on()
     return _Ring(
         sim=sim,
-        values=tuple(sim._values),
-        now=sim.now,
-        replacements=sim.replacements,
         sources=tuple(sources),
         out_ports=tuple(pref + port for port in stage.forward_ports),
         sink_ackin=names[stage.ackin],
-        lock=threading.Lock(),
     )
 
 
@@ -347,10 +339,11 @@ def run_closed_loop(
 
     The ring is built, compiled and powered on once per (stage_count,
     variant, architecture, n, delay table, jitter, jitter_seed) and kept
-    in a cache of the four most recently used; equal tables share one
-    ring.  Every call first restores the state power-on left, so it runs
-    as on a fresh ring whatever an earlier call left, a raised one
-    included; calls on one ring from several threads take turns.
+    in a cache of the two most recently used, so a process that calls
+    again with one of those keys skips the build; equal tables share one
+    ring.  Every call runs its own fork of the powered-on `Simulation`, so
+    it runs as on a fresh ring whatever an earlier call left, a raised one
+    included, and calls from several threads share no engine state.
 
     Raises DeadlockError when the ring stops making progress with
     transactions outstanding, and ValueError before anything runs when
@@ -363,49 +356,42 @@ def run_closed_loop(
     words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
     ring = _closed_ring(stage_count, variant, architecture, n, delay_table or default_delay_table(), jitter, jitter_seed)
     report = ThroughputReport()
-    with ring.lock:
-        sim = ring.sim
-        # the power-on state, with nothing pending
-        sim._values[:] = sim._eff[:] = ring.values
-        sim._ptime[:] = repeat(-1, len(ring.values))
-        sim._heap.clear()
-        sim._buckets.clear()
-        sim.now, sim.replacements = ring.now, ring.replacements
-        # each source's feed yields the rails that rise for each operand
-        # word, copy 0's words or zeros
-        sources = [
-            (cd_out, repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words))
-            for k, (cd_out, rails) in enumerate(ring.sources)
-        ]
-        out_ports, sink_ackin = ring.out_ports, ring.sink_ackin
-        sink_ack = 0
-        high: list[list[str]] = [[] for _ in sources]  # the rails each source holds high, none while spacer
-        while True:
-            word = sim.read_word(out_ports)
-            states = set(word)
-            moves: list[tuple[str, int]] = []
-            # sink: acknowledge a fresh codeword while its ack is high, re-arm on spacer while low
-            if states <= ({RailState.ZERO, RailState.ONE} if sink_ack else {RailState.SPACER}):
-                if sink_ack:
-                    carry, value = divmod(decode_word(word), 1 << n)
-                    report.deliveries.append((sim.now, value, carry))
-                sink_ack = 1 - sink_ack
-                moves.append((sink_ackin, sink_ack))
-            # a source acts when its stage's ack (cd.out) equals its valid flag:
-            # whether it holds rails high
-            for k, (cd_out, feed) in enumerate(sources):
-                if sim.net_value(cd_out) == bool(high[k]):
-                    if high[k]:
-                        moves += [(rail, 0) for rail in high[k]]
-                        high[k] = []
-                    else:
-                        high[k] = next(feed, [])
-                        moves += [(rail, 1) for rail in high[k]]
-            if not moves:
-                break
-            sim.apply_inputs(moves)
-            sim.drain()
-        outstanding = len(operands) - len(report.deliveries)
-        if outstanding or states != {RailState.SPACER}:
-            raise DeadlockError(f"ring stalled at t={sim.now} with {outstanding} transactions outstanding")
+    sim = ring.sim.fork()
+    # each source's feed yields the rails that rise for each operand word,
+    # copy 0's words or zeros
+    sources = [
+        (cd_out, repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words))
+        for k, (cd_out, rails) in enumerate(ring.sources)
+    ]
+    out_ports, sink_ackin = ring.out_ports, ring.sink_ackin
+    sink_ack = 0
+    high: list[list[str]] = [[] for _ in sources]  # the rails each source holds high, none while spacer
+    while True:
+        word = sim.read_word(out_ports)
+        states = set(word)
+        moves: list[tuple[str, int]] = []
+        # sink: acknowledge a fresh codeword while its ack is high, re-arm on spacer while low
+        if states <= ({RailState.ZERO, RailState.ONE} if sink_ack else {RailState.SPACER}):
+            if sink_ack:
+                carry, value = divmod(decode_word(word), 1 << n)
+                report.deliveries.append((sim.now, value, carry))
+            sink_ack = 1 - sink_ack
+            moves.append((sink_ackin, sink_ack))
+        # a source acts when its stage's ack (cd.out) equals its valid flag:
+        # whether it holds rails high
+        for k, (cd_out, feed) in enumerate(sources):
+            if sim.net_value(cd_out) == bool(high[k]):
+                if high[k]:
+                    moves += [(rail, 0) for rail in high[k]]
+                    high[k] = []
+                else:
+                    high[k] = next(feed, [])
+                    moves += [(rail, 1) for rail in high[k]]
+        if not moves:
+            break
+        sim.apply_inputs(moves)
+        sim.drain()
+    outstanding = len(operands) - len(report.deliveries)
+    if outstanding or states != {RailState.SPACER}:
+        raise DeadlockError(f"ring stalled at t={sim.now} with {outstanding} transactions outstanding")
     return report

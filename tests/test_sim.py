@@ -632,3 +632,23 @@ def test_a_ring_cut_short_delivers_the_golden_values_next(arch, ops, deliveries,
     assert run().deliveries == deliveries
     assert starts[0] == fresh
     assert stage_module._closed_ring.cache_info().misses == 1
+
+
+def test_a_fork_runs_as_its_origin_would_and_leaves_it_as_it_was(table):
+    """The pulse of `test_replacements_are_counted_exactly` on a fork of
+    the powered-on sim: the same trace, settle time and replacement count
+    as on the origin, whose state the fork's run leaves untouched."""
+    text = "input a\ninput d\ngate i INV a b\ngate g AND2 a b y"
+    origin = Simulation(parse_netlist(text), table)
+    origin.settle_power_on()
+    powered_on = _engine_state(origin)
+    forks = [origin.fork(), origin.fork()]
+    for sim in forks:
+        assert _engine_state(sim) == powered_on and sim.trace == []
+        assert sim._fanout is origin._fanout
+        sim.apply_inputs([("a", 1)], at_time=30)
+        assert sim.run_until_quiescent() == ([(30, "a", 1), (60, "b", 0)], 60)
+        assert sim.replacements == 1 and _engine_state(origin) == powered_on
+    origin.apply_inputs([("a", 1)], at_time=30)
+    assert origin.run_until_quiescent() == ([(30, "a", 1), (60, "b", 0)], 60)
+    assert [_engine_state(sim) for sim in forks] == [_engine_state(origin)] * 2
