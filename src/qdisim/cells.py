@@ -55,11 +55,6 @@ class DelayTable:
             if isinstance(d, bool) or not isinstance(d, int) or d < 1:  # True would be delay 1
                 raise DelayTableError(f"delay for {kind.value} must be a positive integer, got {d!r}")
 
-    def __hash__(self) -> int:
-        # agrees with the generated __eq__, which compares the delays as a
-        # mapping: equal tables hash alike whatever their insertion order
-        return hash(frozenset(self.delays.items()))
-
     def __getitem__(self, kind: GateKind) -> int:
         return self.delays[kind]
 

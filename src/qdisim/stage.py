@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import pairwise, repeat
-from typing import NamedTuple
 
 from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
@@ -77,24 +75,6 @@ class StageDescriptor:
     cd_out: str
 
 
-def _stage_variant(
-    architecture: Architecture, variant: AdderVariant | None, n: int, force: bool = False
-) -> AdderVariant:
-    """The adder style of a stage `build_stage` builds: `variant`, or the
-    paired one when None.  Refuses n < 1 and, unless `force`, a variant
-    that does not pair with `architecture`."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if variant is None:
-        return PAIRED_VARIANT[architecture]
-    if variant is not PAIRED_VARIANT[architecture] and not force:
-        raise StageConfigError(
-            f"{architecture.value} stages pair with {PAIRED_VARIANT[architecture].value}; "
-            f"got {variant.value} (use force=True to override)"
-        )
-    return variant
-
-
 def build_stage(
     architecture: Architecture,
     variant: AdderVariant | None = None,
@@ -106,7 +86,15 @@ def build_stage(
     Architecture and adder style come paired; pass force=True to explore
     other combinations (their timing has no closed form here).
     """
-    variant = _stage_variant(architecture, variant, n, force)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if variant is None:
+        variant = PAIRED_VARIANT[architecture]
+    elif variant is not PAIRED_VARIANT[architecture] and not force:
+        raise StageConfigError(
+            f"{architecture.value} stages pair with {PAIRED_VARIANT[architecture].value}; "
+            f"got {variant.value} (use force=True to override)"
+        )
     nb = NetlistBuilder()
     ackin = nb.add_input("ackin")
     operand_ports = [*(f"a{i}" for i in range(n)), *(f"b{i}" for i in range(n)), "cin"]
@@ -242,76 +230,6 @@ def _rising(pairs, value: int) -> list[str]:
     return [rail for rail, bit in rail_assignments(pairs, value) if bit]
 
 
-class _Ring(NamedTuple):
-    """A closed ring, compiled and powered on once: the `Simulation` that
-    every run forks, each source's completion-detector net and the operand
-    rails it drives, the last copy's forward ports and the sink's ackin."""
-
-    sim: Simulation
-    sources: tuple[tuple[str, list[tuple[str, str]]], ...]
-    out_ports: tuple[str, ...]
-    sink_ackin: str
-
-
-# A ring is reused only when one process calls `run_closed_loop` again
-# with the same key.  perfbench's `ring` alternates two keys, so every
-# call after its first pass finds its ring; a `qdisim ring` process makes
-# one call and never does.  typed: jitter=True must not find the jitter=1
-# ring, but be refused as it is on a miss
-@lru_cache(maxsize=2, typed=True)
-def _closed_ring(
-    stage_count: int,
-    variant: AdderVariant,
-    architecture: Architecture,
-    n: int,
-    delay_table: DelayTable,
-    jitter: int,
-    jitter_seed: int,
-) -> _Ring:
-    """Build, compile and power on the ring `run_closed_loop` runs."""
-    stage = build_stage(architecture, variant, n)
-    nets = stage.netlist.nets()
-
-    # one rename map per stage copy, one string per net, and one source per
-    # copy, which drives every operand of copy 0 but only b and cin of the
-    # others (their a is the previous copy's sum)
-    gates: list[Gate] = []
-    acks: list[Gate] = []  # the acknowledge inverters, listed after every copy's gates
-    pins: list[str] = []
-    pmap: dict[str, tuple[str, str]] = {}
-    sources = []
-    names: dict[str, str] = {}
-    for k in range(stage_count):
-        prev, pref = names, f"st{k}."
-        names = {net: pref + net for net in nets}
-        if k > 0:
-            for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
-                names[a1], names[a0] = (prev[rail] for rail in stage.netlist.port_map[port])
-            acks.append(Gate(f"ackinv{k - 1}", GateKind.INV, (names[stage.cd_out],), prev[stage.ackin]))
-        if k < stage_count - 1:
-            names[stage.ackin] = f"ack{k}"
-        nm = names.__getitem__
-        gates.extend(
-            tuple.__new__(Gate, (pref + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
-            for g in stage.netlist.gates
-        )
-        pins.extend(map(nm, stage.netlist.primary_inputs))
-        pmap.update((pref + port, (nm(r1), nm(r0))) for port, (r1, r0) in stage.netlist.port_map.items())
-        sources.append((nm(stage.cd_out), [(nm(r1), nm(r0)) for r1, r0 in stage.operand_rails[n if k else 0:]]))
-    gates += acks
-    driven = {g.output for g in gates}
-    pins = [p for p in pins if p not in driven]
-    netlist = Netlist(tuple(gates), tuple(pins), (), pmap)
-    sim = Simulation(netlist, delay_table, jitter=jitter, jitter_seed=jitter_seed)
-    sim.settle_power_on()
-    return _Ring(
-        sim=sim,
-        sources=tuple(sources),
-        out_ports=tuple(pref + port for port in stage.forward_ports),
-        sink_ackin=names[stage.ackin],
-    )
-
-
 def run_closed_loop(
     stage_count: int,
     variant: AdderVariant,
@@ -336,34 +254,59 @@ def run_closed_loop(
     values, reaches the next with `Simulation.drain`, which records no
     trace.  A source raises only the rail that rises in each pair and later
     lowers exactly those rails, so every move it applies changes a rail.
-
-    The ring is built, compiled and powered on once per (stage_count,
-    variant, architecture, n, delay table, jitter, jitter_seed) and kept
-    in a cache of the two most recently used, so a process that calls
-    again with one of those keys skips the build; equal tables share one
-    ring.  Every call runs its own fork of the powered-on `Simulation`, so
-    it runs as on a fresh ring whatever an earlier call left, a raised one
-    included, and calls from several threads share no engine state.
+    Each call builds, compiles and powers on its own ring and keeps
+    nothing after it returns or raises.
 
     Raises DeadlockError when the ring stops making progress with
-    transactions outstanding, and ValueError before anything runs when
-    an operand does not fit n bits, `build_stage` refuses its arguments
-    or `Simulation` refuses the jitter.
+    transactions outstanding, and ValueError before anything runs, in this
+    order: for the stage count, when `build_stage` refuses n or the
+    pairing, when an operand does not fit n bits, and when `Simulation`
+    refuses the jitter.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
-    variant = _stage_variant(architecture, variant, n)  # refuses as `build_stage` does, before any operand is packed
+    stage = build_stage(architecture, variant, n)  # refuses n < 1 before any operand is packed
     words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
-    ring = _closed_ring(stage_count, variant, architecture, n, delay_table or default_delay_table(), jitter, jitter_seed)
     report = ThroughputReport()
-    sim = ring.sim.fork()
-    # each source's feed yields the rails that rise for each operand word,
-    # copy 0's words or zeros
-    sources = [
-        (cd_out, repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words))
-        for k, (cd_out, rails) in enumerate(ring.sources)
-    ]
-    out_ports, sink_ackin = ring.out_ports, ring.sink_ackin
+    nets = stage.netlist.nets()
+
+    # one rename map per stage copy, one string per net, and one source per
+    # copy, which drives every operand of copy 0 but only b and cin of the
+    # others (their a is the previous copy's sum); its feed yields the rails
+    # that rise for each operand word, copy 0's words or zeros
+    gates: list[Gate] = []
+    acks: list[Gate] = []  # the acknowledge inverters, listed after every copy's gates
+    pins: list[str] = []
+    pmap: dict[str, tuple[str, str]] = {}
+    sources = []
+    names: dict[str, str] = {}
+    for k in range(stage_count):
+        prev, pref = names, f"st{k}."
+        names = {net: pref + net for net in nets}
+        if k > 0:
+            for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
+                names[a1], names[a0] = (prev[rail] for rail in stage.netlist.port_map[port])
+            acks.append(Gate(f"ackinv{k - 1}", GateKind.INV, (names[stage.cd_out],), prev[stage.ackin]))
+        if k < stage_count - 1:
+            names[stage.ackin] = f"ack{k}"
+        nm = names.__getitem__
+        gates.extend(
+            tuple.__new__(Gate, (pref + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
+            for g in stage.netlist.gates
+        )
+        pins.extend(map(nm, stage.netlist.primary_inputs))
+        pmap.update((pref + port, (nm(r1), nm(r0))) for port, (r1, r0) in stage.netlist.port_map.items())
+        rails = [(nm(r1), nm(r0)) for r1, r0 in stage.operand_rails[n if k else 0:]]
+        sources.append((nm(stage.cd_out), repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words)))
+    gates += acks
+    driven = {g.output for g in gates}
+    pins = [p for p in pins if p not in driven]
+    netlist = Netlist(tuple(gates), tuple(pins), (), pmap)
+    sim = Simulation(netlist, delay_table or default_delay_table(), jitter=jitter, jitter_seed=jitter_seed)
+    sim.settle_power_on()
+
+    out_ports = [pref + port for port in stage.forward_ports]
+    sink_ackin = names[stage.ackin]
     sink_ack = 0
     high: list[list[str]] = [[] for _ in sources]  # the rails each source holds high, none while spacer
     while True:

@@ -15,7 +15,6 @@ from qdisim.sim import (
     _WavePlan,
     drive_transaction,
 )
-import qdisim.stage as stage_module
 from qdisim.stage import PAIRED_VARIANT, Architecture, build_stage, run_closed_loop, run_transaction
 
 
@@ -597,8 +596,8 @@ def _engine_state(sim):
 @pytest.mark.parametrize("arch,ops,deliveries", _RING_GOLDEN)
 def test_a_ring_cut_short_delivers_the_golden_values_next(arch, ops, deliveries, k, part_way, monkeypatch):
     """The k-th drain fails, before it commits anything or part-way
-    through its run; the next call on the same cached ring starts from the
-    engine state a fresh ring starts from and delivers the golden values."""
+    through its run; the next call starts from the engine state the first
+    call started from and delivers the golden values."""
     arch = Architecture(arch)
     run = partial(run_closed_loop, 3, PAIRED_VARIANT[arch], arch, 8, ops)
     real_apply, real_drain = Simulation.apply_inputs, Simulation.drain
@@ -621,7 +620,6 @@ def test_a_ring_cut_short_delivers_the_golden_values_next(arch, ops, deliveries,
             self.event_cap = cap
 
     monkeypatch.setattr(Simulation, "apply_inputs", apply_inputs)
-    stage_module._closed_ring.cache_clear()
     assert run().deliveries == deliveries
     fresh = starts[0]
     with monkeypatch.context() as cut:
@@ -631,24 +629,4 @@ def test_a_ring_cut_short_delivers_the_golden_values_next(arch, ops, deliveries,
     starts.clear()
     assert run().deliveries == deliveries
     assert starts[0] == fresh
-    assert stage_module._closed_ring.cache_info().misses == 1
 
-
-def test_a_fork_runs_as_its_origin_would_and_leaves_it_as_it_was(table):
-    """The pulse of `test_replacements_are_counted_exactly` on a fork of
-    the powered-on sim: the same trace, settle time and replacement count
-    as on the origin, whose state the fork's run leaves untouched."""
-    text = "input a\ninput d\ngate i INV a b\ngate g AND2 a b y"
-    origin = Simulation(parse_netlist(text), table)
-    origin.settle_power_on()
-    powered_on = _engine_state(origin)
-    forks = [origin.fork(), origin.fork()]
-    for sim in forks:
-        assert _engine_state(sim) == powered_on and sim.trace == []
-        assert sim._fanout is origin._fanout
-        sim.apply_inputs([("a", 1)], at_time=30)
-        assert sim.run_until_quiescent() == ([(30, "a", 1), (60, "b", 0)], 60)
-        assert sim.replacements == 1 and _engine_state(origin) == powered_on
-    origin.apply_inputs([("a", 1)], at_time=30)
-    assert origin.run_until_quiescent() == ([(30, "a", 1), (60, "b", 0)], 60)
-    assert [_engine_state(sim) for sim in forks] == [_engine_state(origin)] * 2

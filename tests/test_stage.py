@@ -7,7 +7,7 @@ import weakref
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import qdisim.stage
 
@@ -29,9 +29,6 @@ from qdisim.stage import (
 
 from completion_detector import build_completion_detector, completion_tree_depth
 from trace_utils import assert_completion_ordering, transitions_of
-
-# the bounded cache of built rings that every `run_closed_loop` call goes through
-RING_CACHE = qdisim.stage._closed_ring
 
 
 @pytest.fixture(scope="module")
@@ -362,10 +359,33 @@ def test_closed_loop_rejects_operands_before_running(operands, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("the ring ran before its operands were checked")
 
-    RING_CACHE.cache_clear()
     monkeypatch.setattr(qdisim.stage, "Simulation", no_simulation)
     with pytest.raises(ValueError, match="do not fit width 4"):
         run_closed_loop(2, AdderVariant.LATENCY_OPT_BIASED, Architecture.LOCAL, 4, operands)
+
+
+_MISPAIRED, _PAIRED = AdderVariant.EARLY_OUTPUT, AdderVariant.LATENCY_OPT_BIASED
+
+
+@pytest.mark.parametrize(
+    "stage_count, n, variant, operands, jitter, refusal",
+    [
+        (1, 0, _MISPAIRED, [(17, 1, 0)], True, (ValueError, "stage_count must be >= 2, got 1")),
+        (2, 0, _MISPAIRED, [(17, 1, 0)], True, (ValueError, "n must be >= 1, got 0")),
+        (2, 4, _MISPAIRED, [(17, 1, 0)], True, (StageConfigError, "local stages pair with latency-opt-biased; "
+                                                 "got early-output (use force=True to override)")),
+        (2, 4, _PAIRED, [(17, 1, 0)], True, (ValueError, "operands a=17 b=1 cin=0 do not fit width 4")),
+        (2, 4, _PAIRED, [(1, 1, 0)], True, (ValueError, "jitter must be a non-negative integer, got True")),
+    ],
+)
+def test_closed_loop_refusals_come_in_the_documented_order(stage_count, n, variant, operands, jitter, refusal):
+    """The stage count, then n and pairing, then the operand width, then
+    the jitter: each case is refused for its first bad argument although
+    every later one is bad too."""
+    kind, text = refusal
+    with pytest.raises(ValueError) as refused:
+        run_closed_loop(stage_count, variant, Architecture.LOCAL, n, operands, jitter=jitter)
+    assert type(refused.value) is kind and str(refused.value) == text
 
 
 # a 3-copy GLOBAL ring at n = 3 whose slow AO22s let copy 2 complete on
@@ -386,102 +406,44 @@ def test_a_global_ring_with_slow_ao22s_delivers_every_value():
 
 
 def test_a_ring_that_stalled_delivers_as_a_fresh_one_next():
-    """The deliveries after the stall are those of fresh rings, on the one
-    ring the stall left behind."""
-    RING_CACHE.cache_clear()
+    """A stall leaves nothing behind that the next call runs on."""
     with pytest.raises(DeadlockError, match="^ring stalled at t=72 with 1 transactions outstanding$"):
         _stall_ring([(0, 3, 1), (0, 0, 0)])
     assert _stall_ring([(5, 1, 0)]).deliveries == [(44, 6, 0)]
     assert _stall_ring([(0, 3, 1)]).deliveries == [(51, 4, 0)]
     assert _stall_ring([(2, 2, 1), (1, 1, 1), (7, 7, 0)]).deliveries == [(44, 5, 0), (104, 3, 0), (170, 6, 0)]
-    assert RING_CACHE.cache_info().misses == 1
 
 
-def _outcome(call):
-    """A call's deliveries, or the type and text of what it raised."""
-    stages, arch, n, delays, jitter, operands = call
-    try:
-        return run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays, jitter, 3).deliveries
-    except (DeadlockError, ValueError) as refused:
-        return f"{type(refused).__name__}: {refused}"
-
-
-@st.composite
-def _ring_calls(draw):
-    """Calls over a few ring keys, each with its own operands; a jitter of
-    True and an operand one past the width draw refusals."""
-    keys = draw(st.lists(
-        st.tuples(
-            st.integers(2, 5),
-            st.sampled_from(list(Architecture)),
-            st.integers(1, 8),
-            st.one_of(st.just(default_delay_table()), st.just(_STALL[3]),
-                      st.builds(DelayTable, st.fixed_dictionaries({kind: st.integers(1, 300) for kind in GateKind}))),
-            st.sampled_from([0, 1, 40, True]),
-        ),
-        min_size=1, max_size=3,
-    ))
-    calls = []
-    for _ in range(draw(st.integers(2, 6))):
-        stages, arch, n, delays, jitter = draw(st.sampled_from(keys))
-        word = st.integers(0, 1 << n)
-        operands = draw(st.lists(st.tuples(word, word, st.integers(0, 1)), max_size=4))
-        calls.append((stages, arch, n, delays, jitter, operands))
-    return calls
-
-
-@settings(max_examples=25)
-@given(calls=_ring_calls())
-def test_a_reused_ring_runs_as_a_fresh_one(calls):
-    fresh = []
-    for call in calls:
-        RING_CACHE.cache_clear()
-        fresh.append(_outcome(call))
-    RING_CACHE.cache_clear()
-    assert [_outcome(call) for call in calls] == fresh
-
-
-def test_equal_tables_share_one_ring_and_a_changed_delay_gets_its_own(table):
-    reversed_order = DelayTable(dict(reversed(table.delays.items())))
-    slower = table.replace({GateKind.C2: table[GateKind.C2] + 1})
-    assert list(reversed_order.delays) != list(table.delays) and hash(reversed_order) == hash(table)
-    arch = Architecture.LOCAL
-    RING_CACHE.cache_clear()
-    runs = [
-        run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(5, 9, 1), (3, 2, 0)], delays).deliveries
-        for delays in (table, reversed_order, None, slower)
-    ]
-    info = RING_CACHE.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-    assert runs[0] == runs[1] == runs[2]
-    assert [d[1:] for d in runs[3]] == [d[1:] for d in runs[0]]
-    assert [d[0] for d in runs[3]] != [d[0] for d in runs[0]]
-
-
-def test_a_refused_jitter_finds_no_cached_ring():
-    """True == 1, but a jitter of True is refused, cached ring or not."""
+def test_a_jitter_of_true_is_refused_after_a_jitter_of_one():
+    """True == 1, but a jitter of True is refused whatever ran before."""
     arch = Architecture.LOCAL
     run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(1, 2, 0)], jitter=1)
     with pytest.raises(ValueError, match="^jitter must be a non-negative integer, got True$"):
         run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, [(1, 2, 0)], jitter=True)
 
 
-def test_the_ring_cache_keeps_at_most_its_bound_alive():
-    """Rings past the bound are dropped, least recently used first."""
-    arch, variant = Architecture.LOCAL, PAIRED_VARIANT[Architecture.LOCAL]
-    RING_CACHE.cache_clear()
-    bound = RING_CACHE.cache_info().maxsize
+@pytest.mark.parametrize("stalls", [False, True])
+def test_a_ring_call_leaves_no_ring_alive(stalls, monkeypatch):
+    """The Simulation a call builds is garbage once the call has returned,
+    or has raised DeadlockError on the stalling ring."""
     sims = []
-    for seed in range(bound + 3):
-        run_closed_loop(2, variant, arch, 2, [(1, 2, 0)], jitter=1, jitter_seed=seed)
-        sims.append(weakref.ref(RING_CACHE(2, variant, arch, 2, default_delay_table(), 1, seed).sim))
+
+    def capture(*args, **kwargs):
+        sim = Simulation(*args, **kwargs)
+        sims.append(weakref.ref(sim))
+        return sim
+
+    monkeypatch.setattr(qdisim.stage, "Simulation", capture)
+    if stalls:
+        with pytest.raises(DeadlockError):
+            _stall_ring([(0, 3, 1), (0, 0, 0)])
+    else:
+        assert _stall_ring([(5, 1, 0)]).deliveries == [(44, 6, 0)]
     gc.collect()
-    info = RING_CACHE.cache_info()
-    assert (info.misses, info.currsize) == (bound + 3, bound)
-    assert [ref() is not None for ref in sims] == [False] * 3 + [True] * bound
+    assert len(sims) == 1 and sims[0]() is None
 
 
-def test_threads_sharing_a_ring_each_get_their_own_deliveries():
+def test_threads_running_rings_each_get_their_own_deliveries():
     arch = Architecture.LOCAL
     jobs = [[(k, 15 - k, k % 2)] * 3 for k in range(6)]
     want = [run_closed_loop(2, PAIRED_VARIANT[arch], arch, 4, ops).deliveries for ops in jobs]
@@ -516,7 +478,6 @@ def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
         rings.append(netlist)
         return Simulation(netlist, *args, **kwargs)
 
-    RING_CACHE.cache_clear()  # a cached ring would build no Simulation to capture
     monkeypatch.setattr(qdisim.stage, "Simulation", capture)
     run_closed_loop(stage_count, PAIRED_VARIANT[architecture], architecture, 4, [(1, 2, 0)])
     (ring,) = rings
