@@ -15,9 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qdisim"
 # cached definition -> the caller that repeats its key
 CACHES = {
     "cells.default_delay_table": (
-        "its one key is (): `load_delay_table`, the command line's default table, `functional_check`, "
-        "`classify_block` and every table-less `measure`, `sweep`, `run_transaction` and "
-        "`run_closed_loop` call ask for it, several times in one command"
+        "its one key is (), so every call after a process's first reuses it: `load_delay_table`, "
+        "the command line's default table, `functional_check`, `classify_both` and every table-less "
+        "`measure_chains`, `sweep`, `run_transaction` and `run_closed_loop` call ask for it"
     ),
 }
 
