@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from itertools import islice, product
 
 from .cells import default_delay_table
 from .dualrail import PAIR_STATE, decode_word, rail_masks
@@ -58,11 +57,6 @@ def pack_operands(n: int, a: int, b: int, cin: int) -> int:
         or cin not in (0, 1)
     ):
         raise ValueError(f"operands a={a} b={b} cin={cin} do not fit width {n}")
-    return _pack(n, a, b, cin)
-
-
-def _pack(n: int, a: int, b: int, cin: int) -> int:
-    """`pack_operands` for operands known to fit."""
     return a | b << n | cin << 2 * n
 
 
@@ -241,18 +235,25 @@ def _sliced_sum(n: int, columns: list[int]) -> list[int]:
 def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> FunctionalCheckResult:
     """Compare full valid/spacer transactions against integer addition.
 
-    `trials` random operand triples come from `random.Random(seed)`, so
-    runs are reproducible; `trials=None` sweeps the whole operand space
-    instead, 2^(2n+1) vectors, and refuses widths above EXHAUSTIVE_MAX_N.
-    Any other `trials`, a bool included, must be an int >= 1 (ValueError).
+    `trials` random operand triples come from `random.Random(seed)`, drawn
+    a, b, cin per vector, so runs are reproducible; `trials=None` sweeps
+    the whole operand space instead, 2^(2n+1) vectors in the order of
+    `itertools.product(range(2^n), range(2^n), (0, 1))`, and refuses
+    widths above EXHAUSTIVE_MAX_N.  Any other `trials`, a bool included,
+    must be an int >= 1 (ValueError).
 
-    Vectors are read CHECK_BLOCK at a time and each block is one boolean
-    pass of the wave plan (`levels` from spacer): which rails rise decides
-    the valid word and the illegal pairs, and the plan always restores the
-    spacer with monotone waves.  A vector fails when `_WavePlan.faults`
-    flags it or an output's rail1 is not its bit of the sum, added
-    bit-sliced over the block (`_sliced_sum`).  None of this depends on
-    gate delays, so the plan takes the default table.  The lowest failing vector is
+    Each vector is one word in the bit order of that enumeration: cin in
+    bit 0, b in bits 1..n, a in bits n+1..2n.  The exhaustive words are
+    then just `range(2^(2n+1))`, so each block is a range whose operand
+    masks `rail_masks` builds in closed form, with no vector packed;
+    random vectors are packed into the same layout.  Vectors are read
+    CHECK_BLOCK at a time and each block is one boolean pass of the wave
+    plan (`levels` from spacer): which rails rise decides the valid word
+    and the illegal pairs, and the plan always restores the spacer with
+    monotone waves.  A vector fails when `_WavePlan.faults` flags it or an
+    output's rail1 is not its bit of the sum, added bit-sliced over the
+    block (`_sliced_sum`).  None of this depends on gate delays, so the
+    plan takes the default table.  The lowest failing vector is
     explained from the same pass: its valid word, decoded against the
     sum, or, when that is right, `illegal pair <port>` for the first port
     in port-map order with both rails high.  A netlist the plan does not
@@ -262,19 +263,22 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
     if trials is None:
         if n > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive check takes n <= {EXHAUSTIVE_MAX_N}, got {n}")
-        cases = product(range(1 << n), range(1 << n), (0, 1))
+        vectors = 1 << 2 * n + 1
     else:
         if isinstance(trials, bool) or not isinstance(trials, int):
             raise ValueError(f"trials must be an integer or None, got {trials!r}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        rng = random.Random(seed)
-        cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)) for _ in range(trials))
+        vectors, draw = trials, random.Random(seed).getrandbits
     plan = _WavePlan.build(rca.netlist, default_delay_table())
-    ran = 0
-    while block := list(islice(cases, CHECK_BLOCK)):
-        # functional_check generates these operands itself, so they fit
-        masks = rail_masks(rca.operand_rails, [_pack(n, a, b, c) for a, b, c in block])
+    word_rails = (rca.operand_rails[2 * n], *rca.operand_rails[n:2 * n], *rca.operand_rails[:n])
+    for ran in range(0, vectors, CHECK_BLOCK):
+        size = min(CHECK_BLOCK, vectors - ran)
+        if trials is None:
+            block = range(ran, ran + size)
+        else:  # the terms are evaluated left to right: a, then b, then cin
+            block = [draw(n) << n + 1 | draw(n) << 1 | draw(1) for _ in range(size)]
+        masks = rail_masks(word_rails, block)
         rose = plan.levels([0] * plan.slots, masks)
         fails = plan.faults(rose, rca.forward_ports)
         # where faults is clear each output has one rail, so its rail1 decides
@@ -282,12 +286,12 @@ def functional_check(rca: RcaDescriptor, trials: int | None, seed: int = 1) -> F
             fails |= rose[plan.rails[port][0]] ^ want
         if fails:
             first = (fails & -fails).bit_length() - 1
-            a, b, c = block[first]
+            word = block[first]
+            a, b, c = word >> n + 1, word >> 1 & (1 << n) - 1, word & 1
             rails = {port: (rose[i1] >> first & 1, rose[i0] >> first & 1) for port, (i1, i0) in plan.rails.items()}
             decoded, expected = decode_word([PAIR_STATE[rails[port]] for port in rca.forward_ports]), a + b + c
             detail = f"decoded {decoded!r}, expected {expected}"
             if decoded == expected:  # a right sum on a flagged vector leaves an illegal pair
                 detail = "illegal pair " + next(port for port, pair in rails.items() if pair == (1, 1))
             return FunctionalCheckResult(False, ran + first + 1, (a, b, c), detail)
-        ran += len(block)
-    return FunctionalCheckResult(True, ran)
+    return FunctionalCheckResult(True, vectors)

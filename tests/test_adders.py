@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,7 +263,7 @@ def _timed(*args):
     raise AssertionError("the functional check read a time")
 
 
-@pytest.mark.parametrize("block", [adders.CHECK_BLOCK, 3])
+@pytest.mark.parametrize("block", [adders.CHECK_BLOCK, 3, 64])
 @pytest.mark.parametrize("trials,seed", [(None, 1), (200, 5)], ids=["exhaustive", "random"])
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_faulty_adder_reports_what_the_per_vector_loop_does(mutant, trials, seed, block, table, monkeypatch):
@@ -306,19 +307,20 @@ def _raise_if_called(*args):
 
 def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
     """The block reader draws random.Random(seed) in the per-vector order,
-    and packs its own operands without validating them again."""
+    a, b, cin, and packs its own operands without validating them again."""
     drawn = []
 
-    def spy(n, a, b, cin):
-        drawn.append((a, b, cin))
-        return pack(n, a, b, cin)
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            bits = super().getrandbits(k)
+            drawn.append((k, bits))
+            return bits
 
-    pack = adders._pack
-    monkeypatch.setattr(adders, "_pack", spy)
+    monkeypatch.setattr(adders, "random", types.SimpleNamespace(Random=Recording))
     monkeypatch.setattr(adders, "pack_operands", _raise_if_called)
     rca = build_rca(AdderVariant.LATENCY_OPT_BIASED, 32)
     assert functional_check(rca, 1000, seed=7) == FunctionalCheckResult(True, 1000)
-    assert drawn == _cases(32, 1000, 7)
+    assert drawn == [draw for a, b, c in _cases(32, 1000, 7) for draw in ((32, a), (32, b), (1, c))]
     monkeypatch.undo()  # the reference below packs through pack_operands
 
     mutant = _top_sum_both_rails(AdderVariant.LATENCY_OPT_BIASED, 32)
@@ -328,9 +330,27 @@ def test_random_mode_draws_the_per_vector_sequence(table, monkeypatch):
     assert got.counterexample == _cases(32, 1000, 7)[got.trials - 1]
 
 
+def test_an_exhaustive_check_packs_no_vector(monkeypatch):
+    """Each exhaustive block reaches `rail_masks` as a range of index
+    words, whose operand masks are built in closed form."""
+    blocks = []
+
+    def spy(pairs, words):
+        blocks.append(words)
+        return real(pairs, words)
+
+    real = adders.rail_masks
+    monkeypatch.setattr(adders, "rail_masks", spy)
+    monkeypatch.setattr(adders, "pack_operands", _raise_if_called)
+    rca = build_rca(AdderVariant.EARLY_OUTPUT, 6)
+    assert functional_check(rca, None) == FunctionalCheckResult(True, 1 << 13)
+    step = adders.CHECK_BLOCK
+    assert blocks == [range(start, start + step) for start in range(0, 1 << 13, step)]
+
+
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.integers(0, 1)), max_size=300))))
 def test_sliced_sum_is_the_transposed_integer_sum(case):
     n, block = case
-    operands = bit_columns([adders._pack(n, a, b, c) for a, b, c in block], 2 * n + 1)
+    operands = bit_columns([pack_operands(n, a, b, c) for a, b, c in block], 2 * n + 1)
     assert adders._sliced_sum(n, operands) == bit_columns([a + b + c for a, b, c in block], n + 1)

@@ -1,5 +1,6 @@
 from hypothesis import given, strategies as st
 import random
+import tracemalloc
 
 import pytest
 
@@ -125,3 +126,35 @@ def test_bit_columns_across_byte_and_word_boundaries(width, count):
 def test_bit_columns_refuse_a_word_that_does_not_fit(words, width):
     with pytest.raises(ValueError, match="does not fit"):
         bit_columns(words, width)
+
+
+@given(st.integers(0, 1 << 40).flatmap(lambda start: st.integers(0, 5000).flatmap(lambda count: st.tuples(
+    st.just(start), st.just(count), st.integers(max(1, (start + count - 1).bit_length()), 64)))))
+def test_bit_columns_of_a_run_in_closed_form_are_its_transpose(case):
+    """A range of step 1 takes the closed form, a list of the same words
+    the transpose; the widths reach far past the top index bit."""
+    start, count, width = case
+    words = range(start, start + count)
+    assert bit_columns(words, width) == bit_columns(list(words), width)
+
+
+@pytest.mark.parametrize("words,width", [(range(-3, 5), 4), (range(5, 17), 4), (range(1 << 40, (1 << 40) + 9), 40)])
+def test_a_run_that_does_not_fit_is_refused_as_its_list_is(words, width):
+    with pytest.raises(ValueError) as closed:
+        bit_columns(words, width)
+    with pytest.raises(ValueError) as transposed:
+        bit_columns(list(words), width)
+    assert str(closed.value) == str(transposed.value)
+
+
+def test_the_closed_form_of_a_high_run_stays_small():
+    """The high columns set the runs the block meets, never a whole
+    period: at bit 63 that period alone would take 2^61 bytes."""
+    tracemalloc.start()
+    try:
+        columns = bit_columns(range(1 << 40, (1 << 40) + 4096), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns[40] == (1 << 4096) - 1 and not any(columns[41:])
+    assert peak < 1 << 20
