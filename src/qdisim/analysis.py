@@ -270,7 +270,7 @@ class IndicationClass:
 
 
 # widest block classified: an n = 4 ripple-carry adder, 2^9 codewords
-# times 2^9 - 2 subsets of its input pairs
+# times 2^9 subsets of its input pairs, a block of 2^18 vectors
 CLASSIFY_MAX_PAIRS = 9
 
 
@@ -292,9 +292,13 @@ def classify_both(netlist: Netlist) -> IndicationClass:
     for more than CLASSIFY_MAX_PAIRS input pairs, a primary input on no
     input pair, or a netlist the plan does not cover.
 
-    Bit c*w + s-1 of every mask, w = 2^k - 2, stands for codeword c with
-    the k input pairs in subset s (1 <= s <= w) moved; an input rail's
-    mask is its pair's subset pattern times its codeword comb.
+    Bit v of every mask, 0 <= v < 4^k, stands for codeword v >> k with
+    the input pairs in subset v & (2^k - 1) moved, so one `bit_columns`
+    call on that range gives subset bit j in column j and codeword bit j
+    in column k + j.  Pair j's rail1 arrives where both bits are set and
+    its rail0 where the subset bit is set and the codeword bit clear; the
+    valid masks are the codeword columns and their complements.  The block
+    also holds the empty and the full subset, which `proper` masks out.
     """
     pis, pos = set(netlist.primary_inputs), set(netlist.primary_outputs)
     in_rails = [pair for pair in netlist.port_map.values() if pis.issuperset(pair)]
@@ -306,30 +310,25 @@ def classify_both(netlist: Netlist) -> IndicationClass:
     if loose:
         raise ValueError(f"primary input {min(loose)!r} is on no input pair")
     plan = _WavePlan.build(netlist, default_delay_table())
-    codewords, width = 1 << k, max((1 << k) - 2, 0)
-    arrived, valid = {}, {}
-    raised = rail_masks(in_rails, range(codewords))
-    for pair, subset in zip(in_rails, bit_columns(range(1, width + 1), k)):
-        for rail in pair:
-            comb = _spread(raised[rail], codewords, width)
-            arrived[rail], valid[rail] = subset * comb, ((1 << width) - 1) * comb
+    columns, full = bit_columns(range(1 << 2 * k), 2 * k), (1 << (1 << 2 * k)) - 1
+    arrived, valid, some, every = {}, {}, 0, full
+    for (r1, r0), subset, code in zip(in_rails, columns, columns[k:]):
+        arrived[r1], arrived[r0] = subset & code, subset & ~code
+        valid[r1], valid[r0] = code, full ^ code
+        some, every = some | subset, every & subset
+    proper = some & ~every  # neither the empty nor the full subset
     outs = [plan.rails[port] for port in out_ports]
     found, spacer = [], [0] * plan.slots
     for phase in (Phase.SET, Phase.RTZ):
         start = spacer if phase is Phase.SET else plan.levels(spacer, valid)
         # the subset's rails move: up from spacer, down from the valid codeword
         now = plan.levels(start, {rail: start[plan.inputs[rail]] ^ mask for rail, mask in arrived.items()})
-        moved, complete = 0, (1 << codewords * width) - 1
+        moved, complete = 0, proper
         for i1, i0 in outs:
             moved |= (start[i1] ^ now[i1]) | (start[i0] ^ now[i0])
             complete &= now[i1] ^ now[i0] if phase is Phase.SET else ~(now[i1] | now[i0])
-        found.append(Indication.EARLY if complete else Indication.WEAK if moved else Indication.STRONG)
+        found.append(Indication.EARLY if complete else Indication.WEAK if moved & proper else Indication.STRONG)
     return IndicationClass(*found)
-
-
-def _spread(column: int, count: int, width: int) -> int:
-    """Bit c of `column` moved to bit c * width; `column` fits `count` bits."""
-    return int(("0" * (width - 1)).join(format(column, f"0{count}b")), 2)
 
 
 # expected classes per variant, confirmed by the enumerator in the tests

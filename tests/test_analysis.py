@@ -394,6 +394,53 @@ def test_early_output_resets_early():
     assert classify_both(fa) == IndicationClass(Indication.WEAK, Indication.EARLY)
 
 
+def _expected_class(variant, n):
+    """The classes stated per variant and width: only the one-bit strong
+    adder is strong, and only the early-output adder resets early."""
+    if variant is AdderVariant.DIMS_STRONG and n == 1:
+        return IndicationClass(Indication.STRONG, Indication.STRONG)
+    if variant is AdderVariant.EARLY_OUTPUT:
+        return IndicationClass(Indication.WEAK, Indication.EARLY)
+    return IndicationClass(Indication.WEAK, Indication.WEAK)
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classes_of_every_variant_up_to_four_bits(variant, n):
+    assert classify_both(build_rca(variant, n).netlist) == _expected_class(variant, n)
+
+
+@pytest.mark.parametrize("block", [
+    Netlist((), (), (), {}),
+    # the output pair follows the input pair, but one pair has no proper subset to move early
+    parse_netlist("input x.r1\ninput x.r0\ngate a OR2 x.r1 x.r1 y.r1\ngate b OR2 x.r0 x.r0 y.r0\n"
+                  "output y.r1\noutput y.r0\npair x x.r1 x.r0\npair y y.r1 y.r0"),
+], ids=["no-pair", "one-pair"])
+def test_a_block_of_at_most_one_pair_is_strong(block):
+    assert classify_both(block) == IndicationClass(Indication.STRONG, Indication.STRONG)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_classify_reads_one_index_range(monkeypatch, n):
+    """Every mask comes from one `bit_columns` call on the range of
+    codeword and subset indices; no codeword is packed by `rail_masks`."""
+    calls = []
+
+    def spy(words, width):
+        calls.append((words, width))
+        return real(words, width)
+
+    def refuse(*args):
+        raise AssertionError("classify_both built masks with rail_masks")
+
+    real = qdisim.analysis.bit_columns
+    monkeypatch.setattr(qdisim.analysis, "bit_columns", spy)
+    monkeypatch.setattr(qdisim.analysis, "rail_masks", refuse)
+    classify_both(build_rca(AdderVariant.EARLY_OUTPUT, n).netlist)
+    k = 2 * n + 1
+    assert calls == [(range(4 ** k), 2 * k)]
+
+
 def test_classifier_rejects_wide_blocks():
     assert CLASSIFY_MAX_PAIRS == 9
     classify_both(build_rca(AdderVariant.EARLY_OUTPUT, 4).netlist)  # 9 input pairs

@@ -390,7 +390,7 @@ def test_closed_loop_refusals_come_in_the_documented_order(stage_count, n, varia
 
 # a 3-copy GLOBAL ring at n = 3 whose slow AO22s let copy 2 complete on
 # copy 1's partial spacer and re-arm ack1 while copy 1's `reg.a2.r1` still
-# holds 1 (ROADMAP item 15, probe B)
+# holds 1 (ROADMAP item 18)
 _STALL = (3, Architecture.GLOBAL, 3, DelayTable({kind: 7 if kind is GateKind.AO22 else 1 for kind in GateKind}))
 
 
@@ -399,7 +399,7 @@ def _stall_ring(operands):
     return run_closed_loop(stages, PAIRED_VARIANT[arch], arch, n, operands, delays)
 
 
-@pytest.mark.xfail(strict=True, raises=DeadlockError, reason="ROADMAP item 15: the ring reads no intermediate cout")
+@pytest.mark.xfail(strict=True, raises=DeadlockError, reason="ROADMAP item 18: the ring reads no intermediate cout")
 def test_a_global_ring_with_slow_ao22s_delivers_every_value():
     report = _stall_ring([(0, 3, 1), (0, 0, 0)])
     assert [(value, carry) for _, value, carry in report.deliveries] == [(4, 0), (0, 0)]
