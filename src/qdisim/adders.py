@@ -155,21 +155,22 @@ def _emit_stage(nb: NetlistBuilder, variant: AdderVariant, p: str, r: dict[str, 
 
 def emit_rca(
     nb: NetlistBuilder,
+    prefix: str,
     variant: AdderVariant,
     n: int,
     a_rails: list[tuple[str, str]],
     b_rails: list[tuple[str, str]],
     cin_rails: tuple[str, str],
 ) -> tuple[list[tuple[str, str]], tuple[str, str]]:
-    """Emit an n-stage ripple chain reading the given operand rail nets.
-
-    Returns (sum rail pairs, overflow cout rail pair).  Used both for
-    standalone chains and embedded inside a pipeline stage.
+    """Emit an n-stage ripple chain reading the given operand rail nets,
+    full adder i's nets named `{prefix}fa<i>.`: a standalone chain with
+    prefix "" (`build_rca`) or one inside a stage (`stage.emit_stage`).
+    Returns (sum rail pairs, overflow cout rail pair).
     """
     sums = []
     carry = cin_rails
     for i in range(n):
-        sp = f"fa{i}."
+        sp = f"{prefix}fa{i}."
         s1, s0 = f"{sp}s1", f"{sp}s0"
         k1, k0 = f"{sp}k1", f"{sp}k0"
         rails = {
@@ -193,7 +194,7 @@ def build_rca(variant: AdderVariant, n: int) -> RcaDescriptor:
     a_rails = [nb.add_input_pair(f"a{i}") for i in range(n)]
     b_rails = [nb.add_input_pair(f"b{i}") for i in range(n)]
     cin = nb.add_input_pair("cin")
-    sums, cout = emit_rca(nb, variant, n, a_rails, b_rails, cin)
+    sums, cout = emit_rca(nb, "", variant, n, a_rails, b_rails, cin)
     forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
     for port, rails in zip(forward_ports, [*sums, cout]):
         nb.add_output_pair(port, *rails)

@@ -28,7 +28,7 @@ from .analysis import (
 from .cells import _integer, default_delay_table, dump_delay_table, load_delay_table
 from .netlist import serialize_netlist
 from .sim import OscillationError, SimulationError
-from .stage import Architecture, DeadlockError, PAIRED_VARIANT, build_stage, run_closed_loop
+from .stage import Architecture, DeadlockError, build_stage, run_closed_loop
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -161,14 +161,14 @@ def cmd_check(args) -> int:
 def cmd_ring(args) -> int:
     if args.transactions < 1:
         raise ValueError(f"transactions must be >= 1, got {args.transactions}")
-    if args.n < 1:
+    if args.n < 1:  # before getrandbits, which refuses a negative n in its own words
         raise ValueError(f"n must be >= 1, got {args.n}")
     rng = random.Random(args.seed)
     ops = [
         (rng.getrandbits(args.n), rng.getrandbits(args.n), rng.getrandbits(1))
         for _ in range(args.transactions)
     ]
-    report = run_closed_loop(args.stages, PAIRED_VARIANT[args.arch], args.arch, args.n, ops, args.table)
+    report = run_closed_loop(args.stages, None, args.arch, args.n, ops, args.table)
     rows = "".join(
         f"{t},{a},{b},{c},{value},{carry}\n" for (t, value, carry), (a, b, c) in zip(report.deliveries, ops)
     )

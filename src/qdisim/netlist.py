@@ -81,13 +81,6 @@ class Netlist:
     primary_outputs: tuple[str, ...] = ()
     port_map: dict[str, tuple[str, str]] = field(default_factory=dict)
 
-    def nets(self) -> set[str]:
-        s = set(self.primary_inputs) | set(self.primary_outputs)
-        for g in self.gates:
-            s.update(g.inputs)
-            s.add(g.output)
-        return s
-
 
 @dataclass(frozen=True)
 class Violation:

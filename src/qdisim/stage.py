@@ -22,7 +22,7 @@ from itertools import pairwise, repeat
 from .adders import AdderVariant, emit_rca, pack_operands
 from .cells import DelayTable, default_delay_table
 from .dualrail import DecodeIssue, RailState, decode_word, rail_assignments
-from .netlist import Gate, GateKind, Netlist, NetlistBuilder
+from .netlist import GateKind, Netlist, NetlistBuilder
 from .sim import Simulation, WaveResult, _WavePlan, drive_transaction
 
 
@@ -48,19 +48,19 @@ PAIRED_VARIANT = {
 }
 
 
-def _emit_completion_detector(nb: NetlistBuilder, pairs: list[tuple[str, str]]) -> str:
-    """OR2 per pair then a balanced C2 tree, nets prefixed `cd.`; returns
-    the root net.
+def _emit_completion_detector(nb: NetlistBuilder, prefix: str, pairs: list[tuple[str, str]]) -> str:
+    """OR2 per pair then a balanced C2 tree, nets named `{prefix}cd.`;
+    returns the root net, `{prefix}cd.out`.
 
     A single pair's OR2 is the root itself; otherwise the tree is
     ceil(log2(pair_count)) C2 levels deep.
     """
-    root = "cd.out"
+    root = f"{prefix}cd.out"
     level = [
-        nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"cd.or{i}")
+        nb.add_gate(GateKind.OR2, (r1, r0), root if len(pairs) == 1 else f"{prefix}cd.or{i}")
         for i, (r1, r0) in enumerate(pairs)
     ]
-    return nb.tree(GateKind.C2, level, root, "cd.l")
+    return nb.tree(GateKind.C2, level, root, f"{prefix}cd.l")
 
 
 @dataclass
@@ -72,7 +72,63 @@ class StageDescriptor:
     operand_rails: tuple[tuple[str, str], ...]  # a0.., b0.., cin input rail pairs
     forward_ports: tuple[str, ...]     # sum0.., cout: what the next stage sees
     ackin: str
-    cd_out: str
+
+
+def _stage_variant(
+    architecture: Architecture, variant: AdderVariant | None, n: int, force: bool = False
+) -> AdderVariant:
+    """`variant`, or the architecture's paired one when None.  Raises
+    ValueError when n < 1, then StageConfigError when `variant` is not the
+    architecture's pair and `force` is False."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if variant is None:
+        return PAIRED_VARIANT[architecture]
+    if variant is not PAIRED_VARIANT[architecture] and not force:
+        raise StageConfigError(
+            f"{architecture.value} stages pair with {PAIRED_VARIANT[architecture].value}; "
+            f"got {variant.value} (use force=True to override)"
+        )
+    return variant
+
+
+def emit_stage(nb: NetlistBuilder, prefix: str, architecture: Architecture, variant: AdderVariant, n: int,
+               ackin: str, a_rails: list[tuple[str, str]] | None = None):
+    """Write one stage into `nb`, every net and port named with `prefix`:
+    register bank (one C2 per rail, gated by the net `ackin`), adder and
+    completion detector, plus the synchronizer when GLOBAL.  The a operand
+    reads `a_rails`, or its own input pairs when None.  The forward ports
+    and the detector root `{prefix}cd.out` are outputs.  Returns (the input
+    rail pairs it declared, forward ports, sum rail pairs, detector root).
+    """
+    operand_rails, reg_pairs = [], []
+    for i, port in enumerate([*(f"a{i}" for i in range(n)), *(f"b{i}" for i in range(n)), "cin"]):
+        if i < n and a_rails is not None:
+            r1, r0 = a_rails[i]
+        else:
+            r1, r0 = nb.add_input_pair(prefix + port)
+            operand_rails.append((r1, r0))
+        reg = f"{prefix}reg.{port}"
+        q1 = nb.add_gate(GateKind.C2, (r1, ackin), f"{reg}.r1")
+        q0 = nb.add_gate(GateKind.C2, (r0, ackin), f"{reg}.r0")
+        nb.add_pair(reg, q1, q0)
+        reg_pairs.append((q1, q0))
+
+    sums, cout = emit_rca(nb, prefix, variant, n, reg_pairs[:n], reg_pairs[n:-1], reg_pairs[-1])
+    cd_out = _emit_completion_detector(nb, prefix, reg_pairs)
+
+    forward_ports = (*(f"{prefix}sum{i}" for i in range(n)), f"{prefix}cout")
+    for port, (s1, s0) in zip(forward_ports, sums):
+        nb.add_output_pair(port, s1, s0)
+    if architecture is Architecture.GLOBAL:
+        nb.add_pair(f"{prefix}cout.rca", *cout)
+        cout = (
+            nb.add_gate(GateKind.C2, (cout[0], cd_out), f"{prefix}sync.r1"),
+            nb.add_gate(GateKind.C2, (cout[1], cd_out), f"{prefix}sync.r0"),
+        )
+    nb.add_output_pair(forward_ports[-1], *cout)
+    nb.add_output(cd_out)
+    return operand_rails, forward_ports, sums, cd_out
 
 
 def build_stage(
@@ -81,57 +137,16 @@ def build_stage(
     n: int = 32,
     force: bool = False,
 ) -> StageDescriptor:
-    """Register bank + adder + completion detector, plus the synchronizer
-    when GLOBAL.  The detector watches all 2n+1 registered operand pairs.
-    Architecture and adder style come paired; pass force=True to explore
-    other combinations (their timing has no closed form here).
+    """One stage, `emit_stage` with no prefix, gated by its primary input
+    `ackin`; its detector `cd.out` watches all 2n+1 registered operand
+    pairs.  Architecture and adder style come paired; pass force=True to
+    explore other combinations (their timing has no closed form here).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if variant is None:
-        variant = PAIRED_VARIANT[architecture]
-    elif variant is not PAIRED_VARIANT[architecture] and not force:
-        raise StageConfigError(
-            f"{architecture.value} stages pair with {PAIRED_VARIANT[architecture].value}; "
-            f"got {variant.value} (use force=True to override)"
-        )
+    variant = _stage_variant(architecture, variant, n, force)
     nb = NetlistBuilder()
     ackin = nb.add_input("ackin")
-    operand_ports = [*(f"a{i}" for i in range(n)), *(f"b{i}" for i in range(n)), "cin"]
-    operand_rails, reg_pairs = [], []
-    for port in operand_ports:
-        r1, r0 = nb.add_input_pair(port)
-        q1 = nb.add_gate(GateKind.C2, (r1, ackin), f"reg.{port}.r1")
-        q0 = nb.add_gate(GateKind.C2, (r0, ackin), f"reg.{port}.r0")
-        nb.add_pair(f"reg.{port}", q1, q0)
-        operand_rails.append((r1, r0))
-        reg_pairs.append((q1, q0))
-
-    sums, cout = emit_rca(nb, variant, n, reg_pairs[:n], reg_pairs[n:-1], reg_pairs[-1])
-    cd_out = _emit_completion_detector(nb, reg_pairs)
-
-    forward_ports = tuple(f"sum{i}" for i in range(n)) + ("cout",)
-    for port, (s1, s0) in zip(forward_ports[:n], sums):
-        nb.add_output_pair(port, s1, s0)
-    if architecture is Architecture.GLOBAL:
-        nb.add_pair("cout.rca", *cout)
-        cout = (
-            nb.add_gate(GateKind.C2, (cout[0], cd_out), "sync.r1"),
-            nb.add_gate(GateKind.C2, (cout[1], cd_out), "sync.r0"),
-        )
-    nb.add_output_pair("cout", *cout)
-    nb.add_output(cd_out)
-
-    return StageDescriptor(
-        architecture=architecture,
-        variant=variant,
-        n=n,
-        netlist=nb.build(),
-        operand_rails=tuple(operand_rails),
-        forward_ports=forward_ports,
-        ackin=ackin,
-        cd_out=cd_out,
-    )
+    operand_rails, forward_ports, _, _ = emit_stage(nb, "", architecture, variant, n, ackin)
+    return StageDescriptor(architecture, variant, n, nb.build(), tuple(operand_rails), forward_ports, ackin)
 
 
 @dataclass(kw_only=True)
@@ -232,7 +247,7 @@ def _rising(pairs, value: int) -> list[str]:
 
 def run_closed_loop(
     stage_count: int,
-    variant: AdderVariant,
+    variant: AdderVariant | None,
     architecture: Architecture,
     n: int,
     operands: list[tuple[int, int, int]],
@@ -245,69 +260,47 @@ def run_closed_loop(
     per-gate `jitter` drawn from `jitter_seed`, as `Simulation` draws it:
     delivery times depend on them, the delivered values do not.
 
-    Stage k+1 adds stage k's sum to environment-supplied zero operands, so
-    a value travels the ring unchanged.  Acknowledge wiring lives in the
-    harness: each inter-stage ackin is the inverted completion-detector
-    output of the consumer, and a zero-delay source/sink plays the
-    environment at quiescence points: at each it reads the last stage's
-    word once, applies its moves in one input batch and, reading only net
-    values, reaches the next with `Simulation.drain`, which records no
-    trace.  A source raises only the rail that rises in each pair and later
-    lowers exactly those rails, so every move it applies changes a rail.
-    Each call builds, compiles and powers on its own ring and keeps
-    nothing after it returns or raises.
+    Copy k is `emit_stage` with prefix `st{k}.`; copy k+1 adds copy k's
+    sum rails to environment-supplied zero operands, so a value travels
+    the ring unchanged.  Copy k's ackin is `ack{k}`, an INV (after every
+    copy's gates) of copy k+1's `cd.out`; the last copy's is the sink's.
+    A zero-delay source/sink plays the environment at quiescence points:
+    at each it reads the last stage's word once, applies its moves in one
+    input batch and, reading only net values, reaches the next with
+    `Simulation.drain`, which records no trace.  A source raises only the
+    rail that rises in each pair and later lowers exactly those rails, so
+    every move it applies changes a rail.  Each call builds, compiles and
+    powers on its own ring and keeps nothing after it returns or raises.
 
     Raises DeadlockError when the ring stops making progress with
     transactions outstanding, and ValueError before anything runs, in this
-    order: for the stage count, when `build_stage` refuses n or the
-    pairing, when an operand does not fit n bits, and when `Simulation`
-    refuses the jitter.
+    order: for the stage count, for n and the pairing as `build_stage`
+    refuses them (`variant` None is the paired one), when an operand does
+    not fit n bits, and when `Simulation` refuses the jitter.
     """
     if stage_count < 2:
         raise ValueError(f"stage_count must be >= 2, got {stage_count}")
-    stage = build_stage(architecture, variant, n)  # refuses n < 1 before any operand is packed
+    variant = _stage_variant(architecture, variant, n)  # before any operand is packed
     words = iter([pack_operands(n, a, b, c) for a, b, c in operands])
     report = ThroughputReport()
-    nets = stage.netlist.nets()
 
-    # one rename map per stage copy, one string per net, and one source per
-    # copy, which drives every operand of copy 0 but only b and cin of the
-    # others (their a is the previous copy's sum); its feed yields the rails
-    # that rise for each operand word, copy 0's words or zeros
-    gates: list[Gate] = []
-    acks: list[Gate] = []  # the acknowledge inverters, listed after every copy's gates
-    pins: list[str] = []
-    pmap: dict[str, tuple[str, str]] = {}
+    # one source per copy drives the input pairs it declares (all of copy
+    # 0's, b and cin of the others) and yields the rails that rise for each
+    # operand word, copy 0's words or zeros; each `ack{k}` is one string
+    nb = NetlistBuilder()
+    acks = [f"ack{k}" for k in range(stage_count - 1)]
     sources = []
-    names: dict[str, str] = {}
+    sums = None
     for k in range(stage_count):
-        prev, pref = names, f"st{k}."
-        names = {net: pref + net for net in nets}
-        if k > 0:
-            for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
-                names[a1], names[a0] = (prev[rail] for rail in stage.netlist.port_map[port])
-            acks.append(Gate(f"ackinv{k - 1}", GateKind.INV, (names[stage.cd_out],), prev[stage.ackin]))
-        if k < stage_count - 1:
-            names[stage.ackin] = f"ack{k}"
-        nm = names.__getitem__
-        gates.extend(
-            tuple.__new__(Gate, (pref + g.gid, g.kind, tuple(map(nm, g.inputs)), nm(g.output)))  # as add_gate does
-            for g in stage.netlist.gates
-        )
-        pins.extend(map(nm, stage.netlist.primary_inputs))
-        pmap.update((pref + port, (nm(r1), nm(r0))) for port, (r1, r0) in stage.netlist.port_map.items())
-        rails = [(nm(r1), nm(r0)) for r1, r0 in stage.operand_rails[n if k else 0:]]
-        sources.append((nm(stage.cd_out), repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words)))
-    gates += acks
-    driven = {g.output for g in gates}
-    pins = [p for p in pins if p not in driven]
-    netlist = Netlist(tuple(gates), tuple(pins), (), pmap)
-    sim = Simulation(netlist, delay_table or default_delay_table(), jitter=jitter, jitter_seed=jitter_seed)
+        ackin = acks[k] if k < len(acks) else nb.add_input(f"st{k}.ackin")
+        rails, out_ports, sums, cd_out = emit_stage(nb, f"st{k}.", architecture, variant, n, ackin, sums)
+        sources.append((cd_out, repeat(_rising(rails, 0)) if k else map(_rising, repeat(rails), words)))
+    for ack, (cd_out, _) in zip(acks, sources[1:]):
+        nb.add_gate(GateKind.INV, (cd_out,), ack)
+    sim = Simulation(nb.build(), delay_table or default_delay_table(), jitter=jitter, jitter_seed=jitter_seed)
     sim.settle_power_on()
 
-    out_ports = [pref + port for port in stage.forward_ports]
-    sink_ackin = names[stage.ackin]
-    sink_ack = 0
+    sink_ack = 0  # the level the sink drives on the last copy's `ackin`; it reads that copy's `out_ports`
     high: list[list[str]] = [[] for _ in sources]  # the rails each source holds high, none while spacer
     while True:
         word = sim.read_word(out_ports)
@@ -319,7 +312,7 @@ def run_closed_loop(
                 carry, value = divmod(decode_word(word), 1 << n)
                 report.deliveries.append((sim.now, value, carry))
             sink_ack = 1 - sink_ack
-            moves.append((sink_ackin, sink_ack))
+            moves.append((ackin, sink_ack))
         # a source acts when its stage's ack (cd.out) equals its valid flag:
         # whether it holds rails high
         for k, (cd_out, feed) in enumerate(sources):

@@ -1,5 +1,5 @@
 """The stage's completion detector on its own, for the stage, wave-plan and
-acceptance tests: `build_stage` emits it over the registered pairs, and
+acceptance tests: `emit_stage` writes it over the registered pairs, and
 here it watches primary input pairs instead."""
 from dataclasses import dataclass
 
@@ -35,6 +35,6 @@ def build_completion_detector(pair_count: int) -> CompletionDetector:
     """The detector over pair_count >= 1 dual-rail inputs p0..p(k-1)."""
     nb = NetlistBuilder()
     rails = [nb.add_input_pair(f"p{i}") for i in range(pair_count)]
-    root = nb.add_output(_emit_completion_detector(nb, rails))
+    root = nb.add_output(_emit_completion_detector(nb, "", rails))
     netlist = nb.build()
     return CompletionDetector(netlist, root, completion_tree_depth(netlist, root))

@@ -170,14 +170,14 @@ def test_criterion_9_completion_detector(table, global_stage32):
         assert rec.ok
         initial_set = {r: 0 for r1, r0 in pairs.values() for r in (r1, r0)}
         assert_completion_ordering(rec.set_trace, pairs, initial_set,
-                                   global_stage32.cd_out, rising=True)
+                                   "cd.out", rising=True)
         initial_rtz = {}
         for r1, r0 in pairs.values():
             seen = {net: v for _, net, v in rec.set_trace if net in (r1, r0)}
             initial_rtz[r1] = seen.get(r1, 0)
             initial_rtz[r0] = seen.get(r0, 0)
         assert_completion_ordering(rec.rtz_trace, pairs, initial_rtz,
-                                   global_stage32.cd_out, rising=False)
+                                   "cd.out", rising=False)
     print("PASS criterion 9: 65-pair detector depth exactly 7; done signal "
           "brackets validity/spacer on 100 random vectors")
 

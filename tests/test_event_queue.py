@@ -11,6 +11,7 @@ from qdisim.cells import DelayTable, default_delay_table
 from qdisim.netlist import GATE_ARITY, Gate, GateKind, Netlist, parse_netlist
 from qdisim.sim import OscillationError, Simulation
 from reference_queue import ReferenceSim
+from netlist_utils import nets
 
 TABLE = default_delay_table()
 
@@ -100,7 +101,7 @@ def test_queue_matches_the_reference_engine(netlist, table, jitter, seed, cap, d
                 ReferenceSim(netlist, table, event_cap=cap, jitter=jitter, jitter_seed=seed))
 
     sim, ref = fresh()
-    nets = sorted(netlist.nets())
+    names = sorted(nets(netlist))
     traced = True  # False from a drain until the next run, power-on or fresh pair
     for op in data.draw(_ops(netlist.primary_inputs, table)):
         if op == ("fresh",):  # both start over on new instances
@@ -109,7 +110,7 @@ def test_queue_matches_the_reference_engine(netlist, table, jitter, seed, cap, d
         assert result == _step(ref, op), op
         if op[0] not in ("apply", "redrive"):
             traced = op != ("drain",)
-        assert _state(sim, nets, traced) == _state(ref, nets, traced), op
+        assert _state(sim, names, traced) == _state(ref, names, traced), op
         if not traced:  # a drain records nothing, also when it raises
             assert sim.trace == [], op
         if isinstance(result, str):  # an oscillation error spends both sims
@@ -117,7 +118,7 @@ def test_queue_matches_the_reference_engine(netlist, table, jitter, seed, cap, d
             traced = True
     # a last run drains whatever the ops left queued
     assert _step(sim, ("run",)) == _step(ref, ("run",))
-    assert _state(sim, nets) == _state(ref, nets)
+    assert _state(sim, names) == _state(ref, names)
 
 
 @pytest.mark.parametrize("engine", [Simulation, ReferenceSim])

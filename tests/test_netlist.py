@@ -20,6 +20,8 @@ from qdisim.netlist import (
 )
 from qdisim.sim import Simulation, _WavePlan
 
+from netlist_utils import nets
+
 TABLE = default_delay_table()
 
 # the rules the event engine refuses too, those only validate has and those
@@ -144,25 +146,25 @@ def _maybe_malformed_netlists(draw):
     output; a port of one to three rails, possibly unknown or shared."""
     n = draw(_valid_netlists())
     gates, inputs, outputs, ports = list(n.gates), list(n.primary_inputs), list(n.primary_outputs), dict(n.port_map)
-    nets = st.sampled_from(sorted(n.nets()) + ["ghost"])
+    any_net = st.sampled_from(sorted(nets(n)) + ["ghost"])
     for edit in draw(st.lists(st.sampled_from(["gate", "rewire", "input", "output", "port"]), max_size=3)):
         if edit == "gate":
             kind = draw(st.sampled_from([*GateKind, "OR2", "XOR"]))
             arity = max(0, GATE_ARITY.get(kind, 2) + draw(st.sampled_from([0, 0, 0, -1, 1])))
-            out = draw(st.one_of(nets, _NAMES))
-            ins = draw(st.lists(st.one_of(nets, st.just(out)), min_size=arity, max_size=arity))
+            out = draw(st.one_of(any_net, _NAMES))
+            ins = draw(st.lists(st.one_of(any_net, st.just(out)), min_size=arity, max_size=arity))
             gid = draw(st.one_of(_NAMES, st.sampled_from([g.gid for g in gates] or ["g"])))
             gates.append(Gate(gid, kind, tuple(ins), out))
         elif edit == "rewire" and gates:
             i = draw(st.integers(0, len(gates) - 1))
-            ins = draw(st.lists(nets, min_size=len(gates[i].inputs), max_size=len(gates[i].inputs)))
+            ins = draw(st.lists(any_net, min_size=len(gates[i].inputs), max_size=len(gates[i].inputs)))
             gates[i] = gates[i]._replace(inputs=tuple(ins))
         elif edit == "input":
-            inputs.append(draw(nets))
+            inputs.append(draw(any_net))
         elif edit == "output":
-            outputs.append(draw(nets))
+            outputs.append(draw(any_net))
         elif edit == "port":
-            ports[draw(_NAMES)] = tuple(draw(st.lists(nets, min_size=1, max_size=3)))
+            ports[draw(_NAMES)] = tuple(draw(st.lists(any_net, min_size=1, max_size=3)))
     return Netlist(tuple(gates), tuple(inputs), tuple(outputs), ports)
 
 

@@ -28,6 +28,7 @@ from qdisim.stage import (
 )
 
 from completion_detector import build_completion_detector, completion_tree_depth
+from netlist_utils import nets
 from trace_utils import assert_completion_ordering, transitions_of
 
 
@@ -105,7 +106,7 @@ def test_stage_netlists_validate(local_stage32, global_stage32):
 def test_local_width_one_detector_covers_three_pairs():
     st = build_stage(Architecture.LOCAL, n=1)
     assert [p for p in st.netlist.port_map if p.startswith("reg.")] == ["reg.a0", "reg.b0", "reg.cin"]
-    assert completion_tree_depth(st.netlist, st.cd_out) == 2
+    assert completion_tree_depth(st.netlist, "cd.out") == 2
 
 
 def test_global_stage_synchronizer_is_two_c2(local_stage32, global_stage32):
@@ -229,18 +230,18 @@ def test_detector_ordering_random_vectors(global_stage32, table):
         rec = run_transaction(global_stage32, a, b, c, table, sim=sim, keep_traces=True)
         assert rec.ok
         initial_set = {r: 0 for r1, r0 in pairs.values() for r in (r1, r0)}
-        assert_completion_ordering(rec.set_trace, pairs, initial_set, global_stage32.cd_out, rising=True)
+        assert_completion_ordering(rec.set_trace, pairs, initial_set, "cd.out", rising=True)
         initial_rtz = {}
         for r1, r0 in pairs.values():
             seen = {net: v for _, net, v in rec.set_trace if net in (r1, r0)}
             initial_rtz[r1] = seen.get(r1, 0)
             initial_rtz[r0] = seen.get(r0, 0)
-        assert_completion_ordering(rec.rtz_trace, pairs, initial_rtz, global_stage32.cd_out, rising=False)
+        assert_completion_ordering(rec.rtz_trace, pairs, initial_rtz, "cd.out", rising=False)
 
 
 def test_synchronizer_withholds_carry_until_detection(global_stage32, table):
     rec = run_transaction(global_stage32, 5, 9, 1, table, keep_traces=True)
-    cd_rise = transitions_of(rec.set_trace, global_stage32.cd_out)[0][0]
+    cd_rise = transitions_of(rec.set_trace, "cd.out")[0][0]
     for rail in global_stage32.netlist.port_map["cout"]:
         for t, _ in transitions_of(rec.set_trace, rail):
             assert t > cd_rise
@@ -470,8 +471,8 @@ def test_threads_running_rings_each_get_their_own_deliveries():
     assert got == {i: [deliveries] * 5 for i, deliveries in enumerate(want)}
 
 
-def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
-    """The netlist of a 4-bit ring, as `run_closed_loop` simulates it."""
+def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL, n=4):
+    """The netlist of an n-bit ring, as `run_closed_loop` simulates it."""
     rings = []
 
     def capture(netlist, *args, **kwargs):
@@ -479,17 +480,55 @@ def _ring(monkeypatch, stage_count=3, architecture=Architecture.LOCAL):
         return Simulation(netlist, *args, **kwargs)
 
     monkeypatch.setattr(qdisim.stage, "Simulation", capture)
-    run_closed_loop(stage_count, PAIRED_VARIANT[architecture], architecture, 4, [(1, 2, 0)])
+    run_closed_loop(stage_count, PAIRED_VARIANT[architecture], architecture, n, [(1, 0, 0)])
     (ring,) = rings
     return ring
+
+
+def _renamed_ring(stage_count, architecture, n):
+    """The ring's gates, as (kind, inputs, output), and primary inputs,
+    made by renaming copies of `build_stage`'s netlist: copy k's nets get
+    the prefix `st{k}.`, its a rails become copy k - 1's sum rails and its
+    ackin becomes `ack{k}`, except on the last copy; one INV per link from
+    copy k + 1's `cd.out` to `ack{k}` follows every copy's gates, and an
+    input some gate drives is no primary input."""
+    stage = build_stage(architecture, n=n)
+    gates, acks, inputs = [], [], []
+    names: dict[str, str] = {}
+    for k in range(stage_count):
+        prev, pref = names, f"st{k}."
+        names = {net: pref + net for net in nets(stage.netlist)}
+        if k > 0:
+            for (a1, a0), port in zip(stage.operand_rails, stage.forward_ports[:n]):
+                names[a1], names[a0] = (prev[rail] for rail in stage.netlist.port_map[port])
+            acks.append((GateKind.INV, (names["cd.out"],), prev[stage.ackin]))
+        if k < stage_count - 1:
+            names[stage.ackin] = f"ack{k}"
+        gates += [(g.kind, tuple(names[net] for net in g.inputs), names[g.output]) for g in stage.netlist.gates]
+        inputs += [names[net] for net in stage.netlist.primary_inputs]
+    gates += acks
+    driven = {output for _, _, output in gates}
+    return gates, [net for net in inputs if net not in driven]
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("architecture", list(Architecture))
+@pytest.mark.parametrize("stage_count", [2, 3, 5])
+def test_the_ring_is_build_stages_netlist_renamed_copy_by_copy(stage_count, architecture, n, monkeypatch):
+    """The ring `emit_stage` writes copy by copy is, gate for gate in
+    order and input for input, the one that renaming built stages gives."""
+    ring = _ring(monkeypatch, stage_count, architecture, n)
+    got = [(g.kind, g.inputs, g.output) for g in ring.gates], list(ring.primary_inputs)
+    assert got == _renamed_ring(stage_count, architecture, n)
 
 
 @pytest.mark.parametrize(
     "stage_count, architecture, digest",
     [
-        (3, Architecture.LOCAL, "820e4a3341f2bd27b06c19396aea0c53914b321ebdeedd2976e4eb953e77777b"),
-        (2, Architecture.GLOBAL, "3b3f1f9b7b845727da5dde75439450a44847906b852dc21022fbe5da763089fe"),
+        (3, Architecture.LOCAL, "459a1a6d76bd194c0f29694fe9a97e4e73cd043deb2849635dbe5bbebb5bdd58"),
+        (2, Architecture.GLOBAL, "2b316cc7e09d4a07526c06cde082e6ae88d2d09d3bb4177c31e51251983374fe"),
     ],
+    ids=["3-local", "2-global"],  # a re-pinned digest keeps the test's name
 )
 def test_the_ring_netlist_is_pinned(stage_count, architecture, digest, monkeypatch):
     """The ring's gates in order, its inputs, outputs and ports.  Gate

@@ -28,6 +28,7 @@ from qdisim.sim import (
 from qdisim.stage import Architecture, StageDescriptor, build_stage, run_transaction
 
 from completion_detector import build_completion_detector
+from netlist_utils import nets
 from test_adders import MUTANTS
 
 TABLE = default_delay_table()
@@ -72,8 +73,8 @@ def _assert_plan_matches_engine(sim, assignments, ports):
     got, settle = sim.plan.run(assignments, ports)
     assert got == _without_traces(want)
     assert settle == sim.now - start
-    nets = sim.netlist.nets()
-    assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+    names = nets(sim.netlist)
+    assert {n: sim.net_value(n) for n in names} == dict.fromkeys(names, 0)
     return want
 
 
@@ -166,20 +167,20 @@ def test_levels_from_spacer_match_per_vector_waves(netlist, jitter, seed, data):
     """Bit v of `levels` from spacer says whether each net rises in vector
     v: as the plan's timed pass sees it, and as the event engine settles."""
     # every net on a port rail, so the valid word shows every net; a spare input evens the count
-    nets = sorted(netlist.nets())
+    names = sorted(nets(netlist))
     inputs = netlist.primary_inputs
-    if len(nets) % 2:
+    if len(names) % 2:
         inputs += ("spare",)
-        nets.append("spare")
+        names.append("spare")
     netlist = replace(netlist, primary_inputs=inputs,
-                      port_map={f"q{j}": (nets[2 * j], nets[2 * j + 1]) for j in range(len(nets) // 2)})
+                      port_map={f"q{j}": (names[2 * j], names[2 * j + 1]) for j in range(len(names) // 2)})
     vectors = _vectors(data, inputs)
     plan = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed).plan
     assert plan is not None
     rise = plan.levels([0] * plan.slots, _masks(inputs, vectors))
     ports = list(netlist.port_map)
     for v, vec in enumerate(vectors):
-        want = {net: rise[plan.ids[net]] >> v & 1 for net in nets}
+        want = {net: rise[plan.ids[net]] >> v & 1 for net in names}
         assigns = list(zip(inputs, vec))
         word = plan.run(assigns, ports)[0].valid_word
         timed = {}
@@ -189,7 +190,7 @@ def test_levels_from_spacer_match_per_vector_waves(netlist, jitter, seed, data):
         reference = Simulation(netlist, TABLE, jitter=jitter, jitter_seed=seed)
         reference.apply_inputs(assigns, at_time=0)
         reference.run_until_quiescent()
-        assert {net: reference.net_value(net) for net in nets} == want, v
+        assert {net: reference.net_value(net) for net in names} == want, v
 
 
 def _first_change(steps, v, before=0):
@@ -220,7 +221,7 @@ def test_times_match_event_engine_commits(netlist, jitter, seed, data):
         rise_at = {net: t for t, net, _ in waves.set_trace}
         fall_at = {net: t - spacer for t, net, _ in waves.rtz_trace}
         assert len(rise_at) == len(waves.set_trace) and len(fall_at) == len(waves.rtz_trace)
-        for net in netlist.nets():
+        for net in nets(netlist):
             i = ids[net]
             rose = rise[i][-1][1] if rise[i] else 0
             assert _first_change(rise[i], v) == rise_at.get(net), (v, net)
@@ -260,8 +261,8 @@ def test_levels_match_settled_removals(netlist, jitter, seed, data):
         reference.run_until_quiescent()
         reference.apply_inputs([(net, 0) for net, gone in zip(inputs, removed) if gone])
         reference.run_until_quiescent()
-        assert {n: reference.net_value(n) for n in netlist.nets()} == {
-            n: high[plan.ids[n]] >> v & 1 for n in netlist.nets()}, v
+        assert {n: reference.net_value(n) for n in nets(netlist)} == {
+            n: high[plan.ids[n]] >> v & 1 for n in nets(netlist)}, v
 
 
 @given(netlist=_acyclic_netlists(), data=st.data())
@@ -337,7 +338,7 @@ def _dead_node_stage():
         nb.add_output_pair(f"sum{k}", *reg[f"a{k}"])
     nb.add_output_pair("cout", nb.add_gate(GateKind.OR2, (reg["cin"][0], w), "cout.r1"), reg["cin"][1])
     return StageDescriptor(Architecture.LOCAL, AdderVariant.LATENCY_OPT_BIASED, 3, nb.build(),
-                           tuple(rails[p] for p in ports), ("sum0", "sum1", "sum2", "cout"), ackin, w)
+                           tuple(rails[p] for p in ports), ("sum0", "sum1", "sum2", "cout"), ackin)
 
 
 def test_times_leaves_a_node_that_rises_in_no_vector_empty():
@@ -740,9 +741,9 @@ def test_a_reused_sim_only_lends_its_plan(arch, variant, jitter, compiled, simul
     simulations_built.clear()
     records = [run_transaction(stage, a, b, c, TABLE, sim=sim, keep_traces=False) for a, b, c in ops]
     assert compiled == [] and simulations_built == []
-    nets = stage.netlist.nets()
+    names = nets(stage.netlist)
     assert sim.now == 0 and sim.trace == [] and not sim._heap
-    assert {n: sim.net_value(n) for n in nets} == dict.fromkeys(nets, 0)
+    assert {n: sim.net_value(n) for n in names} == dict.fromkeys(names, 0)
     fresh, engine = (Simulation(stage.netlist, TABLE, jitter=jitter, jitter_seed=7) for _ in range(2))
     unjittered = []
     for (a, b, c), rec in zip(ops, records):
